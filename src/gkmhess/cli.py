@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
-    frobenius_series, graded_character, hilbert_numerator, solve_graph)
+    Truncated, frobenius_of_character, graded_character, hilbert_numerator,
+    solve_graph)
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP
@@ -107,7 +108,7 @@ def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
     kind = "dot" if side == "x" else "dagger"
     space = solve_graph(build_graph(h, side), cfg.degree_cap, cfg.cache_dir)
     char = graded_character(space, kind)
-    series = frobenius_series(space, kind)
+    series = frobenius_of_character(char)
     return {"command": "character", "h": str(h), "side": side,
             "action": kind, "character": char.to_json(),
             "frobenius": series.to_json()}
@@ -286,11 +287,25 @@ def _emit(report: dict, cfg: RunConfig, out_path: str | None,
             fh.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_positive_int, default=1)
     common.add_argument("--n", type=int, default=GRAPH_N_CAP,
                         help="cap on n for graph commands (hard max 6)")
     common.add_argument("--degree-cap", type=int, default=None,
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="also write the JSON report to this file")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gkmhess",
         description="Hessenberg GKM graphs, graph cohomology, chromatic "
                     "quasisymmetric functions, LLT polynomials, and "
@@ -355,7 +370,7 @@ def main(argv=None) -> int:
         else:   # pragma: no cover
             ap.error(f"unknown command {args.cmd}")
             return 2
-    except (CapExceeded, hessenberg.NotNonDecreasing,
+    except (CapExceeded, Truncated, hessenberg.NotNonDecreasing,
             hessenberg.ValueOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,14 +28,15 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from gkmhess import polys
 from gkmhess.graphs import (
-    SignedBlowupGraph, Vertex, class_representative, compose, identity_perm,
+    SignedBlowupGraph, Vertex, class_representative, compose, generators,
     inverse, swap_positions)
 from gkmhess.linalg import (
-    ColumnReducer, FracCol, IntRow, SubspaceBasis, kernel_of_rows)
+    Echelon, FracCol, IntRow, SubspaceBasis, columns_to_int_rows,
+    kernel_of_rows)
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
     partitions_of)
@@ -82,24 +83,6 @@ def monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def monomial_index(n: int, k: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n, k))}
-
-
-@dataclass(frozen=True)
-class MonomialIndex:
-    """Fixed ordering of the degree-k monomials in t_1..t_n."""
-
-    n: int
-    degree: int
-
-    @property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        return monomials(self.n, self.degree)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def position(self, exponent: tuple[int, ...]) -> int:
-        return monomial_index(self.n, self.degree)[exponent]
 
 
 def _subst_exp(e: tuple, a: int, b: int) -> tuple:
@@ -193,34 +176,29 @@ def _cache_path(cache_dir: str, graph, k: int) -> str:
 
 
 def _basis_to_payload(basis: SubspaceBasis) -> dict:
-    den = 1
-    for col in basis.columns:
-        for v in col.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
+    den = lcm(*(v.denominator for col in basis.columns for v in col.values()))
     cols = [sorted((r, int(v * den)) for r, v in col.items())
             for col in basis.columns]
     return {"ambient": basis.ambient_dim, "den": den,
             "free": basis.unit_rows, "cols": cols}
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _basis_from_payload(data: dict) -> SubspaceBasis:
+def _basis_from_payload(data: dict, ambient: int) -> SubspaceBasis:
     den = data["den"]
     cols = [{int(r): Fraction(num, den) for r, num in col}
             for col in data["cols"]]
-    return SubspaceBasis(data["ambient"], cols, unit_rows=data["free"])
+    if data["ambient"] != ambient or len(data["free"]) != len(cols):
+        raise ValueError("cache entry does not fit the system")
+    return SubspaceBasis(ambient, cols, unit_rows=data["free"])
 
 
-def _cache_read(path: str) -> SubspaceBasis | None:
+def _cache_read(path: str, ambient: int) -> SubspaceBasis | None:
+    """The cached basis, or None (a miss) if the entry is unreadable or of
+    the wrong shape."""
     try:
         with open(path) as fh:
-            return _basis_from_payload(json.load(fh))
-    except (OSError, ValueError, KeyError):
+            return _basis_from_payload(json.load(fh), ambient)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
 
 
@@ -249,13 +227,14 @@ def solve_graph(graph, max_degree: int | None = None,
     nverts = len(graph.vertices)
     for k in range(max_degree + 1):
         rows[k] = constraint_rows(graph, k)
+        ncols = nverts * len(monomials(graph.n, k))
         basis = None
         path = None
         if cache_dir is not None:
             path = _cache_path(cache_dir, graph, k)
-            basis = _cache_read(path)
+            basis = _cache_read(path, ncols)
         if basis is None:
-            basis = kernel_of_rows(rows[k], nverts * len(monomials(graph.n, k)))
+            basis = kernel_of_rows(rows[k], ncols)
             if path is not None:
                 _cache_write(path, basis)
         bases[k] = basis
@@ -265,14 +244,11 @@ def solve_graph(graph, max_degree: int | None = None,
 # ---------------------------------------------------------------------------
 # Hilbert numerator and the direct quotient
 
-def hilbert_numerator(space: GradedSolutionSpace,
-                      action_kind: str = "none") -> list[int]:
+def hilbert_numerator(space: GradedSolutionSpace) -> list[int]:
     """Dimension series times (1-q)^n, validated.
 
     Coefficients b_k for k = 0..top_degree; NotFree on a negative entry,
     Truncated if the numerator fails to vanish on (top_degree, max_degree].
-    The action_kind is accepted for interface symmetry; dimensions do not
-    depend on it.
     """
     n = space.n
     top = space.graph.top_degree
@@ -323,23 +299,29 @@ def _image_columns(space: GradedSolutionSpace, k: int) -> list[FracCol]:
 
 def _ordinary_piece_with_image(space: GradedSolutionSpace, k: int,
                                expected: int | None = None):
-    """Quotient representatives and the echelonized image of t-multiplication."""
-    red = ColumnReducer()
-    for col in _image_columns(space, k):
-        red.insert(col)
-    image_rank = red.rank
-    reps = [col for col in space.bases[k].columns if red.insert(col)]
-    dim_q = space.dim(k) - image_rank
+    """Quotient representatives and the back-substituted echelon of the
+    image of t-multiplication.
+
+    The representatives are the basis columns that raise the rank over the
+    image and the columns before them, in basis order.
+    """
+    image = Echelon()
+    for row in columns_to_int_rows(_image_columns(space, k)):
+        image.insert(row)
+    image.back_substitute()
+    span = image.copy()
+    basis = space.bases[k]
+    reps = [col for col, row in zip(basis.columns,
+                                    columns_to_int_rows(basis.columns))
+            if span.insert(row)]
+    dim_q = space.dim(k) - image.rank
     if len(reps) != dim_q:
         raise DimensionMismatch("image escapes the solution space")
     if expected is not None and dim_q != expected:
         raise DimensionMismatch(
             f"direct quotient dim {dim_q} != numerator coefficient {expected} "
             f"at degree {k}")
-    ambient = len(space.graph.vertices) * len(monomials(space.n, k))
-    image = ColumnReducer()
-    image.cols = red.cols[:image_rank]
-    return SubspaceBasis(ambient, reps), image
+    return SubspaceBasis(basis.ambient_dim, reps), image
 
 
 def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
@@ -396,12 +378,28 @@ def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
     return out
 
 
-def _column_adjacency(rows: list[IntRow]):
+def column_adjacency(rows: list[IntRow]):
+    """Column -> [(row index, coefficient)] of a row system."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for ri, row in enumerate(rows):
         for c, v in row.items():
             adj.setdefault(c, []).append((ri, v))
     return adj
+
+
+def first_violated_row(adj, col: FracCol,
+                       pi: list[int] | None = None) -> int | None:
+    """Smallest index of a row (given by its column adjacency) that does
+    not annihilate col, or None; with pi, col is first moved to pi[c]."""
+    residual: dict[int, Fraction] = {}
+    for c, v in col.items():
+        for ri, cf in adj.get(c if pi is None else pi[c], ()):
+            nv = residual.get(ri, 0) + cf * v
+            if nv:
+                residual[ri] = nv
+            else:
+                residual.pop(ri, None)
+    return min(residual) if residual else None
 
 
 def check_action_invariance(space: GradedSolutionSpace, k: int,
@@ -411,25 +409,11 @@ def check_action_invariance(space: GradedSolutionSpace, k: int,
 
     Generators suffice: the action is a group homomorphism.
     """
-    n = space.n
-    if n == 1:
-        return
-    gens = [swap_positions(identity_perm(n), 1, 2)]
-    if n > 2:
-        gens.append(tuple(list(range(2, n + 1)) + [1]))
-    adj = _column_adjacency(space.rows[k])
-    for sigma in gens:
+    adj = column_adjacency(space.rows[k])
+    for sigma in generators(space.n):
         pi = coordinate_perm(space.graph, k, sigma, action_kind)
         for col in space.bases[k].columns:
-            residual: dict[int, Fraction] = {}
-            for c, v in col.items():
-                for (ri, cf) in adj.get(pi[c], []):
-                    nv = residual.get(ri, Fraction(0)) + cf * v
-                    if nv:
-                        residual[ri] = nv
-                    else:
-                        residual.pop(ri, None)
-            if residual:
+            if first_violated_row(adj, col, pi) is not None:
                 raise NotInvariant(
                     f"{action_kind} action by {sigma} leaves the degree-{k} "
                     f"solution space")
@@ -522,7 +506,7 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     """
     n = space.n
     top = space.graph.top_degree
-    numer = hilbert_numerator(space, action_kind)
+    numer = hilbert_numerator(space)
     for k in range(space.max_degree + 1):
         check_action_invariance(space, k, action_kind)
     traces: dict[Partition, list[Fraction]] = {}
@@ -576,36 +560,41 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
                     f"series {char.value(lam, k)}")
 
 
-def _trace_on_reducer(space: GradedSolutionSpace, k: int,
-                      reducer: ColumnReducer, sigma, action_kind: str) -> Fraction:
-    """Trace of sigma on the subspace spanned by a reducer's columns.
+def _trace_on_reducer(space: GradedSolutionSpace, k: int, image: Echelon,
+                      sigma, action_kind: str) -> Fraction:
+    """Trace of sigma on the span of a back-substituted echelon's rows.
 
-    The subspace must be invariant (it is the t-multiplication image of an
-    invariant space); each permuted column is re-expanded over the echelon
-    columns and the diagonal coefficients are summed.
+    The span must be invariant (it is the t-multiplication image of an
+    invariant space).  Each row is zero at every other row's pivot, so a
+    vector of the span has coordinate v[c] / r[c] along the row r with
+    pivot c; the trace sums that coordinate of each permuted row.
     """
     pi = coordinate_perm(space.graph, k, sigma, action_kind)
     total = Fraction(0)
-    for i, (_, col) in enumerate(reducer.cols):
-        permuted = {pi[c]: v for c, v in col.items()}
-        rem, coeff = reducer.reduce(permuted)
-        if rem:
+    for c, row in image.rows:
+        permuted = {pi[j]: v for j, v in row.items()}
+        if image.reduce(permuted):
             raise NotInvariant(
                 "t-multiplication image is not preserved by the action")
-        total += coeff.get(i, Fraction(0))
+        total += Fraction(permuted.get(c, 0), row[c])
     return total
 
 
-def frobenius_series(space: GradedSolutionSpace, action_kind: str,
-                     cross_check: bool | None = None) -> GradedSymmetricFunction:
-    """Frobenius characteristic of the ordinary graded character, m basis."""
-    char = graded_character(space, action_kind, cross_check=cross_check)
+def frobenius_of_character(char: GradedCharacter) -> GradedSymmetricFunction:
+    """Frobenius characteristic of a graded character, m basis."""
     terms = {}
     for k in range(char.max_q() + 1):
         f = frobenius(char.class_function(k)).convert("m")
         if not f.is_zero():
             terms[k] = f
-    return GradedSymmetricFunction(space.n, terms)
+    return GradedSymmetricFunction(char.n, terms)
+
+
+def frobenius_series(space: GradedSolutionSpace, action_kind: str,
+                     cross_check: bool | None = None) -> GradedSymmetricFunction:
+    """Frobenius characteristic of the ordinary graded character, m basis."""
+    return frobenius_of_character(
+        graded_character(space, action_kind, cross_check=cross_check))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,17 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+def generators(n: int) -> list[Perm]:
+    """Generators of S_n: the transposition (1 2) and, for n >= 3, the
+    n-cycle 2 3 ... n 1 (one-line notation); none for n = 1."""
+    gens = []
+    if n >= 2:
+        gens.append(swap_positions(identity_perm(n), 1, 2))
+    if n >= 3:
+        gens.append(tuple(range(2, n + 1)) + (1,))
+    return gens
+
+
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(sorted(itertools.permutations(range(1, n + 1))))

@@ -5,27 +5,21 @@ stripped after every combination, Bareiss style) and kernel bases come out
 with Fraction entries.  There is no floating point and no modular
 arithmetic; identical inputs produce bit-identical outputs.
 
-The central primitive is :func:`kernel_of_rows`, which reduces a list of
-integer rows to echelon form (pivot = smallest column of each row, rows
-inserted in the given order) followed by a backward pass, and reads off the
-canonical kernel basis: one column per free (non-pivot) column f, with
-entry 1 at row f.  Those unit rows make coordinate extraction trivial,
-which the higher layers exploit for traces.
+:class:`Echelon` is the one elimination engine: kernels, ranks, and the
+direct quotient and its trace in :mod:`gkmhess.cohomology` all reduce
+through it.  :func:`kernel_of_rows` reduces a list of integer rows to
+echelon form (pivot = smallest column of each row, rows inserted in the
+given order) followed by a backward pass, and reads off the canonical
+kernel basis: one column per free (non-pivot) column f, with entry 1 at
+row f.  Those unit rows make coordinate extraction trivial, which the
+higher layers exploit for traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-
-class NotInvariant(ValueError):
-    """P maps some basis column outside the spanned subspace."""
-
-
-class AmbientMismatch(ValueError):
-    """Subspaces live in different ambient dimensions."""
+from math import gcd, lcm
 
 
 IntRow = dict[int, int]
@@ -69,21 +63,38 @@ class Echelon:
         self.pivots: dict[int, int] = {}   # pivot column -> index in rows
         self.rows: list[tuple[int, IntRow]] = []
 
-    def insert(self, row: IntRow) -> bool:
-        """Reduce row against current pivots; keep it if independent.
+    def reduce(self, row: IntRow) -> IntRow:
+        """Remainder of row against the current pivots, not stored.
 
-        Returns True when the row increased the rank.
+        The remainder is empty exactly when row lies in the span of the
+        rows; otherwise its smallest column is not a pivot.
         """
         r = dict(row)
         while r:
             c = min(r)
             idx = self.pivots.get(c)
             if idx is None:
-                self.pivots[c] = len(self.rows)
-                self.rows.append((c, r))
-                return True
+                break
             _reduce_by(r, self.rows[idx][1], c)
-        return False
+        return r
+
+    def insert(self, row: IntRow) -> bool:
+        """Keep the remainder of row if nonzero; True when the rank grew."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = min(r)
+        self.pivots[c] = len(self.rows)
+        self.rows.append((c, r))
+        return True
+
+    def copy(self) -> "Echelon":
+        """An echelon with the same rows.  Inserting into either leaves the
+        other unchanged; the row dicts are shared, so back-substitute first."""
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        out.rows = list(self.rows)
+        return out
 
     @property
     def rank(self) -> int:
@@ -126,62 +137,6 @@ class Echelon:
 
 
 @dataclass
-class RationalMatrix:
-    """Sparse exact matrix; entries default to zero."""
-
-    nrows: int
-    ncols: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        ents = {}
-        rows = [list(r) for r in rows]
-        ncols = max((len(r) for r in rows), default=0)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                fv = Fraction(v)
-                if fv:
-                    ents[(i, j)] = fv
-        return cls(len(rows), ncols, ents)
-
-    def to_int_rows(self) -> list[IntRow]:
-        """Clear denominators row by row (kernel and rank are unchanged)."""
-        byrow: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            byrow[i][j] = v
-        out = []
-        for r in byrow:
-            if not r:
-                continue
-            den = 1
-            for v in r.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            out.append({j: int(v * den) for j, v in r.items()})
-        return out
-
-    def column(self, j: int) -> FracCol:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def mul_col(self, col: FracCol) -> FracCol:
-        out: FracCol = {}
-        for (i, j), v in self.entries.items():
-            x = col.get(j)
-            if x:
-                out[i] = out.get(i, Fraction(0)) + v * x
-        return {i: v for i, v in out.items() if v}
-
-    @classmethod
-    def from_columns(cls, ambient: int, cols: list[FracCol]) -> "RationalMatrix":
-        ents = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    ents[(i, j)] = Fraction(v)
-        return cls(ambient, len(cols), ents)
-
-
-@dataclass
 class SubspaceBasis:
     """Columns spanning a subspace of Q^ambient_dim.
 
@@ -198,12 +153,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.columns)
-
-    def verify_independent(self) -> bool:
-        return rank(RationalMatrix.from_columns(self.ambient_dim, self.columns)) == self.dim
-
-    def matrix(self) -> RationalMatrix:
-        return RationalMatrix.from_columns(self.ambient_dim, self.columns)
 
 
 def rank_of_int_rows(rows: list[IntRow]) -> int:
@@ -222,121 +171,13 @@ def kernel_of_rows(rows: list[IntRow], ncols: int) -> SubspaceBasis:
     return SubspaceBasis(ncols, cols, unit_rows=free)
 
 
-def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Columns spanning {v : Mv = 0}; count = ncols - rank."""
-    return kernel_of_rows(m.to_int_rows(), m.ncols)
-
-
-def rank(m: RationalMatrix) -> int:
-    return rank_of_int_rows(m.to_int_rows())
-
-
 def columns_to_int_rows(columns: list[FracCol]) -> list[IntRow]:
     out = []
     for col in columns:
-        den = 1
-        for v in col.values():
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in col.values()))
         out.append({i: int(v * den) for i, v in col.items()})
     return out
 
 
 def rank_of_columns(columns: list[FracCol]) -> int:
     return rank_of_int_rows(columns_to_int_rows(columns))
-
-
-class ColumnReducer:
-    """Reduce vectors against an accumulating echelon set of columns.
-
-    Columns are reduced on insertion in a single pass, which keeps the
-    invariant that stored column i contains no pivot row of columns < i;
-    a single pass in insertion order is then a complete reduction.  Used
-    to test membership in a span and to build echelon bases of images.
-    """
-
-    def __init__(self):
-        self.cols: list[tuple[int, FracCol]] = []  # (pivot row, column)
-
-    def reduce(self, col: FracCol) -> tuple[FracCol, FracCol]:
-        """Return (remainder, coeffs) with col = sum coeffs[i]*cols[i] + remainder."""
-        r = dict(col)
-        coeff: FracCol = {}
-        for j, (p, pc) in enumerate(self.cols):
-            x = r.get(p)
-            if not x:
-                continue
-            t = x / pc[p]
-            coeff[j] = t
-            for k, v in pc.items():
-                nv = r.get(k, Fraction(0)) - t * v
-                if nv:
-                    r[k] = nv
-                else:
-                    r.pop(k, None)
-        return r, coeff
-
-    def insert(self, col: FracCol) -> bool:
-        """Add col if independent of the current span; True when added."""
-        r, _ = self.reduce(col)
-        if not r:
-            return False
-        self.cols.append((min(r), r))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.cols)
-
-
-def restrict_endomorphism(k: SubspaceBasis, p: RationalMatrix) -> RationalMatrix:
-    """Matrix M with P K = K M, when col(K) is P-invariant.
-
-    Raises NotInvariant if some P K_j falls outside col(K).
-    """
-    if p.ncols != k.ambient_dim or p.nrows != k.ambient_dim:
-        raise AmbientMismatch("endomorphism must act on the ambient space")
-    red = ColumnReducer()
-    exprs: list[FracCol] = []   # echelon column -> coefficients over K columns
-    for j, col in enumerate(k.columns):
-        r, coeff = red.reduce(col)
-        if not r:
-            raise ValueError("basis columns are linearly dependent")
-        # expression of the new echelon column in terms of original columns
-        e: FracCol = {j: Fraction(1)}
-        for i, t in coeff.items():
-            for jj, v in exprs[i].items():
-                nv = e.get(jj, Fraction(0)) - t * v
-                if nv:
-                    e[jj] = nv
-                else:
-                    e.pop(jj, None)
-        red.cols.append((min(r), r))
-        exprs.append(e)
-    ents: dict[tuple[int, int], Fraction] = {}
-    for j, col in enumerate(k.columns):
-        v = p.mul_col(col)
-        r, coeff = red.reduce(v)
-        if r:
-            raise NotInvariant(f"image of basis column {j} leaves the subspace")
-        for i, t in coeff.items():
-            if not t:
-                continue
-            for jj, cv in exprs[i].items():
-                key = (jj, j)
-                nv = ents.get(key, Fraction(0)) + t * cv
-                if nv:
-                    ents[key] = nv
-                else:
-                    ents.pop(key, None)
-    return RationalMatrix(k.dim, k.dim, ents)
-
-
-def sum_and_intersection_dims(a: SubspaceBasis, b: SubspaceBasis) -> tuple[int, int]:
-    """(dim(A+B), dim(A ∩ B)) by rank computations."""
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    ra = rank_of_columns(a.columns)
-    rb = rank_of_columns(b.columns)
-    rsum = rank_of_columns(a.columns + b.columns)
-    return rsum, ra + rb - rsum

@@ -21,19 +21,18 @@ for the graded characters) is checked as an identity of Frobenius series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from gkmhess import polys
 from gkmhess.cohomology import (
     EquivariantClass, GradedSolutionSpace, MembershipFailed, NotInvariant,
-    check_action_invariance, coordinate_perm, frobenius_series, monomials,
-    solve_graph)
+    check_action_invariance, column_adjacency, coordinate_perm,
+    first_violated_row, frobenius_series, monomials, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, Vertex, build_blowup, build_circle_graph,
-    build_graph, build_GX, build_GY, circ, identity_perm, kind_r_via_transpose,
+    build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
     plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
-from gkmhess.linalg import FracCol, columns_to_int_rows, rank_of_int_rows
+from gkmhess.linalg import FracCol, rank_of_columns
 from gkmhess.symfunc import GradedSymmetricFunction
 
 
@@ -231,22 +230,11 @@ def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[FracCol]:
 
 def _assert_in_space(space: GradedSolutionSpace, k: int,
                      cols: list[FracCol], name: str) -> None:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for ri, row in enumerate(space.rows[k]):
-        for c, v in row.items():
-            adj.setdefault(c, []).append((ri, v))
+    adj = column_adjacency(space.rows[k])
     m = len(monomials(space.graph.n, k))
     for j, col in enumerate(cols):
-        residual: dict[int, Fraction] = {}
-        for c, v in col.items():
-            for (ri, cf) in adj.get(c, []):
-                nv = residual.get(ri, Fraction(0)) + cf * v
-                if nv:
-                    residual[ri] = nv
-                else:
-                    residual.pop(ri, None)
-        if residual:
-            bad = min(residual)
+        bad = first_violated_row(adj, col)
+        if bad is not None:
             verts = sorted({str(space.graph.vertices[c // m])
                             for c in space.rows[k][bad]})
             raise MembershipFailed(
@@ -257,15 +245,6 @@ def _assert_in_space(space: GradedSolutionSpace, k: int,
 # ---------------------------------------------------------------------------
 # theorem checks
 
-def _generators(n: int):
-    gens = []
-    if n >= 2:
-        gens.append(swap_positions(identity_perm(n), 1, 2))
-    if n >= 3:
-        gens.append(tuple(list(range(2, n + 1)) + [1]))
-    return gens
-
-
 def _check_map_equivariance(ctx: TripleContext, name: str, k: int) -> None:
     """map(sigma . f) == sigma . map(f) on every source basis column."""
     func, which, shift = MAPS[name]
@@ -275,7 +254,7 @@ def _check_map_equivariance(ctx: TripleContext, name: str, k: int) -> None:
     space = _source_space(ctx, which)
     graph = _source_graph(ctx, which)
     kind = ctx.action_kind
-    for sigma in _generators(ctx.blowup.n):
+    for sigma in generators(ctx.blowup.n):
         pi_src = coordinate_perm(graph, src_k, sigma, kind)
         pi_dst = coordinate_perm(ctx.blowup, k, sigma, kind)
         for col in space.bases[src_k].columns:
@@ -290,10 +269,6 @@ def _check_map_equivariance(ctx: TripleContext, name: str, k: int) -> None:
                 raise EquivarianceFailed(
                     f"{name} does not commute with {kind} action by {sigma} "
                     f"in degree {k}")
-
-
-def _rank(cols: list[FracCol]) -> int:
-    return rank_of_int_rows(columns_to_int_rows(cols))
 
 
 def check_theorem_main(ctx: TripleContext, max_degree: int | None = None,
@@ -330,8 +305,8 @@ def check_theorem_main(ctx: TripleContext, max_degree: int | None = None,
                                          ("eta", "rho", "second")):
                 cols_a = map_image_columns(ctx, first, k)
                 cols_b = map_image_columns(ctx, second, k)
-                ra, rb = _rank(cols_a), _rank(cols_b)
-                rab = _rank(cols_a + cols_b)
+                ra, rb = rank_of_columns(cols_a), rank_of_columns(cols_b)
+                rab = rank_of_columns(cols_a + cols_b)
                 row[f"{first}_rank"] = ra
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab

@@ -11,6 +11,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def exit_code(*argv):
+    """main's return code, or the code of the SystemExit it raised."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
@@ -118,6 +126,23 @@ class TestErrors:
     def test_n_flag_lowers_cap(self, capsys):
         assert cli.main(["betti", "2,3,3", "--n", "2"]) == 2
 
+    def test_degree_cap_below_top_degree(self, capsys):
+        assert exit_code("betti", "3,3,3", "--degree-cap", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need degrees through 4, solved only 1"]
+
+    def test_jobs_zero(self, capsys):
+        assert exit_code("check", "--thm", "llt-law", "--sweep", "3",
+                         "--jobs", "0") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_jobs_negative(self, capsys):
+        assert exit_code("check", "--thm", "llt-law", "--sweep", "3",
+                         "--jobs", "-3") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestDeterminismAndCache:
     def test_byte_identical_outputs(self, capsys):
@@ -135,6 +160,18 @@ class TestDeterminismAndCache:
         _, warm = run_json(capsys, *args)
         cold.pop("wall_time_sec"), warm.pop("wall_time_sec")
         assert cold == warm
+
+    def test_wrong_shape_cache_entry_is_a_miss(self, capsys, tmp_path):
+        args = ("betti", "2,3,3", "--cache-dir", str(tmp_path))
+        _, cold = run_json(capsys, *args)
+        entry = sorted(tmp_path.iterdir())[0]
+        entry.write_text(
+            '{"ambient": 18, "den": 1, "free": [0], "cols": 5}')
+        code, warm = run_json(capsys, *args)
+        assert code == 0
+        assert warm["numerator"] == cold["numerator"] == [1, 4, 1]
+        assert entry.read_text() != (
+            '{"ambient": 18, "den": 1, "free": [0], "cols": 5}')
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

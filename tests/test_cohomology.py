@@ -1,7 +1,5 @@
 """Graph cohomology: solved dimensions, numerators, characters, classes."""
 
-from fractions import Fraction
-
 import pytest
 
 from gkmhess import cohomology as CH
@@ -11,6 +9,7 @@ from gkmhess import linalg as L
 from gkmhess import polys
 from gkmhess.coloring import csf_q, llt
 from gkmhess.maps import omega_graded
+from test_linalg import restrict_endomorphism, trace
 
 
 def c_triple(hstr):
@@ -47,13 +46,12 @@ class TestMonomialIndex:
         from math import comb
         for n in (1, 2, 3, 4):
             for k in (0, 1, 2, 3, 4):
-                idx = CH.MonomialIndex(n, k)
-                assert len(idx) == comb(n + k - 1, k)
+                assert len(CH.monomials(n, k)) == comb(n + k - 1, k)
+                assert len(CH.monomial_index(n, k)) == comb(n + k - 1, k)
 
     def test_graded_lex_t1_largest(self):
-        idx = CH.MonomialIndex(2, 2)
-        assert idx.exponents == ((2, 0), (1, 1), (0, 2))
-        assert idx.position((1, 1)) == 1
+        assert CH.monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
+        assert CH.monomial_index(2, 2)[(1, 1)] == 1
 
 
 class TestDegreeZeroContainsConstants:
@@ -61,13 +59,11 @@ class TestDegreeZeroContainsConstants:
     def test_constant_in_space(self, hstr):
         g = G.build_GX(H.from_string(hstr))
         basis = CH.equivariant_piece(g, 0)
-        ones = {i: Fraction(1) for i in range(len(g.vertices))}
-        from gkmhess.linalg import ColumnReducer
-        red = ColumnReducer()
-        for col in basis.columns:
-            red.insert(col)
-        rem, _ = red.reduce(ones)
-        assert not rem
+        ones = {i: 1 for i in range(len(g.vertices))}
+        ech = L.Echelon()
+        for row in L.columns_to_int_rows(basis.columns):
+            ech.insert(row)
+        assert not ech.reduce(ones)
 
 
 class TestBlowupSelfConsistency:
@@ -137,6 +133,25 @@ class TestOrdinaryDirect:
         with pytest.raises(CH.DimensionMismatch):
             CH.ordinary_piece_direct(sp, 1, expected=2)
 
+    def test_trace_on_a_non_invariant_span_raises(self):
+        # sigma moves vertex 0, so the span of its unit vector is not invariant
+        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
+        image = L.Echelon()
+        image.insert({0: 1})
+        with pytest.raises(CH.NotInvariant):
+            CH._trace_on_reducer(sp, 1, image, (2, 1, 3), "dot")
+
+    @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
+    def test_cross_check_catches_a_wrong_character_value(self, side, kind):
+        sp = CH.solve_graph(G.build_graph(H.from_string("2,3,3,4"), side))
+        numer = CH.hilbert_numerator(sp)
+        char = CH.graded_character(sp, kind, cross_check=False)
+        CH._cross_check_direct(sp, kind, char, numer)
+        char.values[((2, 2), 1)] = char.value((2, 2), 1) + 1
+        with pytest.raises(CH.CrossCheckFailed,
+                           match=r"degree 1, type \(2, 2\):"):
+            CH._cross_check_direct(sp, kind, char, numer)
+
 
 class TestCharacters:
     def test_identity_trace_is_dimension(self):
@@ -179,13 +194,10 @@ class TestCharacters:
         k = 1
         sigma = (2, 1, 3)
         pi = CH.coordinate_perm(g, k, sigma, "dot")
-        m = len(CH.monomials(3, k))
-        p = L.RationalMatrix(
-            len(g.vertices) * m, len(g.vertices) * m,
-            {(pi[c], c): Fraction(1) for c in range(len(pi))})
-        restricted = L.restrict_endomorphism(sp.bases[k], p)
-        tr = sum(v for (i, j), v in restricted.entries.items() if i == j)
-        assert tr == CH.equivariant_trace(sp, k, sigma, "dot")
+        p = [[int(pi[c] == r) for c in range(len(pi))]
+             for r in range(len(pi))]
+        restricted = restrict_endomorphism(sp.bases[k], p)
+        assert trace(restricted) == CH.equivariant_trace(sp, k, sigma, "dot")
 
     def test_degree0_traces_are_one_connected(self):
         for hstr, side, kind in (("2,3,3", "x", "dot"), ("2,3,3", "y", "dagger")):
@@ -341,6 +353,21 @@ class TestCache:
         for k in range(cold.max_degree + 1):
             assert cold.bases[k].columns == warm.bases[k].columns
             assert cold.bases[k].unit_rows == warm.bases[k].unit_rows
+
+    @pytest.mark.parametrize("payload", [
+        {"ambient": 19, "den": 1, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "den": 1, "free": [0, 1], "cols": [[[0, 1]]]},
+        {"ambient": 18, "den": 0, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "den": 1, "free": [0], "cols": 5},
+    ])
+    def test_misfit_entry_is_a_miss(self, tmp_path, payload):
+        import json
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        assert CH._cache_read(str(path), 18) is None
+        path.write_text(json.dumps(
+            {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1]]]}))
+        assert CH._cache_read(str(path), 18).columns == [{0: 1}]
 
     def test_cache_distinguishes_sides(self, tmp_path):
         # (2,3,3): X and Y labels genuinely differ, so keys must differ
