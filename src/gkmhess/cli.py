@@ -131,50 +131,49 @@ def _restore_triple(payload: tuple):
 
 
 def _run_item(item: tuple) -> dict:
-    """Execute one verification work item (picklable payloads only)."""
+    """Execute one verification work item (picklable payloads only).
+
+    A check that raises is reported as a FAIL item naming the exception,
+    so one failing item never takes down the rest of a run.
+    """
+    name = item[0]
+    out: dict = {"check": name}
+    if name in ("1.1", "1.2"):
+        out["h"] = str(HessenbergFunction(item[1]))
+    else:
+        values, kind, params = item[1]
+        out.update(h=str(HessenbergFunction(tuple(values))), kind=kind,
+                   params=list(params))
+        if name in ("5.1", "corollary"):
+            out["side"] = item[2]
+    try:
+        out.update(_run_check(item))
+    except Exception as exc:
+        out.update({"pass": False, "error_class": type(exc).__name__,
+                    "error": str(exc)})
+    return out
+
+
+def _run_check(item: tuple) -> dict:
+    """The outcome of one work item: "pass" and, on failure, its detail."""
     name = item[0]
     cache_dir = item[-1]
-    if name == "thm11":
-        h = HessenbergFunction(item[1])
-        ok, diff = maps.check_theorem_1_1(h, cache_dir=cache_dir)
-        out = {"check": "1.1", "h": str(h), "pass": ok}
-        if not ok:
-            out["diff"] = diff.to_json()
-        return out
-    if name == "thm12":
-        h = HessenbergFunction(item[1])
-        ok, diff = maps.check_theorem_1_2(h, cache_dir=cache_dir)
-        out = {"check": "1.2", "h": str(h), "pass": ok}
-        if not ok:
-            out["diff"] = diff.to_json()
-        return out
-    if name == "thm51":
-        triple = _restore_triple(item[1])
-        side = item[2]
-        ctx = maps.TripleContext.build(triple, side, cache_dir=cache_dir)
-        report = maps.check_theorem_main(ctx, raise_on_failure=False)
-        return {"check": "5.1", "h": str(triple.h), "kind": triple.kind,
-                "params": list(triple.params), "side": side,
-                "pass": report["pass"], "degrees": report["degrees"]}
-    if name == "corollary":
-        triple = _restore_triple(item[1])
-        side = item[2]
-        ctx = maps.TripleContext.build(triple, side, cache_dir=cache_dir)
+    if name in ("1.1", "1.2"):
+        check = (maps.check_theorem_1_1 if name == "1.1"
+                 else maps.check_theorem_1_2)
+        ok, diff = check(HessenbergFunction(item[1]), cache_dir=cache_dir)
+    elif name in ("5.1", "corollary"):
+        ctx = maps.TripleContext.build(_restore_triple(item[1]), item[2],
+                                       cache_dir=cache_dir)
+        if name == "5.1":
+            report = maps.check_theorem_main(ctx, raise_on_failure=False)
+            return {"pass": report["pass"], "degrees": report["degrees"]}
         ok, diff = maps.check_corollary_modular_law(ctx)
-        out = {"check": "corollary", "h": str(triple.h), "kind": triple.kind,
-               "params": list(triple.params), "side": side, "pass": ok}
-        if not ok:
-            out["diff"] = diff.to_json()
-        return out
-    if name in ("lltlaw", "csflaw"):
-        triple = _restore_triple(item[1])
-        fn = (coloring.check_modular_law_llt if name == "lltlaw"
+    else:
+        fn = (coloring.check_modular_law_llt if name == "llt-law"
               else coloring.check_modular_law_csf)
-        ok = fn(triple)
-        return {"check": "llt-law" if name == "lltlaw" else "csf-law",
-                "h": str(triple.h), "kind": triple.kind,
-                "params": list(triple.params), "pass": ok}
-    raise ValueError(f"unknown item {name!r}")
+        return {"pass": fn(_restore_triple(item[1]))}
+    return {"pass": ok} if ok else {"pass": ok, "diff": diff.to_json()}
 
 
 def _expand_items(thm: str, hs: list[HessenbergFunction],
@@ -187,10 +186,10 @@ def _expand_items(thm: str, hs: list[HessenbergFunction],
         for t in want:
             if t == "1.1":
                 _check_cap(h.n, False, cfg)
-                items.append(("thm11", h.values, cfg.cache_dir))
+                items.append(("1.1", h.values, cfg.cache_dir))
             elif t == "1.2":
                 _check_cap(h.n, False, cfg)
-                items.append(("thm12", h.values, cfg.cache_dir))
+                items.append(("1.2", h.values, cfg.cache_dir))
             elif t == "5.1":
                 _check_cap(h.n, False, cfg)
                 for tr in triples:
@@ -198,7 +197,7 @@ def _expand_items(thm: str, hs: list[HessenbergFunction],
                         continue
                     for side in ("x", "y"):
                         items.append(
-                            ("thm51", _triple_payload(tr), side, cfg.cache_dir))
+                            ("5.1", _triple_payload(tr), side, cfg.cache_dir))
             elif t == "corollary":
                 _check_cap(h.n, False, cfg)
                 for tr in triples:
@@ -210,11 +209,11 @@ def _expand_items(thm: str, hs: list[HessenbergFunction],
                              cfg.cache_dir))
             elif t == "llt-law":
                 _check_cap(h.n, True, cfg)
-                items.extend(("lltlaw", _triple_payload(tr), cfg.cache_dir)
+                items.extend(("llt-law", _triple_payload(tr), cfg.cache_dir)
                              for tr in triples)
             elif t == "csf-law":
                 _check_cap(h.n, True, cfg)
-                items.extend(("csflaw", _triple_payload(tr), cfg.cache_dir)
+                items.extend(("csf-law", _triple_payload(tr), cfg.cache_dir)
                              for tr in triples)
     return items
 
@@ -250,7 +249,8 @@ def _render_text(report: dict) -> str:
         for item in report["items"]:
             flag = "PASS" if item["pass"] else "FAIL"
             extra = " ".join(f"{k}={item[k]}" for k in
-                             ("kind", "params", "side") if k in item)
+                             ("kind", "params", "side", "error_class")
+                             if k in item)
             lines.append(f"{flag} check={item['check']} h={item['h']} {extra}".rstrip())
         lines.append(f"{'PASS' if report['pass'] else 'FAIL'} "
                      f"{report['count']} checks")

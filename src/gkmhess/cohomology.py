@@ -183,22 +183,39 @@ def _basis_to_payload(basis: SubspaceBasis) -> dict:
             "free": basis.unit_rows, "cols": cols}
 
 
-def _basis_from_payload(data: dict, ambient: int) -> SubspaceBasis:
-    den = data["den"]
-    cols = [{int(r): Fraction(num, den) for r, num in col}
-            for col in data["cols"]]
-    if data["ambient"] != ambient or len(data["free"]) != len(cols):
+def _basis_from_payload(data: dict, ambient: int,
+                        rows: list[IntRow]) -> SubspaceBasis:
+    """The basis of a cache entry; ValueError unless, checked in integers,
+    column j is den at free[j] and 0 at every other free index, and every
+    column is annihilated by rows."""
+    den, free = data["den"], data["free"]
+    cols = [{r: num for r, num in col} for col in data["cols"]]
+    indices = [*free, *(r for col in cols for r in col)]
+    numbers = [den, *(v for col in cols for v in col.values())]
+    free_set = set(free)
+    if (data["ambient"] != ambient or len(free) != len(cols)
+            or any(type(x) is not int for x in indices + numbers)
+            or den < 1 or len(free_set) != len(free)
+            or not all(0 <= r < ambient for r in indices)):
         raise ValueError("cache entry does not fit the system")
-    return SubspaceBasis(ambient, cols, unit_rows=data["free"])
+    adj = column_adjacency(rows)
+    for f, col in zip(free, cols):
+        if col.get(f) != den or len(free_set.intersection(col)) != 1 \
+                or first_violated_row(adj, col) is not None:
+            raise ValueError("cache entry is not a kernel basis")
+    return SubspaceBasis(
+        ambient, [{r: Fraction(num, den) for r, num in col.items()}
+                  for col in cols], unit_rows=free)
 
 
-def _cache_read(path: str, ambient: int) -> SubspaceBasis | None:
-    """The cached basis, or None (a miss) if the entry is unreadable or of
-    the wrong shape."""
+def _cache_read(path: str, ambient: int,
+                rows: list[IntRow]) -> SubspaceBasis | None:
+    """The cached basis, or None (a miss) if the entry is unreadable, of
+    the wrong shape, or not a unit-row kernel basis of rows."""
     try:
         with open(path) as fh:
-            return _basis_from_payload(json.load(fh), ambient)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+            return _basis_from_payload(json.load(fh), ambient, rows)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
@@ -232,7 +249,7 @@ def solve_graph(graph, max_degree: int | None = None,
         path = None
         if cache_dir is not None:
             path = _cache_path(cache_dir, graph, k)
-            basis = _cache_read(path, ncols)
+            basis = _cache_read(path, ncols, rows[k])
         if basis is None:
             basis = kernel_of_rows(rows[k], ncols)
             if path is not None:
@@ -628,23 +645,15 @@ class EquivariantClass:
         return out
 
     @classmethod
-    def from_vector(cls, graph, degree: int, col: FracCol,
-                    check: bool = True) -> "EquivariantClass":
-        m = len(monomials(graph.n, degree))
+    def from_vector(cls, graph, degree: int,
+                    col: FracCol) -> "EquivariantClass":
         mons = monomials(graph.n, degree)
         values: dict[Vertex, polys.Poly] = {}
         for c, val in col.items():
-            if not val:
-                continue
-            v = graph.vertices[c // m]
-            values.setdefault(v, {})[mons[c % m]] = Fraction(val)
-        obj = cls.__new__(cls)
-        obj.graph = graph
-        obj.degree = degree
-        obj.values = values
-        if check and not membership_check(obj, graph):
-            raise MembershipFailed("congruence conditions violated")
-        return obj
+            if val:
+                v = graph.vertices[c // len(mons)]
+                values.setdefault(v, {})[mons[c % len(mons)]] = Fraction(val)
+        return cls(graph, degree, values)
 
     def value(self, v: Vertex) -> polys.Poly:
         return self.values.get(v, {})

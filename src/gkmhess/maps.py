@@ -26,7 +26,8 @@ from gkmhess import polys
 from gkmhess.cohomology import (
     EquivariantClass, GradedSolutionSpace, MembershipFailed, NotInvariant,
     check_action_invariance, column_adjacency, coordinate_perm,
-    first_violated_row, frobenius_series, monomials, solve_graph)
+    first_violated_row, frobenius_series, monomial_index, monomials,
+    solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, Vertex, build_blowup, build_circle_graph,
     build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
@@ -83,12 +84,10 @@ class TripleContext:
 
     @classmethod
     def build(cls, triple: ModularTriple, side: str,
-              max_degree: int | None = None,
               cache_dir: str | None = None) -> "TripleContext":
         if triple.kind == "R":
             triple = kind_r_via_transpose(triple)
-        if max_degree is None:
-            max_degree = triple.h_plus.dimension() + 1
+        max_degree = triple.h_plus.dimension() + 1
         g_minus = build_graph(triple.h_minus, side)
         g_mid = build_graph(triple.h, side)
         g_plus = build_graph(triple.h_plus, side)
@@ -106,89 +105,46 @@ class TripleContext:
 # ---------------------------------------------------------------------------
 # the four maps, vertex by vertex
 
-def phi(ctx: TripleContext, f: EquivariantClass,
-        check: bool = True) -> EquivariantClass:
+# Each map is a rule (ctx, v) -> (source vertex, multiplier (a, b) or None,
+# swap t_d/t_{d+1}) or None (value zero) for the blow-up vertex v: the value
+# at v is the source value, swapped if asked, times t_a - t_b if given.
+Hit = tuple[Vertex, tuple[int, int] | None, bool] | None
+MapMatrix = list[list[tuple[int, int]]]
+
+
+def phi(ctx: TripleContext, v: Vertex) -> Hit:
     """phi(f)(w) = f(°w tau), phi(f)(°w) = f(°w); on the twin side the
     plain values additionally swap t_d with t_{d+1}."""
-    d = ctx.d
-    values: dict[Vertex, polys.Poly] = {}
-    for v in ctx.blowup.vertices:
-        if v.circle:
-            val = f.value(v)
-        else:
-            val = f.value(circ(swap_positions(v.perm, d + 1, d)))
-            if ctx.side == "y":
-                val = polys.swap_vars(val, d, d + 1)
-        if val:
-            values[v] = val
-    return _finish(ctx, f.degree, values, check)
+    if v.circle:
+        return v, None, False
+    w_tau = swap_positions(v.perm, ctx.d + 1, ctx.d)
+    return circ(w_tau), None, ctx.side == "y"
 
 
-def psi_shriek(ctx: TripleContext, f: EquivariantClass,
-               check: bool = True) -> EquivariantClass:
+def psi_shriek(ctx: TripleContext, v: Vertex) -> Hit:
     """psi_!(f)(w) = (x_{d+1} - x_d) f(w) on plain vertices, 0 on circle;
     the twin side multiplies by t_{d+1} - t_d instead."""
-    n = ctx.blowup.n
-    d = ctx.d
-    values: dict[Vertex, polys.Poly] = {}
-    for v in ctx.blowup.vertices:
-        if v.circle:
-            continue
-        w = v.perm
-        if ctx.side == "x":
-            a, b = w[d], w[d - 1]       # w(d+1), w(d)
-        else:
-            a, b = d + 1, d
-        val = polys.mul_linear_diff(f.value(plain(w)), n, a, b)
-        if val:
-            values[v] = val
-    return _finish(ctx, f.degree + 1, values, check)
+    if v.circle:
+        return None
+    w, d = v.perm, ctx.d
+    return v, ((w[d], w[d - 1]) if ctx.side == "x" else (d + 1, d)), False
 
 
-def eta(ctx: TripleContext, f: EquivariantClass,
-        check: bool = True) -> EquivariantClass:
+def eta(ctx: TripleContext, v: Vertex) -> Hit:
     """eta(f)(w) = eta(f)(°w) = f(w)."""
-    values: dict[Vertex, polys.Poly] = {}
-    for v in ctx.blowup.vertices:
-        val = f.value(plain(v.perm))
-        if val:
-            values[v] = val
-    return _finish(ctx, f.degree, values, check)
+    return plain(v.perm), None, False
 
 
-def rho_shriek(ctx: TripleContext, f: EquivariantClass,
-               check: bool = True) -> EquivariantClass:
+def rho_shriek(ctx: TripleContext, v: Vertex) -> Hit:
     """rho_!(f)(w) = (x_d - x_{d0}) f(w), rho_!(f)(°w) = (x_{d+1} - x_{d0}) f(w);
     the twin side uses the t variables directly."""
-    n = ctx.blowup.n
-    d, d0 = ctx.d, ctx.d0
-    values: dict[Vertex, polys.Poly] = {}
-    for v in ctx.blowup.vertices:
-        w = v.perm
-        base = f.value(plain(w))
-        if ctx.side == "x":
-            a = w[d] if v.circle else w[d - 1]   # w(d+1) or w(d)
-            b = w[d0 - 1]
-        else:
-            a = (d + 1) if v.circle else d
-            b = d0
-        val = polys.mul_linear_diff(base, n, a, b)
-        if val:
-            values[v] = val
-    return _finish(ctx, f.degree + 1, values, check)
+    w, d, d0 = v.perm, ctx.d, ctx.d0
+    if ctx.side == "x":   # w(d+1) or w(d), minus w(d0)
+        return plain(w), (w[d] if v.circle else w[d - 1], w[d0 - 1]), False
+    return plain(w), ((d + 1) if v.circle else d, d0), False
 
 
-def _finish(ctx: TripleContext, degree: int,
-            values: dict[Vertex, polys.Poly], check: bool) -> EquivariantClass:
-    if check:
-        return EquivariantClass(ctx.blowup, degree, values)
-    out = EquivariantClass.__new__(EquivariantClass)
-    out.graph = ctx.blowup
-    out.degree = degree
-    out.values = values
-    return out
-
-
+# name -> (rule, source: graph g_<source> and space sp_<source>, degree shift)
 MAPS = {
     "phi": (phi, "circle", 0),
     "psi": (psi_shriek, "mid", 1),
@@ -197,14 +153,50 @@ MAPS = {
 }
 
 
-def _source_space(ctx: TripleContext, which: str) -> GradedSolutionSpace:
-    return {"circle": ctx.sp_circle, "mid": ctx.sp_mid,
-            "plus": ctx.sp_plus, "minus": ctx.sp_minus}[which]
+def map_matrix(ctx: TripleContext, name: str, k: int) -> MapMatrix:
+    """The map into blow-up degree k as a sparse integer matrix: entry c
+    lists (blow-up coordinate, coefficient) for the source coordinate c of
+    degree k - shift, both in (vertex, monomial) coordinates."""
+    rule, source, shift = MAPS[name]
+    n, d = ctx.blowup.n, ctx.d
+    mons, idx = monomials(n, k - shift), monomial_index(n, k)
+    src_index = getattr(ctx, f"g_{source}").vertex_index()
+    matrix: MapMatrix = [[] for _ in range(len(src_index) * len(mons))]
+    tables: dict = {}   # (mult, swap) -> per source monomial its image terms
+    for vi, v in enumerate(ctx.blowup.vertices):
+        hit = rule(ctx, v)
+        if hit is None:
+            continue
+        s, mult, swap = hit
+        if (mult, swap) not in tables:
+            tables[mult, swap] = []
+            for mon in mons:
+                p = {swap_positions(mon, d, d + 1) if swap else mon: 1}
+                if mult:
+                    p = polys.mul_linear_diff(p, n, *mult)
+                tables[mult, swap].append(
+                    [(idx[e], int(c)) for e, c in p.items()])
+        base_src, base_dst = src_index[s] * len(mons), vi * len(idx)
+        for mi, terms in enumerate(tables[mult, swap]):
+            matrix[base_src + mi] += [(base_dst + t, c) for t, c in terms]
+    return matrix
 
 
-def _source_graph(ctx: TripleContext, which: str):
-    return {"circle": ctx.g_circle, "mid": ctx.g_mid,
-            "plus": ctx.g_plus, "minus": ctx.g_minus}[which]
+def _apply(matrix: MapMatrix, col: FracCol) -> FracCol:
+    out: FracCol = {}
+    for c, v in col.items():
+        for t, coeff in matrix[c]:
+            out[t] = out.get(t, 0) + coeff * v
+    return {t: v for t, v in out.items() if v}
+
+
+def apply_map(ctx: TripleContext, name: str,
+              f: EquivariantClass) -> EquivariantClass:
+    """The class name(f) on the blow-up; f lives on the map's source graph.
+    Raises MembershipFailed if the image violates a congruence."""
+    k = f.degree + MAPS[name][2]
+    return EquivariantClass.from_vector(
+        ctx.blowup, k, _apply(map_matrix(ctx, name, k), f.vector()))
 
 
 def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[FracCol]:
@@ -214,16 +206,12 @@ def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[FracCol]:
     basis and psi/rho the degree-(k-1) one.  Every image is verified to
     satisfy the blow-up constraint rows (membership in the signed space).
     """
-    func, which, shift = MAPS[name]
-    src_k = k - shift
-    if src_k < 0:
+    _, source, shift = MAPS[name]
+    if k < shift:
         return []
-    space = _source_space(ctx, which)
-    graph = _source_graph(ctx, which)
-    out = []
-    for col in space.bases[src_k].columns:
-        f = EquivariantClass.from_vector(graph, src_k, col, check=False)
-        out.append(func(ctx, f, check=False).vector())
+    matrix = map_matrix(ctx, name, k)
+    space = getattr(ctx, f"sp_{source}")
+    out = [_apply(matrix, col) for col in space.bases[k - shift].columns]
     _assert_in_space(ctx.sp_blowup, k, out, name)
     return out
 
@@ -246,32 +234,26 @@ def _assert_in_space(space: GradedSolutionSpace, k: int,
 # theorem checks
 
 def _check_map_equivariance(ctx: TripleContext, name: str, k: int) -> None:
-    """map(sigma . f) == sigma . map(f) on every source basis column."""
-    func, which, shift = MAPS[name]
-    src_k = k - shift
-    if src_k < 0:
+    """pi_dst M = M pi_src for every generator: the map matrix commutes
+    with the action on coordinates, hence on every class."""
+    _, source, shift = MAPS[name]
+    if k < shift:
         return
-    space = _source_space(ctx, which)
-    graph = _source_graph(ctx, which)
+    matrix = map_matrix(ctx, name, k)
+    graph = getattr(ctx, f"g_{source}")
     kind = ctx.action_kind
     for sigma in generators(ctx.blowup.n):
-        pi_src = coordinate_perm(graph, src_k, sigma, kind)
+        pi_src = coordinate_perm(graph, k - shift, sigma, kind)
         pi_dst = coordinate_perm(ctx.blowup, k, sigma, kind)
-        for col in space.bases[src_k].columns:
-            f = EquivariantClass.from_vector(graph, src_k, col, check=False)
-            image = func(ctx, f, check=False).vector()
-            acted_image = {pi_dst[c]: v for c, v in image.items()}
-            acted_col = {pi_src[c]: v for c, v in col.items()}
-            g = EquivariantClass.from_vector(graph, src_k, acted_col,
-                                             check=False)
-            image_of_acted = func(ctx, g, check=False).vector()
-            if acted_image != image_of_acted:
+        for c, entries in enumerate(matrix):
+            if sorted((pi_dst[t], v) for t, v in entries) \
+                    != sorted(matrix[pi_src[c]]):
                 raise EquivarianceFailed(
                     f"{name} does not commute with {kind} action by {sigma} "
                     f"in degree {k}")
 
 
-def check_theorem_main(ctx: TripleContext, max_degree: int | None = None,
+def check_theorem_main(ctx: TripleContext,
                        raise_on_failure: bool = True) -> dict:
     """Degreewise verification that phi + psi_! and eta + rho_! are
     isomorphisms onto the signed blow-up cohomology.
@@ -282,14 +264,12 @@ def check_theorem_main(ctx: TripleContext, max_degree: int | None = None,
     action on generators.  Returns the per-degree report; with
     raise_on_failure the named errors fire at the first violation.
     """
-    if max_degree is None:
-        max_degree = ctx.sp_blowup.max_degree
     report: dict = {"side": ctx.side, "h": str(ctx.triple.h),
-                    "params": list(ctx.triple.params),
-                    "degrees": {}, "failures": [], "pass": True}
+                    "params": list(ctx.triple.params), "degrees": {}}
     failures = []
-    for k in range(max_degree + 1):
+    for k in range(ctx.sp_blowup.max_degree + 1):
         row: dict = {}
+        fails: list[Exception] = []
         dim_blow = ctx.sp_blowup.dim(k)
         row["dim_blowup"] = dim_blow
         row["dims"] = {
@@ -311,40 +291,37 @@ def check_theorem_main(ctx: TripleContext, max_degree: int | None = None,
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab
                 if ra < len(cols_a) or rb < len(cols_b):
-                    failures.append(RankDeficit(
+                    fails.append(RankDeficit(
                         f"degree {k}: {first if ra < len(cols_a) else second} "
                         f"not injective"))
                 elif rab < ra + rb:
-                    failures.append(Overlap(
+                    fails.append(Overlap(
                         f"degree {k}: images of {first} and {second} overlap"))
                 elif rab != dim_blow:
-                    failures.append(DimensionGap(
+                    fails.append(DimensionGap(
                         f"degree {k}: {label} sum has rank {rab}, "
                         f"space has dim {dim_blow}"))
             for name in MAPS:
                 _check_map_equivariance(ctx, name, k)
         except (MembershipFailed, EquivarianceFailed, NotInvariant) as exc:
-            failures.append(exc)
+            fails.append(exc)
         row["consistency"] = (
             row["dims"]["circle"] + row["dims"]["mid_prev"]
             == row["dims"]["plus"] + row["dims"]["minus_prev"])
         if not row["consistency"]:
-            failures.append(DimensionGap(
+            fails.append(DimensionGap(
                 f"degree {k}: the two decompositions disagree"))
-        row["ok"] = not failures
+        row["ok"] = not fails
         report["degrees"][k] = row
-        if failures:
-            report["pass"] = False
-            report["failures"] = [str(f) for f in failures]
-            if raise_on_failure:
-                raise failures[0]
-    report["pass"] = not failures
+        failures += fails
+        if failures and raise_on_failure:
+            raise failures[0]
     report["failures"] = [str(f) for f in failures]
+    report["pass"] = not failures
     return report
 
 
-def check_corollary_modular_law(ctx: TripleContext,
-                                cross_check: bool | None = None
+def check_corollary_modular_law(ctx: TripleContext
                                 ) -> tuple[bool, GradedSymmetricFunction]:
     """(1+q) F(h) = F(h_+) + q F(h_-) for the graded Frobenius series.
 
@@ -352,9 +329,9 @@ def check_corollary_modular_law(ctx: TripleContext,
     function exactly when the law holds.
     """
     kind = ctx.action_kind
-    f_mid = frobenius_series(ctx.sp_mid, kind, cross_check=cross_check)
-    f_plus = frobenius_series(ctx.sp_plus, kind, cross_check=cross_check)
-    f_minus = frobenius_series(ctx.sp_minus, kind, cross_check=cross_check)
+    f_mid = frobenius_series(ctx.sp_mid, kind)
+    f_plus = frobenius_series(ctx.sp_plus, kind)
+    f_minus = frobenius_series(ctx.sp_minus, kind)
     lhs = f_mid.scale_qpoly({0: 1, 1: 1})
     rhs = f_plus + f_minus.scale_qpoly({1: 1})
     return lhs == rhs, lhs - rhs
@@ -366,26 +343,24 @@ def omega_graded(gf: GradedSymmetricFunction) -> GradedSymmetricFunction:
         gf.degree, {k: f.omega() for k, f in gf.terms.items()})
 
 
-def check_theorem_1_1(h: HessenbergFunction, cache_dir: str | None = None,
-                      cross_check: bool | None = None
+def check_theorem_1_1(h: HessenbergFunction, cache_dir: str | None = None
                       ) -> tuple[bool, GradedSymmetricFunction]:
     """omega(csf_q(h)) equals the dot-action Frobenius series of the
     Hessenberg GKM graph; returns (ok, difference in the m basis)."""
     from gkmhess.coloring import csf_q as _csf
     lhs = omega_graded(_csf(h)).convert("m")
     space = solve_graph(build_GX(h), cache_dir=cache_dir)
-    rhs = frobenius_series(space, "dot", cross_check=cross_check)
+    rhs = frobenius_series(space, "dot")
     return lhs == rhs, lhs - rhs
 
 
-def check_theorem_1_2(h: HessenbergFunction, cache_dir: str | None = None,
-                      cross_check: bool | None = None
+def check_theorem_1_2(h: HessenbergFunction, cache_dir: str | None = None
                       ) -> tuple[bool, GradedSymmetricFunction]:
     """llt(h) equals the dagger-action Frobenius series of the twin graph."""
     from gkmhess.coloring import llt as _llt
     lhs = _llt(h).convert("m")
     space = solve_graph(build_GY(h), cache_dir=cache_dir)
-    rhs = frobenius_series(space, "dagger", cross_check=cross_check)
+    rhs = frobenius_series(space, "dagger")
     return lhs == rhs, lhs - rhs
 
 
@@ -431,7 +406,7 @@ def constructive_preimage(ctx: TripleContext, f_tilde: EquivariantClass
     circle_vals = {v: f_tilde.value(v) for v in ctx.g_circle.vertices
                    if f_tilde.value(v)}
     f = EquivariantClass(ctx.g_circle, f_tilde.degree, circle_vals)
-    phi_f = phi(ctx, f, check=False)
+    phi_f = apply_map(ctx, "phi", f)
     g_vals: dict[Vertex, polys.Poly] = {}
     for v in ctx.g_mid.vertices:
         w = v.perm

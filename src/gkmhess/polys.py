@@ -113,15 +113,5 @@ def divisible_by_diff(p: Poly, a: int, b: int, order: int = 1) -> bool:
     return True
 
 
-def swap_vars(p: Poly, a: int, b: int) -> Poly:
-    """Exchange t_a and t_b."""
-    out: Poly = {}
-    for e, c in p.items():
-        ee = list(e)
-        ee[a - 1], ee[b - 1] = ee[b - 1], ee[a - 1]
-        out[tuple(ee)] = c
-    return out
-
-
 def is_homogeneous(p: Poly, k: int) -> bool:
     return all(sum(e) == k for e in p)

@@ -1,8 +1,17 @@
 """Command-line driver: outputs, exit codes, determinism, cache behavior."""
 
 import json
+import os
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmhess import cli
+from gkmhess import cohomology as CH
+from gkmhess import graphs as G
+from gkmhess import hessenberg as H
 
 
 def run(capsys, *argv):
@@ -105,6 +114,22 @@ class TestCheck:
         d1.pop("wall_time_sec"), d2.pop("wall_time_sec")
         assert d1 == d2
 
+    def test_raising_check_is_a_fail_item(self, capsys, monkeypatch):
+        _, before = run_json(capsys, "check", "2,3,3", "--thm", "all")
+
+        def broken(h, cache_dir=None):
+            raise CH.CrossCheckFailed("degree 1, type (3,): direct 1 != 2")
+
+        monkeypatch.setattr(cli.maps, "check_theorem_1_1", broken)
+        code, after = run_json(capsys, "check", "2,3,3", "--thm", "all")
+        assert code == 1
+        assert after["pass"] is False and after["count"] == 10
+        assert after["items"][0] == {
+            "check": "1.1", "h": "2,3,3", "pass": False,
+            "error_class": "CrossCheckFailed",
+            "error": "degree 1, type (3,): direct 1 != 2"}
+        assert after["items"][1:] == before["items"][1:]
+
     def test_scope_required(self, capsys):
         assert cli.main(["check", "--thm", "1.1"]) == 2
 
@@ -173,6 +198,24 @@ class TestDeterminismAndCache:
         assert entry.read_text() != (
             '{"ambient": 18, "den": 1, "free": [0], "cols": 5}')
 
+    def test_out_of_range_free_indices_are_a_miss(self, capsys, tmp_path):
+        args = ("character", "2,3,3", "--cache-dir", str(tmp_path))
+        _, cold = run_json(capsys, *args)
+        entry = CH._cache_path(str(tmp_path),
+                               G.build_GX(H.from_string("2,3,3")), 1)
+        with open(entry) as fh:
+            payload = json.load(fh)
+        good = dict(payload)
+        payload["free"] = [999] * len(payload["free"])
+        with open(entry, "w") as fh:
+            json.dump(payload, fh)
+        code, warm = run_json(capsys, *args)
+        assert code == 0
+        cold.pop("wall_time_sec"), warm.pop("wall_time_sec")
+        assert warm == cold
+        with open(entry) as fh:
+            assert json.load(fh) == good
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _ = run(capsys, "check", "2,2", "--thm", "1.1",
@@ -180,3 +223,42 @@ class TestDeterminismAndCache:
         assert code == 0
         data = json.loads(path.read_text())
         assert data["pass"] is True
+
+
+@pytest.fixture(scope="module")
+def cold_cache(tmp_path_factory):
+    """A cache directory written by cold character runs of 2,3,3 on both
+    sides, and their reports."""
+    path = str(tmp_path_factory.mktemp("cold"))
+    cfg = cli.RunConfig(cache_dir=path)
+    h = H.from_string("2,3,3")
+    return path, {side: cli.cmd_character(h, side, cfg) for side in "xy"}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_one_changed_cache_value_equals_a_cold_run(cold_cache, data):
+    # a changed numerator or free index is rejected on read and the entry
+    # recomputed, or it still leaves a unit-row kernel basis
+    path, cold = cold_cache
+    with tempfile.TemporaryDirectory() as cache:
+        shutil.copytree(path, cache, dirs_exist_ok=True)
+        entry = os.path.join(cache, data.draw(st.sampled_from(
+            sorted(os.listdir(cache)))))
+        with open(entry) as fh:
+            payload = json.load(fh)
+        j = data.draw(st.integers(0, len(payload["free"]) - 1))
+        if data.draw(st.booleans()):
+            pair = data.draw(st.sampled_from(payload["cols"][j]))
+            pair[1] = data.draw(st.integers(-3, 3).filter(
+                lambda x: x != pair[1]))
+        else:
+            free = payload["free"]
+            free[j] = data.draw(st.integers(-1, payload["ambient"]).filter(
+                lambda x: x != free[j]))
+        with open(entry, "w") as fh:
+            json.dump(payload, fh)
+        side = data.draw(st.sampled_from("xy"))
+        report = cli.cmd_character(H.from_string("2,3,3"), side,
+                                   cli.RunConfig(cache_dir=cache))
+        assert report == cold[side]

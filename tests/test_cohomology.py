@@ -359,15 +359,37 @@ class TestCache:
         {"ambient": 18, "den": 1, "free": [0, 1], "cols": [[[0, 1]]]},
         {"ambient": 18, "den": 0, "free": [0], "cols": [[[0, 1]]]},
         {"ambient": 18, "den": 1, "free": [0], "cols": 5},
+        {"ambient": 18, "den": 1, "free": [999], "cols": [[[999, 1]]]},
+        {"ambient": 18, "den": 1, "free": [0, 0], "cols": [[[0, 1]]] * 2},
+        {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1], [18, 1]]]},
+        {"ambient": 18, "den": 2, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "den": 1, "free": [0, 1],
+         "cols": [[[0, 1], [1, 1]], [[1, 1]]]},
+        {"ambient": 18, "den": True, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1.0]]]},
     ])
     def test_misfit_entry_is_a_miss(self, tmp_path, payload):
         import json
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(payload))
-        assert CH._cache_read(str(path), 18) is None
+        assert CH._cache_read(str(path), 18, []) is None
         path.write_text(json.dumps(
             {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1]]]}))
-        assert CH._cache_read(str(path), 18).columns == [{0: 1}]
+        assert CH._cache_read(str(path), 18, []).columns == [{0: 1}]
+
+    def test_entry_outside_the_kernel_is_a_miss(self, tmp_path):
+        import json
+        path = tmp_path / "entry.json"
+        rows = [{0: 1, 1: -1}]
+        path.write_text(json.dumps(
+            {"ambient": 3, "den": 2, "free": [0, 2],
+             "cols": [[[0, 2], [1, 2]], [[2, 2]]]}))
+        assert CH._cache_read(str(path), 3, rows).columns == [
+            {0: 1, 1: 1}, {2: 1}]
+        path.write_text(json.dumps(
+            {"ambient": 3, "den": 2, "free": [0, 2],
+             "cols": [[[0, 2], [1, 1]], [[2, 2]]]}))
+        assert CH._cache_read(str(path), 3, rows) is None
 
     def test_cache_distinguishes_sides(self, tmp_path):
         # (2,3,3): X and Y labels genuinely differ, so keys must differ

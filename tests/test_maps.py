@@ -48,12 +48,12 @@ def random_class(space, graph, k, seed):
                 combo[r] = nv
             else:
                 combo.pop(r, None)
-    return CH.EquivariantClass.from_vector(graph, k, combo, check=False)
+    return CH.EquivariantClass.from_vector(graph, k, combo)
 
 
 class TestPhi:
     def test_constant_one(self, ctx_x):
-        out = M.phi(ctx_x, const_class(ctx_x.g_circle))
+        out = M.apply_map(ctx_x, "phi", const_class(ctx_x.g_circle))
         assert all(out.value(v) == polys.const(3, 1)
                    for v in ctx_x.blowup.vertices)
 
@@ -62,7 +62,7 @@ class TestPhi:
             f = CH.EquivariantClass(
                 ctx.g_circle, 1,
                 {v: polys.tvar(3, 1) for v in ctx.g_circle.vertices})
-            out = M.phi(ctx, f)
+            out = M.apply_map(ctx, "phi", f)
             # d = 2: tau swaps t_2, t_3 and fixes t_1
             assert all(out.value(v) == polys.tvar(3, 1)
                        for v in ctx.blowup.vertices)
@@ -72,7 +72,7 @@ class TestPhi:
         f = CH.EquivariantClass(
             ctx_x.g_circle, 1,
             {v: x2_blow.value(v) for v in ctx_x.g_circle.vertices})
-        out = M.phi(ctx_x, f)
+        out = M.apply_map(ctx_x, "phi", f)
         for v in ctx_x.blowup.vertices:
             if not v.circle:
                 assert out.value(v) == x2_blow.value(v)
@@ -80,7 +80,7 @@ class TestPhi:
 
 class TestPsi:
     def test_one_maps_to_join_label(self, ctx_x):
-        out = M.psi_shriek(ctx_x, const_class(ctx_x.g_mid))
+        out = M.apply_map(ctx_x, "psi", const_class(ctx_x.g_mid))
         d = ctx_x.d
         for v in ctx_x.blowup.vertices:
             if v.circle:
@@ -92,7 +92,7 @@ class TestPsi:
                 assert out.value(v) == expected
 
     def test_one_maps_to_constant_on_twin(self, ctx_y):
-        out = M.psi_shriek(ctx_y, const_class(ctx_y.g_mid))
+        out = M.apply_map(ctx_y, "psi", const_class(ctx_y.g_mid))
         d = ctx_y.d
         expected = polys.sub(polys.tvar(3, d + 1), polys.tvar(3, d))
         for v in ctx_y.blowup.vertices:
@@ -101,7 +101,7 @@ class TestPsi:
     def test_vanishes_on_circle_for_random_f(self, ctx_x):
         for k in (1, 2):
             f = random_class(ctx_x.sp_mid, ctx_x.g_mid, k, seed=5)
-            out = M.psi_shriek(ctx_x, f)
+            out = M.apply_map(ctx_x, "psi", f)
             assert all(out.value(v) == {} for v in ctx_x.blowup.vertices
                        if v.circle)
 
@@ -116,13 +116,13 @@ class TestPsi:
 
 class TestEta:
     def test_constant(self, ctx_x):
-        out = M.eta(ctx_x, const_class(ctx_x.g_plus))
+        out = M.apply_map(ctx_x, "eta", const_class(ctx_x.g_plus))
         assert all(out.value(v) == polys.const(3, 1)
                    for v in ctx_x.blowup.vertices)
 
     def test_quad_sum_exactly_zero(self, ctx_x):
         f = random_class(ctx_x.sp_plus, ctx_x.g_plus, 2, seed=1)
-        out = M.eta(ctx_x, f)
+        out = M.apply_map(ctx_x, "eta", f)
         for (vs, _) in ctx_x.blowup.quads:
             acc = {}
             for vi in vs:
@@ -132,14 +132,14 @@ class TestEta:
 
     def test_xi_d0_transports(self, ctx_x):
         f = CH.make_class_xi(ctx_x.g_plus, ctx_x.d0)
-        out = M.eta(ctx_x, f)
+        out = M.apply_map(ctx_x, "eta", f)
         for v in ctx_x.blowup.vertices:
             assert out.value(v) == f.value(G.plain(v.perm))
 
 
 class TestRho:
     def test_one_on_x_side(self, ctx_x):
-        out = M.rho_shriek(ctx_x, const_class(ctx_x.g_minus))
+        out = M.apply_map(ctx_x, "rho", const_class(ctx_x.g_minus))
         d, d0 = ctx_x.d, ctx_x.d0
         for v in ctx_x.blowup.vertices:
             w = v.perm
@@ -148,7 +148,7 @@ class TestRho:
                                              polys.tvar(3, w[d0 - 1]))
 
     def test_join_edge_difference_divisible(self, ctx_x):
-        out = M.rho_shriek(ctx_x, const_class(ctx_x.g_minus))
+        out = M.apply_map(ctx_x, "rho", const_class(ctx_x.g_minus))
         d = ctx_x.d
         for v in ctx_x.blowup.vertices:
             if v.circle:
@@ -158,7 +158,7 @@ class TestRho:
             assert polys.divisible_by_diff(diff, w[d], w[d - 1])
 
     def test_quad_signed_sum_for_one(self, ctx_x):
-        out = M.rho_shriek(ctx_x, const_class(ctx_x.g_minus))
+        out = M.apply_map(ctx_x, "rho", const_class(ctx_x.g_minus))
         for (vs, form) in ctx_x.blowup.quads:
             acc = {}
             for vi in vs:
@@ -167,21 +167,59 @@ class TestRho:
             assert acc == {}
 
 
+class TestMatrixMatchesFormulas:
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_images_follow_the_vertex_formulas(self, side, k, ctx_x, ctx_y):
+        # the docstring formulas, evaluated on polynomials vertex by vertex
+        ctx = ctx_x if side == "x" else ctx_y
+        d, d0, n = ctx.d, ctx.d0, ctx.blowup.n
+
+        def times(a, b, p):
+            return polys.mul(polys.sub(polys.tvar(n, a), polys.tvar(n, b)), p)
+
+        f = random_class(ctx.sp_circle, ctx.g_circle, k, seed=k)
+        out = M.apply_map(ctx, "phi", f)
+        for v in ctx.blowup.vertices:
+            val = f.value(v if v.circle
+                          else G.circ(G.swap_positions(v.perm, d + 1, d)))
+            if side == "y" and not v.circle:
+                val = {G.swap_positions(e, d, d + 1): c
+                       for e, c in val.items()}
+            assert out.value(v) == val
+        for name, sp in (("psi", ctx.sp_mid), ("eta", ctx.sp_plus),
+                         ("rho", ctx.sp_minus)):
+            f = random_class(sp, sp.graph, k, seed=k)
+            out = M.apply_map(ctx, name, f)
+            for v in ctx.blowup.vertices:
+                w = v.perm
+                if side == "x":   # x_i(w) = t_{w(i)}
+                    join, low = (w[d], w[d - 1]), w[d0 - 1]
+                    top = w[d] if v.circle else w[d - 1]
+                else:
+                    join, low, top = (d + 1, d), d0, (d + 1 if v.circle else d)
+                val = f.value(G.plain(w))
+                if name == "psi":
+                    val = {} if v.circle else times(*join, val)
+                elif name == "rho":
+                    val = times(top, low, val)
+                assert out.value(v) == val
+
+
 class TestLemmaMembership:
     @pytest.mark.parametrize("name", ["phi", "psi", "eta", "rho"])
     @pytest.mark.parametrize("side", ["x", "y"])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_images_are_classes(self, name, side, k, ctx_x, ctx_y):
         ctx = ctx_x if side == "x" else ctx_y
-        func, which, shift = M.MAPS[name]
+        _, source, shift = M.MAPS[name]
         src_k = k - shift
         if src_k < 0:
             return
-        space = M._source_space(ctx, which)
-        graph = M._source_graph(ctx, which)
+        space = getattr(ctx, f"sp_{source}")
         for seed in (1, 2):
-            f = random_class(space, graph, src_k, seed)
-            out = func(ctx, f, check=True)   # raises on violation
+            f = random_class(space, space.graph, src_k, seed)
+            out = M.apply_map(ctx, name, f)   # raises on violation
             assert CH.membership_check(out, ctx.blowup)
 
 
@@ -215,6 +253,41 @@ class TestTheoremMain:
         with pytest.raises((M.RankDeficit, M.Overlap, M.DimensionGap,
                             CH.MembershipFailed)):
             M.check_theorem_main(bad)
+
+    def test_degree_ok_reflects_only_that_degree(self, ctx_x):
+        # one basis column short in degree 3: the sums overfill the space
+        # there, and degree 4 is still reported ok
+        import dataclasses
+        sp = ctx_x.sp_blowup
+        basis = sp.bases[3]
+        short = dataclasses.replace(
+            basis, columns=basis.columns[:-1], unit_rows=basis.unit_rows[:-1])
+        bad = dataclasses.replace(ctx_x, sp_blowup=dataclasses.replace(
+            sp, bases={**sp.bases, 3: short}))
+        report = M.check_theorem_main(bad, raise_on_failure=False)
+        assert [k for k, row in report["degrees"].items()
+                if not row["ok"]] == [3]
+        assert not report["pass"]
+        assert report["failures"] == [
+            f"degree 3: {label} sum has rank 56, space has dim 55"
+            for label in ("first", "second")]
+        with pytest.raises(M.DimensionGap):
+            M.check_theorem_main(bad)
+
+    def test_non_equivariant_rule_is_caught(self, ctx_y, monkeypatch):
+        # eta read at (1 2) w is still a class on the twin side with the
+        # same image, but it does not commute with the dagger action
+        def skewed(ctx, v):
+            return G.plain(G.compose((2, 1, 3), v.perm)), None, False
+
+        monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
+        with pytest.raises(M.EquivarianceFailed):
+            M.check_theorem_main(ctx_y)
+        report = M.check_theorem_main(ctx_y, raise_on_failure=False)
+        assert not report["pass"]
+        msg = report["failures"][0]
+        assert msg.startswith("eta ") and "dagger" in msg
+        assert msg.endswith("in degree 0")
 
 
 class TestCorollary:
@@ -275,13 +348,13 @@ class TestPhiModuleCompatibility:
         for k, seed in ((0, 3), (1, 4)):
             f = random_class(ctx_y.sp_circle, ctx_y.g_circle, k, seed)
             for i in (1, d, d + 1):
-                tf = CH.EquivariantClass.from_vector(
-                    ctx_y.g_circle, k + 1, {}, check=False)
-                tf.values = {v: polys.mul(polys.tvar(n, i), f.value(v))
-                             for v in ctx_y.g_circle.vertices if f.value(v)}
-                lhs = M.phi(ctx_y, tf, check=False)
+                tf = CH.EquivariantClass(
+                    ctx_y.g_circle, k + 1,
+                    {v: polys.mul(polys.tvar(n, i), f.value(v))
+                     for v in ctx_y.g_circle.vertices if f.value(v)})
+                lhs = M.apply_map(ctx_y, "phi", tf)
                 tau_i = {d: d + 1, d + 1: d}.get(i, i)
-                base = M.phi(ctx_y, f, check=False)
+                base = M.apply_map(ctx_y, "phi", f)
                 for v in ctx_y.blowup.vertices:
                     j = tau_i if not v.circle else i
                     assert lhs.value(v) == polys.mul(polys.tvar(n, j),
@@ -293,8 +366,8 @@ class TestConstructivePreimage:
         for k, seed in ((1, 2), (2, 7), (3, 11)):
             f_tilde = random_class(ctx_x.sp_blowup, ctx_x.blowup, k, seed)
             f, g = M.constructive_preimage(ctx_x, f_tilde)
-            back = M.phi(ctx_x, f, check=False).vector()
-            psi_g = M.psi_shriek(ctx_x, g, check=False).vector()
+            back = M.apply_map(ctx_x, "phi", f).vector()
+            psi_g = M.apply_map(ctx_x, "psi", g).vector()
             combined = dict(back)
             for c, v in psi_g.items():
                 nv = combined.get(c, Fraction(0)) + v
