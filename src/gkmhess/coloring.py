@@ -3,10 +3,16 @@
 A coloring of the indifference graph G_h is a tuple kappa of positive
 integers, kappa[i-1] being the color of vertex i.  The graded chromatic
 symmetric function sums z_kappa q^asc(kappa) over proper colorings; the
-unicellular LLT polynomial drops properness.  Both are computed exactly by
-enumerating colorings content by content: the coefficient of m_lam at q^a
-is the number of (proper) colorings using exactly lam_i vertices of color
-i with ascent statistic a.
+unicellular LLT polynomial drops properness.  The coefficient of m_lam at
+q^a is the number of (proper) colorings using exactly lam_i vertices of
+color i with ascent statistic a.  Such a coloring is an ordered set
+partition (S_1, ..., S_l) of [n] into colour classes with |S_c| = lam_c,
+and an edge j < i ascends exactly when j lies in an earlier class than i,
+so asc = sum over c and i in S_c of |N^-(i) & (S_1 u ... u S_{c-1})| with
+N^-(i) = {j < i : h(j) >= i}.  Both are computed exactly by a dynamic
+program that adds one colour class at a time over the 2^n vertex subsets
+(a proper coloring's classes contain no edge); csf_q_raw and llt_raw
+enumerate colorings outright and serve as the independent reference.
 
 The module also carries the bookkeeping for the modular-law proofs: the
 nine-way (proper) and four-way (arbitrary) classification of colorings of
@@ -17,6 +23,8 @@ themselves, valid for triples of both kinds.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
 from gkmhess.hessenberg import (
@@ -70,18 +78,59 @@ def colorings_by_content(n: int) -> Iterator[tuple[Partition, Coloring]]:
             yield lam, kappa
 
 
+@lru_cache(maxsize=None)
+def _subsets_by_size(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Entry k lists every k-subset of {0, ..., n-1} as (bitmask, members)."""
+    out: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        out[len(members)].append((mask, members))
+    return tuple(map(tuple, out))
+
+
 def _coloring_sum(h: HessenbergFunction, proper_only: bool) -> GradedSymmetricFunction:
+    """Colour-class dynamic program behind csf_q and llt (module docstring).
+
+    Classes are added in colour order, the parts of lam weakly decreasing,
+    so partitions sharing a prefix share its states.  A state maps the set
+    U of vertices coloured so far (bit i-1 for vertex i) to its ascent
+    distribution; adding a class S adds sum over i in S of |N^-(i) & U|.
+
+    A distribution sum_a c_a q^a is packed into the integer
+    sum_a c_a 2^(width a): every c_a counts colorings of a subset of [n]
+    with fixed class sizes, so c_a <= n! < 2^width and no field carries
+    into the next; adding w ascents is a shift by width w.
+    """
     n = h.n
     check_degree(n)
-    edges = _edge_list(h)
+    width = factorial(n).bit_length()
+    field = (1 << width) - 1
+    below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
+             for i in range(1, n + 1)]
+    classes = [[(cls, members) for cls, members in same_size
+                if not (proper_only and any(below[i] & cls for i in members))]
+               for same_size in _subsets_by_size(n)]
     counts: dict[int, dict[Partition, int]] = {}
-    for lam in partitions_of(n):
-        for kappa in _arrangements(list(lam)):
-            if proper_only and any(kappa[i - 1] == kappa[j - 1] for (i, j) in edges):
-                continue
-            a = sum(1 for (i, j) in edges if kappa[j - 1] < kappa[i - 1])
-            counts.setdefault(a, {})
-            counts[a][lam] = counts[a].get(lam, 0) + 1
+    stack: list[tuple[dict[int, int], Partition, int]] = [({0: 1}, (), n)]
+    while stack:
+        states, lam, rest = stack.pop()
+        if not rest:   # every vertex is coloured: the one state is [n]
+            (packed,) = states.values()
+            for a in range(packed.bit_length() // width + 1):
+                c = packed >> width * a & field
+                if c:
+                    counts.setdefault(a, {})[lam] = c
+            continue
+        for part in range(min(rest, lam[-1] if lam else n), 0, -1):
+            grown: dict[int, int] = {}
+            for done, packed in states.items():
+                for cls, members in classes[part]:
+                    if not cls & done:
+                        w = sum((below[i] & done).bit_count() for i in members)
+                        grown[done | cls] = (grown.get(done | cls, 0)
+                                             + (packed << width * w))
+            if grown:
+                stack.append((grown, lam + (part,), rest - part))
     return GradedSymmetricFunction(
         n, {a: SymmetricFunction(n, "m", c) for a, c in counts.items()})
 

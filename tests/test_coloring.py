@@ -1,6 +1,8 @@
 """Coloring enumeration: frozen polynomial values, the class decomposition
 machinery, and the combinatorial modular laws."""
 
+from itertools import permutations
+
 import pytest
 
 from gkmhess import coloring as C
@@ -91,6 +93,35 @@ class TestRawEnumerationAgreement:
             fast = C.llt(h)
             assert C.llt_raw(h, n) == fast
             assert C.llt_raw(h, n + 1) == fast
+
+    @pytest.mark.parametrize("hstr", ["1,2,3,4,5,6", "2,2,4,4,6,6",
+                                      "2,3,4,5,6,6", "3,4,5,6,6,6",
+                                      "6,6,6,6,6,6"])
+    def test_raw_sample_n6(self, hstr):
+        # the exhaustive brute-force oracle over [6]^6 on a fixed sample
+        h = H.from_string(hstr)
+        assert C.csf_q_raw(h, 6) == C.csf_q(h)
+        assert C.llt_raw(h, 6) == C.llt(h)
+
+    @pytest.mark.parametrize("hstr", ["2,3,4,5,6,7,7", "7,7,7,7,7,7,7",
+                                      "2,3,4,5,6,7,8,8", "3,4,5,6,7,8,8,8",
+                                      "2,4,5,6,7,7,8,8"])
+    def test_injective_row_is_h_inversions(self, hstr):
+        # the m_{1^n} row counts bijective colorings (all proper) by
+        # ascents; complementing the colors turns ascents into
+        # h-inversions, so it is the h-inversion distribution over S_n
+        h = H.from_string(hstr)
+        n = h.n
+        edges = sorted(H.indifference_graph(h).edges)
+        dist = {}
+        for w in permutations(range(n)):
+            a = sum(1 for (i, j) in edges if w[j - 1] > w[i - 1])
+            dist[a] = dist.get(a, 0) + 1
+        ones = (1,) * n
+        for f in (C.csf_q(h), C.llt(h)):
+            row = {a: g.coeffs[ones] for a, g in f.terms.items()
+                   if ones in g.coeffs}
+            assert row == dist
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_csf_below_llt(self, n):
@@ -206,7 +237,7 @@ class TestColorSumIdentity:
 
 
 class TestDecompositionTotals:
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_llt_four_subset_reassembly(self, n):
         shifts = {("<", "<"): 2, ("<", ">="): 1, (">=", "<"): 1,
                   (">=", ">="): 0}
@@ -224,7 +255,7 @@ class TestDecompositionTotals:
                 minus = C.census_to_graded(n, census, shifts, lambda tag: 0)
                 assert minus == C.llt(t.h_minus)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_csf_nine_subset_reassembly(self, n):
         plus_tags = ("<<", "<>", "><", ">>")
         mid_tags = ("<<", "<=", "<>", "><", ">=", ">>")
@@ -268,10 +299,12 @@ class TestProductStructure:
         assert C.csf_q(h) == C.csf_q(h1).multiply(C.csf_q(h2))
         assert C.llt(h) == C.llt(h1).multiply(C.llt(h2))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_initial_family_closed_form(self, n):
-        # complete blocks: each factor contributes [n_i]_q! e_{n_i}
-        for h in H.enumerate_hessenberg(n):
+        # complete blocks: each factor contributes [n_i]_q! e_{n_i};
+        # at n = 8 only the complete graph, [8]_q! e_8
+        hs = H.enumerate_hessenberg(n) if n <= 6 else [H.validate((n,) * n)]
+        for h in hs:
             ok, blocks = H.is_initial(h)
             if not ok:
                 continue
