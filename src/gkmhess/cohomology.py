@@ -6,9 +6,13 @@ across every edge is divisible by the edge label; a signed blow-up imposes
 one extra condition per 4-gon: the sign-weighted vertex sum must be
 divisible by the square of the shared label.  Divisibility by t_a - t_b is
 encoded by substituting t_a <- t_b and asking for zero; the squared
-condition also kills the first-order term of t_a <- t_b + eps.  Both give
-integer linear constraints, solved degree by degree by the sparse exact
-kernel in :mod:`gkmhess.linalg`.
+condition also asks (d/dt_a - d/dt_b) to vanish at t_a = t_b.  Given the
+first condition this is the same as asking it of d/dt_a alone, but the
+antisymmetric form does not depend on the orientation of the label, so the
+group action permutes these rows like the others (see
+:func:`check_action_invariance`).  All give integer linear constraints,
+solved degree by degree by the sparse exact kernel in
+:mod:`gkmhess.linalg`.
 
 From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; symmetric-group
@@ -119,8 +123,10 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
                     col = vi * m + mi
                     row = order0.setdefault(tgt, {})
                     row[col] = row.get(col, 0) + signs[vi]
-                ea = mon[a - 1]
-                if ea:
+                ea, eb = mon[a - 1], mon[b - 1]
+                if ea != eb:
+                    # (d/dt_a - d/dt_b) at t_a = t_b, same target for either
+                    # orientation of the label
                     ee = list(mon)
                     ee[a - 1] = 0
                     ee[b - 1] += ea - 1
@@ -128,7 +134,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
                     for vi in vs:
                         col = vi * m + mi
                         row = order1.setdefault(tgt1, {})
-                        row[col] = row.get(col, 0) + signs[vi] * ea
+                        row[col] = row.get(col, 0) + signs[vi] * (ea - eb)
             rows.extend(r for _, r in sorted(order0.items())
                         if any(r.values()))
             rows.extend(r for _, r in sorted(order1.items())
@@ -407,7 +413,8 @@ def column_adjacency(rows: list[IntRow]):
 def first_violated_row(adj, col: FracCol,
                        pi: list[int] | None = None) -> int | None:
     """Smallest index of a row (given by its column adjacency) that does
-    not annihilate col, or None; with pi, col is first moved to pi[c]."""
+    not annihilate col (Fraction or int entries), or None; with pi, col is
+    first moved to pi[c]."""
     residual: dict[int, Fraction] = {}
     for c, v in col.items():
         for ri, cf in adj.get(c if pi is None else pi[c], ()):
@@ -419,16 +426,40 @@ def first_violated_row(adj, col: FracCol,
     return min(residual) if residual else None
 
 
+def _row_key(items) -> tuple:
+    """A row as its sorted (column, value) pairs, up to sign: the entry at
+    the smallest column is made positive."""
+    key = sorted(items)
+    if key and key[0][1] < 0:
+        return tuple((c, -v) for c, v in key)
+    return tuple(key)
+
+
 def check_action_invariance(space: GradedSolutionSpace, k: int,
                             action_kind: str) -> None:
     """Verify that the generators of S_n map the degree-k piece into
     itself; NotInvariant otherwise.
 
-    Generators suffice: the action is a group homomorphism.
+    Generators suffice: the action is a group homomorphism.  Each generator
+    is checked on the constraint rows first: if its coordinate permutation
+    pi maps every row onto a row of the system up to sign, then
+    r.(P x) = +-r'.x = 0 for every kernel vector x, so the kernel is
+    invariant.  The action permutes edges and quads, and no row depends on
+    the orientation of its label (the first-order quad rows are
+    antisymmetric for that reason), so this passes on every graph built
+    here.  Only when a row fails is every kernel column moved by pi and
+    tested against the rows.
     """
-    adj = column_adjacency(space.rows[k])
+    rows = space.rows[k]
+    keys = {_row_key(r.items()) for r in rows}
+    adj = None
     for sigma in generators(space.n):
         pi = coordinate_perm(space.graph, k, sigma, action_kind)
+        if all(_row_key((pi[c], v) for c, v in r.items()) in keys
+               for r in rows):
+            continue
+        if adj is None:
+            adj = column_adjacency(rows)
         for col in space.bases[k].columns:
             if first_violated_row(adj, col, pi) is not None:
                 raise NotInvariant(

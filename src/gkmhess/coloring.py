@@ -51,24 +51,22 @@ def is_proper(h: HessenbergFunction, kappa: Coloring) -> bool:
     return all(kappa[i - 1] != kappa[j - 1] for (i, j) in _edge_list(h))
 
 
-def _arrangements(counts: list[int]) -> Iterator[Coloring]:
+def _arrangements(counts: list[int], out: list[int] | None = None,
+                  pos: int = 0) -> Iterator[Coloring]:
     """Distinct arrangements of the multiset {color c with multiplicity
-    counts[c-1]}; colors are 1-based."""
-    n = sum(counts)
-    out = [0] * n
-
-    def rec(pos: int) -> Iterator[Coloring]:
-        if pos == n:
-            yield tuple(out)
-            return
-        for c, left in enumerate(counts, start=1):
-            if left:
-                counts[c - 1] -= 1
-                out[pos] = c
-                yield from rec(pos + 1)
-                counts[c - 1] += 1
-
-    yield from rec(0)
+    counts[c-1]}; colors are 1-based.  out and pos are the recursion state:
+    the colors placed so far and the next position."""
+    if out is None:
+        out = [0] * sum(counts)
+    if pos == len(out):
+        yield tuple(out)
+        return
+    for c, left in enumerate(counts, start=1):
+        if left:
+            counts[c - 1] -= 1
+            out[pos] = c
+            yield from _arrangements(counts, out, pos + 1)
+            counts[c - 1] += 1
 
 
 def colorings_by_content(n: int) -> Iterator[tuple[Partition, Coloring]]:

@@ -33,7 +33,7 @@ from gkmhess.graphs import (
     build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
     plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
-from gkmhess.linalg import FracCol, rank_of_columns
+from gkmhess.linalg import Echelon, FracCol, IntRow, columns_to_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction
 
 
@@ -199,8 +199,9 @@ def apply_map(ctx: TripleContext, name: str,
         ctx.blowup, k, _apply(map_matrix(ctx, name, k), f.vector()))
 
 
-def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[FracCol]:
-    """Images in blow-up coordinates of the degree-appropriate source basis.
+def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[IntRow]:
+    """Images in blow-up coordinates of the degree-appropriate source basis,
+    each scaled to an integer vector.
 
     For the degree-k piece of the blow-up, phi/eta take the degree-k source
     basis and psi/rho the degree-(k-1) one.  Every image is verified to
@@ -211,13 +212,14 @@ def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[FracCol]:
         return []
     matrix = map_matrix(ctx, name, k)
     space = getattr(ctx, f"sp_{source}")
-    out = [_apply(matrix, col) for col in space.bases[k - shift].columns]
+    out = columns_to_int_rows(
+        [_apply(matrix, col) for col in space.bases[k - shift].columns])
     _assert_in_space(ctx.sp_blowup, k, out, name)
     return out
 
 
 def _assert_in_space(space: GradedSolutionSpace, k: int,
-                     cols: list[FracCol], name: str) -> None:
+                     cols: list[IntRow], name: str) -> None:
     adj = column_adjacency(space.rows[k])
     m = len(monomials(space.graph.n, k))
     for j, col in enumerate(cols):
@@ -285,8 +287,14 @@ def check_theorem_main(ctx: TripleContext,
                                          ("eta", "rho", "second")):
                 cols_a = map_image_columns(ctx, first, k)
                 cols_b = map_image_columns(ctx, second, k)
-                ra, rb = rank_of_columns(cols_a), rank_of_columns(cols_b)
-                rab = rank_of_columns(cols_a + cols_b)
+                ech_a, ech_b = Echelon(), Echelon()
+                for vec in cols_a:
+                    ech_a.insert(vec)
+                joint = ech_a.copy()   # insert never changes stored rows
+                for vec in cols_b:
+                    ech_b.insert(vec)
+                    joint.insert(vec)
+                ra, rb, rab = ech_a.rank, ech_b.rank, joint.rank
                 row[f"{first}_rank"] = ra
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab

@@ -1,5 +1,7 @@
 """Graph cohomology: solved dimensions, numerators, characters, classes."""
 
+import dataclasses
+
 import pytest
 
 from gkmhess import cohomology as CH
@@ -308,6 +310,20 @@ class TestQuadConditionsMatter:
         assert numer != numer[::-1]
 
 
+def row_set(rows):
+    return {CH._row_key(r.items()) for r in rows}
+
+
+def rows_closed(graph, k, rows, kind):
+    """Every generator's coordinate permutation maps the row set onto
+    itself up to sign (the fast path of check_action_invariance)."""
+    keys = row_set(rows)
+    return all(
+        {CH._row_key((pi[c], v) for c, v in r.items()) for r in rows} == keys
+        for pi in (CH.coordinate_perm(graph, k, sigma, kind)
+                   for sigma in G.generators(graph.n)))
+
+
 class TestActionInvarianceGuard:
     def test_symmetry_broken_graph_raises(self):
         # deleting one edge of the hexagon breaks vertex transitivity, so
@@ -317,6 +333,54 @@ class TestActionInvarianceGuard:
         sp = CH.solve_graph(broken, max_degree=1)
         with pytest.raises(CH.NotInvariant):
             CH.check_action_invariance(sp, 1, "dot")
+
+    @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4"])
+    @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
+    def test_generators_permute_the_rows(self, hstr, side, kind):
+        # the row-set test passes on every graph of a triple, so the column
+        # fallback never runs there
+        t = c_triple(hstr)
+        graphs = [G.build_graph(h, side)
+                  for h in (t.h_minus, t.h, t.h_plus)]
+        graphs += [G.build_circle_graph(t, side), G.build_blowup(t, side)]
+        for g in graphs:
+            for k in range(t.h_plus.dimension() + 2):
+                assert rows_closed(g, k, CH.constraint_rows(g, k), kind), \
+                    (type(g).__name__, k)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_quad_rows_ignore_label_orientation(self, side):
+        bl = G.build_blowup(c_triple("2,3,3,4"), side)
+        flipped = dataclasses.replace(bl, quads=tuple(
+            (vs, G.LinearForm(tuple(-c for c in f.coeffs)))
+            for vs, f in bl.quads))
+        for k in range(bl.top_degree + 2):
+            assert row_set(CH.constraint_rows(flipped, k)) \
+                == row_set(CH.constraint_rows(bl, k))
+
+    def test_fallback_when_the_rows_are_not_permuted(self):
+        # r0 + r1 in place of r0 spans the same rows, so the kernel is
+        # unchanged and invariant, but the row set is no longer permuted
+        g = G.build_GX(H.from_string("2,3,3"))
+        sp = CH.solve_graph(g, max_degree=2)
+        for k in (1, 2):
+            r0, r1 = sp.rows[k][0], sp.rows[k][1]
+            summed = {c: r0.get(c, 0) + r1.get(c, 0) for c in {*r0, *r1}}
+            sp.rows[k][0] = {c: v for c, v in summed.items() if v}
+            assert not rows_closed(g, k, sp.rows[k], "dot")
+            CH.check_action_invariance(sp, k, "dot")
+
+    def test_blowup_basis_passes_polynomial_membership(self):
+        # divisible_by_diff(order=2) does not read the constraint rows
+        t = c_triple("2,3,3,4")
+        for side in ("x", "y"):
+            bl = G.build_blowup(t, side)
+            sp = CH.solve_graph(bl)
+            for k in range(sp.max_degree + 1):
+                for col in sp.bases[k].columns:
+                    # from_vector raises MembershipFailed on a violation
+                    cls = CH.EquivariantClass.from_vector(bl, k, col)
+                    assert CH.membership_check(cls, bl)
 
 
 class TestCharacterIntegrality:

@@ -1,6 +1,7 @@
 """Coloring enumeration: frozen polynomial values, the class decomposition
 machinery, and the combinatorial modular laws."""
 
+import gc
 from itertools import permutations
 
 import pytest
@@ -275,6 +276,27 @@ class TestDecompositionTotals:
                 assert mid == C.csf_q(t.h)
                 minus = C.census_to_graded(n, census, all_tags, lambda tag: 0)
                 assert minus == C.csf_q(t.h_minus)
+
+    def test_census_leaves_no_cyclic_garbage(self):
+        # the first call fills lru caches (partitions_of builds its table
+        # once per n with a nested helper); the second must leave nothing
+        t = c_triple("2,3,4,5,5")
+        C.coloring_class_sums(t, proper_only=False, coarse=True)
+        gc.collect()
+        flags, before = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            C.coloring_class_sums(t, proper_only=False, coarse=True)
+            gc.collect()
+            garbage = gc.garbage[before:]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[before:]
+        assert garbage == []
+
+    def test_arrangements_order(self):
+        assert list(C._arrangements([2, 1])) == [(1, 1, 2), (1, 2, 1),
+                                                 (2, 1, 1)]
 
 
 def q_factorial_poly(k):
