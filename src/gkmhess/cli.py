@@ -304,7 +304,7 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
+    common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None)
     common.add_argument("--jobs", type=_positive_int, default=1)
     common.add_argument("--n", type=int, default=GRAPH_N_CAP,
                         help="cap on n for graph commands (hard max 6)")
@@ -345,11 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _usable_cache_dir(path: str) -> str | None:
+    """None if path is, or could be made, a directory; else the reason."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        return "not a directory"
+    except OSError as exc:
+        return (exc.strerror or str(exc)).lower()
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     cfg = RunConfig(n_cap=args.n, degree_cap=args.degree_cap, jobs=args.jobs,
                     cache_dir=args.cache_dir, fmt=args.format)
+    if cfg.cache_dir is not None and args.cmd in ("betti", "character",
+                                                  "check"):
+        reason = _usable_cache_dir(cfg.cache_dir)
+        if reason:
+            print(f"error: cannot use cache directory {cfg.cache_dir!r}: "
+                  f"{reason}", file=sys.stderr)
+            return 2
     t0 = time.time()
     try:
         if args.cmd == "triples":

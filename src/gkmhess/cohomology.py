@@ -14,6 +14,15 @@ group action permutes these rows like the others (see
 solved degree by degree by the sparse exact kernel in
 :mod:`gkmhess.linalg`.
 
+Coordinates are monomial-major everywhere: the coefficient of the mi-th
+degree-k monomial (graded lex, :func:`monomials`) at the vi-th vertex of
+a graph with V vertices is coordinate mi * V + vi.  Constraint rows,
+kernel bases, coordinate permutations, cache entries and the map matrices
+of :mod:`gkmhess.maps` all use this order.  The echelon pivots on the
+smallest column of each row, so the order is also the elimination order;
+on the n = 4 kernels the monomial-major order eliminates two to three
+times faster than the vertex-major one.
+
 From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; symmetric-group
 characters are computed as exact traces on the kernel bases and pushed to
@@ -32,15 +41,13 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from gkmhess import polys
 from gkmhess.graphs import (
     SignedBlowupGraph, Vertex, class_representative, compose, generators,
     inverse, swap_positions)
-from gkmhess.linalg import (
-    Echelon, FracCol, IntRow, SubspaceBasis, columns_to_int_rows,
-    kernel_of_rows)
+from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
     partitions_of)
@@ -100,7 +107,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     """Integer rows whose kernel is the degree-k equivariant piece."""
     n = graph.n
     mons = monomials(n, k)
-    m = len(mons)
+    nv = len(graph.vertices)
     rows: list[IntRow] = []
     for (ui, vi, form) in graph.edges:
         a, b = form.as_difference()
@@ -108,8 +115,8 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
         for mi, mon in enumerate(mons):
             tgt = _subst_exp(mon, a, b)
             row = groups.setdefault(tgt, {})
-            row[ui * m + mi] = row.get(ui * m + mi, 0) + 1
-            row[vi * m + mi] = row.get(vi * m + mi, 0) - 1
+            row[mi * nv + ui] = row.get(mi * nv + ui, 0) + 1
+            row[mi * nv + vi] = row.get(mi * nv + vi, 0) - 1
         rows.extend(r for _, r in sorted(groups.items()) if r)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
@@ -120,7 +127,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
             for mi, mon in enumerate(mons):
                 tgt = _subst_exp(mon, a, b)
                 for vi in vs:
-                    col = vi * m + mi
+                    col = mi * nv + vi
                     row = order0.setdefault(tgt, {})
                     row[col] = row.get(col, 0) + signs[vi]
                 ea, eb = mon[a - 1], mon[b - 1]
@@ -132,7 +139,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
                     ee[b - 1] += ea - 1
                     tgt1 = tuple(ee)
                     for vi in vs:
-                        col = vi * m + mi
+                        col = mi * nv + vi
                         row = order1.setdefault(tgt1, {})
                         row[col] = row.get(col, 0) + signs[vi] * (ea - eb)
             rows.extend(r for _, r in sorted(order0.items())
@@ -147,9 +154,8 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
 
 def equivariant_piece(graph, k: int) -> SubspaceBasis:
     """Kernel basis of the degree-k congruence system."""
-    m = len(monomials(graph.n, k))
     return kernel_of_rows(constraint_rows(graph, k),
-                          len(graph.vertices) * m)
+                          len(graph.vertices) * len(monomials(graph.n, k)))
 
 
 @dataclass
@@ -177,41 +183,36 @@ class GradedSolutionSpace:
 
 def _cache_path(cache_dir: str, graph, k: int) -> str:
     digest = hashlib.sha256(
-        (graph.content_key() + f"|deg={k}|v1").encode()).hexdigest()
+        (graph.content_key() + f"|deg={k}|v2").encode()).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
 
 
 def _basis_to_payload(basis: SubspaceBasis) -> dict:
-    den = lcm(*(v.denominator for col in basis.columns for v in col.values()))
-    cols = [sorted((r, int(v * den)) for r, v in col.items())
-            for col in basis.columns]
-    return {"ambient": basis.ambient_dim, "den": den,
-            "free": basis.unit_rows, "cols": cols}
+    return {"ambient": basis.ambient_dim, "free": basis.unit_rows,
+            "cols": [sorted(col.items()) for col in basis.columns]}
 
 
 def _basis_from_payload(data: dict, ambient: int,
                         rows: list[IntRow]) -> SubspaceBasis:
     """The basis of a cache entry; ValueError unless, checked in integers,
-    column j is den at free[j] and 0 at every other free index, and every
-    column is annihilated by rows."""
-    den, free = data["den"], data["free"]
+    column j is positive at free[j] and 0 at every other free index, and
+    every column is annihilated by rows."""
+    free = data["free"]
     cols = [{r: num for r, num in col} for col in data["cols"]]
     indices = [*free, *(r for col in cols for r in col)]
-    numbers = [den, *(v for col in cols for v in col.values())]
+    numbers = [v for col in cols for v in col.values()]
     free_set = set(free)
     if (data["ambient"] != ambient or len(free) != len(cols)
             or any(type(x) is not int for x in indices + numbers)
-            or den < 1 or len(free_set) != len(free)
+            or len(free_set) != len(free)
             or not all(0 <= r < ambient for r in indices)):
         raise ValueError("cache entry does not fit the system")
     adj = column_adjacency(rows)
     for f, col in zip(free, cols):
-        if col.get(f) != den or len(free_set.intersection(col)) != 1 \
+        if col.get(f, 0) < 1 or len(free_set.intersection(col)) != 1 \
                 or first_violated_row(adj, col) is not None:
             raise ValueError("cache entry is not a kernel basis")
-    return SubspaceBasis(
-        ambient, [{r: Fraction(num, den) for r, num in col.items()}
-                  for col in cols], unit_rows=free)
+    return SubspaceBasis(ambient, cols, unit_rows=free)
 
 
 def _cache_read(path: str, ambient: int,
@@ -226,9 +227,13 @@ def _cache_read(path: str, ambient: int,
 
 
 def _cache_write(path: str, basis: SubspaceBasis) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    """Best effort: an entry that cannot be written is simply not cached."""
     payload = json.dumps(_basis_to_payload(basis))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
@@ -304,18 +309,17 @@ def _shift_exp_index(n: int, k: int, i: int):
     return table
 
 
-def _image_columns(space: GradedSolutionSpace, k: int) -> list[FracCol]:
+def _image_columns(space: GradedSolutionSpace, k: int) -> list[IntRow]:
     """Columns spanning sum_i t_i H^{k-1} inside the degree-k coordinates."""
     n = space.n
     if k == 0:
         return []
-    m_k = len(monomials(n, k))
-    m_km1 = len(monomials(n, k - 1))
+    nv = len(space.graph.vertices)
     cols = []
     for i in range(1, n + 1):
         table = _shift_exp_index(n, k, i)
         for col in space.bases[k - 1].columns:
-            cols.append({(c // m_km1) * m_k + table[c % m_km1]: v
+            cols.append({table[c // nv] * nv + c % nv: v
                          for c, v in col.items()})
     return cols
 
@@ -328,15 +332,11 @@ def _ordinary_piece_with_image(space: GradedSolutionSpace, k: int,
     The representatives are the basis columns that raise the rank over the
     image and the columns before them, in basis order.
     """
-    image = Echelon()
-    for row in columns_to_int_rows(_image_columns(space, k)):
-        image.insert(row)
+    image = Echelon.of(_image_columns(space, k))
     image.back_substitute()
     span = image.copy()
     basis = space.bases[k]
-    reps = [col for col, row in zip(basis.columns,
-                                    columns_to_int_rows(basis.columns))
-            if span.insert(row)]
+    reps = [col for col in basis.columns if span.insert(col)]
     dim_q = space.dim(k) - image.rank
     if len(reps) != dim_q:
         raise DimensionMismatch("image escapes the solution space")
@@ -374,7 +374,7 @@ def _perm_monomial_table(n: int, k: int, sigma) -> list[int]:
 
 
 def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
-    """The permutation pi of (vertex, monomial) coordinates for sigma.
+    """The permutation pi of (monomial, vertex) coordinates for sigma.
 
     Dot: vertex w -> sigma w and variables t_i -> t_sigma(i); dagger:
     vertices only.  Returns pi as an array: coordinate c of a class f
@@ -392,12 +392,11 @@ def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
         mtable = list(range(m))
     else:
         raise ValueError(f"unknown action kind {action_kind!r}")
-    out = [0] * (len(graph.vertices) * m)
-    for vi in range(len(graph.vertices)):
-        base_src = vi * m
-        base_dst = vmap[vi] * m
-        for mi in range(m):
-            out[base_src + mi] = base_dst + mtable[mi]
+    nv = len(graph.vertices)
+    out = []
+    for mi in range(m):
+        base_dst = mtable[mi] * nv
+        out.extend(base_dst + vmap[vi] for vi in range(nv))
     return out
 
 
@@ -410,12 +409,12 @@ def column_adjacency(rows: list[IntRow]):
     return adj
 
 
-def first_violated_row(adj, col: FracCol,
+def first_violated_row(adj, col: dict,
                        pi: list[int] | None = None) -> int | None:
     """Smallest index of a row (given by its column adjacency) that does
-    not annihilate col (Fraction or int entries), or None; with pi, col is
+    not annihilate col (int or Fraction entries), or None; with pi, col is
     first moved to pi[c]."""
-    residual: dict[int, Fraction] = {}
+    residual: dict = {}
     for c, v in col.items():
         for ri, cf in adj.get(c if pi is None else pi[c], ()):
             nv = residual.get(ri, 0) + cf * v
@@ -472,14 +471,16 @@ def equivariant_trace(space: GradedSolutionSpace, k: int, sigma,
     """Trace of sigma on the degree-k piece (assumes invariance checked).
 
     The kernel basis has unit rows, so the coordinate of a kernel element
-    along basis column i is its value at unit row i; the trace is the sum
-    of the permuted columns' values there.
+    along basis column i is its value at unit row u_i over column i's own
+    value there; the trace sums that coordinate of each permuted column.
     """
     basis = space.bases[k]
     pinv = coordinate_perm(space.graph, k, inverse(sigma), action_kind)
     total = Fraction(0)
-    for i, col in enumerate(basis.columns):
-        total += col.get(pinv[basis.unit_rows[i]], Fraction(0))
+    for u, col in zip(basis.unit_rows, basis.columns):
+        v = col.get(pinv[u])
+        if v:
+            total += Fraction(v, col[u])
     return total
 
 
@@ -664,26 +665,26 @@ class EquivariantClass:
         if not membership_check(self, self.graph):
             raise MembershipFailed("congruence conditions violated")
 
-    def vector(self) -> FracCol:
-        m = len(monomials(self.graph.n, self.degree))
+    def vector(self) -> dict[int, Fraction]:
+        nv = len(self.graph.vertices)
         idx = monomial_index(self.graph.n, self.degree)
         vidx = self.graph.vertex_index()
-        out: FracCol = {}
+        out: dict[int, Fraction] = {}
         for v, p in self.values.items():
-            base = vidx[v] * m
             for e, c in p.items():
-                out[base + idx[e]] = c
+                out[idx[e] * nv + vidx[v]] = c
         return out
 
     @classmethod
     def from_vector(cls, graph, degree: int,
-                    col: FracCol) -> "EquivariantClass":
+                    col: dict) -> "EquivariantClass":
         mons = monomials(graph.n, degree)
+        nv = len(graph.vertices)
         values: dict[Vertex, polys.Poly] = {}
         for c, val in col.items():
             if val:
-                v = graph.vertices[c // len(mons)]
-                values.setdefault(v, {})[mons[c % len(mons)]] = Fraction(val)
+                v = graph.vertices[c % nv]
+                values.setdefault(v, {})[mons[c // nv]] = Fraction(val)
         return cls(graph, degree, values)
 
     def value(self, v: Vertex) -> polys.Poly:

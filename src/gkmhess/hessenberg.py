@@ -123,11 +123,6 @@ class IndifferenceGraph:
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def is_edge(self, i: int, j: int) -> bool:
-        if i < j:
-            i, j = j, i
-        return (i, j) in self.edges
-
 
 def indifference_graph(h: HessenbergFunction) -> IndifferenceGraph:
     edges = frozenset((i, j)

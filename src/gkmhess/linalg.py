@@ -1,18 +1,20 @@
 """Exact rational linear algebra on sparse matrices.
 
-Everything here is exact: rows are kept as integer sparse vectors (content
-stripped after every combination, Bareiss style) and kernel bases come out
-with Fraction entries.  There is no floating point and no modular
-arithmetic; identical inputs produce bit-identical outputs.
+Everything here is exact: rows and kernel columns are integer sparse
+vectors (rows have their content stripped after every combination,
+Bareiss style).  There is no floating point and no modular arithmetic;
+identical inputs produce bit-identical outputs.
 
 :class:`Echelon` is the one elimination engine: kernels, ranks, and the
 direct quotient and its trace in :mod:`gkmhess.cohomology` all reduce
 through it.  :func:`kernel_of_rows` reduces a list of integer rows to
-echelon form (pivot = smallest column of each row, rows inserted in the
-given order) followed by a backward pass, and reads off the canonical
-kernel basis: one column per free (non-pivot) column f, with entry 1 at
-row f.  Those unit rows make coordinate extraction trivial, which the
-higher layers exploit for traces.
+echelon form (pivot = smallest column of each row, shortest rows
+inserted first) followed by a backward pass, and reads off the canonical
+kernel basis: one primitive integer column per free (non-pivot) column f,
+positive at row f and zero at every other free row.  Those unit rows make
+coordinate extraction trivial: the coordinate of a kernel vector x along
+column j is x[f_j] / col_j[f_j], which the higher layers exploit for
+traces.
 """
 
 from __future__ import annotations
@@ -63,6 +65,18 @@ class Echelon:
         self.pivots: dict[int, int] = {}   # pivot column -> index in rows
         self.rows: list[tuple[int, IntRow]] = []
 
+    @classmethod
+    def of(cls, rows: list[IntRow]) -> "Echelon":
+        """The echelon of rows, inserted shortest first, which keeps the
+        fill-in small.  The order changes neither the span nor, after back
+        substitution, the rows: each is then the primitive integer
+        multiple, unique up to sign, of a row of the reduced echelon
+        form."""
+        ech = cls()
+        for r in sorted(rows, key=len):
+            ech.insert(r)
+        return ech
+
     def reduce(self, row: IntRow) -> IntRow:
         """Remainder of row against the current pivots, not stored.
 
@@ -102,36 +116,46 @@ class Echelon:
 
     def back_substitute(self) -> None:
         """Fully inter-reduce rows; afterwards each row meets pivot columns
-        only at its own pivot."""
-        for i in sorted(range(len(self.rows)), key=lambda i: -self.rows[i][0]):
-            c, r = self.rows[i]
-            while True:
-                hits = [k for k in r if k != c and k in self.pivots]
-                if not hits:
-                    break
-                k = min(hits)
-                _reduce_by(r, self.rows[self.pivots[k]][1], k)
+        only at its own pivot.
 
-    def kernel_columns(self, ncols: int) -> tuple[list[FracCol], list[int]]:
+        Rows are taken in descending pivot order, so every row a reduction
+        uses is already reduced: it meets no pivot column but its own, and
+        clearing one column never fills another.  One scan of each row
+        therefore finds every column to clear.
+        """
+        pivots = self.pivots
+        for c, r in sorted(self.rows, key=lambda cr: -cr[0]):
+            for k in [k for k in r if k != c and k in pivots]:
+                _reduce_by(r, self.rows[pivots[k]][1], k)
+
+    def kernel_columns(self, ncols: int) -> tuple[list[IntRow], list[int]]:
         """Canonical kernel basis after back substitution.
 
-        Returns (columns, free_cols); column j has entry 1 at row
-        free_cols[j] and entry -row[f]/row[pivot] at each pivot row.
+        Returns (columns, free_cols).  Column j is the primitive integer
+        vector that is positive at free_cols[j], zero at every other free
+        column, and -row[f] * col[f] / row[pivot] at each pivot row.
         """
         self.back_substitute()
         free = [c for c in range(ncols) if c not in self.pivots]
-        # pivot-column -> (pivot value, row) for quick scans
-        cols: list[FracCol] = []
-        by_free: dict[int, list[tuple[int, Fraction]]] = {f: [] for f in free}
+        by_free: dict[int, list[tuple[int, int, int]]] = {f: [] for f in free}
         for c, r in self.rows:
             pv = r[c]
             for k, v in r.items():
-                if k != c and k in by_free:
-                    by_free[k].append((c, Fraction(-v, pv)))
+                if k != c:
+                    by_free[k].append((c, v, pv))
+        cols: list[IntRow] = []
         for f in free:
-            col: FracCol = {f: Fraction(1)}
-            for c, val in by_free[f]:
-                col[c] = val
+            entries = by_free[f]
+            den = lcm(*(pv for _, _, pv in entries)) if entries else 1
+            col: IntRow = {f: den}
+            g = den
+            for c, v, pv in entries:
+                x = -v * (den // pv)
+                col[c] = x
+                if g != 1:
+                    g = gcd(g, x)
+            if g != 1:
+                col = {k: x // g for k, x in col.items()}
             cols.append(col)
         return cols, free
 
@@ -140,14 +164,15 @@ class Echelon:
 class SubspaceBasis:
     """Columns spanning a subspace of Q^ambient_dim.
 
-    ``unit_rows``, when set, lists rows where the columns restrict to the
-    identity matrix (column j is 1 at unit_rows[j], 0 at other unit rows);
-    kernel bases produced here always have this shape, which makes
-    coordinates of a vector in the span just its values at those rows.
+    ``unit_rows``, when set, lists rows where the columns restrict to a
+    positive diagonal matrix (column j is positive at unit_rows[j], 0 at
+    other unit rows); kernel bases produced here always have this shape,
+    so the coordinate of a vector x of the span along column j is
+    x[unit_rows[j]] / columns[j][unit_rows[j]].
     """
 
     ambient_dim: int
-    columns: list[FracCol]
+    columns: list[IntRow]
     unit_rows: list[int] | None = None
 
     @property
@@ -156,18 +181,16 @@ class SubspaceBasis:
 
 
 def rank_of_int_rows(rows: list[IntRow]) -> int:
-    ech = Echelon()
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
+    return Echelon.of(rows).rank
 
 
 def kernel_of_rows(rows: list[IntRow], ncols: int) -> SubspaceBasis:
-    """Exact kernel of the row system as a SubspaceBasis with unit rows."""
-    ech = Echelon()
-    for r in rows:
-        ech.insert(r)
-    cols, free = ech.kernel_columns(ncols)
+    """Exact kernel of the row system as a SubspaceBasis with unit rows.
+
+    The kernel columns do not depend on the signs of the back-substituted
+    rows, so the basis does not depend on the order of rows either.
+    """
+    cols, free = Echelon.of(rows).kernel_columns(ncols)
     return SubspaceBasis(ncols, cols, unit_rows=free)
 
 

@@ -33,7 +33,7 @@ from gkmhess.graphs import (
     build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
     plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
-from gkmhess.linalg import Echelon, FracCol, IntRow, columns_to_int_rows
+from gkmhess.linalg import Echelon, IntRow, rank_of_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction
 
 
@@ -156,12 +156,13 @@ MAPS = {
 def map_matrix(ctx: TripleContext, name: str, k: int) -> MapMatrix:
     """The map into blow-up degree k as a sparse integer matrix: entry c
     lists (blow-up coordinate, coefficient) for the source coordinate c of
-    degree k - shift, both in (vertex, monomial) coordinates."""
+    degree k - shift, both in monomial-major coordinates."""
     rule, source, shift = MAPS[name]
     n, d = ctx.blowup.n, ctx.d
     mons, idx = monomials(n, k - shift), monomial_index(n, k)
     src_index = getattr(ctx, f"g_{source}").vertex_index()
-    matrix: MapMatrix = [[] for _ in range(len(src_index) * len(mons))]
+    nv_src, nv_dst = len(src_index), len(ctx.blowup.vertices)
+    matrix: MapMatrix = [[] for _ in range(nv_src * len(mons))]
     tables: dict = {}   # (mult, swap) -> per source monomial its image terms
     for vi, v in enumerate(ctx.blowup.vertices):
         hit = rule(ctx, v)
@@ -176,14 +177,16 @@ def map_matrix(ctx: TripleContext, name: str, k: int) -> MapMatrix:
                     p = polys.mul_linear_diff(p, n, *mult)
                 tables[mult, swap].append(
                     [(idx[e], int(c)) for e, c in p.items()])
-        base_src, base_dst = src_index[s] * len(mons), vi * len(idx)
+        si = src_index[s]
         for mi, terms in enumerate(tables[mult, swap]):
-            matrix[base_src + mi] += [(base_dst + t, c) for t, c in terms]
+            matrix[mi * nv_src + si] += [(t * nv_dst + vi, c)
+                                         for t, c in terms]
     return matrix
 
 
-def _apply(matrix: MapMatrix, col: FracCol) -> FracCol:
-    out: FracCol = {}
+def _apply(matrix: MapMatrix, col: dict) -> dict:
+    """M col for an integer (basis column) or Fraction (class) vector."""
+    out: dict = {}
     for c, v in col.items():
         for t, coeff in matrix[c]:
             out[t] = out.get(t, 0) + coeff * v
@@ -201,7 +204,7 @@ def apply_map(ctx: TripleContext, name: str,
 
 def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[IntRow]:
     """Images in blow-up coordinates of the degree-appropriate source basis,
-    each scaled to an integer vector.
+    as integer vectors.
 
     For the degree-k piece of the blow-up, phi/eta take the degree-k source
     basis and psi/rho the degree-(k-1) one.  Every image is verified to
@@ -212,8 +215,7 @@ def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[IntRow]:
         return []
     matrix = map_matrix(ctx, name, k)
     space = getattr(ctx, f"sp_{source}")
-    out = columns_to_int_rows(
-        [_apply(matrix, col) for col in space.bases[k - shift].columns])
+    out = [_apply(matrix, col) for col in space.bases[k - shift].columns]
     _assert_in_space(ctx.sp_blowup, k, out, name)
     return out
 
@@ -221,11 +223,11 @@ def map_image_columns(ctx: TripleContext, name: str, k: int) -> list[IntRow]:
 def _assert_in_space(space: GradedSolutionSpace, k: int,
                      cols: list[IntRow], name: str) -> None:
     adj = column_adjacency(space.rows[k])
-    m = len(monomials(space.graph.n, k))
+    nv = len(space.graph.vertices)
     for j, col in enumerate(cols):
         bad = first_violated_row(adj, col)
         if bad is not None:
-            verts = sorted({str(space.graph.vertices[c // m])
+            verts = sorted({str(space.graph.vertices[c % nv])
                             for c in space.rows[k][bad]})
             raise MembershipFailed(
                 f"{name} image column {j} violates a degree-{k} congruence "
@@ -287,14 +289,14 @@ def check_theorem_main(ctx: TripleContext,
                                          ("eta", "rho", "second")):
                 cols_a = map_image_columns(ctx, first, k)
                 cols_b = map_image_columns(ctx, second, k)
-                ech_a, ech_b = Echelon(), Echelon()
-                for vec in cols_a:
-                    ech_a.insert(vec)
+                ech_a = Echelon.of(cols_a)
                 joint = ech_a.copy()   # insert never changes stored rows
-                for vec in cols_b:
-                    ech_b.insert(vec)
+                for vec in sorted(cols_b, key=len):   # as Echelon.of does
                     joint.insert(vec)
-                ra, rb, rab = ech_a.rank, ech_b.rank, joint.rank
+                ra, rab = ech_a.rank, joint.rank
+                # rab <= ra + rb <= ra + len(cols_b), so equality pins rb
+                rb = len(cols_b) if rab == ra + len(cols_b) \
+                    else rank_of_int_rows(cols_b)
                 row[f"{first}_rank"] = ra
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab

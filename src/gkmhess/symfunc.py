@@ -68,10 +68,6 @@ def z_lambda(lam: Partition) -> int:
     return z
 
 
-def class_size(lam: Partition) -> int:
-    return factorial(sum(lam)) // z_lambda(lam)
-
-
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters and Kostka numbers
 

@@ -169,6 +169,49 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+class TestUnusableCacheDir:
+    """A cache directory that cannot be created is a user error: exit 2
+    and one line, whatever the command and however it was given."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("betti", "3,3,3"), ("character", "2,3,3"),
+        ("check", "2,3,3", "--thm", "5.1")])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_flag(self, capsys, a_file, argv, below):
+        path = os.path.join(a_file, "sub") if below else a_file
+        assert exit_code(*argv, "--cache-dir", path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: cannot use cache directory {path!r}: not a directory"]
+
+    def test_environment(self, capsys, monkeypatch, a_file):
+        monkeypatch.setenv(cli.CACHE_ENV, a_file)
+        assert exit_code("character", "2,3,3") == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_empty_environment_is_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CACHE_ENV, "")
+        code, data = run_json(capsys, "betti", "2,3,3")
+        assert code == 0 and data["numerator"] == [1, 4, 1]
+
+    def test_missing_directory_is_created(self, capsys, tmp_path):
+        path = tmp_path / "a" / "b"
+        code, _ = run(capsys, "betti", "2,3,3", "--cache-dir", str(path))
+        assert code == 0 and list(path.iterdir())
+
+    def test_write_is_best_effort(self, a_file):
+        basis = CH.solve_graph(G.build_GX(H.from_string("2,2"))).bases[0]
+        CH._cache_write(os.path.join(a_file, "sub", "entry.json"), basis)
+        assert os.path.isfile(a_file)
+
+
 class TestDeterminismAndCache:
     def test_byte_identical_outputs(self, capsys):
         _, out1 = run(capsys, "csf", "2,3,3,4")
@@ -191,12 +234,12 @@ class TestDeterminismAndCache:
         _, cold = run_json(capsys, *args)
         entry = sorted(tmp_path.iterdir())[0]
         entry.write_text(
-            '{"ambient": 18, "den": 1, "free": [0], "cols": 5}')
+            '{"ambient": 18, "free": [0], "cols": 5}')
         code, warm = run_json(capsys, *args)
         assert code == 0
         assert warm["numerator"] == cold["numerator"] == [1, 4, 1]
         assert entry.read_text() != (
-            '{"ambient": 18, "den": 1, "free": [0], "cols": 5}')
+            '{"ambient": 18, "free": [0], "cols": 5}')
 
     def test_out_of_range_free_indices_are_a_miss(self, capsys, tmp_path):
         args = ("character", "2,3,3", "--cache-dir", str(tmp_path))
@@ -238,8 +281,9 @@ def cold_cache(tmp_path_factory):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_one_changed_cache_value_equals_a_cold_run(cold_cache, data):
-    # a changed numerator or free index is rejected on read and the entry
-    # recomputed, or it still leaves a unit-row kernel basis
+    # a changed entry, free index or column scale is rejected on read and
+    # the entry recomputed, or it still leaves a unit-row kernel basis,
+    # whose columns need not be 1 at their own free index
     path, cold = cold_cache
     with tempfile.TemporaryDirectory() as cache:
         shutil.copytree(path, cache, dirs_exist_ok=True)
@@ -247,15 +291,22 @@ def test_one_changed_cache_value_equals_a_cold_run(cold_cache, data):
             sorted(os.listdir(cache)))))
         with open(entry) as fh:
             payload = json.load(fh)
+        assert set(payload) == {"ambient", "free", "cols"}
         j = data.draw(st.integers(0, len(payload["free"]) - 1))
-        if data.draw(st.booleans()):
+        change = data.draw(st.sampled_from(["entry", "free", "scale"]))
+        if change == "entry":
             pair = data.draw(st.sampled_from(payload["cols"][j]))
             pair[1] = data.draw(st.integers(-3, 3).filter(
                 lambda x: x != pair[1]))
-        else:
+        elif change == "free":
             free = payload["free"]
             free[j] = data.draw(st.integers(-1, payload["ambient"]).filter(
                 lambda x: x != free[j]))
+        else:
+            factor = data.draw(st.integers(-3, 3).filter(
+                lambda x: x not in (0, 1)))
+            for pair in payload["cols"][j]:
+                pair[1] *= factor
         with open(entry, "w") as fh:
             json.dump(payload, fh)
         side = data.draw(st.sampled_from("xy"))

@@ -419,41 +419,56 @@ class TestCache:
             assert cold.bases[k].unit_rows == warm.bases[k].unit_rows
 
     @pytest.mark.parametrize("payload", [
-        {"ambient": 19, "den": 1, "free": [0], "cols": [[[0, 1]]]},
-        {"ambient": 18, "den": 1, "free": [0, 1], "cols": [[[0, 1]]]},
-        {"ambient": 18, "den": 0, "free": [0], "cols": [[[0, 1]]]},
-        {"ambient": 18, "den": 1, "free": [0], "cols": 5},
-        {"ambient": 18, "den": 1, "free": [999], "cols": [[[999, 1]]]},
-        {"ambient": 18, "den": 1, "free": [0, 0], "cols": [[[0, 1]]] * 2},
-        {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1], [18, 1]]]},
-        {"ambient": 18, "den": 2, "free": [0], "cols": [[[0, 1]]]},
-        {"ambient": 18, "den": 1, "free": [0, 1],
+        {"ambient": 19, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "free": [0, 1], "cols": [[[0, 1]]]},
+        {"ambient": 18, "free": [0], "cols": [[[0, 0]]]},
+        {"ambient": 18, "free": [0], "cols": 5},
+        {"ambient": 18, "free": [999], "cols": [[[999, 1]]]},
+        {"ambient": 18, "free": [0, 0], "cols": [[[0, 1]]] * 2},
+        {"ambient": 18, "free": [0], "cols": [[[0, 1], [18, 1]]]},
+        {"ambient": 18, "free": [0], "cols": [[[0, -2]]]},
+        {"ambient": 18, "free": [0, 1],
          "cols": [[[0, 1], [1, 1]], [[1, 1]]]},
-        {"ambient": 18, "den": True, "free": [0], "cols": [[[0, 1]]]},
-        {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1.0]]]},
+        {"ambient": 18, "free": [0], "cols": [[[0, True]]]},
+        {"ambient": 18, "free": [0], "cols": [[[0, 1.0]]]},
     ])
     def test_misfit_entry_is_a_miss(self, tmp_path, payload):
         import json
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(payload))
         assert CH._cache_read(str(path), 18, []) is None
-        path.write_text(json.dumps(
-            {"ambient": 18, "den": 1, "free": [0], "cols": [[[0, 1]]]}))
-        assert CH._cache_read(str(path), 18, []).columns == [{0: 1}]
+        for own in (1, 3):
+            path.write_text(json.dumps(
+                {"ambient": 18, "free": [0], "cols": [[[0, own]]]}))
+            assert CH._cache_read(str(path), 18, []).columns == [{0: own}]
 
     def test_entry_outside_the_kernel_is_a_miss(self, tmp_path):
         import json
         path = tmp_path / "entry.json"
         rows = [{0: 1, 1: -1}]
         path.write_text(json.dumps(
-            {"ambient": 3, "den": 2, "free": [0, 2],
-             "cols": [[[0, 2], [1, 2]], [[2, 2]]]}))
+            {"ambient": 3, "free": [0, 2],
+             "cols": [[[0, 2], [1, 2]], [[2, 1]]]}))
         assert CH._cache_read(str(path), 3, rows).columns == [
-            {0: 1, 1: 1}, {2: 1}]
+            {0: 2, 1: 2}, {2: 1}]
         path.write_text(json.dumps(
-            {"ambient": 3, "den": 2, "free": [0, 2],
-             "cols": [[[0, 2], [1, 1]], [[2, 2]]]}))
+            {"ambient": 3, "free": [0, 2],
+             "cols": [[[0, 2], [1, 1]], [[2, 1]]]}))
         assert CH._cache_read(str(path), 3, rows) is None
+
+    def test_payload_round_trip(self, tmp_path):
+        # an entry holds the integer columns as they are, no denominator
+        import json
+        g = G.build_GX(H.from_string("2,3,3"))
+        sp = CH.solve_graph(g, max_degree=2, cache_dir=str(tmp_path))
+        for k in range(3):
+            with open(CH._cache_path(str(tmp_path), g, k)) as fh:
+                data = json.load(fh)
+            assert set(data) == {"ambient", "free", "cols"}
+            basis = CH._basis_from_payload(
+                data, sp.bases[k].ambient_dim, sp.rows[k])
+            assert basis.columns == sp.bases[k].columns
+            assert basis.unit_rows == sp.bases[k].unit_rows
 
     def test_cache_distinguishes_sides(self, tmp_path):
         # (2,3,3): X and Y labels genuinely differ, so keys must differ

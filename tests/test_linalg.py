@@ -1,10 +1,12 @@
 """Exact linear algebra: kernels and ranks through the integer echelon, and
-a dense Fraction oracle for restricting an endomorphism to a subspace."""
+dense Fraction oracles for kernels, ranks and restricting an endomorphism
+to a subspace."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkmhess import linalg as L
 
@@ -63,6 +65,48 @@ def trace(m) -> Fraction:
     return sum(m[i][i] for i in range(len(m)))
 
 
+def fraction_rref(vectors, ncols):
+    """Pivot columns and the reduced rows of sparse vectors: dense
+    Gauss-Jordan over Fraction, sharing no code with the integer echelon."""
+    rows = [[Fraction(v.get(j, 0)) for j in range(ncols)] for v in vectors]
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r]
+
+
+def fraction_kernel(rows, ncols):
+    """Kernel basis of a sparse row system from its Fraction RREF."""
+    pivots, red = fraction_rref(rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        col = {f: Fraction(1)}
+        for c, row in zip(pivots, red):
+            if row[f]:
+                col[c] = -row[f]
+        out.append(col)
+    return out
+
+
+def fraction_rank(vectors, ncols) -> int:
+    return len(fraction_rref(vectors, ncols)[0])
+
+
+def same_span(a, b, ncols):
+    return (fraction_rank(a, ncols) == fraction_rank(b, ncols)
+            == fraction_rank(a + b, ncols))
+
+
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
         assert kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).dim == 0
@@ -89,6 +133,14 @@ class TestKernel:
         for j, col in enumerate(k.columns):
             for i, r in enumerate(k.unit_rows):
                 assert col.get(r, Fraction(0)) == (1 if i == j else 0)
+
+    def test_non_unit_pivot_gives_primitive_integer_column(self):
+        # oracle: ker [2 3] = span (-3, 2); ker [2 4] = span (-2, 1)
+        assert kernel([[2, 3]]).columns == [{0: -3, 1: 2}]
+        assert kernel([[2, 4]]).columns == [{0: -2, 1: 1}]
+        k = kernel([[2, 0, 3], [0, 3, 1]])
+        assert k.unit_rows == [2]
+        assert k.columns == [{0: -9, 1: -2, 2: 6}]
 
 
 class TestRank:
@@ -162,4 +214,68 @@ def test_rank_nullity(m):
 @settings(max_examples=30, deadline=None)
 def test_deterministic(m):
     a, b = kernel(m), kernel(m)
+    assert a.columns == b.columns and a.unit_rows == b.unit_rows
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse integer row systems; entries up to 6, so pivots are often
+    not +-1 and reductions scale rows."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4)
+    return draw(st.lists(row, max_size=8)), ncols
+
+
+# a chain whose rows each meet the next pivot: reducing a row by one that
+# is not yet reduced brings back a pivot column
+CHAIN = ([{0: 1, 1: 2}, {1: 1, 2: 3}, {2: 2, 3: 1}, {3: 1, 4: 1}], 5)
+
+
+@given(sparse_systems())
+@example(CHAIN)
+@settings(max_examples=150, deadline=None)
+def test_engine_invariants(system):
+    rows, ncols = system
+    ech = L.Echelon()
+    for r in rows:
+        ech.insert(r)
+    ech.back_substitute()
+    for c, r in ech.rows:
+        assert min(r) == c and r[c]
+        assert [k for k in r if k in ech.pivots] == [c]
+    cols, free = ech.kernel_columns(ncols)
+    assert len(cols) + ech.rank == ncols
+    assert free == [c for c in range(ncols) if c not in ech.pivots]
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    for j, col in enumerate(cols):
+        assert all(type(v) is int and v for v in col.values())
+        assert col[free[j]] > 0
+        assert not set(free).intersection(col) - {free[j]}
+        assert not any(times(dense, col))
+    assert same_span(cols, fraction_kernel(rows, ncols), ncols)
+
+
+@given(sparse_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_column_order_leaves_the_span(system, rnd: random.Random):
+    rows, ncols = system
+    perm = list(range(ncols))
+    rnd.shuffle(perm)
+    moved = L.kernel_of_rows(
+        [{perm[c]: v for c, v in r.items()} for r in rows], ncols)
+    inv = [perm.index(c) for c in range(ncols)]
+    back = [{inv[c]: v for c, v in col.items()} for col in moved.columns]
+    assert same_span(back, L.kernel_of_rows(rows, ncols).columns, ncols)
+
+
+@given(sparse_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_row_order_leaves_the_basis(system, rnd: random.Random):
+    # the canonical basis is read off the reduced echelon form, which does
+    # not depend on the order the rows are inserted in
+    rows, ncols = system
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    a, b = L.kernel_of_rows(rows, ncols), L.kernel_of_rows(shuffled, ncols)
     assert a.columns == b.columns and a.unit_rows == b.unit_rows
