@@ -356,6 +356,20 @@ def _usable_cache_dir(path: str) -> str | None:
     return None
 
 
+def _usable_output_file(path: str) -> str | None:
+    """None if path can be opened for writing; else the reason.  A file
+    the check creates is removed again, so a failed run leaves none."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        return (exc.strerror or str(exc)).lower()
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -366,6 +380,12 @@ def main(argv=None) -> int:
         reason = _usable_cache_dir(cfg.cache_dir)
         if reason:
             print(f"error: cannot use cache directory {cfg.cache_dir!r}: "
+                  f"{reason}", file=sys.stderr)
+            return 2
+    if args.output is not None:
+        reason = _usable_output_file(args.output)
+        if reason:
+            print(f"error: cannot write output file {args.output!r}: "
                   f"{reason}", file=sys.stderr)
             return 2
     t0 = time.time()

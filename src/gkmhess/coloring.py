@@ -11,21 +11,27 @@ and an edge j < i ascends exactly when j lies in an earlier class than i,
 so asc = sum over c and i in S_c of |N^-(i) & (S_1 u ... u S_{c-1})| with
 N^-(i) = {j < i : h(j) >= i}.  Both are computed exactly by a dynamic
 program that adds one colour class at a time over the 2^n vertex subsets
-(a proper coloring's classes contain no edge); csf_q_raw and llt_raw
-enumerate colorings outright and serve as the independent reference.
+(a proper coloring's classes contain no edge), with the ascents a class
+adds read off by one AND and one popcount against a spread mask.  The DP
+runs once per (h, proper_only) per process: its leaf counts are memoised
+as one packed integer per partition, and csf_q and llt build a fresh
+graded function from them on every call.  csf_q_raw and llt_raw enumerate
+colorings outright and serve as the independent reference.
 
 The module also carries the bookkeeping for the modular-law proofs: the
 nine-way (proper) and four-way (arbitrary) classification of colorings of
 G_{h_-} by how kappa(d0) compares to kappa(d) and kappa(d+1), the
 color-swap bijection at positions d, d+1, and the modular-law checks
-themselves, valid for triples of both kinds.
+themselves, valid for triples of both kinds.  The checks compare the
+memoised packed counts in integers, with no symmetric-function arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from gkmhess.hessenberg import (
     HessenbergFunction, ModularTriple, WrongKind, indifference_graph)
@@ -86,51 +92,84 @@ def _subsets_by_size(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], .
     return tuple(map(tuple, out))
 
 
-def _coloring_sum(h: HessenbergFunction, proper_only: bool) -> GradedSymmetricFunction:
-    """Colour-class dynamic program behind csf_q and llt (module docstring).
+@lru_cache(maxsize=None)
+def _packed_counts(h: HessenbergFunction,
+                   proper_only: bool) -> tuple[int, Mapping[Partition, int]]:
+    """Colour-class dynamic program behind csf_q, llt and the modular-law
+    checks (module docstring), run once per (h, proper_only) per process.
+
+    Returns (width, {lam: packed}) with the dict read-only, packed being
+    sum_a c_a 2^(width a) with c_a the number of (proper) colorings of
+    content lam with a ascents.  Every c_a counts colorings of a subset of
+    [n] with fixed class sizes, so c_a <= n! < 2^(width-1): no field carries
+    into the next, and neither does a sum of two fields (the law checks).
+    The memo keeps at most two entries per Hessenberg function of degree
+    <= DEGREE_CAP (check_degree raises, uncached, above it).
 
     Classes are added in colour order, the parts of lam weakly decreasing,
     so partitions sharing a prefix share its states.  A state maps the set
-    U of vertices coloured so far (bit i-1 for vertex i) to its ascent
-    distribution; adding a class S adds sum over i in S of |N^-(i) & U|.
-
-    A distribution sum_a c_a q^a is packed into the integer
-    sum_a c_a 2^(width a): every c_a counts colorings of a subset of [n]
-    with fixed class sizes, so c_a <= n! < 2^width and no field carries
-    into the next; adding w ascents is a shift by width w.
+    U of vertices coloured so far (bit i-1 for vertex i) to its packed
+    ascent distribution; adding a class S adds w = sum over i in S of
+    |N^-(i) & U| ascents, a shift by width w.  w is one AND and one
+    popcount: the class's spread mask (_class_tables) holds N^-(i) in field
+    i of n bits, and U * rep holds a copy of U in every field.
     """
     n = h.n
     check_degree(n)
-    width = factorial(n).bit_length()
-    field = (1 << width) - 1
-    below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
-             for i in range(1, n + 1)]
-    classes = [[(cls, members) for cls, members in same_size
-                if not (proper_only and any(below[i] & cls for i in members))]
-               for same_size in _subsets_by_size(n)]
-    counts: dict[int, dict[Partition, int]] = {}
+    width = factorial(n).bit_length() + 1
+    rep, classes = _class_tables(h, proper_only)
+    counts: dict[Partition, int] = {}
     stack: list[tuple[dict[int, int], Partition, int]] = [({0: 1}, (), n)]
     while stack:
         states, lam, rest = stack.pop()
         if not rest:   # every vertex is coloured: the one state is [n]
-            (packed,) = states.values()
-            for a in range(packed.bit_length() // width + 1):
-                c = packed >> width * a & field
-                if c:
-                    counts.setdefault(a, {})[lam] = c
+            (counts[lam],) = states.values()
             continue
         for part in range(min(rest, lam[-1] if lam else n), 0, -1):
             grown: dict[int, int] = {}
             for done, packed in states.items():
-                for cls, members in classes[part]:
+                copies = done * rep
+                for cls, spread in classes[part]:
                     if not cls & done:
-                        w = sum((below[i] & done).bit_count() for i in members)
+                        w = (spread & copies).bit_count()
                         grown[done | cls] = (grown.get(done | cls, 0)
                                              + (packed << width * w))
             if grown:
                 stack.append((grown, lam + (part,), rest - part))
+    return width, MappingProxyType(counts)
+
+
+def _class_tables(h: HessenbergFunction, proper_only: bool
+                  ) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(rep, classes): classes[k] lists each admissible k-subset S (no edge
+    inside it if proper_only) as (bitmask, spread mask), the spread mask
+    being sum over i in S of N^-(i) << n i, and rep = sum_k 1 << n k.  For
+    U disjoint from S, (spread & U * rep).bit_count() is the number of
+    ascents S adds after U: N^-(i) and U lie below 2^n, so the copies of U
+    land in separate fields and field i of the AND is N^-(i) & U."""
+    n = h.n
+    below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
+             for i in range(1, n + 1)]
+    rep = sum(1 << n * k for k in range(n))
+    classes = [[(cls, sum(below[i] << n * i for i in members))
+                for cls, members in same_size
+                if not (proper_only and any(below[i] & cls for i in members))]
+               for same_size in _subsets_by_size(n)]
+    return rep, classes
+
+
+def _coloring_sum(h: HessenbergFunction, proper_only: bool) -> GradedSymmetricFunction:
+    """A fresh graded function, in the m basis, from the memoised counts."""
+    width, packed_counts = _packed_counts(h, proper_only)
+    field = (1 << width) - 1
+    counts: dict[int, dict[Partition, int]] = {}
+    for lam, packed in packed_counts.items():
+        for a in range(packed.bit_length() // width + 1):
+            c = packed >> width * a & field
+            if c:
+                counts.setdefault(a, {})[lam] = c
     return GradedSymmetricFunction(
-        n, {a: SymmetricFunction(n, "m", c) for a, c in counts.items()})
+        h.n, {a: SymmetricFunction(h.n, "m", c) for a, c in counts.items()})
 
 
 def csf_q(h: HessenbergFunction) -> GradedSymmetricFunction:
@@ -279,15 +318,24 @@ def census_to_graded(n: int, census: ClassCensus, tags, q_shift) -> GradedSymmet
         n, {k: SymmetricFunction(n, "m", c) for k, c in terms.items()})
 
 
+def _modular_law_holds(triple: ModularTriple, proper_only: bool) -> bool:
+    """F(h_+) + q F(h_-) = (1+q) F(h) on the memoised counts: for every lam
+    and a, c_{h+}(a, lam) + c_{h-}(a-1, lam) = c_h(a, lam) + c_h(a-1, lam).
+    Multiplying by q is a shift by one field; no sum of two fields carries
+    (_packed_counts), so equal packed integers mean equal coefficients."""
+    width, minus = _packed_counts(triple.h_minus, proper_only)
+    _, mid = _packed_counts(triple.h, proper_only)
+    _, plus = _packed_counts(triple.h_plus, proper_only)
+    return all(plus.get(lam, 0) + (minus.get(lam, 0) << width)
+               == mid.get(lam, 0) * (1 + (1 << width))
+               for lam in minus.keys() | mid.keys() | plus.keys())
+
+
 def check_modular_law_llt(triple: ModularTriple) -> bool:
     """LLT(h_+) - LLT(h) = q (LLT(h) - LLT(h_-)), exactly."""
-    f_minus, f_mid, f_plus = (llt(triple.h_minus), llt(triple.h),
-                              llt(triple.h_plus))
-    return f_plus - f_mid == (f_mid - f_minus).scale_qpoly({1: 1})
+    return _modular_law_holds(triple, proper_only=False)
 
 
 def check_modular_law_csf(triple: ModularTriple) -> bool:
     """csf(h_+) - csf(h) = q (csf(h) - csf(h_-)), exactly."""
-    f_minus, f_mid, f_plus = (csf_q(triple.h_minus), csf_q(triple.h),
-                              csf_q(triple.h_plus))
-    return f_plus - f_mid == (f_mid - f_minus).scale_qpoly({1: 1})
+    return _modular_law_holds(triple, proper_only=True)

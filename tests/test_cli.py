@@ -212,6 +212,45 @@ class TestUnusableCacheDir:
         assert os.path.isfile(a_file)
 
 
+class TestUnusableOutputFile:
+    """An --output path that cannot be written is a user error found
+    before any computation: exit 2 and one line, no report."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("csf", "2,3,3"), ("check", "2,3,3", "--thm", "all")])
+    @pytest.mark.parametrize("where, reason", [
+        ("directory", "is a directory"),
+        ("missing", "no such file or directory"),
+        ("below_file", "not a directory")])
+    def test_rejected(self, capsys, tmp_path, a_file, argv, where, reason):
+        path = {"directory": str(tmp_path),
+                "missing": os.path.join(str(tmp_path), "no", "x.json"),
+                "below_file": os.path.join(a_file, "x.json")}[where]
+        assert exit_code(*argv, "--output", path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: cannot write output file {path!r}: {reason}"]
+
+    def test_failed_run_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        assert exit_code("csf", "1,2,3,4,5,6,7,8,9",
+                         "--output", str(path)) == 2
+        assert not path.exists()
+
+    def test_existing_file_is_overwritten(self, capsys, a_file):
+        code, _ = run(capsys, "csf", "2,2", "--output", a_file)
+        assert code == 0
+        with open(a_file) as fh:
+            assert json.load(fh)["command"] == "csf"
+
+
 class TestDeterminismAndCache:
     def test_byte_identical_outputs(self, capsys):
         _, out1 = run(capsys, "csf", "2,3,3,4")

@@ -2,7 +2,9 @@
 machinery, and the combinatorial modular laws."""
 
 import gc
+import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -358,3 +360,90 @@ class TestModularLaws:
         bad = H.ModularTriple("C", t.h_minus, t.h, t.h, t.params)
         assert not C.check_modular_law_llt(bad)
         assert not C.check_modular_law_csf(bad)
+
+
+def reference_law(f, triple):
+    """The modular law in symmetric-function arithmetic."""
+    f_minus, f_mid, f_plus = f(triple.h_minus), f(triple.h), f(triple.h_plus)
+    return f_plus - f_mid == (f_mid - f_minus).scale_qpoly({1: 1})
+
+
+class TestIntegerLawCheck:
+    LAWS = ((C.llt, C.check_modular_law_llt),
+            (C.csf_q, C.check_modular_law_csf))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_reference_on_triples(self, n):
+        for h in H.enumerate_hessenberg(n):
+            for t in H.find_modular_triples(h):
+                for f, check in self.LAWS:
+                    assert check(t) == reference_law(f, t) is True
+
+    def test_equals_reference_on_non_triples(self):
+        # random same-n functions in the three slots; (g, g, g) always
+        # satisfies the law, so both outcomes occur
+        rng = random.Random(7)
+        seen = set()
+        for n in (2, 3, 4, 5):
+            hs = list(H.enumerate_hessenberg(n))
+            for _ in range(30):
+                slots = [rng.choice(hs) for _ in range(3)]
+                if rng.random() < 0.2:
+                    slots = [slots[0]] * 3
+                t = H.ModularTriple("C", *slots, (1, 1))
+                for f, check in self.LAWS:
+                    got = check(t)
+                    assert got == reference_law(f, t)
+                    seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sum_of_two_fields_cannot_carry(self, n):
+        # every count is at most n!, and the law check adds two fields
+        width, _ = C._packed_counts(H.validate(tuple(range(1, n + 1))), False)
+        assert 2 * factorial(n) < 1 << width
+
+
+class TestMemo:
+    def test_fresh_objects(self):
+        h = H.from_string("2,3,4,4")
+        first, second = C.csf_q(h), C.csf_q(h)
+        assert first == second and first is not second
+        expected = C.csf_q_raw(h, 4)
+        first.terms.clear()
+        assert C.csf_q(h) == second == expected
+        assert C.csf_q(h).terms
+
+    def test_memoised_counts_are_read_only(self):
+        _, counts = C._packed_counts(H.from_string("2,3,3"), True)
+        with pytest.raises(TypeError):
+            counts[(3,)] = 1
+
+    def test_key_includes_proper_only(self):
+        h = H.from_string("2,2")
+        C.csf_q(h)
+        assert C.csf_q(h) != C.llt(h)
+        assert C.llt(h) == C.llt_raw(h, 2)
+
+
+
+class TestSpreadMask:
+    @pytest.mark.parametrize("hstr", ["8,8,8,8,8,8,8,8", "2,4,5,6,7,7,8,8"])
+    def test_weight_equals_member_sum(self, hstr):
+        # every disjoint pair (done, S) of classes of one n = 8 function
+        h = H.from_string(hstr)
+        n = h.n
+        below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
+                 for i in range(1, n + 1)]
+        rep, classes = C._class_tables(h, proper_only=False)
+        for same_size in classes:
+            for cls, spread in same_size:
+                members = [i for i in range(n) if cls >> i & 1]
+                rest = (1 << n) - 1 & ~cls
+                done = rest
+                while True:   # every subset of the complement of S
+                    w = sum((below[i] & done).bit_count() for i in members)
+                    assert (spread & done * rep).bit_count() == w
+                    if not done:
+                        break
+                    done = (done - 1) & rest
