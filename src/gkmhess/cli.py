@@ -30,7 +30,7 @@ from gkmhess.cohomology import (
     solve_graph)
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
-from gkmhess.symfunc import DEGREE_CAP
+from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
 
 CACHE_ENV = "GKMHESS_CACHE_DIR"
 
@@ -261,13 +261,13 @@ def _render_text(report: dict) -> str:
         if not report["triples"]:
             lines.append("no modular triples")
     elif cmd in ("csf", "llt"):
-        from gkmhess.symfunc import GradedSymmetricFunction
         lines.append(repr(GradedSymmetricFunction.from_json(report["result"])))
     elif cmd == "betti":
         lines.append(f"numerator {report['numerator']} total {report['total']}")
     elif cmd == "character":
         lines.append(json.dumps(report["character"], indent=1))
-        lines.append(f"frobenius: {report['frobenius']}")
+        frob = GradedSymmetricFunction.from_json(report["frobenius"])
+        lines.append(f"frobenius: {frob!r}")
     else:
         lines.append(json.dumps(report, indent=1))
     return "\n".join(lines)

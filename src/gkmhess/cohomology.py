@@ -109,8 +109,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     mons = monomials(n, k)
     nv = len(graph.vertices)
     rows: list[IntRow] = []
-    for (ui, vi, form) in graph.edges:
-        a, b = form.as_difference()
+    for (ui, vi, (a, b)) in graph.edges:
         groups: dict[tuple, IntRow] = {}
         for mi, mon in enumerate(mons):
             tgt = _subst_exp(mon, a, b)
@@ -120,8 +119,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
         rows.extend(r for _, r in sorted(groups.items()) if r)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
-        for (vs, form) in graph.quads:
-            a, b = form.as_difference()
+        for (vs, (a, b)) in graph.quads:
             order0: dict[tuple, IntRow] = {}
             order1: dict[tuple, IntRow] = {}
             for mi, mon in enumerate(mons):
@@ -520,27 +518,19 @@ class GradedCharacter:
         return {"n": self.n, "values": out}
 
 
-def _ambient_factor(lam_or_n, action_kind: str) -> list[int]:
-    """Coefficients of the inverse ambient Hilbert series as a polynomial.
+def _ambient_factor(lam: Partition) -> list[int]:
+    """Coefficients of the product over parts c of lam of (1 - q^c).
 
-    Dot: product over cycles c of (1 - q^|c|); dagger: (1 - q)^n.
+    This inverts the ambient Hilbert series: the dot action takes lam as
+    the cycle type, the dagger action takes lam = 1^n, giving (1 - q)^n.
     """
     coeffs = [1]
-    if action_kind == "dot":
-        for c in lam_or_n:
-            new = [0] * (len(coeffs) + c)
-            for i, v in enumerate(coeffs):
-                new[i] += v
-                new[i + c] -= v
-            coeffs = new
-    else:
-        n = lam_or_n
-        for _ in range(n):
-            new = [0] * (len(coeffs) + 1)
-            for i, v in enumerate(coeffs):
-                new[i] += v
-                new[i + 1] -= v
-            coeffs = new
+    for c in lam:
+        new = [0] * (len(coeffs) + c)
+        for i, v in enumerate(coeffs):
+            new[i] += v
+            new[i + c] -= v
+        coeffs = new
     return coeffs
 
 
@@ -563,10 +553,10 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
         sigma = class_representative(lam)
         traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
                        for k in range(space.max_degree + 1)]
+    one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     for lam in partitions_of(n):
-        factor = _ambient_factor(lam if action_kind == "dot" else n,
-                                 action_kind)
+        factor = _ambient_factor(lam if action_kind == "dot" else one)
         for k in range(space.max_degree + 1):
             v = sum((factor[j] * traces[lam][k - j]
                      for j in range(min(k, len(factor) - 1) + 1)),
@@ -578,7 +568,6 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
                 raise CrossCheckFailed(
                     f"character series at {lam} does not terminate "
                     f"(degree {k}: {v})")
-    one = (1,) * n
     for k, b in enumerate(numer):
         if values.get((one, k), Fraction(0)) != b:
             raise CrossCheckFailed(
@@ -694,14 +683,12 @@ class EquivariantClass:
 def membership_check(cls: EquivariantClass, graph) -> bool:
     """Every edge congruence, and every quad condition if signed."""
     verts = graph.vertices
-    for (ui, vi, form) in graph.edges:
-        a, b = form.as_difference()
+    for (ui, vi, (a, b)) in graph.edges:
         diff = polys.sub(cls.value(verts[ui]), cls.value(verts[vi]))
         if not polys.divisible_by_diff(diff, a, b):
             return False
     if isinstance(graph, SignedBlowupGraph):
-        for (vs, form) in graph.quads:
-            a, b = form.as_difference()
+        for (vs, (a, b)) in graph.quads:
             acc: polys.Poly = {}
             for vi in vs:
                 acc = polys.add(acc, cls.value(verts[vi]), graph.signs[vi])

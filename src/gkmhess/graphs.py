@@ -4,9 +4,9 @@ The vertices of the basic graphs are the permutations of [n] in one-line
 notation; the edge {w, w(i,j)} exists whenever j < i <= h(j), where w(i,j)
 is w with positions i and j exchanged (right multiplication by the
 transposition).  On the X side the label is t_{w(i)} - t_{w(j)}; on the
-twin Y side it is t_i - t_j.  Labels are stored with a canonical sign
-(first nonzero coefficient positive), which is harmless because every
-divisibility condition is sign-insensitive.
+twin Y side it is t_i - t_j.  A label is stored as the pair (a, b) with
+a < b, meaning t_a - t_b; the sign is harmless because every divisibility
+condition is sign-insensitive.
 
 A modular triple of kind C yields five graphs: the nested triple for
 h_minus, h, h_plus, a circle copy built from the h_minus edges plus the
@@ -117,51 +117,18 @@ def longest_element(n: int) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# linear forms and vertices
+# edge labels and vertices
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Integer linear form in t_1..t_n, canonical sign."""
+Label = tuple[int, int]
 
-    coeffs: tuple[int, ...]
 
-    @classmethod
-    def difference(cls, n: int, a: int, b: int) -> "LinearForm":
-        """t_a - t_b, canonicalized."""
-        c = [0] * n
-        c[a - 1] += 1
-        c[b - 1] -= 1
-        return cls(tuple(c)).canonical()
-
-    def canonical(self) -> "LinearForm":
-        for c in self.coeffs:
-            if c > 0:
-                return self
-            if c < 0:
-                return LinearForm(tuple(-x for x in self.coeffs))
-        raise ValueError("zero linear form cannot label an edge")
-
-    def as_difference(self) -> tuple[int, int]:
-        """Return (a, b) with the form equal to t_a - t_b, a < b."""
-        pos = [i + 1 for i, c in enumerate(self.coeffs) if c == 1]
-        neg = [i + 1 for i, c in enumerate(self.coeffs) if c == -1]
-        if len(pos) == 1 and len(neg) == 1 and \
-                sum(abs(c) for c in self.coeffs) == 2:
-            return pos[0], neg[0]
-        raise ValueError(f"{self} is not a difference of two variables")
-
-    def parallel_to(self, other: "LinearForm") -> bool:
-        return self.canonical() == other.canonical()
-
-    def __str__(self) -> str:
-        bits = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if c:
-                sign = "+" if c > 0 else "-"
-                mag = "" if abs(c) == 1 else str(abs(c))
-                bits.append(f"{sign}{mag}t{i}")
-        text = "".join(bits)
-        return text[1:] if text.startswith("+") else text
+def coefficient_vector(n: int, label: Label) -> list[int]:
+    """The coefficients of t_a - t_b in t_1..t_n, for label (a, b)."""
+    a, b = label
+    c = [0] * n
+    c[a - 1] = 1
+    c[b - 1] = -1
+    return c
 
 
 @dataclass(frozen=True, order=True)
@@ -186,16 +153,17 @@ def circ(w: Perm) -> Vertex:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Vertices plus edges labeled by integer linear forms.
+    """Vertices plus edges labeled by differences of two variables.
 
-    Edges are (vi, vj, form) with vi < vj indices into the vertex tuple.
+    Edges are (vi, vj, label) with vi < vj indices into the vertex tuple
+    and label (a, b), a < b, the form t_a - t_b.
     ``top_degree`` bounds the degree where the ordinary cohomology can be
     nonzero (the box count of the underlying Hessenberg data).
     """
 
     n: int
     vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int, LinearForm], ...]
+    edges: tuple[tuple[int, int, Label], ...]
     top_degree: int
 
     def vertex_index(self) -> dict[Vertex, int]:
@@ -212,7 +180,8 @@ class LabeledGraph:
             "n": self.n,
             "vertices": [str(v) for v in self.vertices],
             "edges": [[str(self.vertices[a]), str(self.vertices[b]),
-                       list(f.coeffs)] for (a, b, f) in self.edges],
+                       coefficient_vector(self.n, f)]
+                      for (a, b, f) in self.edges],
         }
 
     def content_key(self) -> str:
@@ -230,7 +199,7 @@ class SignedBlowupGraph:
 
     base: LabeledGraph
     signs: tuple[int, ...]
-    quads: tuple[tuple[tuple[int, int, int, int], LinearForm], ...]
+    quads: tuple[tuple[tuple[int, int, int, int], Label], ...]
     d: int
     d0: int
     side: str
@@ -261,7 +230,8 @@ class SignedBlowupGraph:
         data["d0"] = self.d0
         data["signs"] = list(self.signs)
         data["quads"] = [
-            [[str(self.base.vertices[i]) for i in vs], list(f.coeffs)]
+            [[str(self.base.vertices[i]) for i in vs],
+             coefficient_vector(self.n, f)]
             for (vs, f) in self.quads]
         return data
 
@@ -274,12 +244,13 @@ def _check_cap(n: int) -> None:
         raise SizeTooLarge(f"graph construction capped at n = {GRAPH_N_CAP}")
 
 
-def _label(side: str, n: int, w: Perm, i: int, j: int) -> LinearForm:
+def _label(side: str, w: Perm, i: int, j: int) -> Label:
+    """t_{w(i)} - t_{w(j)} on side x, t_i - t_j on side y, as a sorted pair."""
     if side == "x":
-        return LinearForm.difference(n, w[i - 1], w[j - 1])
-    if side == "y":
-        return LinearForm.difference(n, i, j)
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+        i, j = w[i - 1], w[j - 1]
+    elif side != "y":
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    return (i, j) if i < j else (j, i)
 
 
 def _build_on_pairs(n: int, pairs, side: str, circle: bool,
@@ -294,8 +265,8 @@ def _build_on_pairs(n: int, pairs, side: str, circle: bool,
         for (i, j) in pairs:
             v = swap_positions(w, i, j)
             if vidx[w] < vidx[v]:
-                edges.append((vidx[w], vidx[v], _label(side, n, w, i, j)))
-    edges.sort(key=lambda e: (e[0], e[1], e[2].coeffs))
+                edges.append((vidx[w], vidx[v], _label(side, w, i, j)))
+    edges.sort()
     return LabeledGraph(n, vertices, tuple(edges), top_degree)
 
 
@@ -371,15 +342,15 @@ def build_blowup(triple: ModularTriple, side: str) -> SignedBlowupGraph:
         for (i, j) in hessenberg_pairs(triple.h):
             v = swap_positions(w, i, j)
             if pidx[w] < pidx[v]:
-                edges.append((pidx[w], pidx[v], _label(side, n, w, i, j)))
+                edges.append((pidx[w], pidx[v], _label(side, w, i, j)))
         for (i, j) in circle_pairs(triple):
             v = swap_positions(w, i, j)
             if pidx[w] < pidx[v]:
                 edges.append((nperm + pidx[w], nperm + pidx[v],
-                              _label(side, n, w, i, j)))
+                              _label(side, w, i, j)))
         edges.append((pidx[w], nperm + pidx[w],
-                      _label(side, n, w, d + 1, d)))
-    edges.sort(key=lambda e: (e[0], e[1], e[2].coeffs))
+                      _label(side, w, d + 1, d)))
+    edges.sort()
 
     if side == "x":
         signs = (1,) * nperm + (-1,) * nperm
@@ -393,7 +364,7 @@ def build_blowup(triple: ModularTriple, side: str) -> SignedBlowupGraph:
         wt = swap_positions(w, d + 1, d)
         if pidx[w] < pidx[wt]:
             vs = (pidx[w], nperm + pidx[w], pidx[wt], nperm + pidx[wt])
-            quads.append((vs, _label(side, n, w, d + 1, d)))
+            quads.append((vs, _label(side, w, d + 1, d)))
     quads.sort(key=lambda q: q[0])
 
     base = LabeledGraph(n, vertices, tuple(edges), triple.h_plus.dimension())
@@ -423,9 +394,9 @@ def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
         key = (min(a, b), max(a, b))
         if key not in existing:
             new_edges.append(
-                (key[0], key[1], _label("x", n, w, d + 1, d)))
+                (key[0], key[1], _label("x", w, d + 1, d)))
             existing.add(key)
-    new_edges.sort(key=lambda e: (e[0], e[1], e[2].coeffs))
+    new_edges.sort()
     new_base = LabeledGraph(n, base.vertices, tuple(new_edges), base.top_degree)
     return SignedBlowupGraph(new_base, gtilde.signs, gtilde.quads,
                              gtilde.d, gtilde.d0, gtilde.side)
@@ -455,9 +426,8 @@ def circle_isomorphism_check(triple: ModularTriple, side: str) -> bool:
             return False
         expected = f
         if side == "y":
-            coeffs = list(f.coeffs)
-            coeffs[d - 1], coeffs[d] = coeffs[d], coeffs[d - 1]
-            expected = LinearForm(tuple(coeffs)).canonical()
+            swap = {d: d + 1, d + 1: d}
+            expected = tuple(sorted(swap.get(x, x) for x in f))
         if clabels[key] != expected:
             return False
     return True
@@ -470,7 +440,7 @@ def two_independence_check(g) -> tuple[bool, tuple | None]:
     offending vertex and edge pair in scan order.
     """
     base = g.base if isinstance(g, SignedBlowupGraph) else g
-    incident: dict[int, list[tuple[int, int, LinearForm]]] = {}
+    incident: dict[int, list[tuple[int, int, Label]]] = {}
     for e in base.edges:
         incident.setdefault(e[0], []).append(e)
         incident.setdefault(e[1], []).append(e)
@@ -478,6 +448,6 @@ def two_independence_check(g) -> tuple[bool, tuple | None]:
         edges = incident.get(vi, [])
         for x in range(len(edges)):
             for y in range(x + 1, len(edges)):
-                if edges[x][2].parallel_to(edges[y][2]):
+                if edges[x][2] == edges[y][2]:
                     return False, (base.vertices[vi], edges[x], edges[y])
     return True, None

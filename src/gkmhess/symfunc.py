@@ -6,13 +6,18 @@ functions on the symmetric group, and q-graded versions.  The degree is
 capped at DEGREE_CAP: larger inputs are rejected rather than silently
 slow.
 
-Transition routes: the power-to-Schur matrix comes from symmetric-group
-characters computed by the Murnaghan-Nakayama rule; Schur-to-monomial is
-Kostka numbers counted over semistandard tableaux; e and h reach p through
-the Newton recurrences.  The monomial basis is the canonical comparison
-basis, and every other basis converts to it through these routes (inverses
-by exact Gaussian elimination on the tiny transition matrices, cached per
-degree and basis).
+Transition routes: every conversion goes through the Schur basis, by two
+tables per degree and basis, one into s and one out of it, each cached.
+All of them are closed forms in Kostka numbers K (counted over
+semistandard tableaux), their inverse L = K^-1 (integer and unitriangular,
+by back substitution) and symmetric-group characters chi (Murnaghan-
+Nakayama rule): s_lam = sum K(lam, mu) m_mu, h_mu = sum K(lam, mu) s_lam,
+e_mu = sum K(lam', mu) s_lam and p_mu = sum chi^lam(mu) s_lam, with
+inverses m_mu = sum L(mu, lam) s_lam, s_lam = sum L(mu, lam) h_mu =
+sum L(mu, lam') e_mu = sum chi^lam(mu) / z_mu p_mu (Macdonald, Symmetric
+Functions and Hall Polynomials, I.6-I.7).  Only the p table out of s has
+non-integer entries.  The monomial basis is the canonical comparison
+basis; products are taken in p.
 """
 
 from __future__ import annotations
@@ -137,153 +142,85 @@ def _horizontal_strip_removals(lam: Partition, size: int):
 
 
 # ---------------------------------------------------------------------------
-# p-expansions of e_k and h_k by Newton's recurrences
+# Transition tables through the Schur basis
 
-PExp = dict[Partition, Fraction]
-
-
-def _p_mult_by_pr(exp: PExp, r: int) -> PExp:
-    out: PExp = {}
-    for lam, c in exp.items():
-        key = tuple(sorted(lam + (r,), reverse=True))
-        out[key] = out.get(key, Fraction(0)) + c
-    return out
+Table = dict[Partition, dict[Partition, object]]
 
 
-def _p_add(a: PExp, b: PExp, scale: Fraction = Fraction(1)) -> PExp:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + scale * v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _e_in_p(k: int):
-    """p-expansion of the elementary e_k: k e_k = sum (-1)^(i-1) e_{k-i} p_i."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    acc: PExp = {}
-    for i in range(1, k + 1):
-        prev = dict(_e_in_p(k - i))
-        acc = _p_add(acc, _p_mult_by_pr(prev, i), Fraction((-1) ** (i - 1), k))
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _h_in_p(k: int):
-    """p-expansion of the complete homogeneous h_k: k h_k = sum h_{k-i} p_i."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    acc: PExp = {}
-    for i in range(1, k + 1):
-        prev = dict(_h_in_p(k - i))
-        acc = _p_add(acc, _p_mult_by_pr(prev, i), Fraction(1, k))
-    return tuple(sorted(acc.items()))
-
-
-def _multiplicative_in_p(lam: Partition, single) -> PExp:
-    exp: PExp = {(): Fraction(1)}
-    for part in lam:
-        factor = dict(single(part))
-        out: PExp = {}
-        for mu1, c1 in exp.items():
-            for mu2, c2 in factor.items():
-                key = tuple(sorted(mu1 + mu2, reverse=True))
-                nv = out.get(key, Fraction(0)) + c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        exp = out
-    return exp
-
-
-# ---------------------------------------------------------------------------
-# Transition matrices into the monomial basis
-
-@lru_cache(maxsize=None)
-def _to_m_matrix(n: int, basis: str):
-    """Matrix rows: index partition -> m-expansion (dict over partitions)."""
-    check_degree(n)
+def _table(n: int, entry) -> Table:
+    """Rows a -> {b: entry(a, b)} over partitions of n, zeros dropped."""
     parts = partitions_of(n)
-    if basis == "m":
-        return {lam: {lam: Fraction(1)} for lam in parts}
-    if basis == "s":
-        return {lam: {mu: Fraction(kostka(lam, mu))
-                      for mu in parts if kostka(lam, mu)}
-                for lam in parts}
-    if basis == "p":
-        s_to_m = _to_m_matrix(n, "s")
-        out = {}
-        for mu in parts:
-            row: dict[Partition, Fraction] = {}
-            for lam in parts:
-                chi = mn_character(lam, mu)
-                if not chi:
-                    continue
-                for nu, c in s_to_m[lam].items():
-                    nv = row.get(nu, Fraction(0)) + chi * c
-                    if nv:
-                        row[nu] = nv
-                    else:
-                        row.pop(nu, None)
-            out[mu] = row
-        return out
-    if basis in ("e", "h"):
-        p_to_m = _to_m_matrix(n, "p")
-        single = _e_in_p if basis == "e" else _h_in_p
-        out = {}
-        for lam in parts:
-            pexp = _multiplicative_in_p(lam, single)
-            row: dict[Partition, Fraction] = {}
-            for mu, c in pexp.items():
-                for nu, cm in p_to_m[mu].items():
-                    nv = row.get(nu, Fraction(0)) + c * cm
-                    if nv:
-                        row[nu] = nv
-                    else:
-                        row.pop(nu, None)
-            out[lam] = row
-        return out
-    raise ValueError(f"unknown basis {basis!r}")
+    return {a: {b: v for b in parts if (v := entry(a, b))} for a in parts}
 
 
 @lru_cache(maxsize=None)
-def _from_m_matrix(n: int, basis: str):
-    """Inverse transition: m-vector -> coefficients in the target basis."""
+def _inverse_kostka(n: int) -> Table:
+    """Rows of L = K^-1, so that m_mu = sum_lam L[mu][lam] s_lam.
+
+    K(lam, mu) != 0 forces lam >= mu in dominance order, hence lam comes
+    no later than mu in partitions_of(n), and K(lam, lam) = 1: K is integer
+    unitriangular, and so is L, by back substitution from the smallest
+    partition up, L(mu, .) = e_mu - sum_{nu after mu} K(mu, nu) L(nu, .).
+    """
     parts = partitions_of(n)
-    fwd = _to_m_matrix(n, basis)
-    k = len(parts)
-    idx = {lam: i for i, lam in enumerate(parts)}
-    # dense augmented elimination on the k x k transition matrix
-    mat = [[Fraction(0)] * (2 * k) for _ in range(k)]
-    for lam in parts:
-        for mu, c in fwd[lam].items():
-            mat[idx[mu]][idx[lam]] = c   # columns indexed by source basis
-    for i in range(k):
-        mat[i][k + i] = Fraction(1)
-    for col in range(k):
-        piv = next(r for r in range(col, k) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for r in range(k):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    inv = {}
-    for j, mu in enumerate(parts):
-        col = {}
-        for i, lam in enumerate(parts):
-            v = mat[i][k + j]
-            if v:
-                col[lam] = v
-        inv[mu] = col   # m_mu -> expansion in target basis
+    inv: Table = {}
+    for i in range(len(parts) - 1, -1, -1):
+        mu = parts[i]
+        row = {mu: 1}
+        for nu in parts[i + 1:]:
+            k = kostka(mu, nu)
+            if k:
+                for lam, c in inv[nu].items():
+                    row[lam] = row.get(lam, 0) - k * c
+        inv[mu] = {lam: c for lam, c in row.items() if c}
     return inv
+
+
+@lru_cache(maxsize=None)
+def _to_s(n: int, basis: str) -> Table:
+    """Rows: generator of the basis -> its s-expansion.
+
+    m_mu = sum L(mu, lam) s_lam, h_mu = sum K(lam, mu) s_lam,
+    e_mu = sum K(lam', mu) s_lam = omega(h_mu), p_mu = sum chi^lam(mu) s_lam.
+    """
+    inv = _inverse_kostka(n)
+    entries = {
+        "s": lambda mu, lam: int(mu == lam),
+        "m": lambda mu, lam: inv[mu].get(lam, 0),
+        "h": lambda mu, lam: kostka(lam, mu),
+        "e": lambda mu, lam: kostka(conjugate(lam), mu),
+        "p": lambda mu, lam: mn_character(lam, mu),
+    }
+    return _table(n, entries[basis])
+
+
+@lru_cache(maxsize=None)
+def _from_s(n: int, basis: str) -> Table:
+    """Rows: s_lam -> its expansion in the basis, the inverse of _to_s.
+
+    s_lam = sum K(lam, mu) m_mu = sum L(mu, lam) h_mu = sum L(mu, lam') e_mu
+    = sum chi^lam(mu) / z_mu p_mu (character orthogonality).
+    """
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    inv = _inverse_kostka(n)
+    entries = {
+        "s": lambda lam, mu: int(lam == mu),
+        "m": lambda lam, mu: kostka(lam, mu),
+        "h": lambda lam, mu: inv[mu].get(lam, 0),
+        "e": lambda lam, mu: inv[mu].get(conjugate(lam), 0),
+        "p": lambda lam, mu: Fraction(mn_character(lam, mu), z_lambda(mu)),
+    }
+    return _table(n, entries[basis])
+
+
+def _apply(coeffs: dict, table: Table) -> dict:
+    """The linear combination sum c * table[a] over coeffs {a: c}."""
+    out: dict = {}
+    for a, c in coeffs.items():
+        for b, t in table[a].items():
+            out[b] = out.get(b, 0) + c * t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +272,9 @@ class SymmetricFunction:
         if target == self.basis:
             return self
         check_degree(self.degree)
-        fwd = _to_m_matrix(self.degree, self.basis)
-        mvec: dict[Partition, Fraction] = {}
-        for lam, c in self.coeffs.items():
-            for mu, t in fwd[lam].items():
-                nv = mvec.get(mu, Fraction(0)) + c * t
-                if nv:
-                    mvec[mu] = nv
-                else:
-                    mvec.pop(mu, None)
-        if target == "m":
-            return SymmetricFunction(self.degree, "m", mvec)
-        inv = _from_m_matrix(self.degree, target)
-        out: dict[Partition, Fraction] = {}
-        for mu, c in mvec.items():
-            for lam, t in inv[mu].items():
-                nv = out.get(lam, Fraction(0)) + c * t
-                if nv:
-                    out[lam] = nv
-                else:
-                    out.pop(lam, None)
-        return SymmetricFunction(self.degree, target, out)
+        svec = _apply(self.coeffs, _to_s(self.degree, self.basis))
+        return SymmetricFunction(
+            self.degree, target, _apply(svec, _from_s(self.degree, target)))
 
     def omega(self) -> "SymmetricFunction":
         """The involution with omega(e_k) = h_k, omega(p_r) = (-1)^(r-1) p_r."""
@@ -372,7 +291,7 @@ class SymmetricFunction:
                 self.degree, "p",
                 {lam: c * (-1) ** (sum(lam) - len(lam))
                  for lam, c in self.coeffs.items()})
-        return self.convert("p").omega().convert("m")
+        return self.convert("s").omega().convert("m")
 
     def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
         if self.degree != other.degree:

@@ -238,7 +238,7 @@ def test_criterion_6_structural_invariants(store):
                 failures.append(("2-indep-blowup", str(t.h), side))
             else:
                 _, e1, e2 = witness
-                if not e1[2].parallel_to(e2[2]):
+                if e1[2] != e2[2]:
                     failures.append(("witness", str(t.h), side))
     for h in all_h(2, 3, 4):
         if not G.two_independence_check(G.build_GX(h))[0]:

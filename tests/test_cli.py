@@ -83,6 +83,12 @@ class TestSimpleCommands:
         assert code == 0
         assert "numerator [1, 1] total 2" in out
 
+    def test_character_text_format(self, capsys):
+        code, out = run(capsys, "character", "2,2", "--side", "y",
+                        "--format", "text")
+        assert code == 0
+        assert "frobenius: (m[2] + m[1,1]) + (m[1,1])*q\n" in out
+
 
 class TestCheck:
     def test_single_h_all(self, capsys):

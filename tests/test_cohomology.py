@@ -352,8 +352,7 @@ class TestActionInvarianceGuard:
     def test_quad_rows_ignore_label_orientation(self, side):
         bl = G.build_blowup(c_triple("2,3,3,4"), side)
         flipped = dataclasses.replace(bl, quads=tuple(
-            (vs, G.LinearForm(tuple(-c for c in f.coeffs)))
-            for vs, f in bl.quads))
+            (vs, (b, a)) for vs, (a, b) in bl.quads))
         for k in range(bl.top_degree + 2):
             assert row_set(CH.constraint_rows(flipped, k)) \
                 == row_set(CH.constraint_rows(bl, k))

@@ -2,6 +2,7 @@
 Frobenius identities, and property-based round trips."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,52 @@ from gkmhess import symfunc as S
 
 def gen(basis, lam, c=1):
     return S.SymmetricFunction.generator(basis, lam, c)
+
+
+# Counting oracles for the coefficient of m_lam in h_mu, e_mu and p_mu
+# (Macdonald I.6); none of them uses Kostka numbers or characters.
+
+def _rows(total, caps, binary):
+    """Vectors v with sum total and 0 <= v_j <= caps_j (v_j <= 1 if binary)."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for v in range(min(caps[0], total, 1 if binary else total) + 1):
+        for rest in _rows(total - v, caps[1:], binary):
+            yield (v,) + rest
+
+
+@lru_cache(maxsize=None)
+def count_matrices(row_sums, col_sums, binary):
+    """Nonnegative integer (0-1 if binary) matrices with the given margins."""
+    if not row_sums:
+        return int(not any(col_sums))
+    return sum(
+        count_matrices(row_sums[1:],
+                       tuple(sorted((c - x for c, x in zip(col_sums, v)),
+                                    reverse=True)),
+                       binary)
+        for v in _rows(row_sums[0], col_sums, binary))
+
+
+@lru_cache(maxsize=None)
+def count_fibre_maps(parts, room):
+    """Maps from parts to the slots of room whose fibre sums fill every slot."""
+    if not parts:
+        return int(not any(room))
+    first, rest = parts[0], parts[1:]
+    return sum(
+        count_fibre_maps(rest, tuple(sorted(
+            room[:j] + (r - first,) + room[j + 1:], reverse=True)))
+        for j, r in enumerate(room) if r >= first)
+
+
+M_ORACLES = {
+    "h": lambda mu, lam: count_matrices(mu, lam, False),
+    "e": lambda mu, lam: count_matrices(mu, lam, True),
+    "p": count_fibre_maps,
+}
 
 
 class TestConversions:
@@ -34,6 +81,15 @@ class TestConversions:
     def test_degree_cap(self):
         with pytest.raises(S.DegreeTooLarge):
             gen("e", (9,)).convert("m")
+
+    @pytest.mark.parametrize("basis", sorted(M_ORACLES))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_forward_tables_match_counting_oracles(self, n, basis):
+        oracle = M_ORACLES[basis]
+        parts = S.partitions_of(n)
+        for mu in parts:
+            want = {lam: c for lam in parts if (c := oracle(mu, lam))}
+            assert gen(basis, mu).convert("m").coeffs == want, mu
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_round_trips(self, n):
