@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
@@ -32,15 +33,11 @@ from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
 
-CACHE_ENV = "GKMHESS_CACHE_DIR"
-
 THEOREMS = ("1.1", "1.2", "5.1", "corollary", "llt-law", "csf-law", "all")
 
 
 @dataclass
 class RunConfig:
-    n_cap: int = GRAPH_N_CAP
-    degree_cap: int | None = None
     jobs: int = 1
     cache_dir: str | None = None
     fmt: str = "json"
@@ -50,8 +47,8 @@ class CapExceeded(ValueError):
     pass
 
 
-def _check_cap(n: int, coloring_only: bool, cfg: RunConfig) -> None:
-    cap = DEGREE_CAP if coloring_only else min(cfg.n_cap, GRAPH_N_CAP)
+def _check_cap(n: int, coloring_only: bool) -> None:
+    cap = DEGREE_CAP if coloring_only else GRAPH_N_CAP
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the cap {cap} for this command")
 
@@ -63,7 +60,7 @@ def _parse_h(text: str) -> HessenbergFunction:
 # ---------------------------------------------------------------------------
 # simple commands
 
-def cmd_triples(h: HessenbergFunction, cfg: RunConfig) -> dict:
+def cmd_triples(h: HessenbergFunction) -> dict:
     items = []
     for t in find_modular_triples(h):
         items.append({
@@ -76,37 +73,37 @@ def cmd_triples(h: HessenbergFunction, cfg: RunConfig) -> dict:
     return {"command": "triples", "h": str(h), "triples": items}
 
 
-def cmd_csf(h: HessenbergFunction, basis: str, cfg: RunConfig) -> dict:
-    _check_cap(h.n, True, cfg)
+def cmd_csf(h: HessenbergFunction, basis: str) -> dict:
+    _check_cap(h.n, True)
     gf = coloring.csf_q(h).convert(basis)
     return {"command": "csf", "h": str(h), "result": gf.to_json()}
 
 
-def cmd_llt(h: HessenbergFunction, basis: str, cfg: RunConfig) -> dict:
-    _check_cap(h.n, True, cfg)
+def cmd_llt(h: HessenbergFunction, basis: str) -> dict:
+    _check_cap(h.n, True)
     gf = coloring.llt(h).convert(basis)
     return {"command": "llt", "h": str(h), "result": gf.to_json()}
 
 
-def cmd_graph(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
-    _check_cap(h.n, False, cfg)
+def cmd_graph(h: HessenbergFunction, side: str) -> dict:
+    _check_cap(h.n, False)
     g = build_graph(h, side)
     return {"command": "graph", "h": str(h), "side": side,
             "graph": g.to_json()}
 
 
 def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
-    _check_cap(h.n, False, cfg)
-    space = solve_graph(build_graph(h, side), cfg.degree_cap, cfg.cache_dir)
+    _check_cap(h.n, False)
+    space = solve_graph(build_graph(h, side), cache_dir=cfg.cache_dir)
     numer = hilbert_numerator(space)
     return {"command": "betti", "h": str(h), "side": side,
             "numerator": numer, "total": sum(numer)}
 
 
 def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
-    _check_cap(h.n, False, cfg)
+    _check_cap(h.n, False)
     kind = "dot" if side == "x" else "dagger"
-    space = solve_graph(build_graph(h, side), cfg.degree_cap, cfg.cache_dir)
+    space = solve_graph(build_graph(h, side), cache_dir=cfg.cache_dir)
     char = graded_character(space, kind)
     series = frobenius_of_character(char)
     return {"command": "character", "h": str(h), "side": side,
@@ -117,104 +114,63 @@ def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # verification driver
 
-def _triple_payload(t) -> tuple:
-    return (t.h.values, t.kind, t.params)
-
-
-def _restore_triple(payload: tuple):
-    values, kind, params = payload
-    h = HessenbergFunction(tuple(values))
-    for t in find_modular_triples(h):
-        if t.kind == kind and t.params == tuple(params):
-            return t
-    raise ValueError(f"no triple {kind} {params} on {h}")
-
-
-def _run_item(item: tuple) -> dict:
-    """Execute one verification work item (picklable payloads only).
+def _run_item(item: tuple, cache_dir: str | None) -> dict:
+    """Execute one verification work item (name, h, triple, side); triple
+    and side are None where the check does not take them.
 
     A check that raises is reported as a FAIL item naming the exception,
     so one failing item never takes down the rest of a run.
     """
-    name = item[0]
-    out: dict = {"check": name}
-    if name in ("1.1", "1.2"):
-        out["h"] = str(HessenbergFunction(item[1]))
-    else:
-        values, kind, params = item[1]
-        out.update(h=str(HessenbergFunction(tuple(values))), kind=kind,
-                   params=list(params))
-        if name in ("5.1", "corollary"):
-            out["side"] = item[2]
+    name, h, triple, side = item
+    out: dict = {"check": name, "h": str(h)}
+    if triple is not None:
+        out.update(kind=triple.kind, params=list(triple.params))
+    if side is not None:
+        out["side"] = side
     try:
-        out.update(_run_check(item))
+        out.update(_run_check(item, cache_dir))
     except Exception as exc:
         out.update({"pass": False, "error_class": type(exc).__name__,
                     "error": str(exc)})
     return out
 
 
-def _run_check(item: tuple) -> dict:
+def _run_check(item: tuple, cache_dir: str | None) -> dict:
     """The outcome of one work item: "pass" and, on failure, its detail."""
-    name = item[0]
-    cache_dir = item[-1]
-    if name in ("1.1", "1.2"):
-        check = (maps.check_theorem_1_1 if name == "1.1"
-                 else maps.check_theorem_1_2)
-        ok, diff = check(HessenbergFunction(item[1]), cache_dir=cache_dir)
-    elif name in ("5.1", "corollary"):
-        ctx = maps.TripleContext.build(_restore_triple(item[1]), item[2],
-                                       cache_dir=cache_dir)
-        if name == "5.1":
-            report = maps.check_theorem_main(ctx, raise_on_failure=False)
-            return {"pass": report["pass"], "degrees": report["degrees"]}
-        ok, diff = maps.check_corollary_modular_law(ctx)
-    else:
+    name, h, triple, side = item
+    if name == "5.1":
+        ctx = maps.TripleContext.build(triple, side, cache_dir=cache_dir)
+        report = maps.check_theorem_main(ctx, raise_on_failure=False)
+        return {"pass": report["pass"], "degrees": report["degrees"]}
+    if name in ("llt-law", "csf-law"):
         fn = (coloring.check_modular_law_llt if name == "llt-law"
               else coloring.check_modular_law_csf)
-        return {"pass": fn(_restore_triple(item[1]))}
+        return {"pass": fn(triple)}
+    if name == "corollary":
+        ok, diff = maps.check_corollary_modular_law(triple, side,
+                                                    cache_dir=cache_dir)
+    else:
+        check = (maps.check_theorem_1_1 if name == "1.1"
+                 else maps.check_theorem_1_2)
+        ok, diff = check(h, cache_dir=cache_dir)
     return {"pass": ok} if ok else {"pass": ok, "diff": diff.to_json()}
 
 
-def _expand_items(thm: str, hs: list[HessenbergFunction],
-                  cfg: RunConfig) -> list[tuple]:
+def _expand_items(thm: str, hs: list[HessenbergFunction]) -> list[tuple]:
+    """The work items of thm over hs, in report order; CapExceeded at the
+    first function too large for a check."""
     items: list[tuple] = []
-    want = [thm] if thm != "all" else ["1.1", "1.2", "5.1", "corollary",
-                                       "llt-law", "csf-law"]
     for h in hs:
         triples = find_modular_triples(h)
-        for t in want:
-            if t == "1.1":
-                _check_cap(h.n, False, cfg)
-                items.append(("1.1", h.values, cfg.cache_dir))
-            elif t == "1.2":
-                _check_cap(h.n, False, cfg)
-                items.append(("1.2", h.values, cfg.cache_dir))
-            elif t == "5.1":
-                _check_cap(h.n, False, cfg)
-                for tr in triples:
-                    if tr.kind != "C":
-                        continue
-                    for side in ("x", "y"):
-                        items.append(
-                            ("5.1", _triple_payload(tr), side, cfg.cache_dir))
-            elif t == "corollary":
-                _check_cap(h.n, False, cfg)
-                for tr in triples:
-                    if tr.kind != "C":
-                        continue
-                    for side in ("x", "y"):
-                        items.append(
-                            ("corollary", _triple_payload(tr), side,
-                             cfg.cache_dir))
-            elif t == "llt-law":
-                _check_cap(h.n, True, cfg)
-                items.extend(("llt-law", _triple_payload(tr), cfg.cache_dir)
-                             for tr in triples)
-            elif t == "csf-law":
-                _check_cap(h.n, True, cfg)
-                items.extend(("csf-law", _triple_payload(tr), cfg.cache_dir)
-                             for tr in triples)
+        for name in THEOREMS[:-1] if thm == "all" else (thm,):
+            _check_cap(h.n, name.endswith("-law"))
+            if name in ("1.1", "1.2"):
+                items.append((name, h, None, None))
+            elif name.endswith("-law"):
+                items += [(name, h, t, None) for t in triples]
+            else:   # 5.1 and the corollary take kind-C triples, both sides
+                items += [(name, h, t, side) for t in triples
+                          if t.kind == "C" for side in ("x", "y")]
     return items
 
 
@@ -228,12 +184,13 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
     else:
         hs = [h]
         scope = {"h": str(h)}
-    items = _expand_items(thm, hs, cfg)
+    items = _expand_items(thm, hs)
+    run = partial(_run_item, cache_dir=cfg.cache_dir)
     if cfg.jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_item, items))
+            results = list(pool.map(run, items))
     else:
-        results = [_run_item(it) for it in items]
+        results = [run(it) for it in items]
     return {"command": "check", "thm": thm, "scope": scope,
             "pass": all(r["pass"] for r in results),
             "count": len(results), "items": results}
@@ -304,12 +261,8 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None)
+    common.add_argument("--cache-dir", default=None)
     common.add_argument("--jobs", type=_positive_int, default=1)
-    common.add_argument("--n", type=int, default=GRAPH_N_CAP,
-                        help="cap on n for graph commands (hard max 6)")
-    common.add_argument("--degree-cap", type=int, default=None,
-                        help="solve equivariant degrees up to this bound")
     common.add_argument("--output", default=None,
                         help="also write the JSON report to this file")
 
@@ -373,8 +326,7 @@ def _usable_output_file(path: str) -> str | None:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(n_cap=args.n, degree_cap=args.degree_cap, jobs=args.jobs,
-                    cache_dir=args.cache_dir, fmt=args.format)
+    cfg = RunConfig(jobs=args.jobs, cache_dir=args.cache_dir, fmt=args.format)
     if cfg.cache_dir is not None and args.cmd in ("betti", "character",
                                                   "check"):
         reason = _usable_cache_dir(cfg.cache_dir)
@@ -391,13 +343,13 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         if args.cmd == "triples":
-            report = cmd_triples(_parse_h(args.h), cfg)
+            report = cmd_triples(_parse_h(args.h))
         elif args.cmd == "graph":
-            report = cmd_graph(_parse_h(args.h), args.side, cfg)
+            report = cmd_graph(_parse_h(args.h), args.side)
         elif args.cmd == "csf":
-            report = cmd_csf(_parse_h(args.h), args.basis, cfg)
+            report = cmd_csf(_parse_h(args.h), args.basis)
         elif args.cmd == "llt":
-            report = cmd_llt(_parse_h(args.h), args.basis, cfg)
+            report = cmd_llt(_parse_h(args.h), args.basis)
         elif args.cmd == "betti":
             report = cmd_betti(_parse_h(args.h), args.side, cfg)
         elif args.cmd == "character":

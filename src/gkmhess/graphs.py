@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from gkmhess.hessenberg import (
@@ -189,7 +189,7 @@ class LabeledGraph:
 
 
 @dataclass(frozen=True)
-class SignedBlowupGraph:
+class SignedBlowupGraph(LabeledGraph):
     """Blow-up of G(h_+) along G(h_-) with vertex signs and 4-gons.
 
     ``quads`` lists (vertex indices (w, circle w, w tau, circle w tau),
@@ -197,46 +197,23 @@ class SignedBlowupGraph:
     sign-weighted vertex sum is divisible by the form squared.
     """
 
-    base: LabeledGraph
     signs: tuple[int, ...]
     quads: tuple[tuple[tuple[int, int, int, int], Label], ...]
     d: int
     d0: int
     side: str
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.base.vertices
-
-    @property
-    def edges(self):
-        return self.base.edges
-
-    @property
-    def top_degree(self) -> int:
-        return self.base.top_degree
-
-    def vertex_index(self) -> dict[Vertex, int]:
-        return self.base.vertex_index()
-
     def to_json(self) -> dict:
-        data = self.base.to_json()
-        data["side"] = self.side
-        data["d"] = self.d
-        data["d0"] = self.d0
-        data["signs"] = list(self.signs)
-        data["quads"] = [
-            [[str(self.base.vertices[i]) for i in vs],
-             coefficient_vector(self.n, f)]
-            for (vs, f) in self.quads]
-        return data
-
-    def content_key(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return {
+            **super().to_json(),
+            "side": self.side,
+            "d": self.d,
+            "d0": self.d0,
+            "signs": list(self.signs),
+            "quads": [[[str(self.vertices[i]) for i in vs],
+                       coefficient_vector(self.n, f)]
+                      for (vs, f) in self.quads],
+        }
 
 
 def _check_cap(n: int) -> None:
@@ -367,8 +344,9 @@ def build_blowup(triple: ModularTriple, side: str) -> SignedBlowupGraph:
             quads.append((vs, _label(side, w, d + 1, d)))
     quads.sort(key=lambda q: q[0])
 
-    base = LabeledGraph(n, vertices, tuple(edges), triple.h_plus.dimension())
-    return SignedBlowupGraph(base, signs, tuple(quads), d, d0, side)
+    return SignedBlowupGraph(n, vertices, tuple(edges),
+                             triple.h_plus.dimension(), signs, tuple(quads),
+                             d, d0, side)
 
 
 def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
@@ -379,13 +357,11 @@ def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
     """
     if gtilde.side != "x":
         raise WrongKind("the edge augmentation is an X-side construction")
-    n = gtilde.n
     d = gtilde.d
-    base = gtilde.base
-    vidx = base.vertex_index()
-    existing = base.edge_set()
-    new_edges = list(base.edges)
-    for v in base.vertices:
+    vidx = gtilde.vertex_index()
+    existing = gtilde.edge_set()
+    new_edges = list(gtilde.edges)
+    for v in gtilde.vertices:
         if v.circle:
             continue
         w = v.perm
@@ -397,9 +373,7 @@ def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
                 (key[0], key[1], _label("x", w, d + 1, d)))
             existing.add(key)
     new_edges.sort()
-    new_base = LabeledGraph(n, base.vertices, tuple(new_edges), base.top_degree)
-    return SignedBlowupGraph(new_base, gtilde.signs, gtilde.quads,
-                             gtilde.d, gtilde.d0, gtilde.side)
+    return replace(gtilde, edges=tuple(new_edges))
 
 
 def circle_isomorphism_check(triple: ModularTriple, side: str) -> bool:
@@ -439,15 +413,14 @@ def two_independence_check(g) -> tuple[bool, tuple | None]:
     Returns (True, None) or (False, (vertex, edge1, edge2)) with the first
     offending vertex and edge pair in scan order.
     """
-    base = g.base if isinstance(g, SignedBlowupGraph) else g
     incident: dict[int, list[tuple[int, int, Label]]] = {}
-    for e in base.edges:
+    for e in g.edges:
         incident.setdefault(e[0], []).append(e)
         incident.setdefault(e[1], []).append(e)
-    for vi in range(len(base.vertices)):
+    for vi in range(len(g.vertices)):
         edges = incident.get(vi, [])
         for x in range(len(edges)):
             for y in range(x + 1, len(edges)):
                 if edges[x][2] == edges[y][2]:
-                    return False, (base.vertices[vi], edges[x], edges[y])
+                    return False, (g.vertices[vi], edges[x], edges[y])
     return True, None

@@ -20,12 +20,10 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 
 IntRow = dict[int, int]
-FracCol = dict[int, Fraction]
 
 
 def _strip_content(row: IntRow) -> None:
@@ -193,14 +191,3 @@ def kernel_of_rows(rows: list[IntRow], ncols: int) -> SubspaceBasis:
     cols, free = Echelon.of(rows).kernel_columns(ncols)
     return SubspaceBasis(ncols, cols, unit_rows=free)
 
-
-def columns_to_int_rows(columns: list[FracCol]) -> list[IntRow]:
-    out = []
-    for col in columns:
-        den = lcm(*(v.denominator for v in col.values()))
-        out.append({i: int(v * den) for i, v in col.items()})
-    return out
-
-
-def rank_of_columns(columns: list[FracCol]) -> int:
-    return rank_of_int_rows(columns_to_int_rows(columns))

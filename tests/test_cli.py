@@ -112,13 +112,15 @@ class TestCheck:
         assert data["count"] == 2
 
     def test_jobs_parallel_matches_serial(self, capsys):
-        code1, d1 = run_json(capsys, "check", "--thm", "csf-law",
-                             "--sweep", "4", "--jobs", "1")
-        code2, d2 = run_json(capsys, "check", "--thm", "csf-law",
-                             "--sweep", "4", "--jobs", "2")
-        assert code1 == code2 == 0
-        d1.pop("wall_time_sec"), d2.pop("wall_time_sec")
-        assert d1 == d2
+        # "all" sends 1.1, 1.2, 5.1 and corollary items through the pool too
+        for thm, sweep in (("csf-law", "4"), ("all", "3")):
+            code1, d1 = run_json(capsys, "check", "--thm", thm,
+                                 "--sweep", sweep, "--jobs", "1")
+            code2, d2 = run_json(capsys, "check", "--thm", thm,
+                                 "--sweep", sweep, "--jobs", "2")
+            assert code1 == code2 == 0
+            d1.pop("wall_time_sec"), d2.pop("wall_time_sec")
+            assert d1 == d2, thm
 
     def test_raising_check_is_a_fail_item(self, capsys, monkeypatch):
         _, before = run_json(capsys, "check", "2,3,3", "--thm", "all")
@@ -135,6 +137,32 @@ class TestCheck:
             "error_class": "CrossCheckFailed",
             "error": "degree 1, type (3,): direct 1 != 2"}
         assert after["items"][1:] == before["items"][1:]
+
+    def test_corollary_solves_only_the_plain_graphs(self, capsys,
+                                                    monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("the corollary reads only the plain graphs")
+
+        for module in (G, cli.maps):
+            monkeypatch.setattr(module, "build_blowup", unread)
+            monkeypatch.setattr(module, "build_circle_graph", unread)
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "corollary")
+        assert code == 0 and data["pass"] is True
+        assert [i["side"] for i in data["items"]] == ["x", "y"]
+
+    def test_pool_workers_use_the_cache_dir(self, capsys, tmp_path):
+        # the corollary items cross the process pool and write exactly the
+        # entries of the three plain graphs of the triple, on both sides
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "corollary",
+                              "--jobs", "2", "--cache-dir", str(tmp_path))
+        assert code == 0 and data["pass"] is True
+        t = next(t for t in H.find_modular_triples(H.from_string("2,3,3"))
+                 if t.kind == "C")
+        graphs = [G.build_graph(h, side) for side in "xy"
+                  for h in (t.h_minus, t.h, t.h_plus)]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(CH._cache_path(str(tmp_path), g, k))
+            for g in graphs for k in range(g.top_degree + 2))
 
     def test_scope_required(self, capsys):
         assert cli.main(["check", "--thm", "1.1"]) == 2
@@ -154,14 +182,6 @@ class TestErrors:
         h = ",".join(["9"] * 9)
         assert cli.main(["csf", h]) == 2
 
-    def test_n_flag_lowers_cap(self, capsys):
-        assert cli.main(["betti", "2,3,3", "--n", "2"]) == 2
-
-    def test_degree_cap_below_top_degree(self, capsys):
-        assert exit_code("betti", "3,3,3", "--degree-cap", "1") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: need degrees through 4, solved only 1"]
-
     def test_jobs_zero(self, capsys):
         assert exit_code("check", "--thm", "llt-law", "--sweep", "3",
                          "--jobs", "0") == 2
@@ -177,7 +197,7 @@ class TestErrors:
 
 class TestUnusableCacheDir:
     """A cache directory that cannot be created is a user error: exit 2
-    and one line, whatever the command and however it was given."""
+    and one line, whatever the command."""
 
     @pytest.fixture
     def a_file(self, tmp_path):
@@ -196,16 +216,6 @@ class TestUnusableCacheDir:
         assert out == ""
         assert err.splitlines() == [
             f"error: cannot use cache directory {path!r}: not a directory"]
-
-    def test_environment(self, capsys, monkeypatch, a_file):
-        monkeypatch.setenv(cli.CACHE_ENV, a_file)
-        assert exit_code("character", "2,3,3") == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
-
-    def test_empty_environment_is_unset(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, "")
-        code, data = run_json(capsys, "betti", "2,3,3")
-        assert code == 0 and data["numerator"] == [1, 4, 1]
 
     def test_missing_directory_is_created(self, capsys, tmp_path):
         path = tmp_path / "a" / "b"

@@ -63,8 +63,8 @@ class TestDegreeZeroContainsConstants:
         basis = CH.equivariant_piece(g, 0)
         ones = {i: 1 for i in range(len(g.vertices))}
         ech = L.Echelon()
-        for row in L.columns_to_int_rows(basis.columns):
-            ech.insert(row)
+        for col in basis.columns:
+            ech.insert(col)
         assert not ech.reduce(ones)
 
 
@@ -303,7 +303,8 @@ class TestQuadConditionsMatter:
         t = c_triple("2,3,3")
         bl = G.build_blowup(t, "x")
         signed = CH.solve_graph(bl)
-        unsigned = CH.solve_graph(bl.base)
+        unsigned = CH.solve_graph(
+            G.LabeledGraph(bl.n, bl.vertices, bl.edges, bl.top_degree))
         assert signed.dim(2) < unsigned.dim(2)
         numer = CH.hilbert_numerator(unsigned)
         assert numer != CH.hilbert_numerator(signed)
@@ -337,8 +338,8 @@ class TestActionInvarianceGuard:
     @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4"])
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_generators_permute_the_rows(self, hstr, side, kind):
-        # the row-set test passes on every graph of a triple, so the column
-        # fallback never runs there
+        # the row-set test, the only invariance test, passes on every graph
+        # of a triple
         t = c_triple(hstr)
         graphs = [G.build_graph(h, side)
                   for h in (t.h_minus, t.h, t.h_plus)]
@@ -357,9 +358,10 @@ class TestActionInvarianceGuard:
             assert row_set(CH.constraint_rows(flipped, k)) \
                 == row_set(CH.constraint_rows(bl, k))
 
-    def test_fallback_when_the_rows_are_not_permuted(self):
+    def test_rows_not_permuted_raise(self):
         # r0 + r1 in place of r0 spans the same rows, so the kernel is
-        # unchanged and invariant, but the row set is no longer permuted
+        # unchanged and invariant, but the row set is no longer permuted;
+        # the row test is sufficient, not necessary, and rejects it
         g = G.build_GX(H.from_string("2,3,3"))
         sp = CH.solve_graph(g, max_degree=2)
         for k in (1, 2):
@@ -367,7 +369,10 @@ class TestActionInvarianceGuard:
             summed = {c: r0.get(c, 0) + r1.get(c, 0) for c in {*r0, *r1}}
             sp.rows[k][0] = {c: v for c, v in summed.items() if v}
             assert not rows_closed(g, k, sp.rows[k], "dot")
-            CH.check_action_invariance(sp, k, "dot")
+            with pytest.raises(CH.NotInvariant,
+                               match=f"does not permute the degree-{k} "
+                                     "constraint rows"):
+                CH.check_action_invariance(sp, k, "dot")
 
     def test_blowup_basis_passes_polynomial_membership(self):
         # divisible_by_diff(order=2) does not read the constraint rows

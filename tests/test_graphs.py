@@ -182,6 +182,21 @@ class TestBlowup:
         assert len(bl.edges) == 18
         assert len(bl.quads) == 3
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_json_extends_the_labeled_graph(self, side):
+        # a blow-up is a LabeledGraph: its JSON, and so its cache key, is
+        # the graph's own JSON followed by the blow-up keys
+        bl = G.build_blowup(c_triple("2,3,3"), side)
+        graph = G.LabeledGraph(bl.n, bl.vertices, bl.edges, bl.top_degree)
+        data = bl.to_json()
+        assert isinstance(bl, G.LabeledGraph)
+        assert list(data) == [*graph.to_json(), "side", "d", "d0", "signs",
+                              "quads"]
+        assert {k: data[k] for k in graph.to_json()} == graph.to_json()
+        assert data["quads"][0] == [["123", "°123", "132", "°132"],
+                                    [0, 1, -1]]
+        assert bl.content_key() != graph.content_key()
+
     def test_x_signs(self):
         t = c_triple("2,3,3")
         bl = G.build_blowup(t, "x")
@@ -277,6 +292,15 @@ class TestAugment:
         aug = G.augment_blowup(bl)
         assert len(aug.edges) == 24
         assert len(G.augment_blowup(aug).edges) == 24
+
+    def test_keeps_the_blowup_data(self):
+        bl = G.build_blowup(c_triple("2,3,3,4"), "x")
+        aug = G.augment_blowup(bl)
+        assert (aug.n, aug.vertices, aug.top_degree, aug.signs, aug.quads,
+                aug.d, aug.d0, aug.side) == (
+            bl.n, bl.vertices, bl.top_degree, bl.signs, bl.quads, bl.d,
+            bl.d0, bl.side)
+        assert set(bl.edges) < set(aug.edges)
 
     def test_y_side_rejected(self):
         t = c_triple("2,3,3")

@@ -156,13 +156,6 @@ class TestRank:
         u, v = [1, 2, 3], [2, -1, 4]
         assert rank([[a * b for b in v] for a in u]) == 1
 
-    def test_fractions(self):
-        # rank_of_columns clears each column's denominators first
-        assert L.rank_of_columns([{0: Fraction(1, 2), 1: Fraction(1, 3)},
-                                  {0: Fraction(3, 2), 1: Fraction(1)}]) == 1
-        assert L.rank_of_columns([{0: Fraction(1, 2), 1: Fraction(1, 3)},
-                                  {0: Fraction(1, 5), 1: Fraction(1)}]) == 2
-
 
 class TestRestrict:
     def test_full_basis_returns_p(self):

@@ -292,11 +292,17 @@ class TestTheoremMain:
 
 class TestCorollary:
     @pytest.mark.parametrize("side", ["x", "y"])
-    def test_n3(self, side, ctx_x, ctx_y):
-        ctx = ctx_x if side == "x" else ctx_y
-        ok, diff = M.check_corollary_modular_law(ctx)
+    def test_n3(self, side):
+        ok, diff = M.check_corollary_modular_law(c_triple("2,3,3"), side)
         assert ok
         assert not diff.terms
+
+    def test_kind_r_triple(self):
+        # checked on the kind-C triple of the transpose
+        h = H.from_string("2,3,3")
+        r = next(t for t in H.find_modular_triples(h) if t.kind == "R")
+        for side in ("x", "y"):
+            assert M.check_corollary_modular_law(r, side)[0]
 
     def test_coloring_side_cross_check(self, ctx_x):
         # (1+q) omega(csf(h)) = omega(csf(h_+)) + q omega(csf(h_-))
