@@ -27,13 +27,14 @@ from functools import partial
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
-    Truncated, frobenius_of_character, graded_character, hilbert_numerator,
-    solve_graph)
+    Truncated, certify_relabelling, frobenius_of_character, hilbert_numerator,
+    solve_graph, solve_memo)
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
 
 THEOREMS = ("1.1", "1.2", "5.1", "corollary", "llt-law", "csf-law", "all")
+TWO_SIDED = ("5.1", "corollary")   # one item checks side y and relabels x
 
 
 @dataclass
@@ -94,7 +95,9 @@ def cmd_graph(h: HessenbergFunction, side: str) -> dict:
 
 def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
     _check_cap(h.n, False)
-    space = solve_graph(build_graph(h, side), cache_dir=cfg.cache_dir)
+    space = solve_graph(build_graph(h, "y"), cache_dir=cfg.cache_dir)
+    if side == "x":   # the same numbers, once the relabelling is certified
+        certify_relabelling(space, build_graph(h, "x"), f"plain graph of {h}")
     numer = hilbert_numerator(space)
     return {"command": "betti", "h": str(h), "side": side,
             "numerator": numer, "total": sum(numer)}
@@ -103,8 +106,7 @@ def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
 def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
     _check_cap(h.n, False)
     kind = "dot" if side == "x" else "dagger"
-    space = solve_graph(build_graph(h, side), cache_dir=cfg.cache_dir)
-    char = graded_character(space, kind)
+    char = maps.plain_character(h, side, cfg.cache_dir)
     series = frobenius_of_character(char)
     return {"command": "character", "h": str(h), "side": side,
             "action": kind, "character": char.to_json(),
@@ -114,46 +116,73 @@ def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # verification driver
 
-def _run_item(item: tuple, cache_dir: str | None) -> dict:
-    """Execute one verification work item (name, h, triple, side); triple
-    and side are None where the check does not take them.
+def _failure(exc: Exception) -> dict:
+    return {"pass": False, "error_class": type(exc).__name__,
+            "error": str(exc)}
 
-    A check that raises is reported as a FAIL item naming the exception,
+
+def _outcome(check) -> dict:
+    """check(), or a FAIL naming the exception it raised."""
+    try:
+        return check()
+    except Exception as exc:
+        return _failure(exc)
+
+
+def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
+    """Execute one verification work item (name, h, triple), triple None
+    where the check does not take one; a 5.1 or corollary item gives the
+    rows of side x and side y, in that order, and every other item one row.
+
+    A check that raises is reported as a FAIL row naming the exception,
     so one failing item never takes down the rest of a run.
     """
-    name, h, triple, side = item
-    out: dict = {"check": name, "h": str(h)}
+    name, h, triple = item
+    head: dict = {"check": name, "h": str(h)}
     if triple is not None:
-        out.update(kind=triple.kind, params=list(triple.params))
-    if side is not None:
-        out["side"] = side
+        head.update(kind=triple.kind, params=list(triple.params))
+    if name not in TWO_SIDED:
+        return [{**head, **_outcome(lambda: _run_check(item, cache_dir))}]
     try:
-        out.update(_run_check(item, cache_dir))
+        y, side_x = _run_sides(item, cache_dir)
     except Exception as exc:
-        out.update({"pass": False, "error_class": type(exc).__name__,
-                    "error": str(exc)})
-    return out
+        x = y = _failure(exc)
+    else:
+        x = _outcome(side_x)
+    return [{**head, "side": "x", **x}, {**head, "side": "y", **y}]
 
 
 def _run_check(item: tuple, cache_dir: str | None) -> dict:
-    """The outcome of one work item: "pass" and, on failure, its detail."""
-    name, h, triple, side = item
-    if name == "5.1":
-        ctx = maps.TripleContext.build(triple, side, cache_dir=cache_dir)
-        report = maps.check_theorem_main(ctx, raise_on_failure=False)
-        return {"pass": report["pass"], "degrees": report["degrees"]}
+    """The outcome of a one-sided item: "pass" and, on failure, its
+    detail."""
+    name, h, triple = item
     if name in ("llt-law", "csf-law"):
         fn = (coloring.check_modular_law_llt if name == "llt-law"
               else coloring.check_modular_law_csf)
         return {"pass": fn(triple)}
-    if name == "corollary":
-        ok, diff = maps.check_corollary_modular_law(triple, side,
-                                                    cache_dir=cache_dir)
-    else:
-        check = (maps.check_theorem_1_1 if name == "1.1"
-                 else maps.check_theorem_1_2)
-        ok, diff = check(h, cache_dir=cache_dir)
+    check = (maps.check_theorem_1_1 if name == "1.1"
+             else maps.check_theorem_1_2)
+    return _law_outcome(check(h, cache_dir=cache_dir))
+
+
+def _law_outcome(result: tuple) -> dict:
+    ok, diff = result
     return {"pass": ok} if ok else {"pass": ok, "diff": diff.to_json()}
+
+
+def _main_outcome(report: dict) -> dict:
+    return {"pass": report["pass"], "degrees": report["degrees"]}
+
+
+def _run_sides(item: tuple, cache_dir: str | None) -> tuple:
+    """The side-y outcome of a 5.1 or corollary item, solved and checked
+    once, and a function giving the side-x outcome from it."""
+    name, _, triple = item
+    if name == "5.1":
+        report, report_x = maps.check_theorem_main_sides(triple, cache_dir)
+        return _main_outcome(report), lambda: _main_outcome(report_x())
+    law, law_x = maps.check_corollary_sides(triple, cache_dir)
+    return _law_outcome(law), lambda: _law_outcome(law_x())
 
 
 def _expand_items(thm: str, hs: list[HessenbergFunction]) -> list[tuple]:
@@ -165,12 +194,11 @@ def _expand_items(thm: str, hs: list[HessenbergFunction]) -> list[tuple]:
         for name in THEOREMS[:-1] if thm == "all" else (thm,):
             _check_cap(h.n, name.endswith("-law"))
             if name in ("1.1", "1.2"):
-                items.append((name, h, None, None))
+                items.append((name, h, None))
             elif name.endswith("-law"):
-                items += [(name, h, t, None) for t in triples]
-            else:   # 5.1 and the corollary take kind-C triples, both sides
-                items += [(name, h, t, side) for t in triples
-                          if t.kind == "C" for side in ("x", "y")]
+                items += [(name, h, t) for t in triples]
+            else:   # 5.1 and the corollary take kind-C triples
+                items += [(name, h, t) for t in triples if t.kind == "C"]
     return items
 
 
@@ -188,9 +216,10 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
     run = partial(_run_item, cache_dir=cfg.cache_dir)
     if cfg.jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, items))
+            rows = list(pool.map(run, items))
     else:
-        results = [run(it) for it in items]
+        rows = [run(it) for it in items]
+    results = [r for item_rows in rows for r in item_rows]
     return {"command": "check", "thm": thm, "scope": scope,
             "pass": all(r["pass"] for r in results),
             "count": len(results), "items": results}
@@ -323,6 +352,9 @@ def _usable_output_file(path: str) -> str | None:
     return None
 
 
+# solves are shared between the items of one command, and a forked
+# --jobs worker shares them among the items it runs
+@solve_memo()
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)

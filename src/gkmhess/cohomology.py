@@ -30,6 +30,15 @@ ordinary cohomology either by series division (fast path) or through the
 direct quotient by (t_1, ..., t_n) (authoritative path); the two are
 cross-checked on demand.  Frobenius characteristics of the graded
 characters land in the symmetric-function layer.
+
+Side x is never solved where side y is at hand: the relabelling P of
+:func:`relabelling` turns every X congruence into the Y congruence and the
+dot action into the dagger action, so it carries the Y kernel onto the X
+kernel.  :func:`certify_relabelling` checks this on the constraint rows of
+every degree (in O(nnz)), after which the X dimensions and dot traces are
+the Y dimensions and dagger traces.  Inside :func:`solve_memo`,
+:func:`solve_graph` keeps the last few graphs it solved in a memo in front
+of the disk cache.
 """
 
 from __future__ import annotations
@@ -38,10 +47,12 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from gkmhess import polys
 from gkmhess.graphs import (
@@ -77,6 +88,10 @@ class NotInvariant(ValueError):
     """The group action does not preserve the solution space."""
 
 
+class RelabelFailed(ValueError):
+    """Side x is not the certified relabelling of side y."""
+
+
 @lru_cache(maxsize=None)
 def monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Degree-k exponent tuples in n variables, graded lex, t_1 largest."""
@@ -103,6 +118,16 @@ def _subst_exp(e: tuple, a: int, b: int) -> tuple:
     return tuple(ee)
 
 
+@lru_cache(maxsize=None)
+def _edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The indices of the degree-k monomials grouped by their image under
+    t_a -> t_b, the groups in the order of their images."""
+    groups: dict[tuple, list[int]] = {}
+    for mi, mon in enumerate(monomials(n, k)):
+        groups.setdefault(_subst_exp(mon, a, b), []).append(mi)
+    return tuple(tuple(g) for _, g in sorted(groups.items()))
+
+
 def constraint_rows(graph, k: int) -> list[IntRow]:
     """Integer rows whose kernel is the degree-k equivariant piece."""
     n = graph.n
@@ -110,13 +135,13 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     nv = len(graph.vertices)
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
-        groups: dict[tuple, IntRow] = {}
-        for mi, mon in enumerate(mons):
-            tgt = _subst_exp(mon, a, b)
-            row = groups.setdefault(tgt, {})
-            row[mi * nv + ui] = row.get(mi * nv + ui, 0) + 1
-            row[mi * nv + vi] = row.get(mi * nv + vi, 0) - 1
-        rows.extend(r for _, r in sorted(groups.items()) if r)
+        # f(u) - f(v) vanishes at t_a = t_b: one row per image monomial
+        for group in _edge_groups(n, k, a, b):
+            row = {}
+            for mi in group:
+                row[mi * nv + ui] = 1
+                row[mi * nv + vi] = -1
+            rows.append(row)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
         for (vs, (a, b)) in graph.quads:
@@ -140,14 +165,11 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
                         col = mi * nv + vi
                         row = order1.setdefault(tgt1, {})
                         row[col] = row.get(col, 0) + signs[vi] * (ea - eb)
-            rows.extend(r for _, r in sorted(order0.items())
-                        if any(r.values()))
-            rows.extend(r for _, r in sorted(order1.items())
-                        if any(r.values()))
-    return [
-        {c: v for c, v in r.items() if v} for r in rows
-        if any(r.values())
-    ]
+            for order in (order0, order1):
+                rows.extend({c: v for c, v in r.items() if v}
+                            for _, r in sorted(order.items())
+                            if any(r.values()))
+    return rows
 
 
 def equivariant_piece(graph, k: int) -> SubspaceBasis:
@@ -181,26 +203,29 @@ class GradedSolutionSpace:
 
 def _cache_path(cache_dir: str, graph, k: int) -> str:
     digest = hashlib.sha256(
-        (graph.content_key() + f"|deg={k}|v2").encode()).hexdigest()
+        (graph.content_key() + f"|deg={k}|v3").encode()).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
 
 
 def _basis_to_payload(basis: SubspaceBasis) -> dict:
-    return {"ambient": basis.ambient_dim, "free": basis.unit_rows,
+    return {"ambient": basis.ambient_dim, "dim": basis.dim,
+            "free": basis.unit_rows,
             "cols": [sorted(col.items()) for col in basis.columns]}
 
 
 def _basis_from_payload(data: dict, ambient: int,
                         rows: list[IntRow]) -> SubspaceBasis:
     """The basis of a cache entry; ValueError unless, checked in integers,
-    column j is positive at free[j] and 0 at every other free index, and
-    every column is annihilated by rows."""
+    there are dim columns and dim free indices, column j is positive at
+    free[j] and 0 at every other free index, and every column is
+    annihilated by rows."""
     free = data["free"]
     cols = [{r: num for r, num in col} for col in data["cols"]]
     indices = [*free, *(r for col in cols for r in col)]
     numbers = [v for col in cols for v in col.values()]
     free_set = set(free)
-    if (data["ambient"] != ambient or len(free) != len(cols)
+    if (data["ambient"] != ambient or type(data["dim"]) is not int
+            or not len(free) == len(cols) == data["dim"]
             or any(type(x) is not int for x in indices + numbers)
             or len(free_set) != len(free)
             or not all(0 <= r < ambient for r in indices)):
@@ -243,15 +268,52 @@ def _cache_write(path: str, basis: SubspaceBasis) -> None:
             pass
 
 
+# The last MEMO_GRAPHS graphs solved inside the current solve_memo()
+# block, most recently used last, as content key -> (bases, rows) by
+# degree; None outside a block.  Enough for the five graphs of one triple
+# and one more, so that a sweep holds a bounded number of graphs.
+MEMO_GRAPHS = 6
+_memo: OrderedDict[str, tuple[dict, dict]] | None = None
+
+
+@contextmanager
+def solve_memo():
+    """Within the block, solve_graph solves each degree of a graph (by
+    content) once: it keeps the last MEMO_GRAPHS graphs it solved.  The
+    memo belongs to the outermost block and is dropped when it ends, so
+    nothing carries over to a later block; the CLI runs each command in
+    one.  Outside, solve_graph keeps nothing."""
+    global _memo
+    if _memo is not None:   # nested: the outer block's memo
+        yield
+        return
+    _memo = OrderedDict()
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def solve_graph(graph, max_degree: int | None = None,
                 cache_dir: str | None = None) -> GradedSolutionSpace:
-    """Solve every degree k <= max_degree (default top_degree + 1)."""
+    """Solve every degree k <= max_degree (default top_degree + 1).
+
+    Each degree comes from the memo (inside :func:`solve_memo`), else from
+    the disk cache, if given and valid, else from the kernel of its rows.
+    """
     if max_degree is None:
         max_degree = graph.top_degree + 1
     bases: dict[int, SubspaceBasis] = {}
     rows: dict[int, list[IntRow]] = {}
+    if _memo is not None:
+        key = graph.content_key()
+        bases, rows = _memo[key] = _memo.pop(key, (bases, rows))
+        while len(_memo) > MEMO_GRAPHS:
+            _memo.popitem(last=False)
     nverts = len(graph.vertices)
     for k in range(max_degree + 1):
+        if k in bases:
+            continue
         rows[k] = constraint_rows(graph, k)
         ncols = nverts * len(monomials(graph.n, k))
         basis = None
@@ -264,7 +326,10 @@ def solve_graph(graph, max_degree: int | None = None,
             if path is not None:
                 _cache_write(path, basis)
         bases[k] = basis
-    return GradedSolutionSpace(graph, max_degree, bases, rows)
+    degrees = range(max_degree + 1)
+    return GradedSolutionSpace(graph, max_degree,
+                               {k: bases[k] for k in degrees},
+                               {k: rows[k] for k in degrees})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +425,9 @@ def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
 # ---------------------------------------------------------------------------
 # group actions, traces, characters
 
-def _perm_monomial_table(n: int, k: int, sigma) -> list[int]:
+@lru_cache(maxsize=None)
+def _perm_monomial_table(n: int, k: int, sigma) -> tuple[int, ...]:
+    """Monomial index -> index of the monomial with t_i renamed t_sigma(i)."""
     idx = monomial_index(n, k)
     table = []
     for mon in monomials(n, k):
@@ -368,7 +435,7 @@ def _perm_monomial_table(n: int, k: int, sigma) -> list[int]:
         for i, e in enumerate(mon):
             ee[sigma[i] - 1] = e
         table.append(idx[tuple(ee)])
-    return table
+    return tuple(table)
 
 
 def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
@@ -527,25 +594,38 @@ def _ambient_factor(lam: Partition) -> list[int]:
     return coeffs
 
 
+def equivariant_traces(space: GradedSolutionSpace, action_kind: str
+                       ) -> dict[Partition, list[Fraction]]:
+    """Trace of each class representative in every degree, after checking
+    that the action preserves every degree."""
+    for k in range(space.max_degree + 1):
+        check_action_invariance(space, k, action_kind)
+    traces: dict[Partition, list[Fraction]] = {}
+    for lam in partitions_of(space.n):
+        sigma = class_representative(lam)
+        traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
+                       for k in range(space.max_degree + 1)]
+    return traces
+
+
 def graded_character(space: GradedSolutionSpace, action_kind: str,
-                     cross_check: bool | None = None) -> GradedCharacter:
+                     cross_check: bool | None = None,
+                     traces: dict[Partition, list[Fraction]] | None = None
+                     ) -> GradedCharacter:
     """Ordinary graded character by series division, optionally verified
     against the direct quotient.
 
     cross_check defaults to n <= 3 (the direct path runs everywhere small);
     the direct quotient is authoritative and a disagreement raises
-    CrossCheckFailed.
+    CrossCheckFailed.  traces, if given, stand for
+    equivariant_traces(space, action_kind): computed once for two
+    characters, or carried over from side y by :func:`relabelled_character`.
     """
     n = space.n
     top = space.graph.top_degree
     numer = hilbert_numerator(space)
-    for k in range(space.max_degree + 1):
-        check_action_invariance(space, k, action_kind)
-    traces: dict[Partition, list[Fraction]] = {}
-    for lam in partitions_of(n):
-        sigma = class_representative(lam)
-        traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
-                       for k in range(space.max_degree + 1)]
+    if traces is None:
+        traces = equivariant_traces(space, action_kind)
     one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     for lam in partitions_of(n):
@@ -626,6 +706,170 @@ def frobenius_series(space: GradedSolutionSpace, action_kind: str,
     """Frobenius characteristic of the ordinary graded character, m basis."""
     return frobenius_of_character(
         graded_character(space, action_kind, cross_check=cross_check))
+
+
+# ---------------------------------------------------------------------------
+# side x as the certified relabelling of side y
+
+def relabelling(graph, k: int) -> list[int]:
+    """The relabelling P in degree k as an array: the coordinate of the
+    mi-th monomial at vertex v goes to that of w.mi at v, where w is the
+    permutation of v and w.mi renames each t_i to t_w(i).
+
+    A class g of the side-y graph gives the side-x class f = P g, that is
+    f(v) = w.g(v).  Every X edge condition becomes the Y one, so does
+    every quad condition given the edge conditions, and the dot action
+    becomes the dagger action; so P carries the Y kernel onto the X
+    kernel.  :func:`certify_relabelling` checks this on the rows of each
+    degree.
+    """
+    nv = len(graph.vertices)
+    tables: dict = {}
+    out = [0] * (nv * len(monomials(graph.n, k)))
+    for vi, v in enumerate(graph.vertices):
+        if v.perm not in tables:
+            tables[v.perm] = _perm_monomial_table(graph.n, k, v.perm)
+        for mi, mj in enumerate(tables[v.perm]):
+            out[mi * nv + vi] = mj * nv + vi
+    return out
+
+
+def _primitive(row: IntRow) -> tuple:
+    """The row key of a row divided by its content; () for a zero row."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return _row_key((c, v // g) for c, v in row.items()) if g else ()
+
+
+def _combination(r: tuple, q: tuple, s: int) -> IntRow:
+    """r - s q, for two row keys."""
+    out = dict(r)
+    for c, v in q:
+        nv = out.get(c, 0) - s * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _outside_span(keys: set, other: set, shared: set) -> tuple | None:
+    """A row of keys that is neither in other nor +-q + c e, with q a row
+    of other outside keys that has the same smallest column and e a row
+    of both (by its primitive key in shared); None if there is none."""
+    by_first: dict[int, list[tuple]] = {}
+    for q in other - keys:
+        by_first.setdefault(q[0][0], []).append(q)
+    for r in keys - other:
+        if not any(_primitive(_combination(r, q, s)) in shared
+                   for q in by_first.get(r[0][0], ()) for s in (1, -1)):
+            return r
+    return None
+
+
+def _relabelling_fault(graph_x, k: int, p: list[int], rows_x: list[IntRow],
+                       space_y: GradedSolutionSpace) -> str | None:
+    """Why P fails to carry the degree-k Y kernel onto the X kernel, or
+    None.
+
+    Rows: the X rows pulled back by P must span the Y rows.  Every
+    pulled-back row is a Y row up to sign, or +-q + c e with q a Y row and
+    e a row of both systems, and the converse holds too; so the two row
+    spaces, hence the kernels, are equal.  Action: for each generator,
+    the dot permutation after P is P after the dagger permutation.
+    """
+    nv = len(graph_x.vertices)
+    pinv = [0] * len(p)
+    for c, pc in enumerate(p):
+        pinv[pc] = c
+    pulled = {_row_key((pinv[c], v) for c, v in r.items()) for r in rows_x}
+    keys_y = {_row_key(r.items()) for r in space_y.rows[k]}
+    if pulled != keys_y:
+        shared = {_primitive(dict(e)) for e in pulled & keys_y}
+        for keys, other, what in ((pulled, keys_y, "pulled-back X row"),
+                                  (keys_y, pulled, "Y row")):
+            bad = _outside_span(keys, other, shared)
+            if bad is not None:
+                c = bad[0][0]
+                return (f"a {what} at vertex {graph_x.vertices[c % nv]} "
+                        f"(column {c}) is outside the span of the other "
+                        f"side's rows")
+    for sigma in generators(graph_x.n):
+        pi_x = coordinate_perm(graph_x, k, sigma, "dot")
+        pi_y = coordinate_perm(space_y.graph, k, sigma, "dagger")
+        if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
+            return (f"the dot action by {sigma} is not the relabelled "
+                    f"dagger action")
+    return None
+
+
+def _certified_rows(space_y: GradedSolutionSpace, graph_x, name: str):
+    """(k, P, X constraint rows) for every degree k of space_y, each once
+    P is certified in degree k; RelabelFailed names the graph (as name),
+    the degree and the reason."""
+    for k in range(space_y.max_degree + 1):
+        rows_x = constraint_rows(graph_x, k)
+        p = relabelling(graph_x, k)
+        if graph_x.vertices != space_y.graph.vertices:
+            reason = "the two sides have different vertices"
+        else:
+            reason = _relabelling_fault(graph_x, k, p, rows_x, space_y)
+        if reason:
+            raise RelabelFailed(
+                f"relabelling check failed on the {name}, degree {k}: "
+                f"{reason}")
+        yield k, p, rows_x
+
+
+def certify_relabelling(space_y: GradedSolutionSpace, graph_x,
+                        name: str) -> None:
+    """Certify in every degree of space_y that P (:func:`relabelling`)
+    carries its kernel onto that of graph_x, intertwining the dagger
+    action with the dot action; RelabelFailed otherwise."""
+    for _ in _certified_rows(space_y, graph_x, name):
+        pass
+
+
+def relabel_space(space_y: GradedSolutionSpace, graph_x,
+                  name: str) -> GradedSolutionSpace:
+    """The side-x space P(space_y) of graph_x, certified as
+    certify_relabelling does: each basis column and unit row moved by P,
+    with the X constraint rows."""
+    rows = {}
+    bases = {}
+    for k, p, rows_k in _certified_rows(space_y, graph_x, name):
+        rows[k] = rows_k
+        basis = space_y.bases[k]
+        bases[k] = SubspaceBasis(
+            basis.ambient_dim,
+            [{p[c]: v for c, v in col.items()} for col in basis.columns],
+            unit_rows=[p[u] for u in basis.unit_rows])
+    return GradedSolutionSpace(graph_x, space_y.max_degree, bases, rows)
+
+
+def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
+                         cross_check: bool | None = None,
+                         traces: dict[Partition, list[Fraction]] | None = None
+                         ) -> GradedCharacter:
+    """The dot-action graded character of graph_x, side x of the graph of
+    space_y, without solving side x.
+
+    Once the relabelling is certified, the dot traces on X are the dagger
+    traces on Y (given as traces, or computed) and the dimensions are
+    equal, so the character is those traces times the dot ambient factor.
+    The direct-quotient cross-check (default n <= 3) runs on P(space_y).
+    """
+    if cross_check is None:
+        cross_check = space_y.n <= 3
+    if cross_check:
+        space = relabel_space(space_y, graph_x, name)
+    else:
+        certify_relabelling(space_y, graph_x, name)
+        space = space_y   # read only for its dimensions
+    if traces is None:
+        traces = equivariant_traces(space_y, "dagger")
+    return graded_character(space, "dot", cross_check, traces)
 
 
 # ---------------------------------------------------------------------------

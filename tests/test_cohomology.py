@@ -423,18 +423,24 @@ class TestCache:
             assert cold.bases[k].unit_rows == warm.bases[k].unit_rows
 
     @pytest.mark.parametrize("payload", [
-        {"ambient": 19, "free": [0], "cols": [[[0, 1]]]},
-        {"ambient": 18, "free": [0, 1], "cols": [[[0, 1]]]},
-        {"ambient": 18, "free": [0], "cols": [[[0, 0]]]},
-        {"ambient": 18, "free": [0], "cols": 5},
-        {"ambient": 18, "free": [999], "cols": [[[999, 1]]]},
-        {"ambient": 18, "free": [0, 0], "cols": [[[0, 1]]] * 2},
-        {"ambient": 18, "free": [0], "cols": [[[0, 1], [18, 1]]]},
-        {"ambient": 18, "free": [0], "cols": [[[0, -2]]]},
-        {"ambient": 18, "free": [0, 1],
+        {"ambient": 19, "dim": 1, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "dim": 1, "free": [0, 1], "cols": [[[0, 1]]]},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, 0]]]},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": 5},
+        {"ambient": 18, "dim": 1, "free": [999], "cols": [[[999, 1]]]},
+        {"ambient": 18, "dim": 2, "free": [0, 0], "cols": [[[0, 1]]] * 2},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, 1], [18, 1]]]},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, -2]]]},
+        {"ambient": 18, "dim": 2, "free": [0, 1],
          "cols": [[[0, 1], [1, 1]], [[1, 1]]]},
-        {"ambient": 18, "free": [0], "cols": [[[0, True]]]},
-        {"ambient": 18, "free": [0], "cols": [[[0, 1.0]]]},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, True]]]},
+        {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, 1.0]]]},
+        # a column dropped with its free index, or a dimension of the
+        # wrong type or missing
+        {"ambient": 18, "dim": 2, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "dim": True, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "dim": 1.0, "free": [0], "cols": [[[0, 1]]]},
+        {"ambient": 18, "free": [0], "cols": [[[0, 1]]]},
     ])
     def test_misfit_entry_is_a_miss(self, tmp_path, payload):
         import json
@@ -443,7 +449,7 @@ class TestCache:
         assert CH._cache_read(str(path), 18, []) is None
         for own in (1, 3):
             path.write_text(json.dumps(
-                {"ambient": 18, "free": [0], "cols": [[[0, own]]]}))
+                {"ambient": 18, "dim": 1, "free": [0], "cols": [[[0, own]]]}))
             assert CH._cache_read(str(path), 18, []).columns == [{0: own}]
 
     def test_entry_outside_the_kernel_is_a_miss(self, tmp_path):
@@ -451,12 +457,12 @@ class TestCache:
         path = tmp_path / "entry.json"
         rows = [{0: 1, 1: -1}]
         path.write_text(json.dumps(
-            {"ambient": 3, "free": [0, 2],
+            {"ambient": 3, "dim": 2, "free": [0, 2],
              "cols": [[[0, 2], [1, 2]], [[2, 1]]]}))
         assert CH._cache_read(str(path), 3, rows).columns == [
             {0: 2, 1: 2}, {2: 1}]
         path.write_text(json.dumps(
-            {"ambient": 3, "free": [0, 2],
+            {"ambient": 3, "dim": 2, "free": [0, 2],
              "cols": [[[0, 2], [1, 1]], [[2, 1]]]}))
         assert CH._cache_read(str(path), 3, rows) is None
 
@@ -468,7 +474,8 @@ class TestCache:
         for k in range(3):
             with open(CH._cache_path(str(tmp_path), g, k)) as fh:
                 data = json.load(fh)
-            assert set(data) == {"ambient", "free", "cols"}
+            assert set(data) == {"ambient", "dim", "free", "cols"}
+            assert data["dim"] == sp.bases[k].dim
             basis = CH._basis_from_payload(
                 data, sp.bases[k].ambient_dim, sp.rows[k])
             assert basis.columns == sp.bases[k].columns

@@ -1,0 +1,393 @@
+"""Side x as the certified relabelling P of side y: the certificate, its
+failures under mutation, the independence of the two sides, and the solve
+memo that lets one triple be solved once."""
+
+import dataclasses
+import json
+
+import pytest
+
+from gkmhess import cli
+from gkmhess import cohomology as CH
+from gkmhess import graphs as G
+from gkmhess import hessenberg as H
+from gkmhess import maps as M
+from gkmhess.linalg import Echelon, kernel_of_rows
+
+# the n = 4 sample of the direct-quotient cross-check (acceptance
+# criterion 7)
+SAMPLE4 = ("1,2,3,4", "2,2,3,4", "2,3,3,4", "2,3,4,4")
+
+
+def c_triple(hstr):
+    h = H.from_string(hstr)
+    return next(t for t in H.find_modular_triples(h) if t.kind == "C")
+
+
+def side_pairs():
+    """(name, graph y, graph x) for every plain, circle and blow-up graph
+    with n <= 3, and the plain graphs of the n = 4 sample."""
+    for n in (1, 2, 3):
+        for h in H.enumerate_hessenberg(n):
+            yield f"plain graph of {h}", G.build_GY(h), G.build_GX(h)
+            for t in H.find_modular_triples(h):
+                if t.kind == "C":
+                    ys = M.TripleGraphs.of(t, "y")
+                    xs = M.TripleGraphs.of(t, "x")
+                    for part in ("circle", "blowup"):
+                        yield (xs.graph_name(part), ys.graphs()[part],
+                               xs.graphs()[part])
+    for s in SAMPLE4:
+        h = H.from_string(s)
+        yield f"plain graph of {h}", G.build_GY(h), G.build_GX(h)
+
+
+def run_json(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestSidesStayIndependent:
+    """Side x solved on its own rows agrees with the relabelled side y:
+    without this, comparing the two sides would compare y with itself."""
+
+    def test_direct_x_kernel_is_the_relabelled_y_kernel(self):
+        count = 0
+        for name, gy, gx in side_pairs():
+            space_y = CH.solve_graph(gy)
+            relabelled = CH.relabel_space(space_y, gx, name)
+            direct = {}
+            for k in range(space_y.max_degree + 1):
+                rows = CH.constraint_rows(gx, k)
+                assert rows == relabelled.rows[k]
+                direct[k] = kernel_of_rows(rows, space_y.bases[k].ambient_dim)
+                cols = relabelled.bases[k].columns
+                assert direct[k].dim == len(cols), (name, k)
+                joint = Echelon.of(direct[k].columns)
+                assert not any(joint.reduce(col) for col in cols), (name, k)
+            space_x = CH.GradedSolutionSpace(gx, space_y.max_degree, direct,
+                                             relabelled.rows)
+            assert CH.graded_character(space_x, "dot", cross_check=False) \
+                == CH.relabelled_character(space_y, gx, name,
+                                           cross_check=False), name
+            count += 1
+        assert count == 14
+
+    @pytest.mark.parametrize("hstr", ["2,3,3", "3,3,3", "2,3,3,4"])
+    def test_x_character_is_the_dot_character_of_side_x(self, hstr):
+        h = H.from_string(hstr)
+        space_x = CH.solve_graph(G.build_GX(h))
+        assert M.plain_character(h, "x") == CH.graded_character(space_x,
+                                                                "dot")
+
+    def test_dot_traces_on_x_are_dagger_traces_on_y(self):
+        h = H.from_string("2,3,3,4")
+        space_x = CH.solve_graph(G.build_GX(h))
+        space_y = CH.solve_graph(G.build_GY(h))
+        assert CH.equivariant_traces(space_x, "dot") \
+            == CH.equivariant_traces(space_y, "dagger")
+
+    def test_relabelled_context_matches_direct_solves(self):
+        ctx = M.TripleContext.build(c_triple("2,3,3"), "x")
+        for name, graph in ctx.graphs().items():
+            direct = CH.solve_graph(graph, ctx.sp_blowup.max_degree)
+            space = getattr(ctx, f"sp_{name}")
+            assert space.graph is graph
+            for k in range(space.max_degree + 1):
+                assert space.dim(k) == direct.dim(k)
+                joint = Echelon.of(direct.bases[k].columns)
+                assert not any(joint.reduce(col)
+                               for col in space.bases[k].columns)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4", "1,3,4,4"])
+    def test_side_x_of_a_triple_is_certified(self, hstr):
+        report, side_x = M.check_theorem_main_sides(c_triple(hstr))
+        assert report["pass"]
+        assert side_x() == {**report, "side": "x"}
+
+    def test_relabelling_is_a_coordinate_permutation(self):
+        bl = M.TripleGraphs.of(c_triple("2,3,3"), "x").blowup
+        for k in range(4):
+            p = CH.relabelling(bl, k)
+            assert sorted(p) == list(range(len(p)))
+
+    def test_blowup_rows_differ_but_span_the_same_space(self):
+        # the quad rows differ between the sides already in degree 0, so
+        # the certificate needs more than row-set equality there
+        t = c_triple("2,3,3,4")
+        gy, gx = G.build_blowup(t, "y"), G.build_blowup(t, "x")
+        p = CH.relabelling(gx, 0)
+        pinv = {pc: c for c, pc in enumerate(p)}
+        pulled = {CH._row_key((pinv[c], v) for c, v in r.items())
+                  for r in CH.constraint_rows(gx, 0)}
+        assert pulled != {CH._row_key(r.items())
+                          for r in CH.constraint_rows(gy, 0)}
+        CH.certify_relabelling(CH.solve_graph(gy, 2), gx, "blow-up")
+
+    def test_wrong_graph_fails(self):
+        h = H.from_string("2,3,3")
+        space_y = CH.solve_graph(G.build_GY(h))
+        other = G.build_GX(H.from_string("1,3,3"))
+        with pytest.raises(CH.RelabelFailed) as err:
+            CH.certify_relabelling(space_y, other, "plain graph of 2,3,3")
+        assert str(err.value).startswith(
+            "relabelling check failed on the plain graph of 2,3,3, "
+            "degree 0: a Y row at vertex ")
+        with pytest.raises(CH.RelabelFailed, match="different vertices"):
+            CH.certify_relabelling(space_y, G.build_circle_graph(
+                c_triple("2,3,3"), "x"), "circle graph")
+
+
+    def test_mutated_dot_action_fails(self, monkeypatch):
+        # the rows still correspond, but the dot action no longer is the
+        # relabelled dagger action
+        perm = CH.coordinate_perm
+
+        def mutated(graph, k, sigma, action_kind):
+            return perm(graph, k, sigma, "dagger")
+
+        h = H.from_string("2,3,3")
+        space_y = CH.solve_graph(G.build_GY(h))
+        monkeypatch.setattr(CH, "coordinate_perm", mutated)
+        with pytest.raises(CH.RelabelFailed) as err:
+            CH.certify_relabelling(space_y, G.build_GX(h), "plain graph")
+        assert str(err.value) == (
+            "relabelling check failed on the plain graph, degree 1: the dot "
+            "action by (2, 1, 3) is not the relabelled dagger action")
+
+
+class TestMutationsFailTheCertificate:
+    """A mutated side-x construction makes the x item of 5.1 a FAIL that
+    names the relabelling check; side y is unaffected."""
+
+    def check_x_fails(self, capsys, where):
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
+        assert code == 1
+        x, y = data["items"]
+        assert (x["side"], y["side"]) == ("x", "y")
+        assert y["pass"] is True
+        assert x["pass"] is False
+        assert x["error_class"] == "RelabelFailed"
+        assert x["error"].startswith(
+            f"relabelling check failed on the {where}")
+        assert ", degree " in x["error"]
+        return x["error"]
+
+    def test_x_edge_label(self, capsys, monkeypatch):
+        label = G._label
+
+        def mutated(side, w, i, j):
+            if side == "x" and w == (1, 2, 3) and (i, j) == (2, 1):
+                return (1, 3)
+            return label(side, w, i, j)
+
+        monkeypatch.setattr(G, "_label", mutated)
+        # the edge of 123 along (2, 1) is in G(2,3,3) but not G(1,3,3);
+        # constants satisfy every edge, so degree 0 still passes
+        self.check_x_fails(capsys, "plain graph of 2,3,3, degree 1")
+
+    def test_blowup_sign(self, capsys, monkeypatch):
+        build = G.build_blowup
+
+        def mutated(triple, side):
+            bl = build(triple, side)
+            if side == "x":
+                bl = dataclasses.replace(
+                    bl, signs=(-bl.signs[0],) + bl.signs[1:])
+            return bl
+
+        monkeypatch.setattr(M, "build_blowup", mutated)
+        self.check_x_fails(capsys, "blow-up of 2,3,3, degree 0")
+
+    def test_quad_label(self, capsys, monkeypatch):
+        build = G.build_blowup
+
+        def mutated(triple, side):
+            bl = build(triple, side)
+            if side == "x":
+                (vs, (a, b)), *rest = bl.quads
+                bl = dataclasses.replace(
+                    bl, quads=((vs, (a, 6 - a - b)), *rest))
+            return bl
+
+        monkeypatch.setattr(M, "build_blowup", mutated)
+        self.check_x_fails(capsys, "blow-up of 2,3,3, degree ")
+
+    @pytest.mark.parametrize("name", ["psi", "rho"])
+    def test_x_branch_of_a_map(self, capsys, monkeypatch, name):
+        rule, source, shift = M.MAPS[name]
+
+        def mutated(ctx, v):
+            hit = rule(ctx, v)
+            if ctx.side != "x" or hit is None:
+                return hit
+            s, (a, b), swap = hit
+            return s, (b, a), swap   # the x multiplier with its sign flipped
+
+        monkeypatch.setitem(M.MAPS, name, (mutated, source, shift))
+        error = self.check_x_fails(capsys, f"map {name}, degree {shift}")
+        assert error.endswith("M_x P differs from P M_y at source column 0")
+
+    def test_corollary_and_theorem_1_1_name_it_too(self, capsys, monkeypatch):
+        label = G._label
+
+        def mutated(side, w, i, j):
+            if side == "x" and w == (1, 2, 3) and (i, j) == (2, 1):
+                return (1, 3)
+            return label(side, w, i, j)
+
+        monkeypatch.setattr(G, "_label", mutated)
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "all")
+        assert code == 1
+        fails = {(i["check"], i.get("side")): i for i in data["items"]
+                 if not i["pass"]}
+        assert set(fails) == {("1.1", None), ("5.1", "x"),
+                              ("corollary", "x")}
+        for item in fails.values():
+            assert item["error_class"] == "RelabelFailed"
+        assert fails[("1.1", None)]["error"].startswith(
+            "relabelling check failed on the plain graph of 2,3,3, degree ")
+
+
+class TestSideYFailure:
+    def test_failed_y_report_fails_x_with_the_same_degrees(
+            self, capsys, monkeypatch):
+        # every rank reads 0 on side y; the relabelling still holds, so
+        # side x reports the same degrees
+        monkeypatch.setattr(M, "_ranks", lambda a, b: (0, 0, 0))
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
+        assert code == 1
+        x, y = data["items"]
+        assert x["pass"] is y["pass"] is False
+        assert x["degrees"] == y["degrees"]
+
+    def test_report_is_worded_for_the_dot_action(self, monkeypatch):
+        def skewed(ctx, v):
+            return G.plain(G.compose((2, 1, 3), v.perm)), None, False
+
+        monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
+        report, _ = M.check_theorem_main_sides(c_triple("2,3,3"))
+        relabelled = M.relabel_report(report)
+        assert relabelled["side"] == "x" and report["side"] == "y"
+        assert relabelled["degrees"] == report["degrees"]
+        assert relabelled["pass"] is report["pass"] is False
+        assert report["failures"][0].startswith(
+            "eta does not commute with dagger action")
+        assert relabelled["failures"][0].startswith(
+            "eta does not commute with dot action")
+
+
+class TestOneSolvePerTriple:
+    def test_no_x_solve_and_no_repeated_solve(self, capsys, monkeypatch):
+        h = H.from_string("2,3,3,4")
+        t = c_triple("2,3,3,4")
+        xs = M.TripleGraphs.of(t, "x")
+        x_keys = {g.content_key()
+                  for g in [G.build_GX(h), *xs.graphs().values()]}
+        last = []
+        solved = []
+        rows_of, kernel = CH.constraint_rows, CH.kernel_of_rows
+
+        def rows_spy(graph, k):
+            last[:] = [(graph.content_key(), k)]
+            return rows_of(graph, k)
+
+        def kernel_spy(rows, ncols):
+            solved.append(last[0])
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(CH, "constraint_rows", rows_spy)
+        monkeypatch.setattr(CH, "kernel_of_rows", kernel_spy)
+        code, data = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
+        assert code == 0 and data["count"] == 10
+        assert solved and len(solved) == len(set(solved))
+        assert not {key for key, _ in solved} & x_keys
+
+
+class TestSolveMemo:
+    def test_second_solve_is_a_memo_hit(self, monkeypatch):
+        g = G.build_GY(H.from_string("2,3,3"))
+        with CH.solve_memo():
+            first = CH.solve_graph(g)
+
+            def unused(rows, ncols):
+                raise AssertionError("solved again")
+
+            monkeypatch.setattr(CH, "kernel_of_rows", unused)
+            again = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
+            assert again.bases == first.bases and again.rows == first.rows
+            low = CH.solve_graph(g, max_degree=1)
+            assert low.max_degree == 1 and sorted(low.bases) == [0, 1]
+
+    def test_memo_is_used_only_inside_a_block(self, monkeypatch):
+        g = G.build_GY(H.from_string("2,3,3"))
+        calls = []
+        kernel = CH.kernel_of_rows
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(CH, "kernel_of_rows", counting)
+        with CH.solve_memo():
+            CH.solve_graph(g, max_degree=2)
+            with CH.solve_memo():
+                CH.solve_graph(g, max_degree=2)
+            CH.solve_graph(g, max_degree=2)
+        assert len(calls) == 3 and CH._memo is None
+        CH.solve_graph(g, max_degree=2)   # outside: solved afresh
+        assert len(calls) == 6
+        with CH.solve_memo():   # nothing carries over between blocks
+            CH.solve_graph(g, max_degree=2)
+        assert len(calls) == 9
+
+    def test_higher_degrees_solve_only_the_new_ones(self, monkeypatch):
+        g = G.build_GY(H.from_string("2,3,3"))
+        calls = []
+        kernel = CH.kernel_of_rows
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return kernel(rows, ncols)
+
+        with CH.solve_memo():
+            CH.solve_graph(g, max_degree=2)
+            monkeypatch.setattr(CH, "kernel_of_rows", counting)
+            space = CH.solve_graph(g, max_degree=4)
+        assert len(calls) == 2 and sorted(space.bases) == [0, 1, 2, 3, 4]
+
+    def test_memo_is_bounded(self):
+        graphs = [G.build_GY(h) for n in (1, 2, 3)
+                  for h in H.enumerate_hessenberg(n)]
+        assert len(graphs) > CH.MEMO_GRAPHS
+        with CH.solve_memo():
+            for g in graphs:
+                CH.solve_graph(g, max_degree=1)
+            assert list(CH._memo) == [g.content_key()
+                                      for g in graphs[-CH.MEMO_GRAPHS:]]
+
+    def test_returned_space_does_not_alias_the_memo(self):
+        g = G.build_GY(H.from_string("2,3,3"))
+        with CH.solve_memo():
+            space = CH.solve_graph(g)
+            dims = [space.dim(k) for k in range(space.max_degree + 1)]
+            space.bases[1] = space.bases[0]
+            space.rows.clear()
+            again = CH.solve_graph(g)
+        assert [again.dim(k) for k in range(again.max_degree + 1)] == dims
+        assert again.rows
+
+    def test_a_command_uses_the_memo(self, capsys, monkeypatch):
+        seen = []
+        run_item = cli._run_item
+
+        def spy(item, cache_dir):
+            seen.append(CH._memo is not None)
+            return run_item(item, cache_dir)
+
+        monkeypatch.setattr(cli, "_run_item", spy)
+        code, _ = run_json(capsys, "check", "2,3,3", "--thm", "all")
+        assert code == 0 and seen and all(seen)
+        assert CH._memo is None   # the command's solves are dropped
