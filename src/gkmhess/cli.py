@@ -214,8 +214,10 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
         scope = {"h": str(h)}
     items = _expand_items(thm, hs)
     run = partial(_run_item, cache_dir=cfg.cache_dir)
-    if cfg.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the fork start method starts every worker at the first submit
+    workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, items))
     else:
         rows = [run(it) for it in items]

@@ -54,10 +54,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from gkmhess import polys
 from gkmhess.graphs import (
     SignedBlowupGraph, Vertex, class_representative, compose, generators,
-    inverse, swap_positions)
+    inverse)
 from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
@@ -240,12 +239,13 @@ def _basis_from_payload(data: dict, ambient: int,
 
 def _cache_read(path: str, ambient: int,
                 rows: list[IntRow]) -> SubspaceBasis | None:
-    """The cached basis, or None (a miss) if the entry is unreadable, of
-    the wrong shape, or not a unit-row kernel basis of rows."""
+    """The cached basis, or None (a miss) if the entry is unreadable (json
+    raises RecursionError on deep nesting), of the wrong shape, or not a
+    unit-row kernel basis of rows."""
     try:
         with open(path) as fh:
             return _basis_from_payload(json.load(fh), ambient, rows)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 
 
@@ -476,7 +476,7 @@ def column_adjacency(rows: list[IntRow]):
 
 def first_violated_row(adj, col: dict) -> int | None:
     """Smallest index of a row (given by its column adjacency) that does
-    not annihilate col (int or Fraction entries), or None."""
+    not annihilate the integer vector col, or None."""
     residual: dict = {}
     for c, v in col.items():
         for ri, cf in adj.get(c, ()):
@@ -870,86 +870,3 @@ def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
     if traces is None:
         traces = equivariant_traces(space_y, "dagger")
     return graded_character(space, "dot", cross_check, traces)
-
-
-# ---------------------------------------------------------------------------
-# explicit classes
-
-@dataclass
-class EquivariantClass:
-    """A vertex-to-polynomial map satisfying the graph congruences."""
-
-    graph: object
-    degree: int
-    values: dict[Vertex, polys.Poly]
-
-    def __post_init__(self):
-        for v, p in self.values.items():
-            if not polys.is_homogeneous(p, self.degree):
-                raise MembershipFailed(
-                    f"value at {v} is not homogeneous of degree {self.degree}")
-        if not membership_check(self, self.graph):
-            raise MembershipFailed("congruence conditions violated")
-
-    def vector(self) -> dict[int, Fraction]:
-        nv = len(self.graph.vertices)
-        idx = monomial_index(self.graph.n, self.degree)
-        vidx = self.graph.vertex_index()
-        out: dict[int, Fraction] = {}
-        for v, p in self.values.items():
-            for e, c in p.items():
-                out[idx[e] * nv + vidx[v]] = c
-        return out
-
-    @classmethod
-    def from_vector(cls, graph, degree: int,
-                    col: dict) -> "EquivariantClass":
-        mons = monomials(graph.n, degree)
-        nv = len(graph.vertices)
-        values: dict[Vertex, polys.Poly] = {}
-        for c, val in col.items():
-            if val:
-                v = graph.vertices[c % nv]
-                values.setdefault(v, {})[mons[c // nv]] = Fraction(val)
-        return cls(graph, degree, values)
-
-    def value(self, v: Vertex) -> polys.Poly:
-        return self.values.get(v, {})
-
-
-def membership_check(cls: EquivariantClass, graph) -> bool:
-    """Every edge congruence, and every quad condition if signed."""
-    verts = graph.vertices
-    for (ui, vi, (a, b)) in graph.edges:
-        diff = polys.sub(cls.value(verts[ui]), cls.value(verts[vi]))
-        if not polys.divisible_by_diff(diff, a, b):
-            return False
-    if isinstance(graph, SignedBlowupGraph):
-        for (vs, (a, b)) in graph.quads:
-            acc: polys.Poly = {}
-            for vi in vs:
-                acc = polys.add(acc, cls.value(verts[vi]), graph.signs[vi])
-            if not polys.divisible_by_diff(acc, a, b, order=2):
-                return False
-    return True
-
-
-def make_class_xi(graph, i: int) -> EquivariantClass:
-    """The degree-1 class with x_i(w) = t_{w(i)} and x_i(circ(w tau)) = t_{w(i)}.
-
-    Defined on the X side (plain graphs from build_GX, or X-side blow-ups);
-    membership is verified on construction.
-    """
-    n = graph.n
-    values: dict[Vertex, polys.Poly] = {}
-    if isinstance(graph, SignedBlowupGraph):
-        if graph.side != "x":
-            raise MembershipFailed("x_i classes live on the X side")
-        d = graph.d
-        for v in graph.vertices:
-            w = swap_positions(v.perm, d + 1, d) if v.circle else v.perm
-            values[v] = polys.tvar(n, w[i - 1])
-    else:
-        for v in graph.vertices:
-            values[v] = polys.tvar(n, v.perm[i - 1])
-    return EquivariantClass(graph, 1, values)

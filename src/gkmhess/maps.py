@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from gkmhess import polys
 from gkmhess.cohomology import (
-    EquivariantClass, GradedCharacter, GradedSolutionSpace, MembershipFailed,
-    NotInvariant, RelabelFailed, certify_relabelling, check_action_invariance,
+    GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
+    RelabelFailed, certify_relabelling, check_action_invariance,
     column_adjacency, coordinate_perm, equivariant_traces, first_violated_row,
     frobenius_of_character, graded_character, monomial_index, monomials,
     relabel_space, relabelled_character, relabelling, solve_graph)
@@ -239,21 +238,12 @@ def map_matrices(ctx: TripleContext) -> dict[tuple[str, int], MapMatrix]:
 
 
 def _apply(matrix: MapMatrix, col: dict) -> dict:
-    """M col for an integer (basis column) or Fraction (class) vector."""
+    """M col for an integer vector."""
     out: dict = {}
     for c, v in col.items():
         for t, coeff in matrix[c]:
             out[t] = out.get(t, 0) + coeff * v
     return {t: v for t, v in out.items() if v}
-
-
-def apply_map(ctx: TripleContext, name: str,
-              f: EquivariantClass) -> EquivariantClass:
-    """The class name(f) on the blow-up; f lives on the map's source graph.
-    Raises MembershipFailed if the image violates a congruence."""
-    k = f.degree + MAPS[name][2]
-    return EquivariantClass.from_vector(
-        ctx.blowup, k, _apply(map_matrix(ctx, name, k), f.vector()))
 
 
 def map_image_columns(ctx: TripleContext, name: str, k: int,
@@ -292,6 +282,17 @@ def _assert_in_space(space: GradedSolutionSpace, k: int,
 # ---------------------------------------------------------------------------
 # theorem checks
 
+def _first_unintertwined(m_a: MapMatrix, m_b: MapMatrix, p_src: list[int],
+                         p_dst: list[int]) -> int | None:
+    """The first source column c at which p_dst M_a and M_b p_src differ,
+    for coordinate permutations p_src and p_dst; None if they agree."""
+    for c, entries in enumerate(m_a):
+        if sorted((p_dst[t], v) for t, v in entries) \
+                != sorted(m_b[p_src[c]]):
+            return c
+    return None
+
+
 def _check_map_equivariance(ctx: TripleContext, name: str, k: int,
                             matrix: MapMatrix | None) -> None:
     """pi_dst M = M pi_src for every generator: the map matrix commutes
@@ -304,12 +305,10 @@ def _check_map_equivariance(ctx: TripleContext, name: str, k: int,
     for sigma in generators(ctx.blowup.n):
         pi_src = coordinate_perm(graph, k - shift, sigma, kind)
         pi_dst = coordinate_perm(ctx.blowup, k, sigma, kind)
-        for c, entries in enumerate(matrix):
-            if sorted((pi_dst[t], v) for t, v in entries) \
-                    != sorted(matrix[pi_src[c]]):
-                raise EquivarianceFailed(
-                    f"{name} does not commute with {kind} action by {sigma} "
-                    f"in degree {k}")
+        if _first_unintertwined(matrix, matrix, pi_src, pi_dst) is not None:
+            raise EquivarianceFailed(
+                f"{name} does not commute with {kind} action by {sigma} "
+                f"in degree {k}")
 
 
 def _ranks(cols_a: list[IntRow], cols_b: list[IntRow]
@@ -441,13 +440,12 @@ def certify_side_x(ctx: TripleContext, matrices: dict) -> None:
     for (name, k), m_y in matrices.items():
         source, shift = MAPS[name][1:]
         m_x = map_matrix(xs, name, k)
-        p_src, p_dst = p(source, k - shift), p("blowup", k)
-        for c, entries in enumerate(m_y):
-            if sorted((p_dst[t], v) for t, v in entries) \
-                    != sorted(m_x[p_src[c]]):
-                raise RelabelFailed(
-                    f"relabelling check failed on the map {name}, degree "
-                    f"{k}: M_x P differs from P M_y at source column {c}")
+        c = _first_unintertwined(m_y, m_x, p(source, k - shift),
+                                 p("blowup", k))
+        if c is not None:
+            raise RelabelFailed(
+                f"relabelling check failed on the map {name}, degree "
+                f"{k}: M_x P differs from P M_y at source column {c}")
 
 
 def relabel_report(report: dict) -> dict:
@@ -552,56 +550,3 @@ def check_theorem_1_2(h: HessenbergFunction, cache_dir: str | None = None
     lhs = _llt(h).convert("m")
     rhs = frobenius_of_character(plain_character(h, "y", cache_dir))
     return lhs == rhs, lhs - rhs
-
-
-# ---------------------------------------------------------------------------
-# constructive splitting (debugging diagnostic)
-
-def _divide_by_diff(p: polys.Poly, n: int, a: int, b: int) -> polys.Poly:
-    """Exact quotient p / (t_a - t_b); raises if not divisible.
-
-    With a < b the lex-leading monomial of any multiple of t_a - t_b has
-    positive t_a exponent, so peeling leading terms terminates.
-    """
-    sign = 1
-    if a > b:
-        a, b, sign = b, a, -1
-    rem = dict(p)
-    quot: polys.Poly = {}
-    while rem:
-        e = max(rem)   # lex-leading exponent
-        c = rem[e]
-        if e[a - 1] == 0:
-            raise ValueError("polynomial is not divisible by the difference")
-        ee = list(e)
-        ee[a - 1] -= 1
-        term = {tuple(ee): c}
-        quot = polys.add(quot, term)
-        rem = polys.sub(rem, polys.mul_linear_diff(term, n, a, b))
-    return polys.scale(quot, sign)
-
-
-def constructive_preimage(ctx: TripleContext, f_tilde: EquivariantClass
-                          ) -> tuple[EquivariantClass, EquivariantClass]:
-    """Split f_tilde as phi(f) + psi_!(g): f is the circle restriction and
-    g the exact quotient of the plain remainder by the joining label.
-
-    X-side diagnostic mirroring the surjectivity construction; the main
-    check certifies surjectivity by dimension counting instead.
-    """
-    if ctx.side != "x":
-        raise ValueError("the diagnostic splitting is implemented on side X")
-    n = ctx.blowup.n
-    d = ctx.d
-    circle_vals = {v: f_tilde.value(v) for v in ctx.g_circle.vertices
-                   if f_tilde.value(v)}
-    f = EquivariantClass(ctx.g_circle, f_tilde.degree, circle_vals)
-    phi_f = apply_map(ctx, "phi", f)
-    g_vals: dict[Vertex, polys.Poly] = {}
-    for v in ctx.g_mid.vertices:
-        w = v.perm
-        rem = polys.sub(f_tilde.value(plain(w)), phi_f.value(plain(w)))
-        if rem:
-            g_vals[v] = _divide_by_diff(rem, n, w[d], w[d - 1])
-    g = EquivariantClass(ctx.g_mid, f_tilde.degree - 1, g_vals)
-    return f, g

@@ -164,6 +164,36 @@ class TestCheck:
             os.path.basename(CH._cache_path(str(tmp_path), g, k))
             for g in graphs for k in range(g.top_degree + 2))
 
+    @pytest.mark.parametrize("cpus, pools",
+                             [(None, []), (3, [3]), (64, [16])])
+    def test_pool_size_is_bounded(self, capsys, monkeypatch, cpus, pools):
+        # at most one worker per item and per CPU, whatever --jobs asks,
+        # and no pool for one worker; the pool is a stand-in that runs the
+        # items inline
+        argv = ("check", "--thm", "all", "--sweep", "3")
+        _, serial = run_json(capsys, *argv, "--jobs", "1")
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, pooled = run_json(capsys, *argv, "--jobs", "100000")
+        assert code == 0 and sizes == pools   # 16 items in sweep 3
+        serial.pop("wall_time_sec"), pooled.pop("wall_time_sec")
+        assert pooled == serial
+
     def test_scope_required(self, capsys):
         assert cli.main(["check", "--thm", "1.1"]) == 2
 
@@ -333,6 +363,24 @@ class TestDeterminismAndCache:
         assert warm == cold
         with open(entry) as fh:
             assert json.load(fh) == good
+
+    def test_deeply_nested_entry_is_a_miss(self, capsys, tmp_path):
+        # json.load raises RecursionError, not ValueError, on such an entry
+        entry = CH._cache_path(str(tmp_path),
+                               G.build_GY(H.from_string("2,2")), 1)
+        for args in (("betti", "2,2"), ("check", "2,2", "--thm", "1.2")):
+            _, cold = run_json(capsys, *args)
+            run(capsys, *args, "--cache-dir", str(tmp_path))
+            with open(entry) as fh:
+                good = fh.read()
+            with open(entry, "w") as fh:
+                fh.write("[" * 200000 + "]" * 200000)
+            code, warm = run_json(capsys, *args, "--cache-dir", str(tmp_path))
+            assert code == 0
+            cold.pop("wall_time_sec"), warm.pop("wall_time_sec")
+            assert warm == cold
+            with open(entry) as fh:
+                assert fh.read() == good
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -8,9 +8,9 @@ from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import linalg as L
-from gkmhess import polys
 from gkmhess.coloring import csf_q, llt
 from gkmhess.maps import omega_graded
+import classes
 from test_linalg import restrict_endomorphism, trace
 
 
@@ -39,8 +39,8 @@ class TestEquivariantPiece:
         g = G.build_GX(H.from_string("2,3,3"))
         basis = CH.equivariant_piece(g, 2)
         for col in basis.columns:
-            cls = CH.EquivariantClass.from_vector(g, 2, col)
-            assert CH.membership_check(cls, g)
+            cls = classes.EquivariantClass.from_vector(g, 2, col)
+            assert classes.membership_check(cls, g)
 
 
 class TestMonomialIndex:
@@ -76,8 +76,8 @@ class TestBlowupSelfConsistency:
             sp = CH.solve_graph(bl, max_degree=2)
             for k in (0, 1, 2):
                 for col in sp.bases[k].columns:
-                    cls = CH.EquivariantClass.from_vector(bl, k, col)
-                    assert CH.membership_check(cls, bl)
+                    cls = classes.EquivariantClass.from_vector(bl, k, col)
+                    assert classes.membership_check(cls, bl)
 
 
 class TestHilbertNumerator:
@@ -240,44 +240,45 @@ class TestFrobeniusSeries:
 class TestClasses:
     def test_xi_on_plain_graph(self):
         g = G.build_GX(H.from_string("2,3,3"))
-        x2 = CH.make_class_xi(g, 2)
+        x2 = classes.make_class_xi(g, 2)
         for v in g.vertices:
-            assert x2.value(v) == polys.tvar(3, v.perm[1])
+            assert x2.value(v) == classes.tvar(3, v.perm[1])
 
     def test_xi_sum_is_constant(self):
         g = G.build_GX(H.from_string("2,3,3"))
         total = {}
         for i in (1, 2, 3):
-            xi = CH.make_class_xi(g, i)
+            xi = classes.make_class_xi(g, i)
             for v in g.vertices:
-                total[v] = polys.add(total.get(v, {}), xi.value(v))
-        expected = polys.add(polys.add(polys.tvar(3, 1), polys.tvar(3, 2)),
-                             polys.tvar(3, 3))
+                total[v] = classes.add(total.get(v, {}), xi.value(v))
+        expected = classes.add(
+            classes.add(classes.tvar(3, 1), classes.tvar(3, 2)),
+            classes.tvar(3, 3))
         assert all(p == expected for p in total.values())
 
     def test_xi_on_blowup_example(self):
         # x_3(°123) = t_{w(3)} with w = (123) tau = 132 -> t_2
         bl = G.build_blowup(c_triple("2,3,3"), "x")
-        x3 = CH.make_class_xi(bl, 3)
-        assert x3.value(G.circ((1, 2, 3))) == polys.tvar(3, 2)
+        x3 = classes.make_class_xi(bl, 3)
+        assert x3.value(G.circ((1, 2, 3))) == classes.tvar(3, 2)
 
     def test_xi_y_side_rejected(self):
         bl = G.build_blowup(c_triple("2,3,3"), "y")
         with pytest.raises(CH.MembershipFailed):
-            CH.make_class_xi(bl, 1)
+            classes.make_class_xi(bl, 1)
 
     def test_constant_class_member(self):
         g = G.build_GX(H.from_string("2,3,3"))
-        cls = CH.EquivariantClass(
-            g, 1, {v: polys.tvar(3, 1) for v in g.vertices})
-        assert CH.membership_check(cls, g)
+        cls = classes.EquivariantClass(
+            g, 1, {v: classes.tvar(3, 1) for v in g.vertices})
+        assert classes.membership_check(cls, g)
 
     def test_corrupted_class_fails(self):
         g = G.build_GX(H.from_string("2,3,3"))
-        values = {v: polys.tvar(3, 1) for v in g.vertices}
-        values[g.vertices[0]] = polys.tvar(3, 2)
+        values = {v: classes.tvar(3, 1) for v in g.vertices}
+        values[g.vertices[0]] = classes.tvar(3, 2)
         with pytest.raises(CH.MembershipFailed):
-            CH.EquivariantClass(g, 1, values)
+            classes.EquivariantClass(g, 1, values)
 
 
 class TestInversionStatisticOracle:
@@ -383,8 +384,8 @@ class TestActionInvarianceGuard:
             for k in range(sp.max_degree + 1):
                 for col in sp.bases[k].columns:
                     # from_vector raises MembershipFailed on a violation
-                    cls = CH.EquivariantClass.from_vector(bl, k, col)
-                    assert CH.membership_check(cls, bl)
+                    cls = classes.EquivariantClass.from_vector(bl, k, col)
+                    assert classes.membership_check(cls, bl)
 
 
 class TestCharacterIntegrality:
