@@ -118,7 +118,7 @@ def _subst_exp(e: tuple, a: int, b: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """The indices of the degree-k monomials grouped by their image under
     t_a -> t_b, the groups in the order of their images."""
     groups: dict[tuple, list[int]] = {}
@@ -135,7 +135,7 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
         # f(u) - f(v) vanishes at t_a = t_b: one row per image monomial
-        for group in _edge_groups(n, k, a, b):
+        for group in edge_groups(n, k, a, b):
             row = {}
             for mi in group:
                 row[mi * nv + ui] = 1
@@ -619,12 +619,16 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     the direct quotient is authoritative and a disagreement raises
     CrossCheckFailed.  traces, if given, stand for
     equivariant_traces(space, action_kind): computed once for two
-    characters, or carried over from side y by :func:`relabelled_character`.
+    characters, carried over from side y by :func:`relabelled_character`,
+    or read from the irreducible blocks of a twin graph
+    (:class:`gkmhess.isotypic.TwinBlocks`), which can then stand for space
+    itself where there is no cross-check.
     """
     n = space.n
     top = space.graph.top_degree
     numer = hilbert_numerator(space)
-    if traces is None:
+    traced = traces is None
+    if traced:
         traces = equivariant_traces(space, action_kind)
     one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
@@ -650,15 +654,24 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     if cross_check is None:
         cross_check = n <= 3
     if cross_check:
-        _cross_check_direct(space, action_kind, char, numer)
+        _cross_check_direct(space, action_kind, char, numer,
+                            invariant=traced)
     return char
 
 
 def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
-                        char: GradedCharacter, numer: list[int]) -> None:
-    """Direct-quotient traces; CrossCheckFailed on any disagreement."""
+                        char: GradedCharacter, numer: list[int],
+                        invariant: bool = False) -> None:
+    """Direct-quotient traces; CrossCheckFailed on any disagreement.
+
+    The traces are taken on the solved space, so the action is first
+    checked to preserve each degree (NotInvariant otherwise), unless
+    invariant says that equivariant_traces has done so already.
+    """
     n = space.n
     for k in range(space.graph.top_degree + 1):
+        if not invariant:
+            check_action_invariance(space, k, action_kind)
         _, image = _ordinary_piece_with_image(space, k, expected=numer[k])
         for lam in partitions_of(n):
             sigma = class_representative(lam)

@@ -16,7 +16,8 @@ phi + psi_! and eta + rho_! are both isomorphisms onto the signed blow-up
 cohomology; it is verified degreewise by exact rank computations, with
 equivariance checked on group generators.  The corollary (the modular law
 for the graded characters) is checked as an identity of Frobenius series;
-it reads only the three plain graphs.
+it reads only the three plain graphs.  The characters of plain graphs
+come from the irreducible blocks of their twins (:mod:`gkmhess.isotypic`).
 
 Both are checked on side y only.  Side x is its relabelling (see
 :func:`gkmhess.cohomology.relabelling`): once the graphs, the actions and
@@ -33,7 +34,7 @@ from typing import Callable
 from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
     RelabelFailed, certify_relabelling, check_action_invariance,
-    column_adjacency, coordinate_perm, equivariant_traces, first_violated_row,
+    column_adjacency, coordinate_perm, first_violated_row,
     frobenius_of_character, graded_character, monomial_index, monomials,
     relabel_space, relabelled_character, relabelling, solve_graph)
 from gkmhess.graphs import (
@@ -41,6 +42,7 @@ from gkmhess.graphs import (
     build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
     plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
+from gkmhess.isotypic import TwinBlocks, twin_blocks
 from gkmhess.linalg import Echelon, IntRow, rank_of_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction
 
@@ -473,15 +475,30 @@ def check_theorem_main_sides(triple: ModularTriple,
     return report, side_x
 
 
+def plain_twin(h: HessenbergFunction, cache_dir: str | None = None
+               ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
+    """The twin graph of h as (space, dagger traces).  The traces are read
+    from its irreducible blocks (:func:`twin_blocks`), and so is the space,
+    except at n <= 3: there the graph is solved as well, and the direct
+    quotient on the solved space cross-checks every character made from
+    these traces."""
+    graph = build_GY(h)
+    blocks = twin_blocks(graph)
+    space = solve_graph(graph, cache_dir=cache_dir) if h.n <= 3 else blocks
+    return space, blocks.traces()
+
+
 def plain_character(h: HessenbergFunction, side: str,
                     cache_dir: str | None = None) -> GradedCharacter:
-    """The graded character of the plain graph of h from its side-y solve:
-    the dagger action on side y, and on side x the dot action through the
-    certified relabelling (:func:`relabelled_character`)."""
-    space = solve_graph(build_GY(h), cache_dir=cache_dir)
+    """The graded character of the plain graph of h from its twin
+    (:func:`plain_twin`): the dagger action on side y, and on side x the
+    dot action through the certified relabelling
+    (:func:`relabelled_character`)."""
+    space, traces = plain_twin(h, cache_dir)
     if side == "y":
-        return graded_character(space, "dagger")
-    return relabelled_character(space, build_GX(h), f"plain graph of {h}")
+        return graded_character(space, "dagger", traces=traces)
+    return relabelled_character(space, build_GX(h), f"plain graph of {h}",
+                                traces=traces)
 
 
 # (ok, difference) of a modular law of Frobenius series
@@ -502,18 +519,17 @@ def check_corollary_sides(triple: ModularTriple, cache_dir: str | None = None
     """(1+q) F(h) = F(h_+) + q F(h_-) for the graded Frobenius series:
     the side-y law of triple, and a function giving the side-x one.
 
-    Solves only the three plain graphs of the triple (a kind-R triple is
-    transposed first, as in :meth:`TripleGraphs.of`), each through its
-    own top degree + 1, on side y.  Both sides come from these solves and
-    one set of dagger traces: side x through the certified relabelling.
-    Each law is (ok, difference); the difference is the zero graded
-    symmetric function exactly when the law holds.
+    Reads only the twins of the three plain graphs of the triple (a
+    kind-R triple is transposed first, as in :meth:`TripleGraphs.of`),
+    each through its own top degree + 1, by :func:`plain_twin`.  Both
+    sides come from one set of dagger traces: side x through the
+    certified relabelling.  Each law is (ok, difference); the difference
+    is the zero graded symmetric function exactly when the law holds.
     """
     if triple.kind == "R":
         triple = kind_r_via_transpose(triple)
     hs = (triple.h_minus, triple.h, triple.h_plus)
-    spaces = [solve_graph(build_GY(h), cache_dir=cache_dir) for h in hs]
-    traces = [equivariant_traces(sp, "dagger") for sp in spaces]
+    spaces, traces = zip(*(plain_twin(h, cache_dir) for h in hs))
     law_y = _modular_law(
         frobenius_of_character(graded_character(sp, "dagger", traces=tr))
         for sp, tr in zip(spaces, traces))
