@@ -34,9 +34,10 @@ characters land in the symmetric-function layer.
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling` turns every X congruence into the Y congruence and the
 dot action into the dagger action, so it carries the Y kernel onto the X
-kernel.  :func:`certify_relabelling` checks this on the constraint rows of
-every degree (in O(nnz)), after which the X dimensions and dot traces are
-the Y dimensions and dagger traces.  Inside :func:`solve_memo`,
+kernel.  :func:`certify_relabelling` checks this once per graph pair, on
+its vertices, edges, 4-gons and signs, and checks the actions in every
+degree; then the X dimensions and dot traces are the Y dimensions and
+dagger traces.  Inside :func:`solve_memo`,
 :func:`solve_graph` keeps the last few graphs it solved in a memo in front
 of the disk cache.
 """
@@ -52,11 +53,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from gkmhess.graphs import (
     SignedBlowupGraph, Vertex, class_representative, compose, generators,
-    inverse)
+    inverse, swap_positions)
 from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
@@ -733,115 +734,121 @@ def relabelling(graph, k: int) -> list[int]:
     f(v) = w.g(v).  Every X edge condition becomes the Y one, so does
     every quad condition given the edge conditions, and the dot action
     becomes the dagger action; so P carries the Y kernel onto the X
-    kernel.  :func:`certify_relabelling` checks this on the rows of each
-    degree.
+    kernel.  :func:`certify_relabelling` checks this on the two graphs
+    (:func:`_graph_fault`) and on the actions of each degree.
     """
     nv = len(graph.vertices)
-    tables: dict = {}
     out = [0] * (nv * len(monomials(graph.n, k)))
     for vi, v in enumerate(graph.vertices):
-        if v.perm not in tables:
-            tables[v.perm] = _perm_monomial_table(graph.n, k, v.perm)
-        for mi, mj in enumerate(tables[v.perm]):
+        for mi, mj in enumerate(_perm_monomial_table(graph.n, k, v.perm)):
             out[mi * nv + vi] = mj * nv + vi
     return out
 
 
-def _primitive(row: IntRow) -> tuple:
-    """The row key of a row divided by its content; () for a zero row."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    return _row_key((c, v // g) for c, v in row.items()) if g else ()
+def _graph_fault(graph_y, graph_x) -> str | None:
+    """Why P (:func:`relabelling`) fails to carry the Y kernel onto the X
+    kernel in some degree, or None.  P sends a Y class g to the X class f
+    with f(v) = w.g(v), w the permutation of v.
 
+    (V) The two vertex tuples are equal.
+    (E) The (u, v) pairs of the two edge lists are the same set, with no
+    repeats.  For each Y edge {u, v} labelled L = (a, b), with w the
+    permutation of u, that of v is w or w (a b), and the X edge {u, v} is
+    labelled (w(a), w(b)), sorted.  Then f(u) - f(v) = w.(g(u) - s.g(v))
+    with s = 1 or (a b), and s.g = g mod t_a - t_b, so each X edge
+    condition holds exactly when the Y one does.
+    (Q) Both quad lists have the same vertex tuples, in the same order.
+    For each Y 4-gon (vs, L = (a, b)), with w the permutation of vs[0]:
+    the X label is (w(a), w(b)), sorted; each permutation in vs is w
+    (chi = 1) or w (a b) (chi = -1); sign_x sign_y chi is the same at
+    every vertex; and the two chi = -1 vertices have opposite X signs and
+    are joined by a Y edge labelled L.  Given (E), their signed sum A is
+    divisible by t_a - t_b, so (a b).A = -A mod L^2, and the X 4-gon sum
+    is +-w.(the Y 4-gon sum) mod w(L)^2.
 
-def _combination(r: tuple, q: tuple, s: int) -> IntRow:
-    """r - s q, for two row keys."""
-    out = dict(r)
-    for c, v in q:
-        nv = out.get(c, 0) - s * v
-        if nv:
-            out[c] = nv
-        else:
-            out.pop(c, None)
-    return out
-
-
-def _outside_span(keys: set, other: set, shared: set) -> tuple | None:
-    """A row of keys that is neither in other nor +-q + c e, with q a row
-    of other outside keys that has the same smallest column and e a row
-    of both (by its primitive key in shared); None if there is none."""
-    by_first: dict[int, list[tuple]] = {}
-    for q in other - keys:
-        by_first.setdefault(q[0][0], []).append(q)
-    for r in keys - other:
-        if not any(_primitive(_combination(r, q, s)) in shared
-                   for q in by_first.get(r[0][0], ()) for s in (1, -1)):
-            return r
-    return None
-
-
-def _relabelling_fault(graph_x, k: int, p: list[int], rows_x: list[IntRow],
-                       space_y: GradedSolutionSpace) -> str | None:
-    """Why P fails to carry the degree-k Y kernel onto the X kernel, or
-    None.
-
-    Rows: the X rows pulled back by P must span the Y rows.  Every
-    pulled-back row is a Y row up to sign, or +-q + c e with q a Y row and
-    e a row of both systems, and the converse holds too; so the two row
-    spaces, hence the kernels, are equal.  Action: for each generator,
-    the dot permutation after P is P after the dagger permutation.
+    :func:`constraint_rows` encodes these conditions for any graph, so
+    (V), (E) and (Q) make P carry the Y kernel onto the X kernel in every
+    degree.
     """
-    nv = len(graph_x.vertices)
-    pinv = [0] * len(p)
-    for c, pc in enumerate(p):
-        pinv[pc] = c
-    pulled = {_row_key((pinv[c], v) for c, v in r.items()) for r in rows_x}
-    keys_y = {_row_key(r.items()) for r in space_y.rows[k]}
-    if pulled != keys_y:
-        shared = {_primitive(dict(e)) for e in pulled & keys_y}
-        for keys, other, what in ((pulled, keys_y, "pulled-back X row"),
-                                  (keys_y, pulled, "Y row")):
-            bad = _outside_span(keys, other, shared)
-            if bad is not None:
-                c = bad[0][0]
-                return (f"a {what} at vertex {graph_x.vertices[c % nv]} "
-                        f"(column {c}) is outside the span of the other "
-                        f"side's rows")
-    for sigma in generators(graph_x.n):
-        pi_x = coordinate_perm(graph_x, k, sigma, "dot")
-        pi_y = coordinate_perm(space_y.graph, k, sigma, "dagger")
-        if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
-            return (f"the dot action by {sigma} is not the relabelled "
-                    f"dagger action")
+    n, verts = graph_y.n, graph_y.vertices
+    if graph_x.n != n or graph_x.vertices != verts:
+        return "the two sides have different vertices"
+    edges_y = {(u, v): label for u, v, label in graph_y.edges}
+    edges_x = {(u, v): label for u, v, label in graph_x.edges}
+    pairs = edges_y.keys() | edges_x.keys()
+    if len(edges_y) < len(graph_y.edges) or len(edges_x) < len(graph_x.edges) \
+            or not all(0 <= u < v < len(verts) for u, v in pairs):
+        return "an edge is repeated or off the vertices"
+    one_sided = sorted(edges_y.keys() ^ edges_x.keys())
+    if one_sided:
+        u, v = one_sided[0]
+        return f"the edge {verts[u]} -- {verts[v]} is on one side only"
+    for (u, v), (a, b) in edges_y.items():
+        w = verts[u].perm
+        edge = f"{verts[u]} -- {verts[v]}"
+        if not 1 <= a < b <= n \
+                or verts[v].perm not in (w, swap_positions(w, a, b)):
+            return f"the y edge {edge} is not along its label {(a, b)}"
+        expected = tuple(sorted((w[a - 1], w[b - 1])))
+        if edges_x[u, v] != expected:
+            return (f"the x edge {edge} is labelled {edges_x[u, v]}, not "
+                    f"{expected}")
+    quads_y = getattr(graph_y, "quads", ())
+    quads_x = getattr(graph_x, "quads", ())
+    if len(quads_y) != len(quads_x):
+        return f"side y has {len(quads_y)} 4-gons, side x {len(quads_x)}"
+    for (vs, (a, b)), (vs_x, label_x) in zip(quads_y, quads_x):
+        if vs_x != vs or not 1 <= a < b <= n \
+                or not all(0 <= i < len(verts) for i in vs):
+            return (f"the y 4-gon {vs} is not the x 4-gon {vs_x}, or is "
+                    f"off the vertices")
+        quad = "4-gon " + " ".join(str(verts[i]) for i in vs)
+        w = verts[vs[0]].perm
+        chi = {w: 1, swap_positions(w, a, b): -1}
+        expected = tuple(sorted((w[a - 1], w[b - 1])))
+        if label_x != expected:
+            return f"the x {quad} is labelled {label_x}, not {expected}"
+        if any(verts[i].perm not in chi for i in vs):
+            return f"the {quad} has a vertex off w and w {(a, b)}"
+        if {graph_x.signs[i] * graph_y.signs[i] * chi[verts[i].perm]
+                for i in vs} not in ({1}, {-1}):
+            return f"the signs of the {quad} do not correspond"
+        odd = sorted(i for i in vs if chi[verts[i].perm] == -1)
+        if len(odd) != 2 or graph_x.signs[odd[0]] == graph_x.signs[odd[1]] \
+                or edges_y.get(tuple(odd)) != (a, b):
+            return (f"the chi = -1 pair of the {quad} is not a y edge "
+                    f"labelled {(a, b)} with opposite x signs")
     return None
-
-
-def _certified_rows(space_y: GradedSolutionSpace, graph_x, name: str):
-    """(k, P, X constraint rows) for every degree k of space_y, each once
-    P is certified in degree k; RelabelFailed names the graph (as name),
-    the degree and the reason."""
-    for k in range(space_y.max_degree + 1):
-        rows_x = constraint_rows(graph_x, k)
-        p = relabelling(graph_x, k)
-        if graph_x.vertices != space_y.graph.vertices:
-            reason = "the two sides have different vertices"
-        else:
-            reason = _relabelling_fault(graph_x, k, p, rows_x, space_y)
-        if reason:
-            raise RelabelFailed(
-                f"relabelling check failed on the {name}, degree {k}: "
-                f"{reason}")
-        yield k, p, rows_x
 
 
 def certify_relabelling(space_y: GradedSolutionSpace, graph_x,
-                        name: str) -> None:
-    """Certify in every degree of space_y that P (:func:`relabelling`)
-    carries its kernel onto that of graph_x, intertwining the dagger
-    action with the dot action; RelabelFailed otherwise."""
-    for _ in _certified_rows(space_y, graph_x, name):
-        pass
+                        name: str) -> dict[int, list[int]]:
+    """Certify that P (:func:`relabelling`) carries the kernel of space_y
+    onto that of graph_x in every degree of space_y, intertwining the
+    dagger action with the dot action, and return {k: P in degree k}.
+
+    The graphs are checked once (:func:`_graph_fault`), the action in each
+    degree.  RelabelFailed names the graph (as name), the degree of an
+    action fault, and the reason.  Reads only space_y.graph and
+    space_y.max_degree.
+    """
+    graph_y = space_y.graph
+    reason = _graph_fault(graph_y, graph_x)
+    if reason:
+        raise RelabelFailed(
+            f"relabelling check failed on the {name}: {reason}")
+    ps = {}
+    for k in range(space_y.max_degree + 1):
+        ps[k] = p = relabelling(graph_x, k)
+        for sigma in generators(graph_x.n):
+            pi_x = coordinate_perm(graph_x, k, sigma, "dot")
+            pi_y = coordinate_perm(graph_y, k, sigma, "dagger")
+            if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
+                raise RelabelFailed(
+                    f"relabelling check failed on the {name}, degree {k}: "
+                    f"the dot action by {sigma} is not the relabelled "
+                    f"dagger action")
+    return ps
 
 
 def relabel_space(space_y: GradedSolutionSpace, graph_x,
@@ -849,16 +856,16 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
     """The side-x space P(space_y) of graph_x, certified as
     certify_relabelling does: each basis column and unit row moved by P,
     with the X constraint rows."""
-    rows = {}
     bases = {}
-    for k, p, rows_k in _certified_rows(space_y, graph_x, name):
-        rows[k] = rows_k
+    for k, p in certify_relabelling(space_y, graph_x, name).items():
         basis = space_y.bases[k]
         bases[k] = SubspaceBasis(
             basis.ambient_dim,
             [{p[c]: v for c, v in col.items()} for col in basis.columns],
             unit_rows=[p[u] for u in basis.unit_rows])
-    return GradedSolutionSpace(graph_x, space_y.max_degree, bases, rows)
+    return GradedSolutionSpace(
+        graph_x, space_y.max_degree, bases,
+        {k: constraint_rows(graph_x, k) for k in bases})
 
 
 def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 
-from gkmhess.cohomology import constraint_rows, edge_groups, monomials
+from gkmhess.cohomology import edge_groups, monomials
 from gkmhess.graphs import (
     LabeledGraph, Perm, all_perms, class_representative, plain,
     swap_positions)
@@ -218,7 +218,7 @@ class TwinBlocks:
     It stands for a solved space where only dimensions and dagger traces
     are read: :func:`gkmhess.cohomology.graded_character` without the
     cross-check, and :func:`gkmhess.cohomology.relabelled_character`,
-    whose certificate reads the constraint rows.
+    whose certificate reads only the graph and max_degree.
     """
 
     graph: LabeledGraph
@@ -242,11 +242,6 @@ class TwinBlocks:
                                   for lam, m in self.mult.items()))
                      for k in range(self.max_degree + 1)]
                 for mu in partitions_of(self.n)}
-
-    @cached_property
-    def rows(self) -> dict[int, list[IntRow]]:
-        return {k: constraint_rows(self.graph, k)
-                for k in range(self.max_degree + 1)}
 
 
 def twin_blocks(graph: LabeledGraph) -> TwinBlocks:

@@ -36,7 +36,7 @@ from gkmhess.cohomology import (
     RelabelFailed, certify_relabelling, check_action_invariance,
     column_adjacency, coordinate_perm, first_violated_row,
     frobenius_of_character, graded_character, monomial_index, monomials,
-    relabel_space, relabelled_character, relabelling, solve_graph)
+    relabel_space, relabelled_character, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, Vertex, build_blowup, build_circle_graph,
     build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
@@ -419,31 +419,23 @@ def check_theorem_main(ctx: TripleContext,
 
 def certify_side_x(ctx: TripleContext, matrices: dict) -> None:
     """Certify that side x of ctx's triple is the relabelling P of ctx, a
-    side-y context: the rows and the action of each of the five graphs in
-    every degree (:func:`certify_relabelling`), and M_x P_src = P_dst M_y
-    for every map matrix M_y of matrices = map_matrices(ctx).
-    RelabelFailed otherwise.
+    side-y context: each of the five graphs and its action in every
+    degree (:func:`certify_relabelling`), and M_x P_src = P_dst M_y for
+    every map matrix M_y of matrices = map_matrices(ctx).  RelabelFailed
+    otherwise.
 
     Then P carries every side-y space, map image and action onto side x,
     so every rank and dimension of the side-x 5.1 report is that of ctx.
     """
     xs = TripleGraphs.of(ctx.triple, "x")
-    graphs = xs.graphs()
-    for name, graph in graphs.items():
-        certify_relabelling(getattr(ctx, f"sp_{name}"), graph,
-                            xs.graph_name(name))
-    tables: dict = {}
-
-    def p(graph_name: str, k: int) -> list[int]:
-        if (graph_name, k) not in tables:
-            tables[graph_name, k] = relabelling(graphs[graph_name], k)
-        return tables[graph_name, k]
-
+    ps = {name: certify_relabelling(getattr(ctx, f"sp_{name}"), graph,
+                                    xs.graph_name(name))
+          for name, graph in xs.graphs().items()}
     for (name, k), m_y in matrices.items():
         source, shift = MAPS[name][1:]
         m_x = map_matrix(xs, name, k)
-        c = _first_unintertwined(m_y, m_x, p(source, k - shift),
-                                 p("blowup", k))
+        c = _first_unintertwined(m_y, m_x, ps[source][k - shift],
+                                 ps["blowup"][k])
         if c is not None:
             raise RelabelFailed(
                 f"relabelling check failed on the map {name}, degree "

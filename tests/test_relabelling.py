@@ -26,7 +26,8 @@ def c_triple(hstr):
 
 def side_pairs():
     """(name, graph y, graph x) for every plain, circle and blow-up graph
-    with n <= 3, and the plain graphs of the n = 4 sample."""
+    with n <= 3, the plain graphs of the n = 4 sample, and the circle and
+    blow-up graphs of the 2,3,3,4 triple."""
     for n in (1, 2, 3):
         for h in H.enumerate_hessenberg(n):
             yield f"plain graph of {h}", G.build_GY(h), G.build_GX(h)
@@ -40,6 +41,10 @@ def side_pairs():
     for s in SAMPLE4:
         h = H.from_string(s)
         yield f"plain graph of {h}", G.build_GY(h), G.build_GX(h)
+    ys = M.TripleGraphs.of(c_triple("2,3,3,4"), "y")
+    xs = M.TripleGraphs.of(c_triple("2,3,3,4"), "x")
+    for part in ("circle", "blowup"):
+        yield xs.graph_name(part), ys.graphs()[part], xs.graphs()[part]
 
 
 def run_json(capsys, *argv):
@@ -71,7 +76,7 @@ class TestSidesStayIndependent:
                 == CH.relabelled_character(space_y, gx, name,
                                            cross_check=False), name
             count += 1
-        assert count == 14
+        assert count == 16
 
     @pytest.mark.parametrize("hstr", ["2,3,3", "3,3,3", "2,3,3,4"])
     def test_x_character_is_the_dot_character_of_side_x(self, hstr):
@@ -133,8 +138,8 @@ class TestCertificate:
         with pytest.raises(CH.RelabelFailed) as err:
             CH.certify_relabelling(space_y, other, "plain graph of 2,3,3")
         assert str(err.value).startswith(
-            "relabelling check failed on the plain graph of 2,3,3, "
-            "degree 0: a Y row at vertex ")
+            "relabelling check failed on the plain graph of 2,3,3: "
+            "the edge ")
         with pytest.raises(CH.RelabelFailed, match="different vertices"):
             CH.certify_relabelling(space_y, G.build_circle_graph(
                 c_triple("2,3,3"), "x"), "circle graph")
@@ -158,6 +163,114 @@ class TestCertificate:
             "action by (2, 1, 3) is not the relabelled dagger action")
 
 
+def _edges(graph, edges):
+    return dataclasses.replace(graph, edges=tuple(edges))
+
+
+def _relabel(graph, pair, label):
+    return _edges(graph, (e[:2] + (label,) if e[:2] == pair else e
+                          for e in graph.edges))
+
+
+def _flip(graph, i):
+    s = graph.signs
+    return dataclasses.replace(graph, signs=s[:i] + (-s[i],) + s[i + 1:])
+
+
+def _first_quad(graph, vs=None, label=None):
+    (vs0, label0), *rest = graph.quads
+    return dataclasses.replace(
+        graph, quads=((vs or vs0, label or label0), *rest))
+
+
+def _both(mutate):
+    return lambda gy, gx: (mutate(gy), mutate(gx))
+
+
+def _x(mutate):
+    return lambda gy, gx: (gy, mutate(gx))
+
+
+# On the blow-up of 2,3,3 vertex i is the i-th permutation of S_3 in
+# lex order, and circle copies come 6 later: the first 4-gon is
+# (123, °123, 132, °132) with label (2, 3), and its chi = -1 pair
+# 132 -- °132 is the edge (1, 7).  The edge 123 -- 213 is (0, 2), (1, 2).
+GRAPH_MUTATIONS = {
+    "vertices": (_x(lambda g: dataclasses.replace(
+        g, vertices=(g.vertices[1], g.vertices[0], *g.vertices[2:]))),
+        "the two sides have different vertices"),
+    "x-edge-dropped": (_x(lambda g: _edges(g, g.edges[1:])),
+                       "the edge 123 -- 132 is on one side only"),
+    "x-edge-added": (_x(G.augment_blowup), "is on one side only"),
+    "edge-repeated": (_x(lambda g: _edges(g, g.edges + g.edges[:1])),
+                      "an edge is repeated or off the vertices"),
+    "edge-off-the-vertices": (
+        _both(lambda g: _edges(g, g.edges + ((0, 12, (1, 2)),))),
+        "an edge is repeated or off the vertices"),
+    "y-edge-off-its-label": (
+        lambda gy, gx: (_relabel(gy, (0, 2), (1, 3)), gx),
+        "the y edge 123 -- 213 is not along its label (1, 3)"),
+    "x-edge-label": (_x(lambda g: _relabel(g, (0, 2), (1, 3))),
+                     "the x edge 123 -- 213 is labelled (1, 3), not (1, 2)"),
+    "x-4-gon-dropped": (_x(lambda g: dataclasses.replace(
+        g, quads=g.quads[1:])), "side y has 3 4-gons, side x 2"),
+    "x-4-gon-vertices": (_x(lambda g: _first_quad(g, vs=(6, 0, 1, 7))),
+                         "the y 4-gon (0, 6, 1, 7) is not the x 4-gon "
+                         "(6, 0, 1, 7)"),
+    "4-gon-off-the-vertices": (_both(lambda g: _first_quad(
+        g, vs=(0, 6, 1, 12))), "(0, 6, 1, 12), or is off the vertices"),
+    "x-4-gon-label": (_x(lambda g: _first_quad(g, label=(1, 3))),
+                      "the x 4-gon 123 °123 132 °132 is labelled (1, 3), "
+                      "not (2, 3)"),
+    "4-gon-off-its-coset": (_both(lambda g: _first_quad(g, vs=(0, 6, 1, 8))),
+                            "has a vertex off w and w (2, 3)"),
+    "flipped-y-sign": (lambda gy, gx: (_flip(gy, 0), gx),
+                       "the signs of the 4-gon 123 °123 132 °132 do not "
+                       "correspond"),
+    "flipped-x-sign": (_x(lambda g: _flip(g, 6)), "do not correspond"),
+    "chi-pair-without-its-edge": (
+        _both(lambda g: _edges(g, (e for e in g.edges if e[:2] != (1, 7)))),
+        "the chi = -1 pair of the 4-gon 123 °123 132 °132 is not a y edge "
+        "labelled (2, 3) with opposite x signs"),
+    "chi-pair-with-equal-x-signs": (
+        _both(lambda g: _flip(g, 7)), "the chi = -1 pair of the 4-gon"),
+    "a-single-chi-minus-vertex": (
+        _both(lambda g: _first_quad(g, vs=(0, 6, 6, 1))),
+        "the chi = -1 pair of the 4-gon"),
+}
+
+
+class TestGraphConditions:
+    """Each condition of the graph check, broken alone, fails the
+    certificate with a message naming the graph and no degree."""
+
+    def test_every_small_pair_passes(self):
+        pairs = [(G.build_GY(h), G.build_GX(h)) for n in range(1, 6)
+                 for h in H.enumerate_hessenberg(n)]
+        for n in range(1, 5):
+            for h in H.enumerate_hessenberg(n):
+                for t in H.find_modular_triples(h):
+                    if t.kind == "C":
+                        ys = M.TripleGraphs.of(t, "y").graphs()
+                        xs = M.TripleGraphs.of(t, "x").graphs()
+                        pairs += [(ys[part], xs[part]) for part in ys]
+        assert len(pairs) == 94
+        for gy, gx in pairs:
+            assert CH._graph_fault(gy, gx) is None, gx
+
+    @pytest.mark.parametrize("what", GRAPH_MUTATIONS)
+    def test_mutation_fails(self, what):
+        mutate, reason = GRAPH_MUTATIONS[what]
+        t = c_triple("2,3,3")
+        gy, gx = mutate(G.build_blowup(t, "y"), G.build_blowup(t, "x"))
+        space_y = CH.GradedSolutionSpace(gy, 2, {}, {})
+        with pytest.raises(CH.RelabelFailed) as err:
+            CH.certify_relabelling(space_y, gx, "blow-up of 2,3,3")
+        prefix = "relabelling check failed on the blow-up of 2,3,3: "
+        assert str(err.value).startswith(prefix)
+        assert reason in str(err.value)
+
+
 class TestMutationsFailTheCertificate:
     """A mutated side-x construction makes the x item of 5.1 a FAIL that
     names the relabelling check; side y is unaffected."""
@@ -172,7 +285,6 @@ class TestMutationsFailTheCertificate:
         assert x["error_class"] == "RelabelFailed"
         assert x["error"].startswith(
             f"relabelling check failed on the {where}")
-        assert ", degree " in x["error"]
         return x["error"]
 
     def test_x_edge_label(self, capsys, monkeypatch):
@@ -184,9 +296,8 @@ class TestMutationsFailTheCertificate:
             return label(side, w, i, j)
 
         monkeypatch.setattr(G, "_label", mutated)
-        # the edge of 123 along (2, 1) is in G(2,3,3) but not G(1,3,3);
-        # constants satisfy every edge, so degree 0 still passes
-        self.check_x_fails(capsys, "plain graph of 2,3,3, degree 1")
+        # the edge of 123 along (2, 1) is in G(2,3,3) but not G(1,3,3)
+        self.check_x_fails(capsys, "plain graph of 2,3,3: ")
 
     def test_blowup_sign(self, capsys, monkeypatch):
         build = G.build_blowup
@@ -199,7 +310,7 @@ class TestMutationsFailTheCertificate:
             return bl
 
         monkeypatch.setattr(M, "build_blowup", mutated)
-        self.check_x_fails(capsys, "blow-up of 2,3,3, degree 0")
+        self.check_x_fails(capsys, "blow-up of 2,3,3: ")
 
     def test_quad_label(self, capsys, monkeypatch):
         build = G.build_blowup
@@ -213,7 +324,7 @@ class TestMutationsFailTheCertificate:
             return bl
 
         monkeypatch.setattr(M, "build_blowup", mutated)
-        self.check_x_fails(capsys, "blow-up of 2,3,3, degree ")
+        self.check_x_fails(capsys, "blow-up of 2,3,3: ")
 
     @pytest.mark.parametrize("name", ["psi", "rho"])
     def test_x_branch_of_a_map(self, capsys, monkeypatch, name):
@@ -228,6 +339,7 @@ class TestMutationsFailTheCertificate:
 
         monkeypatch.setitem(M.MAPS, name, (mutated, source, shift))
         error = self.check_x_fails(capsys, f"map {name}, degree {shift}")
+        assert ", degree " in error
         assert error.endswith("M_x P differs from P M_y at source column 0")
 
     def test_corollary_and_theorem_1_1_name_it_too(self, capsys, monkeypatch):
@@ -248,7 +360,7 @@ class TestMutationsFailTheCertificate:
         for item in fails.values():
             assert item["error_class"] == "RelabelFailed"
         assert fails[("1.1", None)]["error"].startswith(
-            "relabelling check failed on the plain graph of 2,3,3, degree ")
+            "relabelling check failed on the plain graph of 2,3,3: ")
 
 
 class TestSideYFailure:
