@@ -97,7 +97,8 @@ def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
     _check_cap(h.n, False)
     space = solve_graph(build_graph(h, "y"), cache_dir=cfg.cache_dir)
     if side == "x":   # the same numbers, once the relabelling is certified
-        certify_relabelling(space, build_graph(h, "x"), f"plain graph of {h}")
+        certify_relabelling(space.graph, build_graph(h, "x"),
+                            f"plain graph of {h}", space.max_degree)
     numer = hilbert_numerator(space)
     return {"command": "betti", "h": str(h), "side": side,
             "numerator": numer, "total": sum(numer)}
@@ -135,7 +136,8 @@ def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
     rows of side x and side y, in that order, and every other item one row.
 
     A check that raises is reported as a FAIL row naming the exception,
-    so one failing item never takes down the rest of a run.
+    so one failing item never takes down the rest of a run; where side y
+    raises, the side-x row names it as worded for side x.
     """
     name, h, triple = item
     head: dict = {"check": name, "h": str(h)}
@@ -146,7 +148,8 @@ def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
     try:
         y, side_x = _run_sides(item, cache_dir)
     except Exception as exc:
-        x = y = _failure(exc)
+        y = _failure(exc)
+        x = {**y, "error": maps.relabel_failure(y["error"])}
     else:
         x = _outcome(side_x)
     return [{**head, "side": "x", **x}, {**head, "side": "y", **y}]
@@ -176,10 +179,11 @@ def _main_outcome(report: dict) -> dict:
 
 def _run_sides(item: tuple, cache_dir: str | None) -> tuple:
     """The side-y outcome of a 5.1 or corollary item, solved and checked
-    once, and a function giving the side-x outcome from it."""
+    once, and a function giving the side-x outcome from it.  5.1 reads and
+    writes no cache entry."""
     name, _, triple = item
     if name == "5.1":
-        report, report_x = maps.check_theorem_main_sides(triple, cache_dir)
+        report, report_x = maps.check_theorem_main_sides(triple)
         return _main_outcome(report), lambda: _main_outcome(report_x())
     law, law_x = maps.check_corollary_sides(triple, cache_dir)
     return _law_outcome(law), lambda: _law_outcome(law_x())

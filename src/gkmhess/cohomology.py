@@ -35,8 +35,8 @@ Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling` turns every X congruence into the Y congruence and the
 dot action into the dagger action, so it carries the Y kernel onto the X
 kernel.  :func:`certify_relabelling` checks this once per graph pair, on
-its vertices, edges, 4-gons and signs, and checks the actions in every
-degree; then the X dimensions and dot traces are the Y dimensions and
+its vertices, edges, 4-gons and signs, and the actions once per (n, k);
+then the X dimensions and dot traces are the Y dimensions and
 dagger traces.  Inside :func:`solve_memo`,
 :func:`solve_graph` keeps the last few graphs it solved in a memo in front
 of the disk cache.
@@ -56,8 +56,8 @@ from functools import lru_cache
 from math import comb
 
 from gkmhess.graphs import (
-    SignedBlowupGraph, Vertex, class_representative, compose, generators,
-    inverse, swap_positions)
+    LabeledGraph, SignedBlowupGraph, Vertex, all_perms, class_representative,
+    compose, generators, inverse, plain, swap_positions)
 from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
@@ -128,10 +128,28 @@ def edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
+@lru_cache(maxsize=None)
+def derivative_groups(n: int, k: int, a: int, b: int
+                      ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(d/dt_a - d/dt_b) at t_a = t_b on the degree-k monomials, as
+    groups of (monomial index, coefficient) with one image, the groups in
+    the order of their images.  The image of t^e is (e_a - e_b) times
+    t^e with t_a^{e_a} t_b^{e_b} replaced by t_b^{e_a + e_b - 1}; the same
+    for either orientation of the label."""
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for mi, mon in enumerate(monomials(n, k)):
+        ea, eb = mon[a - 1], mon[b - 1]
+        if ea != eb:
+            ee = list(mon)
+            ee[a - 1] = 0
+            ee[b - 1] += ea - 1
+            groups.setdefault(tuple(ee), []).append((mi, ea - eb))
+    return tuple(tuple(g) for _, g in sorted(groups.items()))
+
+
 def constraint_rows(graph, k: int) -> list[IntRow]:
     """Integer rows whose kernel is the degree-k equivariant piece."""
     n = graph.n
-    mons = monomials(n, k)
     nv = len(graph.vertices)
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
@@ -145,30 +163,19 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
         for (vs, (a, b)) in graph.quads:
-            order0: dict[tuple, IntRow] = {}
-            order1: dict[tuple, IntRow] = {}
-            for mi, mon in enumerate(mons):
-                tgt = _subst_exp(mon, a, b)
-                for vi in vs:
-                    col = mi * nv + vi
-                    row = order0.setdefault(tgt, {})
-                    row[col] = row.get(col, 0) + signs[vi]
-                ea, eb = mon[a - 1], mon[b - 1]
-                if ea != eb:
-                    # (d/dt_a - d/dt_b) at t_a = t_b, same target for either
-                    # orientation of the label
-                    ee = list(mon)
-                    ee[a - 1] = 0
-                    ee[b - 1] += ea - 1
-                    tgt1 = tuple(ee)
-                    for vi in vs:
-                        col = mi * nv + vi
-                        row = order1.setdefault(tgt1, {})
-                        row[col] = row.get(col, 0) + signs[vi] * (ea - eb)
-            for order in (order0, order1):
-                rows.extend({c: v for c, v in r.items() if v}
-                            for _, r in sorted(order.items())
-                            if any(r.values()))
+            # the signed sum and its derivative vanish at t_a = t_b
+            for groups in ([[(mi, 1) for mi in g]
+                            for g in edge_groups(n, k, a, b)],
+                           derivative_groups(n, k, a, b)):
+                for group in groups:
+                    row = {}
+                    for mi, cf in group:
+                        for vi in vs:
+                            col = mi * nv + vi
+                            row[col] = row.get(col, 0) + cf * signs[vi]
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        rows.append(row)
     return rows
 
 
@@ -735,7 +742,7 @@ def relabelling(graph, k: int) -> list[int]:
     every quad condition given the edge conditions, and the dot action
     becomes the dagger action; so P carries the Y kernel onto the X
     kernel.  :func:`certify_relabelling` checks this on the two graphs
-    (:func:`_graph_fault`) and on the actions of each degree.
+    (:func:`_graph_fault`) and on the actions (:func:`_action_fault`).
     """
     nv = len(graph.vertices)
     out = [0] * (nv * len(monomials(graph.n, k)))
@@ -821,34 +828,52 @@ def _graph_fault(graph_y, graph_x) -> str | None:
     return None
 
 
-def certify_relabelling(space_y: GradedSolutionSpace, graph_x,
-                        name: str) -> dict[int, list[int]]:
-    """Certify that P (:func:`relabelling`) carries the kernel of space_y
-    onto that of graph_x in every degree of space_y, intertwining the
-    dagger action with the dot action, and return {k: P in degree k}.
+@lru_cache(maxsize=None)
+def _action_fault(n: int, k: int):
+    """The first generator sigma of S_n whose dot action in degree k is
+    not the relabelled dagger action, or None.
 
-    The graphs are checked once (:func:`_graph_fault`), the action in each
-    degree.  RelabelFailed names the graph (as name), the degree of an
-    action fault, and the reason.  Reads only space_y.graph and
-    space_y.max_degree.
+    Given (V) of :func:`_graph_fault`, the two actions and P act alike on
+    every graph: each sends the coordinate of a monomial at a vertex of
+    permutation w to a vertex of the same sheet, sigma w under both
+    actions, w under P.  So P pi_dagger = pi_dot P reads, at the mi-th
+    monomial at w, T(sigma w)(mi) = T(sigma)(T(w)(mi)), where T is
+    :func:`_perm_monomial_table`, and nothing else of the graph.  It is
+    checked once per (n, k) on the graph whose vertices are S_n, for the
+    generators sigma and every w, through :func:`coordinate_perm` and
+    :func:`relabelling` themselves.
     """
-    graph_y = space_y.graph
+    graph = LabeledGraph(n, tuple(plain(w) for w in all_perms(n)), (), 0)
+    p = relabelling(graph, k)
+    for sigma in generators(n):
+        pi_x = coordinate_perm(graph, k, sigma, "dot")
+        pi_y = coordinate_perm(graph, k, sigma, "dagger")
+        if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
+            return sigma
+    return None
+
+
+def certify_relabelling(graph_y, graph_x, name: str,
+                        max_degree: int) -> None:
+    """Certify that P (:func:`relabelling`) carries the kernel of graph_y
+    onto that of graph_x in every degree k <= max_degree, intertwining the
+    dagger action with the dot action.
+
+    The graphs are checked once (:func:`_graph_fault`), the actions once
+    per (n, k) (:func:`_action_fault`).  RelabelFailed names the graph
+    (as name), the degree of an action fault, and the reason.
+    """
     reason = _graph_fault(graph_y, graph_x)
     if reason:
         raise RelabelFailed(
             f"relabelling check failed on the {name}: {reason}")
-    ps = {}
-    for k in range(space_y.max_degree + 1):
-        ps[k] = p = relabelling(graph_x, k)
-        for sigma in generators(graph_x.n):
-            pi_x = coordinate_perm(graph_x, k, sigma, "dot")
-            pi_y = coordinate_perm(graph_y, k, sigma, "dagger")
-            if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
-                raise RelabelFailed(
-                    f"relabelling check failed on the {name}, degree {k}: "
-                    f"the dot action by {sigma} is not the relabelled "
-                    f"dagger action")
-    return ps
+    for k in range(max_degree + 1):
+        sigma = _action_fault(graph_x.n, k)
+        if sigma is not None:
+            raise RelabelFailed(
+                f"relabelling check failed on the {name}, degree {k}: "
+                f"the dot action by {sigma} is not the relabelled "
+                f"dagger action")
 
 
 def relabel_space(space_y: GradedSolutionSpace, graph_x,
@@ -856,9 +881,10 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
     """The side-x space P(space_y) of graph_x, certified as
     certify_relabelling does: each basis column and unit row moved by P,
     with the X constraint rows."""
+    certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
     bases = {}
-    for k, p in certify_relabelling(space_y, graph_x, name).items():
-        basis = space_y.bases[k]
+    for k, basis in space_y.bases.items():
+        p = relabelling(graph_x, k)
         bases[k] = SubspaceBasis(
             basis.ambient_dim,
             [{p[c]: v for c, v in col.items()} for col in basis.columns],
@@ -885,7 +911,7 @@ def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
     if cross_check:
         space = relabel_space(space_y, graph_x, name)
     else:
-        certify_relabelling(space_y, graph_x, name)
+        certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
         space = space_y   # read only for its dimensions
     if traces is None:
         traces = equivariant_traces(space_y, "dagger")

@@ -1,4 +1,4 @@
-"""Characters of a plain twin graph, one irreducible at a time.
+"""Twin graphs and signed blow-ups, one irreducible at a time.
 
 On the twin graph of a Hessenberg function the vertices are S_n, and each
 vertex w has the edge w -- w (a b) labelled t_a - t_b for every edge type
@@ -16,12 +16,19 @@ and dagger character sum_lam m_lam(k) chi_lam.  Each m_lam(k) is the
 corank of a system with d_lam columns per monomial, against n! for the
 whole space (Fulton and Harris, Representation Theory, Lecture 4).
 
+The circle graph of a triple has the same shape on the circle vertices.
+A class of the side-y signed blow-up is a pair (P, C), and its joining
+edges and 4-gons are right multiplications too (:func:`blowup_edge_types`),
+so it splits the same way with 2 d_lam unknowns per monomial
+(:func:`blowup_block_rows`); :mod:`gkmhess.maps` checks Theorem 5.1 on
+these blocks.
+
 Two checks make this a proof.  :func:`representations` checks that the
 matrices satisfy the Coxeter relations and that each has the character of
 its shape, so together they are the irreducibles and the transform is an
-isomorphism; :func:`twin_edge_types` checks that the graph is a twin graph
-in the sense above.  Either raises a named error rather than giving a
-wrong character.
+isomorphism; :func:`twin_edge_types` and :func:`blowup_edge_types` check
+that the graph has the shape above.  Either raises a named error rather
+than giving a wrong character or report.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from gkmhess.cohomology import edge_groups, monomials
+from gkmhess.cohomology import derivative_groups, edge_groups, monomials
 from gkmhess.graphs import (
-    LabeledGraph, Perm, all_perms, class_representative, plain,
+    LabeledGraph, Perm, all_perms, circ, class_representative, plain,
     swap_positions)
 from gkmhess.linalg import Echelon, IntRow, rank_of_int_rows
 from gkmhess.symfunc import Partition, mn_character, partitions_of
@@ -166,25 +173,143 @@ def representations(n: int) -> dict[Partition, dict[tuple[int, int], Matrix]]:
     return out
 
 
-def twin_edge_types(graph: LabeledGraph) -> tuple[tuple[int, int], ...]:
-    """The edge types of a plain twin graph; NotTwinGraph unless the
-    vertices are exactly S_n, with no quads, and the edges exactly
-    {w, w (a b)} labelled (a, b), a < b, for every w and every label."""
-    n = graph.n
+def rho(n: int, lam: Partition, w: Perm) -> Matrix:
+    """rho_lam(w), from the certified matrices of s_1..s_{n-1}."""
+    mats = representations(n)[lam]
+    return _rho([mats[k, k + 1] for k in range(1, n)],
+                len(standard_tableaux(lam)), w)
+
+
+def _twin_edges(n: int, types, offset: int = 0) -> list:
+    """The edges {w, w (a b)} labelled (a, b) for every w of S_n and every
+    type (a, b), a < b, on the vertices offset + index of w."""
     perms = all_perms(n)
-    if graph.vertices != tuple(plain(w) for w in perms) \
+    index = {w: offset + i for i, w in enumerate(perms)}
+    return sorted({(*sorted((index[w], index[swap_positions(w, a, b)])),
+                    (a, b)) for (a, b) in types if 1 <= a < b <= n
+                   for w in perms})
+
+
+def twin_edge_types(graph: LabeledGraph, sheet=plain
+                    ) -> tuple[tuple[int, int], ...]:
+    """The edge types of a twin graph; NotTwinGraph unless the vertices
+    are exactly sheet(S_n) (plain, or circ for a circle graph), with no
+    quads, and the edges exactly {w, w (a b)} labelled (a, b), a < b, for
+    every w and every label."""
+    if graph.vertices != tuple(sheet(w) for w in all_perms(graph.n)) \
             or getattr(graph, "quads", ()):
         raise NotTwinGraph("the vertices are not S_n, or there are quads")
     types = sorted({label for _, _, label in graph.edges})
-    index = {w: i for i, w in enumerate(perms)}
-    expected = {(*sorted((index[w], index[swap_positions(w, a, b)])),
-                 (a, b)) for (a, b) in types if 1 <= a < b <= n
-                for w in perms}
-    if sorted(graph.edges) != sorted(expected):
+    if sorted(graph.edges) != _twin_edges(graph.n, types):
         raise NotTwinGraph(
             f"the edges are not w -- w (a b) labelled (a, b) for every w "
             f"and each of the labels {types}")
     return tuple(types)
+
+
+def blowup_edge_types(graph) -> tuple[tuple[tuple[int, int], ...],
+                                      tuple[tuple[int, int], ...]]:
+    """The plain and the circle edge types of a side-y signed blow-up
+    along tau = (d, d+1), d = graph.d; NotTwinGraph unless
+
+    - the vertices are exactly plain(S_n), then circ(S_n);
+    - the edges are exactly the twin edges of the plain types on the
+      plain copy, those of the circle types on the circle copy, and
+      w -- °w labelled (d, d+1) for every w;
+    - the 4-gons are exactly (w, °w, w tau, °w tau), w before w tau,
+      labelled (d, d+1), one per coset {w, w tau}, with signs
+      alpha (1, -1, -1, 1), alpha = +-1.
+
+    Then the classes are the pairs (P, C) of Q[t] (x) Q[S_n] with P (1 -
+    s_ab) divisible by t_a - t_b for each plain type, C (1 - s_ab) for
+    each circle type, P - C by t_d - t_{d+1}, and (P - C)(1 - tau) by its
+    square: the 4-gon's signed sum is alpha times the coefficient of w in
+    (P - C)(1 - tau).
+    """
+    n, d = graph.n, graph.d
+    perms = all_perms(n)
+    nperm = len(perms)
+    if graph.vertices != tuple(plain(w) for w in perms) \
+            + tuple(circ(w) for w in perms) or not 1 <= d < n \
+            or len(graph.signs) != 2 * nperm:
+        raise NotTwinGraph(
+            "the vertices are not S_n followed by its circle copy")
+    tau = (d, d + 1)
+    plain_types = tuple(sorted({label for _, v, label in graph.edges
+                                if v < nperm}))
+    circle_types = tuple(sorted({label for u, _, label in graph.edges
+                                 if u >= nperm}))
+    expected = sorted(_twin_edges(n, plain_types)
+                      + _twin_edges(n, circle_types, nperm)
+                      + [(i, nperm + i, tau) for i in range(nperm)])
+    if sorted(graph.edges) != expected:
+        raise NotTwinGraph(
+            f"the edges are not the twin edges of {plain_types} on the "
+            f"plain copy and {circle_types} on the circle copy, and "
+            f"w -- °w labelled {tau}")
+    index = {w: i for i, w in enumerate(perms)}
+    quads = sorted(((i, nperm + i, j, nperm + j), tau)
+                   for i, w in enumerate(perms)
+                   for j in (index[swap_positions(w, d, d + 1)],) if i < j)
+    if sorted(graph.quads) != quads:
+        raise NotTwinGraph(
+            f"the 4-gons are not w, °w, w tau, °w tau labelled {tau}")
+    for vs, _ in quads:
+        alpha = graph.signs[vs[0]]
+        if alpha not in (1, -1) or [graph.signs[i] for i in vs] \
+                != [alpha, -alpha, -alpha, alpha]:
+            raise NotTwinGraph(
+                f"the signs of the 4-gon "
+                f"{' '.join(str(graph.vertices[i]) for i in vs)} are not "
+                f"+-(1, -1, -1, 1)")
+    return plain_types, circle_types
+
+
+def _independent_columns(n: int, lam: Partition, a: int, b: int
+                         ) -> tuple[IntRow, ...]:
+    """The independent columns of I - rho_lam(s_ab), each made integer.
+    x (I - rho_lam(s_ab)) is divisible by a polynomial exactly when x
+    times each of them is: the other columns are rational combinations."""
+    r = representations(n)[lam][a, b]
+    d = len(r)
+    span, out = Echelon(), []
+    for q in range(d):
+        col = {p: int(p == q) - r[p][q] for p in range(d)}
+        den = lcm(*(v.denominator for v in col.values()))
+        ints = {p: int(v * den) for p, v in col.items() if v}
+        if span.insert(ints):
+            out.append(ints)
+    return tuple(out)
+
+
+def _divisible_rows(n: int, k: int, label: tuple[int, int], cols,
+                    width: int, order: int = 0) -> list[IntRow]:
+    """The rows saying that x . col vanishes at t_a = t_b, label (a, b),
+    for each col (a dict over the width unknowns of a monomial): the sum
+    over each group of :func:`edge_groups`; with order=1, that its
+    (d/dt_a - d/dt_b) vanishes there instead, over each group of
+    :func:`derivative_groups`.  Coordinate mi * width + c is the
+    coefficient of the mi-th monomial in x_c."""
+    a, b = label
+    if order:
+        return [{mi * width + c: cf * v for mi, cf in g
+                 for c, v in col.items()}
+                for col in cols for g in derivative_groups(n, k, a, b)]
+    return [{mi * width + c: v for mi in g for c, v in col.items()}
+            for col in cols for g in edge_groups(n, k, a, b)]
+
+
+def _type_rows(n: int, types, lam: Partition, k: int, width: int,
+               offset: int) -> list[IntRow]:
+    """For each type (a, b): x (I - rho_lam(s_ab)) divisible by t_a - t_b,
+    x the unknowns offset .. offset + d_lam - 1 of each monomial."""
+    rows = []
+    for (a, b) in types:
+        cols = _independent_columns(n, lam, a, b)
+        rows += _divisible_rows(n, k, (a, b), [
+            {offset + p: v for p, v in col.items()} for col in cols]
+            if offset else cols, width)
+    return rows
 
 
 def block_rows(n: int, types: tuple[tuple[int, int], ...], lam: Partition,
@@ -194,20 +319,29 @@ def block_rows(n: int, types: tuple[tuple[int, int], ...], lam: Partition,
     group of monomials with one image under t_a -> t_b, the sum over the
     group of x (I - rho_lam(s_ab)) at q.  Coordinate mi * d + p is the
     coefficient of the mi-th monomial in x_p."""
-    mats = representations(n)[lam]
-    d = len(standard_tableaux(lam))
-    rows = []
-    for (a, b) in types:
-        r = mats[a, b]
-        span = Echelon()
-        for q in range(d):
-            col = {p: int(p == q) - r[p][q] for p in range(d)}
-            den = lcm(*(v.denominator for v in col.values()))
-            ints = {p: int(v * den) for p, v in col.items() if v}
-            if span.insert(ints):
-                rows += ({mi * d + p: v for mi in g for p, v in ints.items()}
-                         for g in edge_groups(n, k, a, b))
-    return rows
+    return _type_rows(n, types, lam, k, len(standard_tableaux(lam)), 0)
+
+
+def blowup_block_rows(n: int, plain_types, circle_types, d: int,
+                      lam: Partition, k: int) -> list[IntRow]:
+    """The integer rows on one row (x_P, x_C) of rho_lam of a blow-up
+    class (P, C) in degree k (:func:`blowup_edge_types`): the plain types
+    on x_P, the circle types on x_C, x_P - x_C divisible by t_d - t_{d+1},
+    and (x_P - x_C)(I - rho_lam(tau)) by its square.  Given the third,
+    (x_P - x_C)(I - rho_lam(tau)) vanishes at t_d = t_{d+1}, so the
+    fourth adds only the rows of its derivative there.  Coordinate
+    mi * 2 d_lam + p is the coefficient of the mi-th monomial in x_P at
+    p, and mi * 2 d_lam + d_lam + p that in x_C."""
+    dl = len(standard_tableaux(lam))
+    tau = (d, d + 1)
+    return (_type_rows(n, plain_types, lam, k, 2 * dl, 0)
+            + _type_rows(n, circle_types, lam, k, 2 * dl, dl)
+            + _divisible_rows(n, k, tau, [{p: 1, dl + p: -1}
+                                          for p in range(dl)], 2 * dl)
+            + _divisible_rows(
+                n, k, tau, [{**col, **{dl + p: -v for p, v in col.items()}}
+                            for col in _independent_columns(n, lam, *tau)],
+                2 * dl, order=1))
 
 
 @dataclass

@@ -13,11 +13,17 @@ Four maps land in the signed blow-up cohomology:
 On the twin side the multiplications use t_d, t_{d+1}, t_{d0} themselves
 and phi additionally swaps t_d with t_{d+1}.  The main theorem states that
 phi + psi_! and eta + rho_! are both isomorphisms onto the signed blow-up
-cohomology; it is verified degreewise by exact rank computations, with
-equivariance checked on group generators.  The corollary (the modular law
-for the graded characters) is checked as an identity of Frobenius series;
-it reads only the three plain graphs.  The characters of plain graphs
-come from the irreducible blocks of their twins (:mod:`gkmhess.isotypic`).
+cohomology; it is verified degreewise by exact rank computations.  The
+library check (:class:`TripleContext`, :func:`check_theorem_main`) solves
+the five graphs in full and checks equivariance on group generators.  The
+CLI's check (:func:`check_theorem_blocks`) solves, maps and ranks one
+irreducible of S_n at a time on side y, after certifying the shapes of
+the graphs and that every map is a right multiplication, so that the
+dagger action commutes with everything; the two give the same report.
+The corollary (the modular law for the graded characters) is checked as
+an identity of Frobenius series; it reads only the three plain graphs.
+The characters of plain graphs come from the irreducible blocks of their
+twins (:mod:`gkmhess.isotypic`).
 
 Both are checked on side y only.  Side x is its relabelling (see
 :func:`gkmhess.cohomology.relabelling`): once the graphs, the actions and
@@ -29,6 +35,8 @@ the dot ambient factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
+from math import lcm
 from typing import Callable
 
 from gkmhess.cohomology import (
@@ -36,15 +44,18 @@ from gkmhess.cohomology import (
     RelabelFailed, certify_relabelling, check_action_invariance,
     column_adjacency, coordinate_perm, first_violated_row,
     frobenius_of_character, graded_character, monomial_index, monomials,
-    relabel_space, relabelled_character, solve_graph)
+    relabel_space, relabelled_character, relabelling, solve_graph)
 from gkmhess.graphs import (
-    LabeledGraph, SignedBlowupGraph, Vertex, build_blowup, build_circle_graph,
-    build_graph, build_GX, build_GY, circ, generators, kind_r_via_transpose,
-    plain, swap_positions)
+    LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
+    build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
+    generators, identity_perm, inverse, kind_r_via_transpose, plain,
+    swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
-from gkmhess.isotypic import TwinBlocks, twin_blocks
-from gkmhess.linalg import Echelon, IntRow, rank_of_int_rows
-from gkmhess.symfunc import GradedSymmetricFunction
+from gkmhess.isotypic import (
+    TwinBlocks, block_rows, blowup_block_rows, blowup_edge_types, rho,
+    standard_tableaux, twin_blocks, twin_edge_types)
+from gkmhess.linalg import Echelon, IntRow, kernel_of_rows, rank_of_int_rows
+from gkmhess.symfunc import GradedSymmetricFunction, Partition, partitions_of
 
 
 class RankDeficit(ValueError):
@@ -200,16 +211,31 @@ def _times_t(e: tuple, i: int) -> tuple:
     return e[:i - 1] + (e[i - 1] + 1,) + e[i:]
 
 
+def _image_terms(n: int, k: int, shift: int, mult: tuple[int, int] | None,
+                 swap: bool, d: int) -> list[list[tuple[int, int]]]:
+    """Per degree-(k - shift) monomial, its image in degree k as (monomial
+    index, coefficient) pairs: swapped (t_d with t_{d+1}) if asked, then
+    times t_a - t_b for mult = (a, b)."""
+    idx = monomial_index(n, k)
+    out = []
+    for mon in monomials(n, k - shift):
+        e = swap_positions(mon, d, d + 1) if swap else mon
+        out.append([(idx[e], 1)] if mult is None else
+                   [(idx[_times_t(e, mult[0])], 1),
+                    (idx[_times_t(e, mult[1])], -1)])
+    return out
+
+
 def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
     """The map into blow-up degree k as a sparse integer matrix: entry c
     lists (blow-up coordinate, coefficient) for the source coordinate c of
     degree k - shift, both in monomial-major coordinates."""
     rule, source, shift = MAPS[name]
     n, d = ctx.blowup.n, ctx.d
-    mons, idx = monomials(n, k - shift), monomial_index(n, k)
     src_index = getattr(ctx, f"g_{source}").vertex_index()
     nv_src, nv_dst = len(src_index), len(ctx.blowup.vertices)
-    matrix: MapMatrix = [[] for _ in range(nv_src * len(mons))]
+    matrix: MapMatrix = [[] for _ in range(
+        nv_src * len(monomials(n, k - shift)))]
     tables: dict = {}   # (mult, swap) -> per source monomial its image terms
     for vi, v in enumerate(ctx.blowup.vertices):
         hit = rule(ctx, v)
@@ -217,26 +243,12 @@ def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
             continue
         s, mult, swap = hit
         if (mult, swap) not in tables:
-            tables[mult, swap] = []
-            for mon in mons:
-                e = swap_positions(mon, d, d + 1) if swap else mon
-                tables[mult, swap].append(
-                    [(idx[e], 1)] if mult is None else
-                    [(idx[_times_t(e, mult[0])], 1),
-                     (idx[_times_t(e, mult[1])], -1)])
+            tables[mult, swap] = _image_terms(n, k, shift, mult, swap, d)
         si = src_index[s]
         for mi, terms in enumerate(tables[mult, swap]):
             matrix[mi * nv_src + si] += [(t * nv_dst + vi, c)
                                          for t, c in terms]
     return matrix
-
-
-def map_matrices(ctx: TripleContext) -> dict[tuple[str, int], MapMatrix]:
-    """(name, k) -> map_matrix(ctx, name, k) for every map and every
-    degree k of the solved blow-up that the map reaches."""
-    return {(name, k): map_matrix(ctx, name, k)
-            for k in range(ctx.sp_blowup.max_degree + 1)
-            for name, (_, _, shift) in MAPS.items() if k >= shift}
 
 
 def _apply(matrix: MapMatrix, col: dict) -> dict:
@@ -331,64 +343,36 @@ def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
     return [{c: v for c, v in col.items() if c in free} for col in cols]
 
 
-def check_theorem_main(ctx: TripleContext,
-                       raise_on_failure: bool = True,
-                       matrices: dict | None = None) -> dict:
-    """Degreewise verification that phi + psi_! and eta + rho_! are
-    isomorphisms onto the signed blow-up cohomology.
+# the two sums of Theorem 5.1: (first map, second map, report label)
+PAIRS = (("phi", "psi", "first"), ("eta", "rho", "second"))
 
-    For every degree: each map is injective (image rank = source dim), the
-    two images meet trivially (joint rank = rank sum), the sum fills the
-    space (joint rank = blow-up dim), and both maps commute with the group
-    action on generators.  Returns the per-degree report; with
-    raise_on_failure the named errors fire at the first violation.
-    matrices, if given, is map_matrices(ctx).
 
-    The ranks are taken on the free coordinates of the blow-up basis (its
-    unit rows).  The images lie in the kernel, which is checked first, and
-    a kernel vector is determined by its free coordinates, so the ranks
-    are the same; a degree that does not pass that way is ranked again in
-    all coordinates, so even a basis that misses part of the kernel gets
-    the same report.
-    """
-    if matrices is None:
-        matrices = map_matrices(ctx)
-    report: dict = {"side": ctx.side, "h": str(ctx.triple.h),
-                    "params": list(ctx.triple.params), "degrees": {}}
+def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
+                 raise_on_failure: bool = False) -> dict:
+    """The degreewise 5.1 report.  dim(name, k) is the dimension of the
+    graph called name (as in :meth:`TripleGraphs.graphs`) in degree k, 0
+    for k < 0; pair_ranks(k) yields, for each of PAIRS, (first, second,
+    label, rank of the first image, of the second, of both together,
+    dimension of the first source, of the second), and raises
+    MembershipFailed, EquivarianceFailed or NotInvariant at a failed
+    check of degree k."""
+    report: dict = {"side": graphs.side, "h": str(graphs.triple.h),
+                    "params": list(graphs.triple.params), "degrees": {}}
     failures = []
-    for k in range(ctx.sp_blowup.max_degree + 1):
-        row: dict = {}
+    for k in range(max_degree + 1):
         fails: list[Exception] = []
-        dim_blow = ctx.sp_blowup.dim(k)
-        row["dim_blowup"] = dim_blow
-        row["dims"] = {
-            "circle": ctx.sp_circle.dim(k),
-            "mid_prev": ctx.sp_mid.dim(k - 1),
-            "plus": ctx.sp_plus.dim(k),
-            "minus_prev": ctx.sp_minus.dim(k - 1),
-        }
+        dim_blow = dim("blowup", k)
+        row: dict = {"dim_blowup": dim_blow, "dims": {
+            "circle": dim("circle", k), "mid_prev": dim("mid", k - 1),
+            "plus": dim("plus", k), "minus_prev": dim("minus", k - 1)}}
         try:
-            # the action must also preserve the signed blow-up space itself
-            check_action_invariance(ctx.sp_blowup, k, ctx.action_kind)
-            adj = column_adjacency(ctx.sp_blowup.rows[k])
-            free = set(ctx.sp_blowup.bases[k].unit_rows)
-            for first, second, label in (("phi", "psi", "first"),
-                                         ("eta", "rho", "second")):
-                cols_a, cols_b = (
-                    map_image_columns(ctx, name, k, matrices.get((name, k)),
-                                      adj)
-                    for name in (first, second))
-                ra, rb, rab = _ranks(_restrict(cols_a, free),
-                                     _restrict(cols_b, free))
-                if not (ra == len(cols_a) and rb == len(cols_b)
-                        and rab == ra + rb == dim_blow):
-                    ra, rb, rab = _ranks(cols_a, cols_b)
+            for first, second, label, ra, rb, rab, na, nb in pair_ranks(k):
                 row[f"{first}_rank"] = ra
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab
-                if ra < len(cols_a) or rb < len(cols_b):
+                if ra < na or rb < nb:
                     fails.append(RankDeficit(
-                        f"degree {k}: {first if ra < len(cols_a) else second} "
+                        f"degree {k}: {first if ra < na else second} "
                         f"not injective"))
                 elif rab < ra + rb:
                     fails.append(Overlap(
@@ -397,8 +381,6 @@ def check_theorem_main(ctx: TripleContext,
                     fails.append(DimensionGap(
                         f"degree {k}: {label} sum has rank {rab}, "
                         f"space has dim {dim_blow}"))
-            for name in MAPS:
-                _check_map_equivariance(ctx, name, k, matrices.get((name, k)))
         except (MembershipFailed, EquivarianceFailed, NotInvariant) as exc:
             fails.append(exc)
         row["consistency"] = (
@@ -417,51 +399,261 @@ def check_theorem_main(ctx: TripleContext,
     return report
 
 
-def certify_side_x(ctx: TripleContext, matrices: dict) -> None:
-    """Certify that side x of ctx's triple is the relabelling P of ctx, a
-    side-y context: each of the five graphs and its action in every
-    degree (:func:`certify_relabelling`), and M_x P_src = P_dst M_y for
-    every map matrix M_y of matrices = map_matrices(ctx).  RelabelFailed
-    otherwise.
+def check_theorem_main(ctx: TripleContext,
+                       raise_on_failure: bool = True) -> dict:
+    """Degreewise verification that phi + psi_! and eta + rho_! are
+    isomorphisms onto the signed blow-up cohomology.
+
+    For every degree: each map is injective (image rank = source dim), the
+    two images meet trivially (joint rank = rank sum), the sum fills the
+    space (joint rank = blow-up dim), and both maps commute with the group
+    action on generators.  Returns the per-degree report; with
+    raise_on_failure the named errors fire at the first violation.
+
+    The ranks are taken on the free coordinates of the blow-up basis (its
+    unit rows).  The images lie in the kernel, which is checked first, and
+    a kernel vector is determined by its free coordinates, so the ranks
+    are the same; a degree that does not pass that way is ranked again in
+    all coordinates, so even a basis that misses part of the kernel gets
+    the same report.
+    """
+    def dim(name: str, k: int) -> int:
+        return getattr(ctx, f"sp_{name}").dim(k)
+
+    def pair_ranks(k: int):
+        # the action must also preserve the signed blow-up space itself
+        check_action_invariance(ctx.sp_blowup, k, ctx.action_kind)
+        adj = column_adjacency(ctx.sp_blowup.rows[k])
+        free = set(ctx.sp_blowup.bases[k].unit_rows)
+        matrices = {name: map_matrix(ctx, name, k)
+                    for name, (_, _, shift) in MAPS.items() if k >= shift}
+        for first, second, label in PAIRS:
+            cols_a, cols_b = (
+                map_image_columns(ctx, name, k, matrices.get(name), adj)
+                for name in (first, second))
+            ra, rb, rab = _ranks(_restrict(cols_a, free),
+                                 _restrict(cols_b, free))
+            if not (ra == len(cols_a) and rb == len(cols_b)
+                    and rab == ra + rb == ctx.sp_blowup.dim(k)):
+                ra, rb, rab = _ranks(cols_a, cols_b)
+            yield first, second, label, ra, rb, rab, len(cols_a), len(cols_b)
+        for name in MAPS:
+            _check_map_equivariance(ctx, name, k, matrices.get(name))
+
+    return _main_report(ctx, ctx.sp_blowup.max_degree, dim, pair_ranks,
+                        raise_on_failure)
+
+
+# ---------------------------------------------------------------------------
+# Theorem 5.1 one irreducible at a time
+
+# A map read at the identity of one sheet of the blow-up: (g, multiplier,
+# swap), or None where the map is zero on that sheet.
+Read = tuple[Perm, tuple[int, int] | None, bool] | None
+
+
+def block_rules(graphs: TripleGraphs) -> dict[str, list[Read]]:
+    """name -> [the read of its rule on the plain sheet, on the circle
+    sheet], once each rule of MAPS is certified a right multiplication:
+    at every blow-up vertex v of a sheet read as (g, mult, swap), the hit
+    is the source vertex of permutation v.perm g, with the same mult and
+    swap.  EquivarianceFailed otherwise.
+
+    Such a rule sends the source class F = sum_w f(w) w to mult swap(F
+    g^-1) on that sheet, since the value at w is mult swap(f(w g)).
+    """
+    e = identity_perm(graphs.blowup.n)
+    out = {}
+    for name, (rule, source, _) in MAPS.items():
+        reads: list[Read] = []
+        for circle in (False, True):
+            hit = rule(graphs, Vertex(circle, e))
+            reads.append(None if hit is None else (hit[0].perm, *hit[1:]))
+        for v in graphs.blowup.vertices:
+            read = reads[v.circle]
+            if rule(graphs, v) != (None if read is None else (
+                    Vertex(source == "circle", compose(v.perm, read[0])),
+                    *read[1:])):
+                raise EquivarianceFailed(
+                    f"{name} does not commute with dagger action: its value "
+                    f"at {v} is not the right multiplication it reads at "
+                    f"the identity")
+        out[name] = reads
+    return out
+
+
+def block_map_matrix(n: int, lam: Partition, reads: list[Read], d: int,
+                     k: int, shift: int) -> MapMatrix:
+    """A map into blow-up degree k on one row x of rho_lam of the source
+    class, with the reads of :func:`block_rules`: on a sheet read as (g,
+    mult, swap), x goes to mult swap(x rho_lam(g^-1)).  The entries are
+    multiplied by the common denominator D of those matrices, one factor
+    for the whole map, which changes no rank and no membership.
+
+    Source coordinate mi * d_lam + p is the coefficient of the mi-th
+    degree-(k - shift) monomial in x_p, as in :func:`block_rows`; blow-up
+    coordinates are those of :func:`blowup_block_rows`.
+    """
+    dl = len(standard_tableaux(lam))
+    mats = [None if r is None else rho(n, lam, inverse(r[0])) for r in reads]
+    den = lcm(*(x.denominator for m in mats if m for row in m for x in row))
+    matrix: MapMatrix = [[] for _ in range(
+        dl * len(monomials(n, k - shift)))]
+    for sheet, (read, m) in enumerate(zip(reads, mats)):
+        if read is None:
+            continue
+        ints = [[(sheet * dl + q, int(x * den)) for q, x in enumerate(row)
+                 if x] for row in m]
+        for mi, terms in enumerate(_image_terms(n, k, shift, read[1],
+                                                read[2], d)):
+            for p in range(dl):
+                matrix[mi * dl + p] += [(t * 2 * dl + q, c * v)
+                                        for t, c in terms for q, v in ints[p]]
+    return matrix
+
+
+def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
+    """The side-y report of :func:`check_theorem_main` on the graphs
+    through max_degree, with every space solved, mapped and ranked one
+    irreducible lam of S_n at a time; no full kernel is solved.
+
+    The shape certificates (:func:`twin_edge_types` on the plain and
+    circle graphs, :func:`blowup_edge_types`) show that each space is the
+    set of classes F = sum_w f(w) w in Q[t] (x) Q[S_n], or pairs (P, C)
+    on the blow-up, cut out by divisibilities of right multiples of F.
+    :func:`block_rules` shows that each map is a right multiplication,
+    times constants and the t_d/t_{d+1} swap.  The dagger action is left
+    multiplication, which commutes with all of these; so it preserves
+    every space and commutes with every map, with no further check.
+
+    The certified irreducibles rho_lam give Q[S_n] = sum_lam End(V_lam).
+    A space is then the sum over lam of the d_lam x d_lam matrices whose
+    rows x solve :func:`block_rows` (:func:`blowup_block_rows` on the
+    blow-up), and a map acts on each row by :func:`block_map_matrix`.  So
+    every dimension and rank is sum_lam d_lam (the block value), and an
+    image lies in the blow-up space exactly when every block image
+    satisfies the blow-up block rows, which is checked
+    (MembershipFailed).  A vector of the blow-up block space is
+    determined by its free (non-pivot) coordinates in the echelon of its
+    rows, so the images, once members, are ranked on those coordinates.
+    Certificate faults raise NotTwinGraph or EquivarianceFailed.
+    """
+    n, d = graphs.blowup.n, graphs.d
+    types = {name: twin_edge_types(getattr(graphs, f"g_{name}"))
+             for name in ("minus", "mid", "plus")}
+    types["circle"] = twin_edge_types(graphs.g_circle, circ)
+    plain_types, circle_types = blowup_edge_types(graphs.blowup)
+    rules = block_rules(graphs)
+    shapes = {lam: len(standard_tableaux(lam)) for lam in partitions_of(n)}
+    # mid and minus feed degree k from degree k - 1
+    bases = {(name, lam, k): kernel_of_rows(block_rows(n, t, lam, k),
+                                            dl * len(monomials(n, k)))
+             for name, t in types.items() for lam, dl in shapes.items()
+             for k in range(max_degree + (name in ("plus", "circle")))}
+    @cache
+    def blowup(lam: Partition, k: int) -> tuple[list[IntRow], set[int]]:
+        """The blow-up block rows and their free coordinates."""
+        rows = blowup_block_rows(n, plain_types, circle_types, d, lam, k)
+        pivots = Echelon.of(rows).pivots
+        return rows, {c for c in range(2 * shapes[lam] * len(monomials(n, k)))
+                      if c not in pivots}
+
+    def dim(name: str, k: int) -> int:
+        if k < 0:
+            return 0
+        if name == "blowup":
+            return sum(dl * len(blowup(lam, k)[1])
+                       for lam, dl in shapes.items())
+        return sum(dl * bases[name, lam, k].dim for lam, dl in shapes.items())
+
+    def images(name: str, lam: Partition, k: int, adj: dict) -> list[IntRow]:
+        _, source, shift = MAPS[name]
+        if k < shift:
+            return []
+        matrix = block_map_matrix(n, lam, rules[name], d, k, shift)
+        cols = [_apply(matrix, col)
+                for col in bases[source, lam, k - shift].columns]
+        for j, col in enumerate(cols):
+            bad = first_violated_row(adj, col)
+            if bad is not None:
+                raise MembershipFailed(
+                    f"{name} image column {j} of shape {lam} violates the "
+                    f"degree-{k} block row {bad}")
+        return cols
+
+    def pair_ranks(k: int):
+        adj = {lam: column_adjacency(blowup(lam, k)[0]) for lam in shapes}
+        for first, second, label in PAIRS:
+            total = [0] * 5
+            for lam, dl in shapes.items():
+                cols_a, cols_b = (images(name, lam, k, adj[lam])
+                                  for name in (first, second))
+                free = blowup(lam, k)[1]
+                block = (*_ranks(_restrict(cols_a, free),
+                                 _restrict(cols_b, free)),
+                         len(cols_a), len(cols_b))
+                total = [t + dl * b for t, b in zip(total, block)]
+            yield (first, second, label, *total)
+
+    return _main_report(graphs, max_degree, dim, pair_ranks)
+
+
+def certify_side_x(graphs: TripleGraphs, max_degree: int) -> None:
+    """Certify that side x of a triple is the relabelling P of its side-y
+    graphs through max_degree: each of the five graphs and the actions
+    (:func:`certify_relabelling`), and M_x P_src = P_dst M_y for every map
+    matrix (:func:`map_matrix`) of either side.  RelabelFailed otherwise.
 
     Then P carries every side-y space, map image and action onto side x,
-    so every rank and dimension of the side-x 5.1 report is that of ctx.
+    so every rank and dimension of the side-x 5.1 report is that of side
+    y.
     """
-    xs = TripleGraphs.of(ctx.triple, "x")
-    ps = {name: certify_relabelling(getattr(ctx, f"sp_{name}"), graph,
-                                    xs.graph_name(name))
-          for name, graph in xs.graphs().items()}
-    for (name, k), m_y in matrices.items():
-        source, shift = MAPS[name][1:]
-        m_x = map_matrix(xs, name, k)
-        c = _first_unintertwined(m_y, m_x, ps[source][k - shift],
-                                 ps["blowup"][k])
-        if c is not None:
-            raise RelabelFailed(
-                f"relabelling check failed on the map {name}, degree "
-                f"{k}: M_x P differs from P M_y at source column {c}")
+    xs = TripleGraphs.of(graphs.triple, "x")
+    ys, gx = graphs.graphs(), xs.graphs()
+    for name, graph in gx.items():
+        certify_relabelling(ys[name], graph, xs.graph_name(name), max_degree)
+    @cache
+    def p(name: str, k: int) -> list[int]:
+        return relabelling(gx[name], k)
+
+    for k in range(max_degree + 1):
+        for name, (_, source, shift) in MAPS.items():
+            if k < shift:
+                continue
+            c = _first_unintertwined(map_matrix(graphs, name, k),
+                                     map_matrix(xs, name, k),
+                                     p(source, k - shift), p("blowup", k))
+            if c is not None:
+                raise RelabelFailed(
+                    f"relabelling check failed on the map {name}, degree "
+                    f"{k}: M_x P differs from P M_y at source column {c}")
+
+
+def relabel_failure(text: str) -> str:
+    """A side-y failure as worded for side x, its relabelling, which
+    turns the dagger action into the dot action."""
+    return text.replace("dagger", "dot")
 
 
 def relabel_report(report: dict) -> dict:
     """The side-x 5.1 report of a side-y report whose relabelling is
     certified: the same degrees, failures worded for the dot action."""
     return {**report, "side": "x",
-            "failures": [f.replace("dagger", "dot")
-                         for f in report["failures"]]}
+            "failures": [relabel_failure(f) for f in report["failures"]]}
 
 
-def check_theorem_main_sides(triple: ModularTriple,
-                             cache_dir: str | None = None
+def check_theorem_main_sides(triple: ModularTriple
                              ) -> tuple[dict, Callable[[], dict]]:
-    """The side-y 5.1 report of triple, checked once, and a function that
-    certifies side x (:func:`certify_side_x`) and returns its report."""
-    ctx = TripleContext.build(triple, "y", cache_dir=cache_dir)
-    matrices = map_matrices(ctx)
-    report = check_theorem_main(ctx, raise_on_failure=False,
-                                matrices=matrices)
+    """The side-y 5.1 report of triple by irreducible blocks
+    (:func:`check_theorem_blocks`), through degree h_plus.dimension() + 1,
+    and a function that certifies side x (:func:`certify_side_x`) and
+    returns its report.  Reads and writes no cache entry."""
+    graphs = TripleGraphs.of(triple, "y")
+    max_degree = graphs.triple.h_plus.dimension() + 1
+    report = check_theorem_blocks(graphs, max_degree)
 
     def side_x() -> dict:
-        certify_side_x(ctx, matrices)
+        certify_side_x(graphs, max_degree)
         return relabel_report(report)
 
     return report, side_x

@@ -152,18 +152,21 @@ def test_criterion_3_combinatorial_modular_laws():
 
 def test_criterion_4_main_theorem():
     """Degreewise isomorphisms onto the signed blow-up cohomology: every
-    kind-C triple at n = 3 and three triples at n = 4, both sides."""
+    kind-C triple at n = 3 and three triples at n = 4, both sides, each
+    report equal in every degree to the one made by irreducible blocks."""
     failures = []
     count = 0
     triples = list(all_triples(3, kind="C"))
     triples += [next(t for t in H.find_modular_triples(H.from_string(s))
                      if t.kind == "C") for s in TRIPLES4]
     for t in triples:
+        blocks, _ = M.check_theorem_main_sides(t)
         for side in ("x", "y"):
             count += 1
             ctx = M.TripleContext.build(t, side)
             rep = M.check_theorem_main(ctx, raise_on_failure=False)
-            if not rep["pass"]:
+            if not (rep["pass"] and blocks["pass"]
+                    and rep["degrees"] == blocks["degrees"]):
                 failures.append((str(t.h), t.params, side))
     report(4, not failures, f"{count} contexts")
     assert not failures, failures

@@ -5,7 +5,7 @@ representations and the graph shape) reject every mutation tried."""
 import dataclasses
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -215,3 +215,100 @@ class TestCrossCheckChecksInvariance:
         space.rows[1][0] = {c: v for c, v in summed.items() if v}
         with pytest.raises(CH.NotInvariant, match="degree-1"):
             CH.graded_character(space, "dagger", True, traces)
+
+
+def c_triple(hstr):
+    return next(t for t in H.find_modular_triples(H.from_string(hstr))
+                if t.kind == "C")
+
+
+def _relabel_edge(graph, pair, label):
+    return dataclasses.replace(graph, edges=tuple(
+        e[:2] + (label,) if e[:2] == pair else e for e in graph.edges))
+
+
+# On the side-y blow-up of 2,3,3 vertex i is the i-th permutation of S_3 in
+# lex order, circle copies come 6 later, and tau = (2 3): the first 4-gon
+# is (123, °123, 132, °132), and 123 -- °123 is the edge (0, 6).
+BLOWUP_MUTATIONS = {
+    "dropped-4-gon": (lambda g: dataclasses.replace(g, quads=g.quads[1:]),
+                      "the 4-gons are not w, °w, w tau, °w tau"),
+    "flipped-sign": (lambda g: dataclasses.replace(
+        g, signs=(-g.signs[0],) + g.signs[1:]),
+        "the signs of the 4-gon 123 °123 132 °132 are not"),
+    "mislabelled-joining-edge": (lambda g: _relabel_edge(g, (0, 6), (1, 2)),
+                                 "the edges are not the twin edges"),
+    "extra-plain-edge": (lambda g: dataclasses.replace(
+        g, edges=tuple(sorted(g.edges + ((0, 5, (1, 3)),)))),
+        "the edges are not the twin edges"),
+}
+
+
+class TestTheorem51ByBlocks:
+    """The CLI's 5.1 solves, maps and ranks by irreducible blocks; each
+    certificate it rests on turns a mutation into a named FAIL item."""
+
+    def test_n5_triple_builds_no_full_system(self, capsys, monkeypatch):
+        def unused(graph, k):
+            raise AssertionError("a full system was built")
+
+        monkeypatch.setattr(CH, "constraint_rows", unused)
+        code, data = run_json(capsys, "check", "2,3,3,4,5", "--thm", "5.1")
+        assert code == 0
+        x, y = data["items"]
+        assert x["pass"] is y["pass"] is True
+        assert x["degrees"] == y["degrees"]
+        dims = [y["degrees"][k]["dim_blowup"]
+                for k in sorted(y["degrees"], key=int)]
+        numer = [sum((-1) ** j * comb(5, j) * dims[k - j]
+                     for j in range(min(5, k) + 1)) for k in range(len(dims))]
+        assert numer == [20, 100, 100, 20, 0]
+
+    def test_circle_graph_shape(self):
+        t = c_triple("2,3,3,4")
+        circle = G.build_circle_graph(t, "y")
+        assert I.twin_edge_types(circle, G.circ) \
+            == tuple(sorted((j, i) for i, j in G.circle_pairs(t)))
+        with pytest.raises(I.NotTwinGraph, match="the edges are not"):
+            I.twin_edge_types(without_edge(circle), G.circ)
+
+    def test_side_x_blowup_is_refused(self):
+        with pytest.raises(I.NotTwinGraph, match="the edges are not"):
+            I.blowup_edge_types(G.build_blowup(c_triple("2,3,3,4"), "x"))
+
+    @pytest.mark.parametrize("what", BLOWUP_MUTATIONS)
+    def test_blowup_mutation_is_a_fail_item(self, capsys, monkeypatch, what):
+        mutate, reason = BLOWUP_MUTATIONS[what]
+        build = G.build_blowup
+
+        def mutated(triple, side):
+            graph = build(triple, side)
+            return mutate(graph) if side == "y" else graph
+
+        monkeypatch.setattr(M, "build_blowup", mutated)
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
+        assert code == 1
+        x, y = data["items"]
+        assert x["error_class"] == y["error_class"] == "NotTwinGraph"
+        assert reason in y["error"]
+
+    def test_left_multiplying_rule_is_a_fail_item(self, capsys, monkeypatch):
+        # phi reads circle(tau w) on the plain sheet instead of circle(w
+        # tau): the same at the identity, a left multiplication elsewhere
+        rule, source, shift = M.MAPS["phi"]
+
+        def left(ctx, v):
+            hit = rule(ctx, v)
+            if v.circle:
+                return hit
+            tau = G.swap_positions(G.identity_perm(ctx.blowup.n), ctx.d,
+                                   ctx.d + 1)
+            return (G.circ(G.compose(tau, v.perm)), *hit[1:])
+
+        monkeypatch.setitem(M.MAPS, "phi", (left, source, shift))
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
+        assert code == 1
+        x, y = data["items"]
+        assert x["error_class"] == y["error_class"] == "EquivarianceFailed"
+        assert y["error"].startswith(
+            "phi does not commute with dagger action: its value at ")

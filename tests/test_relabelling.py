@@ -52,6 +52,15 @@ def run_json(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+@pytest.fixture
+def fresh_actions():
+    """The action check is cached per (n, k); a test that mutates the
+    actions needs it run again, and so does every later test."""
+    CH._action_fault.cache_clear()
+    yield
+    CH._action_fault.cache_clear()
+
+
 class TestSidesStayIndependent:
     """Side x solved on its own rows agrees with the relabelled side y:
     without this, comparing the two sides would compare y with itself."""
@@ -129,23 +138,22 @@ class TestCertificate:
                   for r in CH.constraint_rows(gx, 0)}
         assert pulled != {CH._row_key(r.items())
                           for r in CH.constraint_rows(gy, 0)}
-        CH.certify_relabelling(CH.solve_graph(gy, 2), gx, "blow-up")
+        CH.certify_relabelling(gy, gx, "blow-up", 2)
 
     def test_wrong_graph_fails(self):
-        h = H.from_string("2,3,3")
-        space_y = CH.solve_graph(G.build_GY(h))
+        gy = G.build_GY(H.from_string("2,3,3"))
         other = G.build_GX(H.from_string("1,3,3"))
         with pytest.raises(CH.RelabelFailed) as err:
-            CH.certify_relabelling(space_y, other, "plain graph of 2,3,3")
+            CH.certify_relabelling(gy, other, "plain graph of 2,3,3", 3)
         assert str(err.value).startswith(
             "relabelling check failed on the plain graph of 2,3,3: "
             "the edge ")
         with pytest.raises(CH.RelabelFailed, match="different vertices"):
-            CH.certify_relabelling(space_y, G.build_circle_graph(
-                c_triple("2,3,3"), "x"), "circle graph")
+            CH.certify_relabelling(gy, G.build_circle_graph(
+                c_triple("2,3,3"), "x"), "circle graph", 3)
 
 
-    def test_mutated_dot_action_fails(self, monkeypatch):
+    def test_mutated_dot_action_fails(self, monkeypatch, fresh_actions):
         # the rows still correspond, but the dot action no longer is the
         # relabelled dagger action
         perm = CH.coordinate_perm
@@ -154,10 +162,10 @@ class TestCertificate:
             return perm(graph, k, sigma, "dagger")
 
         h = H.from_string("2,3,3")
-        space_y = CH.solve_graph(G.build_GY(h))
         monkeypatch.setattr(CH, "coordinate_perm", mutated)
         with pytest.raises(CH.RelabelFailed) as err:
-            CH.certify_relabelling(space_y, G.build_GX(h), "plain graph")
+            CH.certify_relabelling(G.build_GY(h), G.build_GX(h),
+                                   "plain graph", 3)
         assert str(err.value) == (
             "relabelling check failed on the plain graph, degree 1: the dot "
             "action by (2, 1, 3) is not the relabelled dagger action")
@@ -263,9 +271,8 @@ class TestGraphConditions:
         mutate, reason = GRAPH_MUTATIONS[what]
         t = c_triple("2,3,3")
         gy, gx = mutate(G.build_blowup(t, "y"), G.build_blowup(t, "x"))
-        space_y = CH.GradedSolutionSpace(gy, 2, {}, {})
         with pytest.raises(CH.RelabelFailed) as err:
-            CH.certify_relabelling(space_y, gx, "blow-up of 2,3,3")
+            CH.certify_relabelling(gy, gx, "blow-up of 2,3,3", 2)
         prefix = "relabelling check failed on the blow-up of 2,3,3: "
         assert str(err.value).startswith(prefix)
         assert reason in str(err.value)
@@ -375,12 +382,13 @@ class TestSideYFailure:
         assert x["pass"] is y["pass"] is False
         assert x["degrees"] == y["degrees"]
 
-    def test_report_is_worded_for_the_dot_action(self, monkeypatch):
+    def test_report_is_worded_for_the_dot_action(self, capsys, monkeypatch):
         def skewed(ctx, v):
             return G.plain(G.compose((2, 1, 3), v.perm)), None, False
 
         monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
-        report, _ = M.check_theorem_main_sides(c_triple("2,3,3"))
+        ctx = M.TripleContext.build(c_triple("2,3,3"), "y")
+        report = M.check_theorem_main(ctx, raise_on_failure=False)
         relabelled = M.relabel_report(report)
         assert relabelled["side"] == "x" and report["side"] == "y"
         assert relabelled["degrees"] == report["degrees"]
@@ -389,33 +397,50 @@ class TestSideYFailure:
             "eta does not commute with dagger action")
         assert relabelled["failures"][0].startswith(
             "eta does not commute with dot action")
+        # the CLI's block check refuses the rule before any report
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
+        assert code == 1
+        x, y = data["items"]
+        assert x["error_class"] == y["error_class"] == "EquivarianceFailed"
+        assert y["error"].startswith("eta does not commute with dagger action")
+        assert x["error"].startswith("eta does not commute with dot action")
 
 
 class TestOneSolvePerTriple:
-    def test_no_x_solve_and_no_repeated_solve(self, capsys, monkeypatch):
-        h = H.from_string("2,3,3,4")
-        t = c_triple("2,3,3,4")
-        xs = M.TripleGraphs.of(t, "x")
-        x_keys = {g.content_key()
-                  for g in [G.build_GX(h), *xs.graphs().values()]}
-        last = []
-        solved = []
+    def spy(self, monkeypatch):
+        """The (content key, degree) of every full system built, and of
+        every one of them solved, as the run goes."""
+        built, solved = [], []
         rows_of, kernel = CH.constraint_rows, CH.kernel_of_rows
 
         def rows_spy(graph, k):
-            last[:] = [(graph.content_key(), k)]
+            built.append((graph.content_key(), k))
             return rows_of(graph, k)
 
         def kernel_spy(rows, ncols):
-            solved.append(last[0])
+            solved.append(built[-1])
             return kernel(rows, ncols)
 
         monkeypatch.setattr(CH, "constraint_rows", rows_spy)
         monkeypatch.setattr(CH, "kernel_of_rows", kernel_spy)
-        code, data = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
+        return built, solved
+
+    def test_no_x_solve_and_no_repeated_solve(self, capsys, monkeypatch):
+        h = H.from_string("2,3,3")
+        xs = M.TripleGraphs.of(c_triple("2,3,3"), "x")
+        x_keys = {g.content_key()
+                  for g in [G.build_GX(h), *xs.graphs().values()]}
+        _, solved = self.spy(monkeypatch)
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "all")
         assert code == 0 and data["count"] == 10
         assert solved and len(solved) == len(set(solved))
         assert not {key for key, _ in solved} & x_keys
+
+    def test_n4_check_builds_no_full_system(self, capsys, monkeypatch):
+        built, solved = self.spy(monkeypatch)
+        code, data = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
+        assert code == 0 and data["count"] == 10
+        assert built == solved == []
 
 
 class TestSolveMemo:
