@@ -37,9 +37,9 @@ dot action into the dagger action, so it carries the Y kernel onto the X
 kernel.  :func:`certify_relabelling` checks this once per graph pair, on
 its vertices, edges, 4-gons and signs, and the actions once per (n, k);
 then the X dimensions and dot traces are the Y dimensions and
-dagger traces.  Inside :func:`solve_memo`,
-:func:`solve_graph` keeps the last few graphs it solved in a memo in front
-of the disk cache.
+dagger traces.  Inside :func:`solve_memo`, :func:`memoized` keeps what
+was made of the last few graphs met, the kernels of :func:`solve_graph`
+in front of the disk cache among them.
 """
 
 from __future__ import annotations
@@ -276,21 +276,21 @@ def _cache_write(path: str, basis: SubspaceBasis) -> None:
             pass
 
 
-# The last MEMO_GRAPHS graphs solved inside the current solve_memo()
-# block, most recently used last, as content key -> (bases, rows) by
-# degree; None outside a block.  Enough for the five graphs of one triple
-# and one more, so that a sweep holds a bounded number of graphs.
+# The last MEMO_GRAPHS graphs met inside the current solve_memo() block,
+# most recently used last, as content key -> {name: what memoized(graph,
+# name, ...) made}; None outside a block.  Enough for the five graphs of
+# one triple and one more, so that a sweep holds a bounded number.
 MEMO_GRAPHS = 6
-_memo: OrderedDict[str, tuple[dict, dict]] | None = None
+_memo: OrderedDict[str, dict] | None = None
 
 
 @contextmanager
 def solve_memo():
-    """Within the block, solve_graph solves each degree of a graph (by
-    content) once: it keeps the last MEMO_GRAPHS graphs it solved.  The
-    memo belongs to the outermost block and is dropped when it ends, so
-    nothing carries over to a later block; the CLI runs each command in
-    one.  Outside, solve_graph keeps nothing."""
+    """Within the block, :func:`memoized` makes each result of a graph (by
+    content) once, so solve_graph solves each degree once: it keeps the
+    last MEMO_GRAPHS graphs.  The memo belongs to the outermost block and
+    is dropped when it ends, so nothing carries over to a later block; the
+    CLI runs each command in one.  Outside, nothing is kept."""
     global _memo
     if _memo is not None:   # nested: the outer block's memo
         yield
@@ -302,6 +302,20 @@ def solve_memo():
         _memo = None
 
 
+def memoized(graph, name: str, make):
+    """make(graph), made once per graph and name inside a
+    :func:`solve_memo` block."""
+    if _memo is None:
+        return make(graph)
+    key = graph.content_key()
+    entry = _memo[key] = _memo.pop(key, {})
+    while len(_memo) > MEMO_GRAPHS:
+        _memo.popitem(last=False)
+    if name not in entry:
+        entry[name] = make(graph)
+    return entry[name]
+
+
 def solve_graph(graph, max_degree: int | None = None,
                 cache_dir: str | None = None) -> GradedSolutionSpace:
     """Solve every degree k <= max_degree (default top_degree + 1).
@@ -311,13 +325,8 @@ def solve_graph(graph, max_degree: int | None = None,
     """
     if max_degree is None:
         max_degree = graph.top_degree + 1
-    bases: dict[int, SubspaceBasis] = {}
-    rows: dict[int, list[IntRow]] = {}
-    if _memo is not None:
-        key = graph.content_key()
-        bases, rows = _memo[key] = _memo.pop(key, (bases, rows))
-        while len(_memo) > MEMO_GRAPHS:
-            _memo.popitem(last=False)
+    # bases and rows by degree, filled in below
+    bases, rows = memoized(graph, "solve_graph", lambda g: ({}, {}))
     nverts = len(graph.vertices)
     for k in range(max_degree + 1):
         if k in bases:

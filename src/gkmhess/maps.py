@@ -15,21 +15,22 @@ and phi additionally swaps t_d with t_{d+1}.  The main theorem states that
 phi + psi_! and eta + rho_! are both isomorphisms onto the signed blow-up
 cohomology; it is verified degreewise by exact rank computations.  The
 library check (:class:`TripleContext`, :func:`check_theorem_main`) solves
-the five graphs in full and checks equivariance on group generators.  The
-CLI's check (:func:`check_theorem_blocks`) solves, maps and ranks one
-irreducible of S_n at a time on side y, after certifying the shapes of
-the graphs and that every map is a right multiplication, so that the
-dagger action commutes with everything; the two give the same report.
-The corollary (the modular law for the graded characters) is checked as
-an identity of Frobenius series; it reads only the three plain graphs.
-The characters of plain graphs come from the irreducible blocks of their
-twins (:mod:`gkmhess.isotypic`).
+the five graphs in full.  The CLI's check (:func:`check_theorem_blocks`)
+solves, maps and ranks one irreducible of S_n at a time on side y.  Both
+take equivariance from the vertex rules, never from a map matrix: every
+side-y rule is certified a right multiplication (:func:`block_rules`),
+so the dagger action commutes with it, and every side-x rule the
+relabelled side-y rule (:func:`certify_side_x`).  The two checks give the
+same report.  The corollary (the modular law for the graded characters)
+is checked as an identity of Frobenius series; it reads only the three
+plain graphs.  The characters of plain graphs come from the irreducible
+blocks of their twins (:mod:`gkmhess.isotypic`).
 
-Both are checked on side y only.  Side x is its relabelling (see
+The CLI checks both on side y only.  Side x is its relabelling (see
 :func:`gkmhess.cohomology.relabelling`): once the graphs, the actions and
-the four map matrices are certified to correspond, the side-x 5.1 report
-is the side-y one, and the side-x characters are the side-y traces times
-the dot ambient factor.
+the four rules are certified to correspond, the side-x 5.1 report is the
+side-y one, and the side-x characters are the side-y traces times the
+dot ambient factor.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ from typing import Callable
 from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
     RelabelFailed, certify_relabelling, check_action_invariance,
-    column_adjacency, coordinate_perm, first_violated_row,
-    frobenius_of_character, graded_character, monomial_index, monomials,
-    relabel_space, relabelled_character, relabelling, solve_graph)
+    column_adjacency, first_violated_row, frobenius_of_character,
+    graded_character, memoized, monomial_index, monomials, relabel_space,
+    relabelled_character, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
-    generators, identity_perm, inverse, kind_r_via_transpose, plain,
-    swap_positions)
+    identity_perm, inverse, kind_r_via_transpose, plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
 from gkmhess.isotypic import (
     TwinBlocks, block_rows, blowup_block_rows, blowup_edge_types, rho,
@@ -71,7 +71,7 @@ class DimensionGap(ValueError):
 
 
 class EquivarianceFailed(ValueError):
-    """A map fails to commute with the group action on a generator."""
+    """A map rule is not certified to commute with the group action."""
 
 
 @dataclass
@@ -261,69 +261,32 @@ def _apply(matrix: MapMatrix, col: dict) -> dict:
 
 
 def map_image_columns(ctx: TripleContext, name: str, k: int,
-                      matrix: MapMatrix | None, adj: dict) -> list[IntRow]:
-    """Images in blow-up coordinates of the degree-appropriate source basis,
-    as integer vectors.
-
-    For the degree-k piece of the blow-up, phi/eta take the degree-k source
-    basis and psi/rho the degree-(k-1) one; matrix is the map's matrix in
-    degree k (None where the map does not reach degree k).  Every image is
-    verified to satisfy the blow-up constraint rows, whose column
-    adjacency is adj (membership in the signed space).
-    """
+                      adj: dict) -> list[IntRow]:
+    """Images in blow-up degree k of the source basis, as integer vectors,
+    by :func:`map_matrix`: phi/eta take the degree-k source basis and
+    psi/rho the degree-(k-1) one.  Every image is verified to satisfy the
+    blow-up constraint rows, whose column adjacency is adj (membership in
+    the signed space); MembershipFailed otherwise."""
     _, source, shift = MAPS[name]
     if k < shift:
         return []
-    space = getattr(ctx, f"sp_{source}")
-    out = [_apply(matrix, col) for col in space.bases[k - shift].columns]
-    _assert_in_space(ctx.sp_blowup, k, out, name, adj)
-    return out
-
-
-def _assert_in_space(space: GradedSolutionSpace, k: int,
-                     cols: list[IntRow], name: str, adj: dict) -> None:
-    nv = len(space.graph.vertices)
-    for j, col in enumerate(cols):
+    matrix = map_matrix(ctx, name, k)
+    blowup = ctx.sp_blowup.graph.vertices
+    out = [_apply(matrix, col)
+           for col in getattr(ctx, f"sp_{source}").bases[k - shift].columns]
+    for j, col in enumerate(out):
         bad = first_violated_row(adj, col)
         if bad is not None:
-            verts = sorted({str(space.graph.vertices[c % nv])
-                            for c in space.rows[k][bad]})
+            verts = sorted({str(blowup[c % len(blowup)])
+                            for c in ctx.sp_blowup.rows[k][bad]})
             raise MembershipFailed(
                 f"{name} image column {j} violates a degree-{k} congruence "
                 f"touching vertices {verts} (constraint row {bad})")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # theorem checks
-
-def _first_unintertwined(m_a: MapMatrix, m_b: MapMatrix, p_src: list[int],
-                         p_dst: list[int]) -> int | None:
-    """The first source column c at which p_dst M_a and M_b p_src differ,
-    for coordinate permutations p_src and p_dst; None if they agree."""
-    for c, entries in enumerate(m_a):
-        if sorted((p_dst[t], v) for t, v in entries) \
-                != sorted(m_b[p_src[c]]):
-            return c
-    return None
-
-
-def _check_map_equivariance(ctx: TripleContext, name: str, k: int,
-                            matrix: MapMatrix | None) -> None:
-    """pi_dst M = M pi_src for every generator: the map matrix commutes
-    with the action on coordinates, hence on every class."""
-    _, source, shift = MAPS[name]
-    if k < shift:
-        return
-    graph = getattr(ctx, f"g_{source}")
-    kind = ctx.action_kind
-    for sigma in generators(ctx.blowup.n):
-        pi_src = coordinate_perm(graph, k - shift, sigma, kind)
-        pi_dst = coordinate_perm(ctx.blowup, k, sigma, kind)
-        if _first_unintertwined(matrix, matrix, pi_src, pi_dst) is not None:
-            raise EquivarianceFailed(
-                f"{name} does not commute with {kind} action by {sigma} "
-                f"in degree {k}")
-
 
 def _ranks(cols_a: list[IntRow], cols_b: list[IntRow]
            ) -> tuple[int, int, int]:
@@ -354,8 +317,7 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
     for k < 0; pair_ranks(k) yields, for each of PAIRS, (first, second,
     label, rank of the first image, of the second, of both together,
     dimension of the first source, of the second), and raises
-    MembershipFailed, EquivarianceFailed or NotInvariant at a failed
-    check of degree k."""
+    MembershipFailed or NotInvariant at a failed check of degree k."""
     report: dict = {"side": graphs.side, "h": str(graphs.triple.h),
                     "params": list(graphs.triple.params), "degrees": {}}
     failures = []
@@ -381,7 +343,7 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
                     fails.append(DimensionGap(
                         f"degree {k}: {label} sum has rank {rab}, "
                         f"space has dim {dim_blow}"))
-        except (MembershipFailed, EquivarianceFailed, NotInvariant) as exc:
+        except (MembershipFailed, NotInvariant) as exc:
             fails.append(exc)
         row["consistency"] = (
             row["dims"]["circle"] + row["dims"]["mid_prev"]
@@ -402,13 +364,20 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
 def check_theorem_main(ctx: TripleContext,
                        raise_on_failure: bool = True) -> dict:
     """Degreewise verification that phi + psi_! and eta + rho_! are
-    isomorphisms onto the signed blow-up cohomology.
+    equivariant isomorphisms onto the signed blow-up cohomology.
 
     For every degree: each map is injective (image rank = source dim), the
     two images meet trivially (joint rank = rank sum), the sum fills the
-    space (joint rank = blow-up dim), and both maps commute with the group
-    action on generators.  Returns the per-degree report; with
-    raise_on_failure the named errors fire at the first violation.
+    space (joint rank = blow-up dim), and the group action preserves the
+    blow-up space.  Returns the per-degree report; with raise_on_failure
+    the named errors fire at the first violation.
+
+    Equivariance of the maps is certified once, on their vertex rules,
+    before any degree and in both modes: :func:`block_rules` on the side-y
+    graphs (the dagger action commutes with every map, EquivarianceFailed
+    otherwise) and, for a side-x context as :meth:`TripleContext.build`
+    makes it, :func:`certify_side_x`, which carries that onto the dot
+    action (RelabelFailed otherwise).
 
     The ranks are taken on the free coordinates of the blow-up basis (its
     unit rows).  The images lie in the kernel, which is checked first, and
@@ -417,28 +386,27 @@ def check_theorem_main(ctx: TripleContext,
     all coordinates, so even a basis that misses part of the kernel gets
     the same report.
     """
+    graphs_y = ctx if ctx.side == "y" else TripleGraphs.of(ctx.triple, "y")
+    block_rules(graphs_y)
+    if ctx.side == "x":
+        certify_side_x(graphs_y, ctx.sp_blowup.max_degree)
+
     def dim(name: str, k: int) -> int:
         return getattr(ctx, f"sp_{name}").dim(k)
 
     def pair_ranks(k: int):
-        # the action must also preserve the signed blow-up space itself
         check_action_invariance(ctx.sp_blowup, k, ctx.action_kind)
         adj = column_adjacency(ctx.sp_blowup.rows[k])
         free = set(ctx.sp_blowup.bases[k].unit_rows)
-        matrices = {name: map_matrix(ctx, name, k)
-                    for name, (_, _, shift) in MAPS.items() if k >= shift}
         for first, second, label in PAIRS:
-            cols_a, cols_b = (
-                map_image_columns(ctx, name, k, matrices.get(name), adj)
-                for name in (first, second))
+            cols_a, cols_b = (map_image_columns(ctx, name, k, adj)
+                              for name in (first, second))
             ra, rb, rab = _ranks(_restrict(cols_a, free),
                                  _restrict(cols_b, free))
             if not (ra == len(cols_a) and rb == len(cols_b)
                     and rab == ra + rb == ctx.sp_blowup.dim(k)):
                 ra, rb, rab = _ranks(cols_a, cols_b)
             yield first, second, label, ra, rb, rab, len(cols_a), len(cols_b)
-        for name in MAPS:
-            _check_map_equivariance(ctx, name, k, matrices.get(name))
 
     return _main_report(ctx, ctx.sp_blowup.max_degree, dim, pair_ranks,
                         raise_on_failure)
@@ -600,33 +568,51 @@ def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
 
 def certify_side_x(graphs: TripleGraphs, max_degree: int) -> None:
     """Certify that side x of a triple is the relabelling P of its side-y
-    graphs through max_degree: each of the five graphs and the actions
-    (:func:`certify_relabelling`), and M_x P_src = P_dst M_y for every map
-    matrix (:func:`map_matrix`) of either side.  RelabelFailed otherwise.
+    graphs through max_degree: the five graphs and the actions
+    (:func:`certify_relabelling`), then each rule of MAPS at each blow-up
+    vertex v of permutation w (:func:`_hit_fault`).  RelabelFailed
+    otherwise, naming the map and the vertex.
 
-    Then P carries every side-y space, map image and action onto side x,
-    so every rank and dimension of the side-x 5.1 report is that of side
-    y.
+    P sends a side-y class g to f with f(u) = u.perm . g(u).  With hits (s,
+    m_y, swap_y) and (s_x, m_x, swap_x), P M_y g at v is w(m_y) (w
+    tau^swap_y).g(s), and M_x P g is m_x (tau^swap_x s.perm).g(s), tau =
+    (d d+1).  So when both hits are zero or s_x = s, m_x = w(m_y) and the
+    two renamings agree, M_x P_src = P_dst M_y in every degree: P carries
+    every side-y rank, dimension and image onto side x, and the dagger
+    action after a map onto the dot action after it.
     """
     xs = TripleGraphs.of(graphs.triple, "x")
     ys, gx = graphs.graphs(), xs.graphs()
     for name, graph in gx.items():
         certify_relabelling(ys[name], graph, xs.graph_name(name), max_degree)
-    @cache
-    def p(name: str, k: int) -> list[int]:
-        return relabelling(gx[name], k)
-
-    for k in range(max_degree + 1):
-        for name, (_, source, shift) in MAPS.items():
-            if k < shift:
-                continue
-            c = _first_unintertwined(map_matrix(graphs, name, k),
-                                     map_matrix(xs, name, k),
-                                     p(source, k - shift), p("blowup", k))
-            if c is not None:
+    tau = swap_positions(identity_perm(graphs.blowup.n), graphs.d,
+                         graphs.d + 1)
+    for name, (rule, _, _) in MAPS.items():
+        for v in graphs.blowup.vertices:
+            fault = _hit_fault(rule(graphs, v), rule(xs, v), v.perm, tau)
+            if fault:
                 raise RelabelFailed(
-                    f"relabelling check failed on the map {name}, degree "
-                    f"{k}: M_x P differs from P M_y at source column {c}")
+                    f"relabelling check failed on the map {name} at the "
+                    f"blow-up vertex {v}: {fault}")
+
+
+def _hit_fault(hit_y: Hit, hit_x: Hit, w: Perm, tau: Perm) -> str | None:
+    """Why the side-x hit of a rule at a blow-up vertex of permutation w
+    is not the relabelled side-y hit, or None: the multiplier (a, b) must
+    become (w(a), w(b)) as an ordered pair, since its sign matters, and w
+    after the side-y swap must be the side-x swap after the source."""
+    if hit_y is None or hit_x is None:
+        return None if hit_y is hit_x else "zero on one side only"
+    (s, m_y, swap_y), (s_x, m_x, swap_x) = hit_y, hit_x
+    if s_x != s:
+        return f"source {s_x} on side x, {s} on side y"
+    m_w = None if m_y is None else (w[m_y[0] - 1], w[m_y[1] - 1])
+    if m_x != m_w:
+        return f"multiplier {m_x} on side x, not {m_w}"
+    if (compose(w, tau) if swap_y else w) \
+            != (compose(tau, s.perm) if swap_x else s.perm):
+        return "the t_d/t_{d+1} swaps do not correspond"
+    return None
 
 
 def relabel_failure(text: str) -> str:
@@ -662,12 +648,13 @@ def check_theorem_main_sides(triple: ModularTriple
 def plain_twin(h: HessenbergFunction, cache_dir: str | None = None
                ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
     """The twin graph of h as (space, dagger traces).  The traces are read
-    from its irreducible blocks (:func:`twin_blocks`), and so is the space,
+    from its irreducible blocks (:func:`twin_blocks`, once per graph in a
+    :func:`gkmhess.cohomology.solve_memo` block), and so is the space,
     except at n <= 3: there the graph is solved as well, and the direct
     quotient on the solved space cross-checks every character made from
     these traces."""
     graph = build_GY(h)
-    blocks = twin_blocks(graph)
+    blocks = memoized(graph, "twin_blocks", twin_blocks)
     space = solve_graph(graph, cache_dir=cache_dir) if h.n <= 3 else blocks
     return space, blocks.traces()
 

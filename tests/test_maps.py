@@ -284,13 +284,31 @@ class TestTheoremMain:
             return G.plain(G.compose((2, 1, 3), v.perm)), None, False
 
         monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
-        with pytest.raises(M.EquivarianceFailed):
-            M.check_theorem_main(ctx_y)
-        report = M.check_theorem_main(ctx_y, raise_on_failure=False)
-        assert not report["pass"]
-        msg = report["failures"][0]
-        assert msg.startswith("eta ") and "dagger" in msg
-        assert msg.endswith("in degree 0")
+        # the rule certificate runs before any degree, in both modes
+        for raise_on_failure in (True, False):
+            with pytest.raises(M.EquivarianceFailed, match=(
+                    "^eta does not commute with dagger action: its value "
+                    "at 132 is not")):
+                M.check_theorem_main(ctx_y, raise_on_failure)
+
+    def test_mutated_x_rule_is_caught(self, ctx_x, monkeypatch):
+        # psi with the side-x multiplier reversed: side y is unchanged and
+        # still commutes with the dagger action
+        rule, source, shift = M.MAPS["psi"]
+
+        def flipped(ctx, v):
+            hit = rule(ctx, v)
+            if ctx.side != "x" or hit is None:
+                return hit
+            s, (a, b), swap = hit
+            return s, (b, a), swap
+
+        monkeypatch.setitem(M.MAPS, "psi", (flipped, source, shift))
+        for raise_on_failure in (True, False):
+            with pytest.raises(CH.RelabelFailed, match=(
+                    "^relabelling check failed on the map psi at the "
+                    "blow-up vertex 123: ")):
+                M.check_theorem_main(ctx_x, raise_on_failure)
 
 
 def corollary(triple, side):

@@ -345,9 +345,50 @@ class TestMutationsFailTheCertificate:
             return s, (b, a), swap   # the x multiplier with its sign flipped
 
         monkeypatch.setitem(M.MAPS, name, (mutated, source, shift))
-        error = self.check_x_fails(capsys, f"map {name}, degree {shift}")
-        assert ", degree " in error
-        assert error.endswith("M_x P differs from P M_y at source column 0")
+        error = self.check_x_fails(capsys, f"map {name} at the blow-up "
+                                           f"vertex 123: multiplier ")
+        a, b = M.MAPS[name][0](M.TripleGraphs.of(
+            c_triple("2,3,3"), "y"), G.plain((1, 2, 3)))[1]
+        assert error.endswith(f"{(b, a)} on side x, not {(a, b)}")
+
+    def mutate_x_rule(self, monkeypatch, name, at, change):
+        """The rule of name with its side-x hit at the vertex at replaced
+        by change(hit)."""
+        rule, source, shift = M.MAPS[name]
+
+        def mutated(ctx, v):
+            hit = rule(ctx, v)
+            return change(hit) if ctx.side == "x" and v == at else hit
+
+        monkeypatch.setitem(M.MAPS, name, (mutated, source, shift))
+
+    def test_x_swap_of_phi(self, capsys, monkeypatch):
+        at = G.plain((2, 3, 1))
+        self.mutate_x_rule(monkeypatch, "phi", at,
+                           lambda hit: (hit[0], hit[1], not hit[2]))
+        error = self.check_x_fails(capsys, f"map phi at the blow-up vertex "
+                                           f"{at}: ")
+        assert error.endswith("the t_d/t_{d+1} swaps do not correspond")
+
+    def test_x_source_moved_within_its_sheet(self, capsys, monkeypatch):
+        at = G.circ((3, 1, 2))
+
+        def moved(hit):
+            s, mult, swap = hit
+            return G.Vertex(s.circle, G.swap_positions(s.perm, 1, 3)), \
+                mult, swap
+
+        self.mutate_x_rule(monkeypatch, "eta", at, moved)
+        error = self.check_x_fails(capsys, f"map eta at the blow-up vertex "
+                                           f"{at}: source 213 on side x, ")
+        assert error.endswith("312 on side y")
+
+    def test_x_zero_at_one_vertex(self, capsys, monkeypatch):
+        at = G.plain((1, 3, 2))
+        self.mutate_x_rule(monkeypatch, "psi", at, lambda hit: None)
+        error = self.check_x_fails(capsys, f"map psi at the blow-up vertex "
+                                           f"{at}: ")
+        assert error.endswith("zero on one side only")
 
     def test_corollary_and_theorem_1_1_name_it_too(self, capsys, monkeypatch):
         label = G._label
@@ -383,21 +424,30 @@ class TestSideYFailure:
         assert x["degrees"] == y["degrees"]
 
     def test_report_is_worded_for_the_dot_action(self, capsys, monkeypatch):
-        def skewed(ctx, v):
-            return G.plain(G.compose((2, 1, 3), v.perm)), None, False
-
-        monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
         ctx = M.TripleContext.build(c_triple("2,3,3"), "y")
-        report = M.check_theorem_main(ctx, raise_on_failure=False)
+        perm = CH.coordinate_perm
+
+        def reversed_dagger(graph, k, sigma, action_kind):
+            return perm(graph, k, sigma, action_kind)[::-1]
+
+        # the dagger action no longer permutes the blow-up rows
+        with monkeypatch.context() as mp:
+            mp.setattr(CH, "coordinate_perm", reversed_dagger)
+            report = M.check_theorem_main(ctx, raise_on_failure=False)
         relabelled = M.relabel_report(report)
         assert relabelled["side"] == "x" and report["side"] == "y"
         assert relabelled["degrees"] == report["degrees"]
         assert relabelled["pass"] is report["pass"] is False
-        assert report["failures"][0].startswith(
-            "eta does not commute with dagger action")
-        assert relabelled["failures"][0].startswith(
-            "eta does not commute with dot action")
-        # the CLI's block check refuses the rule before any report
+        assert report["failures"][0].startswith("dagger action by ")
+        assert relabelled["failures"][0].startswith("dot action by ")
+        assert [f.replace("dagger", "dot") for f in report["failures"]] \
+            == relabelled["failures"]
+
+        # the CLI's block check refuses a skewed rule before any report
+        def skewed(ctx, v):
+            return G.plain(G.compose((2, 1, 3), v.perm)), None, False
+
+        monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
         code, data = run_json(capsys, "check", "2,3,3", "--thm", "5.1")
         assert code == 1
         x, y = data["items"]
@@ -441,6 +491,31 @@ class TestOneSolvePerTriple:
         code, data = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
         assert code == 0 and data["count"] == 10
         assert built == solved == []
+
+    @pytest.mark.parametrize("argv", [("2,3,3", "--thm", "5.1"),
+                                      ("2,3,3,4", "--thm", "all")])
+    def test_check_builds_no_full_map_matrix(self, capsys, monkeypatch,
+                                             argv):
+        def unused(ctx, name, k):
+            raise AssertionError(f"map matrix of {name} built")
+
+        monkeypatch.setattr(M, "map_matrix", unused)
+        code, data = run_json(capsys, "check", *argv)
+        assert code == 0 and data["pass"]
+
+    def test_twin_blocks_once_per_graph(self, capsys, monkeypatch):
+        # 1.1, 1.2 and the corollary's middle graph read the twin of h,
+        # the corollary also those of h_- and h_+
+        seen = []
+        blocks = M.twin_blocks
+
+        def spy(graph):
+            seen.append(graph.content_key())
+            return blocks(graph)
+
+        monkeypatch.setattr(M, "twin_blocks", spy)
+        code, _ = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
+        assert code == 0 and len(seen) == len(set(seen)) == 3
 
 
 class TestSolveMemo:
