@@ -23,12 +23,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
     Truncated, certify_relabelling, frobenius_of_character, hilbert_numerator,
-    solve_graph, solve_memo)
+    solve_memo)
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
@@ -40,7 +39,6 @@ TWO_SIDED = ("5.1", "corollary")   # one item checks side y and relabels x
 @dataclass
 class RunConfig:
     jobs: int = 1
-    cache_dir: str | None = None
     fmt: str = "json"
 
 
@@ -93,9 +91,9 @@ def cmd_graph(h: HessenbergFunction, side: str) -> dict:
             "graph": g.to_json()}
 
 
-def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
+def cmd_betti(h: HessenbergFunction, side: str) -> dict:
     _check_cap(h.n, False)
-    space = solve_graph(build_graph(h, "y"), cache_dir=cfg.cache_dir)
+    space, _ = maps.plain_twin(h)
     if side == "x":   # the same numbers, once the relabelling is certified
         certify_relabelling(space.graph, build_graph(h, "x"),
                             f"plain graph of {h}", space.max_degree)
@@ -104,10 +102,10 @@ def cmd_betti(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
             "numerator": numer, "total": sum(numer)}
 
 
-def cmd_character(h: HessenbergFunction, side: str, cfg: RunConfig) -> dict:
+def cmd_character(h: HessenbergFunction, side: str) -> dict:
     _check_cap(h.n, False)
     kind = "dot" if side == "x" else "dagger"
-    char = maps.plain_character(h, side, cfg.cache_dir)
+    char = maps.plain_character(h, side)
     series = frobenius_of_character(char)
     return {"command": "character", "h": str(h), "side": side,
             "action": kind, "character": char.to_json(),
@@ -130,7 +128,7 @@ def _outcome(check) -> dict:
         return _failure(exc)
 
 
-def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
+def _run_item(item: tuple) -> list[dict]:
     """Execute one verification work item (name, h, triple), triple None
     where the check does not take one; a 5.1 or corollary item gives the
     rows of side x and side y, in that order, and every other item one row.
@@ -144,9 +142,9 @@ def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
     if triple is not None:
         head.update(kind=triple.kind, params=list(triple.params))
     if name not in TWO_SIDED:
-        return [{**head, **_outcome(lambda: _run_check(item, cache_dir))}]
+        return [{**head, **_outcome(lambda: _run_check(item))}]
     try:
-        y, side_x = _run_sides(item, cache_dir)
+        y, side_x = _run_sides(item)
     except Exception as exc:
         y = _failure(exc)
         x = {**y, "error": maps.relabel_failure(y["error"])}
@@ -155,7 +153,7 @@ def _run_item(item: tuple, cache_dir: str | None) -> list[dict]:
     return [{**head, "side": "x", **x}, {**head, "side": "y", **y}]
 
 
-def _run_check(item: tuple, cache_dir: str | None) -> dict:
+def _run_check(item: tuple) -> dict:
     """The outcome of a one-sided item: "pass" and, on failure, its
     detail."""
     name, h, triple = item
@@ -165,7 +163,7 @@ def _run_check(item: tuple, cache_dir: str | None) -> dict:
         return {"pass": fn(triple)}
     check = (maps.check_theorem_1_1 if name == "1.1"
              else maps.check_theorem_1_2)
-    return _law_outcome(check(h, cache_dir=cache_dir))
+    return _law_outcome(check(h))
 
 
 def _law_outcome(result: tuple) -> dict:
@@ -177,15 +175,14 @@ def _main_outcome(report: dict) -> dict:
     return {"pass": report["pass"], "degrees": report["degrees"]}
 
 
-def _run_sides(item: tuple, cache_dir: str | None) -> tuple:
+def _run_sides(item: tuple) -> tuple:
     """The side-y outcome of a 5.1 or corollary item, solved and checked
-    once, and a function giving the side-x outcome from it.  5.1 reads and
-    writes no cache entry."""
+    once, and a function giving the side-x outcome from it."""
     name, _, triple = item
     if name == "5.1":
         report, report_x = maps.check_theorem_main_sides(triple)
         return _main_outcome(report), lambda: _main_outcome(report_x())
-    law, law_x = maps.check_corollary_sides(triple, cache_dir)
+    law, law_x = maps.check_corollary_sides(triple)
     return _law_outcome(law), lambda: _law_outcome(law_x())
 
 
@@ -217,14 +214,13 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
         hs = [h]
         scope = {"h": str(h)}
     items = _expand_items(thm, hs)
-    run = partial(_run_item, cache_dir=cfg.cache_dir)
     # the fork start method starts every worker at the first submit
     workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, items))
+            rows = list(pool.map(_run_item, items))
     else:
-        rows = [run(it) for it in items]
+        rows = [_run_item(it) for it in items]
     results = [r for item_rows in rows for r in item_rows]
     return {"command": "check", "thm": thm, "scope": scope,
             "pass": all(r["pass"] for r in results),
@@ -296,7 +292,9 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cache-dir", default=None)
+    # accepted and ignored: nothing is cached on disk any more, but the
+    # modular-2334 operation of perfbench/workloads.py still passes it
+    common.add_argument("--cache-dir", help=argparse.SUPPRESS)
     common.add_argument("--jobs", type=_positive_int, default=1)
     common.add_argument("--output", default=None,
                         help="also write the JSON report to this file")
@@ -333,17 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _usable_cache_dir(path: str) -> str | None:
-    """None if path is, or could be made, a directory; else the reason."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except FileExistsError:
-        return "not a directory"
-    except OSError as exc:
-        return (exc.strerror or str(exc)).lower()
-    return None
-
-
 def _usable_output_file(path: str) -> str | None:
     """None if path can be opened for writing; else the reason.  A file
     the check creates is removed again, so a failed run leaves none."""
@@ -364,14 +351,7 @@ def _usable_output_file(path: str) -> str | None:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(jobs=args.jobs, cache_dir=args.cache_dir, fmt=args.format)
-    if cfg.cache_dir is not None and args.cmd in ("betti", "character",
-                                                  "check"):
-        reason = _usable_cache_dir(cfg.cache_dir)
-        if reason:
-            print(f"error: cannot use cache directory {cfg.cache_dir!r}: "
-                  f"{reason}", file=sys.stderr)
-            return 2
+    cfg = RunConfig(jobs=args.jobs, fmt=args.format)
     if args.output is not None:
         reason = _usable_output_file(args.output)
         if reason:
@@ -389,9 +369,9 @@ def main(argv=None) -> int:
         elif args.cmd == "llt":
             report = cmd_llt(_parse_h(args.h), args.basis)
         elif args.cmd == "betti":
-            report = cmd_betti(_parse_h(args.h), args.side, cfg)
+            report = cmd_betti(_parse_h(args.h), args.side)
         elif args.cmd == "character":
-            report = cmd_character(_parse_h(args.h), args.side, cfg)
+            report = cmd_character(_parse_h(args.h), args.side)
         elif args.cmd == "check":
             h = _parse_h(args.h) if args.h else None
             report = cmd_check(args.thm, h, args.sweep, cfg)

@@ -17,8 +17,8 @@ solved degree by degree by the sparse exact kernel in
 Coordinates are monomial-major everywhere: the coefficient of the mi-th
 degree-k monomial (graded lex, :func:`monomials`) at the vi-th vertex of
 a graph with V vertices is coordinate mi * V + vi.  Constraint rows,
-kernel bases, coordinate permutations, cache entries and the map matrices
-of :mod:`gkmhess.maps` all use this order.  The echelon pivots on the
+kernel bases, coordinate permutations and the map matrices of
+:mod:`gkmhess.maps` all use this order.  The echelon pivots on the
 smallest column of each row, so the order is also the elimination order;
 on the n = 4 kernels the monomial-major order eliminates two to three
 times faster than the vertex-major one.
@@ -39,15 +39,11 @@ its vertices, edges, 4-gons and signs, and the actions once per (n, k);
 then the X dimensions and dot traces are the Y dimensions and
 dagger traces.  Inside :func:`solve_memo`, :func:`memoized` keeps what
 was made of the last few graphs met, the kernels of :func:`solve_graph`
-in front of the disk cache among them.
+among them; nothing is kept beyond the block, and nothing on disk.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -205,77 +201,6 @@ class GradedSolutionSpace:
         return self.graph.n
 
 
-# ---------------------------------------------------------------------------
-# on-disk cache (content addressed, atomic writes)
-
-def _cache_path(cache_dir: str, graph, k: int) -> str:
-    digest = hashlib.sha256(
-        (graph.content_key() + f"|deg={k}|v3").encode()).hexdigest()
-    return os.path.join(cache_dir, f"{digest}.json")
-
-
-def _basis_to_payload(basis: SubspaceBasis) -> dict:
-    return {"ambient": basis.ambient_dim, "dim": basis.dim,
-            "free": basis.unit_rows,
-            "cols": [sorted(col.items()) for col in basis.columns]}
-
-
-def _basis_from_payload(data: dict, ambient: int,
-                        rows: list[IntRow]) -> SubspaceBasis:
-    """The basis of a cache entry; ValueError unless, checked in integers,
-    there are dim columns and dim free indices, column j is positive at
-    free[j] and 0 at every other free index, and every column is
-    annihilated by rows."""
-    free = data["free"]
-    cols = [{r: num for r, num in col} for col in data["cols"]]
-    indices = [*free, *(r for col in cols for r in col)]
-    numbers = [v for col in cols for v in col.values()]
-    free_set = set(free)
-    if (data["ambient"] != ambient or type(data["dim"]) is not int
-            or not len(free) == len(cols) == data["dim"]
-            or any(type(x) is not int for x in indices + numbers)
-            or len(free_set) != len(free)
-            or not all(0 <= r < ambient for r in indices)):
-        raise ValueError("cache entry does not fit the system")
-    adj = column_adjacency(rows)
-    for f, col in zip(free, cols):
-        if col.get(f, 0) < 1 or len(free_set.intersection(col)) != 1 \
-                or first_violated_row(adj, col) is not None:
-            raise ValueError("cache entry is not a kernel basis")
-    return SubspaceBasis(ambient, cols, unit_rows=free)
-
-
-def _cache_read(path: str, ambient: int,
-                rows: list[IntRow]) -> SubspaceBasis | None:
-    """The cached basis, or None (a miss) if the entry is unreadable (json
-    raises RecursionError on deep nesting), of the wrong shape, or not a
-    unit-row kernel basis of rows."""
-    try:
-        with open(path) as fh:
-            return _basis_from_payload(json.load(fh), ambient, rows)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
-        return None
-
-
-def _cache_write(path: str, basis: SubspaceBasis) -> None:
-    """Best effort: an entry that cannot be written is simply not cached."""
-    payload = json.dumps(_basis_to_payload(basis))
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 # The last MEMO_GRAPHS graphs met inside the current solve_memo() block,
 # most recently used last, as content key -> {name: what memoized(graph,
 # name, ...) made}; None outside a block.  Enough for the five graphs of
@@ -316,12 +241,11 @@ def memoized(graph, name: str, make):
     return entry[name]
 
 
-def solve_graph(graph, max_degree: int | None = None,
-                cache_dir: str | None = None) -> GradedSolutionSpace:
+def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
     """Solve every degree k <= max_degree (default top_degree + 1).
 
     Each degree comes from the memo (inside :func:`solve_memo`), else from
-    the disk cache, if given and valid, else from the kernel of its rows.
+    the kernel of its rows.
     """
     if max_degree is None:
         max_degree = graph.top_degree + 1
@@ -332,17 +256,8 @@ def solve_graph(graph, max_degree: int | None = None,
         if k in bases:
             continue
         rows[k] = constraint_rows(graph, k)
-        ncols = nverts * len(monomials(graph.n, k))
-        basis = None
-        path = None
-        if cache_dir is not None:
-            path = _cache_path(cache_dir, graph, k)
-            basis = _cache_read(path, ncols, rows[k])
-        if basis is None:
-            basis = kernel_of_rows(rows[k], ncols)
-            if path is not None:
-                _cache_write(path, basis)
-        bases[k] = basis
+        bases[k] = kernel_of_rows(rows[k],
+                                  nverts * len(monomials(graph.n, k)))
     degrees = range(max_degree + 1)
     return GradedSolutionSpace(graph, max_degree,
                                {k: bases[k] for k in degrees},
@@ -353,7 +268,10 @@ def solve_graph(graph, max_degree: int | None = None,
 # Hilbert numerator and the direct quotient
 
 def hilbert_numerator(space: GradedSolutionSpace) -> list[int]:
-    """Dimension series times (1-q)^n, validated.
+    """Dimension series times (1-q)^n, validated.  It reads only the
+    space's graph, max_degree, n and dim, so a solved space and the
+    irreducible blocks of a twin (:class:`gkmhess.isotypic.TwinBlocks`)
+    serve alike.
 
     Coefficients b_k for k = 0..top_degree; NotFree on a negative entry,
     Truncated if the numerator fails to vanish on (top_degree, max_degree].

@@ -265,11 +265,14 @@ def blowup_edge_types(graph) -> tuple[tuple[tuple[int, int], ...],
     return plain_types, circle_types
 
 
+@lru_cache(maxsize=None)
 def _independent_columns(n: int, lam: Partition, a: int, b: int
                          ) -> tuple[IntRow, ...]:
     """The independent columns of I - rho_lam(s_ab), each made integer.
     x (I - rho_lam(s_ab)) is divisible by a polynomial exactly when x
-    times each of them is: the other columns are rational combinations."""
+    times each of them is: the other columns are rational combinations.
+    Cached per (n, lam, a, b); callers only read the dicts, and build new
+    ones for the rows."""
     r = representations(n)[lam][a, b]
     d = len(r)
     span, out = Echelon(), []
@@ -350,9 +353,10 @@ class TwinBlocks:
     k <= max_degree of the equivariant cohomology of a plain twin graph.
 
     It stands for a solved space where only dimensions and dagger traces
-    are read: :func:`gkmhess.cohomology.graded_character` without the
-    cross-check, and :func:`gkmhess.cohomology.relabelled_character`,
-    whose certificate reads only the graph and max_degree.
+    are read: :func:`gkmhess.cohomology.hilbert_numerator`,
+    :func:`gkmhess.cohomology.graded_character` without the cross-check,
+    and :func:`gkmhess.cohomology.relabelled_character`, whose
+    certificate reads only the graph and max_degree.
     """
 
     graph: LabeledGraph

@@ -135,15 +135,14 @@ class TripleContext(TripleGraphs):
     sp_blowup: GradedSolutionSpace
 
     @classmethod
-    def build(cls, triple: ModularTriple, side: str,
-              cache_dir: str | None = None) -> "TripleContext":
+    def build(cls, triple: ModularTriple, side: str) -> "TripleContext":
         """Solve side y through degree h_plus.dimension() + 1; side x is
         its certified relabelling, with bases P(side-y bases)."""
         if side not in ("x", "y"):
             raise ValueError(f"side must be 'x' or 'y', got {side!r}")
         graphs = TripleGraphs.of(triple, "y")
         max_degree = graphs.triple.h_plus.dimension() + 1
-        spaces = {name: solve_graph(g, max_degree, cache_dir)
+        spaces = {name: solve_graph(g, max_degree)
                   for name, g in graphs.graphs().items()}
         if side == "x":
             graphs = TripleGraphs.of(graphs.triple, "x")
@@ -633,7 +632,7 @@ def check_theorem_main_sides(triple: ModularTriple
     """The side-y 5.1 report of triple by irreducible blocks
     (:func:`check_theorem_blocks`), through degree h_plus.dimension() + 1,
     and a function that certifies side x (:func:`certify_side_x`) and
-    returns its report.  Reads and writes no cache entry."""
+    returns its report.  Solves no full kernel."""
     graphs = TripleGraphs.of(triple, "y")
     max_degree = graphs.triple.h_plus.dimension() + 1
     report = check_theorem_blocks(graphs, max_degree)
@@ -645,7 +644,7 @@ def check_theorem_main_sides(triple: ModularTriple
     return report, side_x
 
 
-def plain_twin(h: HessenbergFunction, cache_dir: str | None = None
+def plain_twin(h: HessenbergFunction
                ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
     """The twin graph of h as (space, dagger traces).  The traces are read
     from its irreducible blocks (:func:`twin_blocks`, once per graph in a
@@ -655,17 +654,16 @@ def plain_twin(h: HessenbergFunction, cache_dir: str | None = None
     these traces."""
     graph = build_GY(h)
     blocks = memoized(graph, "twin_blocks", twin_blocks)
-    space = solve_graph(graph, cache_dir=cache_dir) if h.n <= 3 else blocks
+    space = solve_graph(graph) if h.n <= 3 else blocks
     return space, blocks.traces()
 
 
-def plain_character(h: HessenbergFunction, side: str,
-                    cache_dir: str | None = None) -> GradedCharacter:
+def plain_character(h: HessenbergFunction, side: str) -> GradedCharacter:
     """The graded character of the plain graph of h from its twin
     (:func:`plain_twin`): the dagger action on side y, and on side x the
     dot action through the certified relabelling
     (:func:`relabelled_character`)."""
-    space, traces = plain_twin(h, cache_dir)
+    space, traces = plain_twin(h)
     if side == "y":
         return graded_character(space, "dagger", traces=traces)
     return relabelled_character(space, build_GX(h), f"plain graph of {h}",
@@ -685,7 +683,7 @@ def _modular_law(series) -> Law:
     return lhs == rhs, lhs - rhs
 
 
-def check_corollary_sides(triple: ModularTriple, cache_dir: str | None = None
+def check_corollary_sides(triple: ModularTriple
                           ) -> tuple[Law, Callable[[], Law]]:
     """(1+q) F(h) = F(h_+) + q F(h_-) for the graded Frobenius series:
     the side-y law of triple, and a function giving the side-x one.
@@ -700,7 +698,7 @@ def check_corollary_sides(triple: ModularTriple, cache_dir: str | None = None
     if triple.kind == "R":
         triple = kind_r_via_transpose(triple)
     hs = (triple.h_minus, triple.h, triple.h_plus)
-    spaces, traces = zip(*(plain_twin(h, cache_dir) for h in hs))
+    spaces, traces = zip(*(plain_twin(h) for h in hs))
     law_y = _modular_law(
         frobenius_of_character(graded_character(sp, "dagger", traces=tr))
         for sp, tr in zip(spaces, traces))
@@ -720,20 +718,20 @@ def omega_graded(gf: GradedSymmetricFunction) -> GradedSymmetricFunction:
         gf.degree, {k: f.omega() for k, f in gf.terms.items()})
 
 
-def check_theorem_1_1(h: HessenbergFunction, cache_dir: str | None = None
+def check_theorem_1_1(h: HessenbergFunction
                       ) -> tuple[bool, GradedSymmetricFunction]:
     """omega(csf_q(h)) equals the dot-action Frobenius series of the
     Hessenberg GKM graph; returns (ok, difference in the m basis)."""
     from gkmhess.coloring import csf_q as _csf
     lhs = omega_graded(_csf(h)).convert("m")
-    rhs = frobenius_of_character(plain_character(h, "x", cache_dir))
+    rhs = frobenius_of_character(plain_character(h, "x"))
     return lhs == rhs, lhs - rhs
 
 
-def check_theorem_1_2(h: HessenbergFunction, cache_dir: str | None = None
+def check_theorem_1_2(h: HessenbergFunction
                       ) -> tuple[bool, GradedSymmetricFunction]:
     """llt(h) equals the dagger-action Frobenius series of the twin graph."""
     from gkmhess.coloring import llt as _llt
     lhs = _llt(h).convert("m")
-    rhs = frobenius_of_character(plain_character(h, "y", cache_dir))
+    rhs = frobenius_of_character(plain_character(h, "y"))
     return lhs == rhs, lhs - rhs

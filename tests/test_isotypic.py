@@ -22,12 +22,14 @@ ALL_N4 = [str(h) for n in (1, 2, 3, 4) for h in H.enumerate_hessenberg(n)]
 
 @pytest.fixture
 def fresh_representations():
-    """The certified representations are cached per n; a test that
-    mutates the seminormal matrices needs them built again, and so does
-    every later test."""
+    """The certified representations are cached per n, and the columns
+    read from them per (n, lam, a, b); a test that mutates the seminormal
+    matrices needs them built again, and so does every later test."""
     I.representations.cache_clear()
+    I._independent_columns.cache_clear()
     yield
     I.representations.cache_clear()
+    I._independent_columns.cache_clear()
 
 
 def run_json(capsys, *argv):

@@ -492,6 +492,16 @@ class TestOneSolvePerTriple:
         assert code == 0 and data["count"] == 10
         assert built == solved == []
 
+    def test_n4_betti_solves_no_full_kernel(self, capsys, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("a full kernel solved")
+
+        for module, name in ((M, "solve_graph"), (CH, "solve_graph"),
+                             (CH, "kernel_of_rows")):
+            monkeypatch.setattr(module, name, unused)
+        code, data = run_json(capsys, "betti", "4,4,4,4", "--side", "x")
+        assert code == 0 and data["numerator"] == [1, 3, 5, 6, 5, 3, 1]
+
     @pytest.mark.parametrize("argv", [("2,3,3", "--thm", "5.1"),
                                       ("2,3,3,4", "--thm", "all")])
     def test_check_builds_no_full_map_matrix(self, capsys, monkeypatch,
@@ -595,9 +605,9 @@ class TestSolveMemo:
         seen = []
         run_item = cli._run_item
 
-        def spy(item, cache_dir):
+        def spy(item):
             seen.append(CH._memo is not None)
-            return run_item(item, cache_dir)
+            return run_item(item)
 
         monkeypatch.setattr(cli, "_run_item", spy)
         code, _ = run_json(capsys, "check", "2,3,3", "--thm", "all")
