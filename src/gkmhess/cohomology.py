@@ -27,8 +27,11 @@ From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; symmetric-group
 characters are computed as exact traces on the kernel bases and pushed to
 ordinary cohomology either by series division (fast path) or through the
-direct quotient by (t_1, ..., t_n) (authoritative path); the two are
-cross-checked on demand.  Frobenius characteristics of the graded
+direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T (authoritative
+path); the two are cross-checked on demand.  The direct quotient keeps
+I_k in reduced echelon form and b_k quotient rows, and takes traces on
+those rows alone; I_k is invariant by a lemma on the monomial tables
+(:func:`_image_fault`).  Frobenius characteristics of the graded
 characters land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, Vertex, all_perms, class_representative,
@@ -295,54 +299,57 @@ def hilbert_numerator(space: GradedSolutionSpace) -> list[int]:
     return out[:top + 1]
 
 
-def _shift_exp_index(n: int, k: int, i: int):
+@lru_cache(maxsize=None)
+def _shift_exp_index(n: int, k: int, i: int) -> tuple[int, ...]:
     """Map degree-(k-1) monomial index to the index of its t_i multiple."""
-    src = monomials(n, k - 1)
     dst = monomial_index(n, k)
-    table = []
-    for mon in src:
-        ee = list(mon)
-        ee[i - 1] += 1
-        table.append(dst[tuple(ee)])
-    return table
+    return tuple(dst[mon[:i - 1] + (mon[i - 1] + 1,) + mon[i:]]
+                 for mon in monomials(n, k - 1))
 
 
-def _image_columns(space: GradedSolutionSpace, k: int) -> list[IntRow]:
-    """Columns spanning sum_i t_i H^{k-1} inside the degree-k coordinates."""
-    n = space.n
-    if k == 0:
-        return []
-    nv = len(space.graph.vertices)
-    cols = []
-    for i in range(1, n + 1):
-        table = _shift_exp_index(n, k, i)
-        for col in space.bases[k - 1].columns:
-            cols.append({table[c // nv] * nv + c % nv: v
-                         for c, v in col.items()})
-    return cols
+def direct_quotients(space: GradedSolutionSpace, top: int,
+                     expected: dict[int, int] | None = None
+                     ) -> Iterator[tuple[Echelon, Echelon, list[IntRow]]]:
+    """The direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T, in each
+    degree k = 0, ..., top in turn, as (image, quotient, reps).
 
+    image spans I_k.  quotient holds the remainders of the basis columns
+    after clearing the image pivots: its rows are zero at every image
+    pivot and, with the image rows, a reduced echelon of H^k_T.  reps are
+    the basis columns that raise its rank, in basis order.
+    DimensionMismatch if the image leaves H^k_T, or if the quotient
+    dimension differs from expected[k] where that is given.
 
-def _ordinary_piece_with_image(space: GradedSolutionSpace, k: int,
-                               expected: int | None = None):
-    """Quotient representatives and the back-substituted echelon of the
-    image of t-multiplication.
-
-    The representatives are the basis columns that raise the rank over the
-    image and the columns before them, in basis order.
+    Passing that check in degree k means H^k_T = span(reps) + I_k, so
+    I_{k+1} is spanned by the t_i multiples of reps and of a spanning set
+    of I_k: by induction, m r over the reps r of each degree j <= k and
+    the monomials m of degree k + 1 - j.  Each m is made once, as
+    t_{i_1} ... t_{i_d} with i_1 >= ... >= i_d; the t-multiples of all of
+    H^k_T would repeat most of them.
     """
-    image = Echelon.of(_image_columns(space, k))
-    image.back_substitute()
-    span = image.copy()
-    basis = space.bases[k]
-    reps = [col for col in basis.columns if span.insert(col)]
-    dim_q = space.dim(k) - image.rank
-    if len(reps) != dim_q:
-        raise DimensionMismatch("image escapes the solution space")
-    if expected is not None and dim_q != expected:
-        raise DimensionMismatch(
-            f"direct quotient dim {dim_q} != numerator coefficient {expected} "
-            f"at degree {k}")
-    return SubspaceBasis(basis.ambient_dim, reps), image
+    nv = len(space.graph.vertices)
+    gens: list[tuple[IntRow, int]] = []   # (m r, i_d) spanning I_k
+    reps: list[IntRow] = []
+    for k in range(top + 1):
+        gens = [({table[c // nv] * nv + c % nv: v for c, v in g.items()}, i)
+                for g, last in gens + [(r, space.n) for r in reps]
+                for i in range(1, last + 1)
+                for table in [_shift_exp_index(space.n, k, i)]]
+        image = Echelon.of([g for g, _ in gens])
+        image.back_substitute()
+        quotient = Echelon()
+        basis = space.bases[k]
+        reps = [col for col in basis.columns
+                if quotient.insert(image.clear_pivots(col)[0])]
+        dim_q = basis.dim - image.rank
+        if len(reps) != dim_q:
+            raise DimensionMismatch("image escapes the solution space")
+        if expected and k in expected and dim_q != expected[k]:
+            raise DimensionMismatch(
+                f"direct quotient dim {dim_q} != numerator coefficient "
+                f"{expected[k]} at degree {k}")
+        quotient.back_substitute()
+        yield image, quotient, reps
 
 
 def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
@@ -353,8 +360,9 @@ def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
     mismatch raises DimensionMismatch; the direct computation is the
     authoritative value.
     """
-    basis, _ = _ordinary_piece_with_image(space, k, expected)
-    return basis
+    *_, (_, _, reps) = direct_quotients(
+        space, k, None if expected is None else {k: expected})
+    return SubspaceBasis(space.bases[k].ambient_dim, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +388,31 @@ def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
     vertices only.  Returns pi as an array: coordinate c of a class f
     contributes to coordinate pi[c] of sigma acting on f.
     """
-    n = graph.n
-    mons = monomials(n, k)
-    m = len(mons)
-    vidx = graph.vertex_index()
-    vmap = [vidx[Vertex(v.circle, compose(sigma, v.perm))]
-            for v in graph.vertices]
-    if action_kind == "dot":
-        mtable = _perm_monomial_table(n, k, sigma)
-    elif action_kind == "dagger":
-        mtable = list(range(m))
-    else:
-        raise ValueError(f"unknown action kind {action_kind!r}")
+    vmap = _vertex_map(graph, sigma)
     nv = len(graph.vertices)
     out = []
-    for mi in range(m):
-        base_dst = mtable[mi] * nv
+    for mj in _monomial_action(graph.n, k, sigma, action_kind):
+        base_dst = mj * nv
         out.extend(base_dst + vmap[vi] for vi in range(nv))
     return out
+
+
+def _vertex_map(graph, sigma) -> list[int]:
+    """The vertex part of :func:`coordinate_perm`: vertex index -> index
+    of the vertex sigma w on the same sheet, for each vertex w."""
+    vidx = graph.vertex_index()
+    return [vidx[Vertex(v.circle, compose(sigma, v.perm))]
+            for v in graph.vertices]
+
+
+def _monomial_action(n: int, k: int, sigma, action_kind: str):
+    """The monomial part of :func:`coordinate_perm`: the variables renamed
+    by sigma (dot) or left alone (dagger)."""
+    if action_kind == "dot":
+        return _perm_monomial_table(n, k, sigma)
+    if action_kind == "dagger":
+        return range(len(monomials(n, k)))
+    raise ValueError(f"unknown action kind {action_kind!r}")
 
 
 def column_adjacency(rows: list[IntRow]):
@@ -601,41 +616,76 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
 
     The traces are taken on the solved space, so the action is first
     checked to preserve each degree (NotInvariant otherwise), unless
-    invariant says that equivariant_traces has done so already.
+    invariant says that equivariant_traces has done so already; the
+    image I_k is certified by :func:`_image_fault`.
     """
     n = space.n
-    for k in range(space.graph.top_degree + 1):
+    top = space.graph.top_degree
+    sigmas = [class_representative(lam) for lam in partitions_of(n)]
+    for k in range(top + 1):
         if not invariant:
             check_action_invariance(space, k, action_kind)
-        _, image = _ordinary_piece_with_image(space, k, expected=numer[k])
-        for lam in partitions_of(n):
-            sigma = class_representative(lam)
-            t_total = equivariant_trace(space, k, sigma, action_kind)
-            t_image = _trace_on_reducer(space, k, image, sigma, action_kind)
-            direct = t_total - t_image
+        for sigma in sigmas:
+            if _image_fault(n, k, sigma, action_kind):
+                raise NotInvariant(
+                    f"{action_kind} action by {sigma} does not intertwine "
+                    f"t-multiplication into degree {k}")
+    quotients = direct_quotients(space, top, dict(enumerate(numer)))
+    for k, (image, quotient, _) in enumerate(quotients):
+        for lam, sigma in zip(partitions_of(n), sigmas):
+            direct = _quotient_trace(space, k, image, quotient, sigma,
+                                     action_kind)
             if direct != char.value(lam, k):
                 raise CrossCheckFailed(
                     f"degree {k}, type {lam}: direct {direct} != "
                     f"series {char.value(lam, k)}")
 
 
-def _trace_on_reducer(space: GradedSolutionSpace, k: int, image: Echelon,
-                      sigma, action_kind: str) -> Fraction:
-    """Trace of sigma on the span of a back-substituted echelon's rows.
+def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
+    """Whether the monomial tables fail to certify sigma.I_k <= I_k.
 
-    The span must be invariant (it is the t-multiplication image of an
-    invariant space).  Each row is zero at every other row's pivot, so a
-    vector of the span has coordinate v[c] / r[c] along the row r with
-    pivot c; the trace sums that coordinate of each permuted row.
+    Lemma: let T_k be the monomial part of the action of sigma in degree
+    k (:func:`_monomial_action`) and S_i the multiplication by t_i
+    (:func:`_shift_exp_index`).  If T_k S_i = S_{tau(i)} T_{k-1} for every
+    i, with tau = sigma for the dot action and the identity for the
+    dagger action, then sigma (t_i f) = t_{tau(i)} (sigma f) for every f
+    of degree k - 1, as the vertex part of the action is the same in
+    every degree.  So sigma I_k = sum_i t_{tau(i)} sigma H^{k-1} lies in
+    I_k = sum_i t_i H^{k-1} once H^{k-1} is invariant.
     """
-    pi = coordinate_perm(space.graph, k, sigma, action_kind)
+    if k == 0:
+        return False
+    tk = _monomial_action(n, k, sigma, action_kind)
+    tk1 = _monomial_action(n, k - 1, sigma, action_kind)
+    tau = sigma if action_kind == "dot" else range(1, n + 1)
+    return any(tk[a] != _shift_exp_index(n, k, j)[tk1[m]]
+               for i, j in enumerate(tau, start=1)
+               for m, a in enumerate(_shift_exp_index(n, k, i)))
+
+
+def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
+                    quotient: Echelon, sigma, action_kind: str) -> Fraction:
+    """Trace of sigma on H^k_T / I_k, read on the quotient rows.
+
+    H^k_T is I_k plus the span of the quotient rows, a direct sum, and
+    sigma preserves H^k_T and I_k, so the trace sums the coordinate of
+    sigma q along q over the quotient rows q.  Once the image pivots are
+    cleared, the remainder of sigma q lies in the span of the quotient
+    rows (NotInvariant otherwise), and that coordinate is its value at
+    the pivot of q over q's own.
+    """
+    nv = len(space.graph.vertices)
+    vmap = _vertex_map(space.graph, sigma)
+    mt = _monomial_action(space.n, k, sigma, action_kind)
     total = Fraction(0)
-    for c, row in image.rows:
-        permuted = {pi[j]: v for j, v in row.items()}
-        if image.reduce(permuted):
+    for c, row in quotient.rows:
+        rem, scale = image.clear_pivots(
+            {mt[j // nv] * nv + vmap[j % nv]: v for j, v in row.items()})
+        if quotient.reduce(rem):
             raise NotInvariant(
-                "t-multiplication image is not preserved by the action")
-        total += Fraction(permuted.get(c, 0), row[c])
+                f"{action_kind} action by {sigma} moves a degree-{k} "
+                f"quotient representative off H^k_T")
+        total += Fraction(rem.get(c, 0), scale * row[c])
     return total
 
 

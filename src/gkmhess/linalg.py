@@ -126,6 +126,31 @@ class Echelon:
             for k in [k for k in r if k != c and k in pivots]:
                 _reduce_by(r, self.rows[pivots[k]][1], k)
 
+    def clear_pivots(self, row: IntRow) -> tuple[IntRow, int]:
+        """(s * (row - sum_c row[c] / r_c[c] * r_c), s) after back
+        substitution, the sum over the pivot columns c of row, r_c the row
+        with pivot c and s > 0 the lcm of their pivot entries.
+
+        Each r_c meets no pivot column but its own, so one pass clears
+        them all: the remainder is zero at every pivot column, and empty
+        exactly when row lies in the span of the rows.
+        """
+        hits = [(c, v, self.rows[self.pivots[c]][1])
+                for c, v in row.items() if c in self.pivots]
+        if not hits:
+            return dict(row), 1
+        s = lcm(*(r[c] for c, _, r in hits))
+        out = {k: s * v for k, v in row.items()}
+        for c, v, r in hits:
+            m = v * (s // r[c])
+            for k, x in r.items():
+                nv = out.get(k, 0) - m * x
+                if nv:
+                    out[k] = nv
+                else:
+                    out.pop(k, None)
+        return out, s
+
     def kernel_columns(self, ncols: int) -> tuple[list[IntRow], list[int]]:
         """Canonical kernel basis after back substitution.
 

@@ -15,6 +15,7 @@ from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import maps as M
 from gkmhess.symfunc import GradedSymmetricFunction, SymmetricFunction
+import graph_checks as GC
 
 # n = 4 instances where the direct-quotient character path is also run
 # (criterion 7); chosen across the dimension range
@@ -236,7 +237,7 @@ def test_criterion_6_structural_invariants(store):
     for t in all_triples(3, 4, kind="C"):
         for side in ("x", "y"):
             bl = G.build_blowup(t, side)
-            ok, witness = G.two_independence_check(bl)
+            ok, witness = GC.two_independence_check(bl)
             if ok or witness is None:
                 failures.append(("2-indep-blowup", str(t.h), side))
             else:
@@ -244,9 +245,9 @@ def test_criterion_6_structural_invariants(store):
                 if e1[2] != e2[2]:
                     failures.append(("witness", str(t.h), side))
     for h in all_h(2, 3, 4):
-        if not G.two_independence_check(G.build_GX(h))[0]:
+        if not GC.two_independence_check(G.build_GX(h))[0]:
             failures.append(("2-indep-x", str(h)))
-        if not G.two_independence_check(G.build_GY(h))[0]:
+        if not GC.two_independence_check(G.build_GY(h))[0]:
             failures.append(("2-indep-y", str(h)))
     for t in all_triples(3, 4, kind="C"):
         for side in ("x", "y"):
@@ -257,7 +258,7 @@ def test_criterion_6_structural_invariants(store):
     t3 = next(all_triples(3, kind="C"))
     bl = G.build_blowup(t3, "x")
     sp = CH.solve_graph(bl)
-    spa = CH.solve_graph(G.augment_blowup(bl))
+    spa = CH.solve_graph(GC.augment_blowup(bl))
     if any(sp.dim(k) != spa.dim(k) for k in range(sp.max_degree + 1)):
         failures.append(("augment",))
     report(6, not failures)

@@ -1,6 +1,7 @@
 """Graph cohomology: solved dimensions, numerators, characters, classes."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,9 @@ from gkmhess import hessenberg as H
 from gkmhess import linalg as L
 from gkmhess.coloring import csf_q, llt
 from gkmhess.maps import omega_graded
+from gkmhess.symfunc import partitions_of
 import classes
+import graph_checks as GC
 from test_linalg import restrict_endomorphism, trace
 
 
@@ -117,6 +120,26 @@ class TestHilbertNumerator:
             assert sum(CH.hilbert_numerator(sp)) == 2 * math.factorial(3)
 
 
+def trace_by_difference(space, k, sigma, kind):
+    """tr(sigma | H^k_T) - tr(sigma | I_k), I_k = sum_i t_i H^{k-1}_T: each
+    row r of the back-substituted image, permuted and reduced to zero, has
+    coordinate v[c] / r[c] along itself, c the pivot of r."""
+    nv = len(space.graph.vertices)
+    image = L.Echelon.of([
+        {table[c // nv] * nv + c % nv: v for c, v in col.items()}
+        for i in range(1, space.n + 1) if k
+        for table in [CH._shift_exp_index(space.n, k, i)]
+        for col in space.bases[k - 1].columns])
+    image.back_substitute()
+    pi = CH.coordinate_perm(space.graph, k, sigma, kind)
+    t_image = Fraction(0)
+    for c, row in image.rows:
+        permuted = {pi[j]: v for j, v in row.items()}
+        assert not image.reduce(permuted)
+        t_image += Fraction(permuted.get(c, 0), row[c])
+    return CH.equivariant_trace(space, k, sigma, kind) - t_image
+
+
 class TestOrdinaryDirect:
     def test_h233_dims(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
@@ -136,13 +159,88 @@ class TestOrdinaryDirect:
         with pytest.raises(CH.DimensionMismatch):
             CH.ordinary_piece_direct(sp, 1, expected=2)
 
-    def test_trace_on_a_non_invariant_span_raises(self):
-        # sigma moves vertex 0, so the span of its unit vector is not invariant
+    @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
+    def test_tampered_quotient_raises(self, side, kind, monkeypatch):
+        # unit vectors at the quotient pivots: sigma moves one of them off
+        # the image plus their span, already in degree 0
+        real = CH.direct_quotients
+
+        def tampered(space, top, expected=None):
+            for image, quotient, reps in real(space, top, expected):
+                units = L.Echelon.of([{c: 1} for c, _ in quotient.rows])
+                yield image, units, reps
+
+        sp = CH.solve_graph(G.build_graph(H.from_string("2,3,3"), side))
+        monkeypatch.setattr(CH, "direct_quotients", tampered)
+        with pytest.raises(CH.NotInvariant, match="quotient representative"):
+            CH.graded_character(sp, kind, cross_check=True)
+
+    def test_broken_shift_table_raises(self, monkeypatch):
+        # t_1 and t_2 multiplication swapped: the image is the same, but the
+        # dot action by a 3-cycle no longer intertwines the tables
+        real = CH._shift_exp_index
+        swap = {1: 2, 2: 1}
+        monkeypatch.setattr(CH, "_shift_exp_index",
+                            lambda n, k, i: real(n, k, swap.get(i, i)))
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
-        image = L.Echelon()
-        image.insert({0: 1})
-        with pytest.raises(CH.NotInvariant):
-            CH._trace_on_reducer(sp, 1, image, (2, 1, 3), "dot")
+        with pytest.raises(CH.NotInvariant, match="intertwine"):
+            CH.graded_character(sp, "dot", cross_check=True)
+
+    def test_broken_dagger_table_raises(self, monkeypatch):
+        # a dagger action that renames variables from degree 2 on does not
+        # commute with t-multiplication into degree 2
+        sp = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
+        numer = CH.hilbert_numerator(sp)
+        char = CH.graded_character(sp, "dagger", cross_check=False)
+        real = CH._monomial_action
+        monkeypatch.setattr(
+            CH, "_monomial_action",
+            lambda n, k, sigma, kind: real(n, k, sigma,
+                                           "dot" if k >= 2 else kind))
+        with pytest.raises(CH.NotInvariant, match="into degree 2"):
+            CH._cross_check_direct(sp, "dagger", char, numer, invariant=True)
+
+    def test_image_off_the_classes_raises(self, monkeypatch):
+        # t_1 "multiplication" onto the first monomial: its multiples are
+        # not classes, and the dagger tables, which fix every monomial,
+        # cannot tell
+        real = CH._shift_exp_index
+        monkeypatch.setattr(
+            CH, "_shift_exp_index",
+            lambda n, k, i: real(n, k, i) if i > 1 else (0,) * len(
+                real(n, k, i)))
+        sp = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
+        with pytest.raises(CH.DimensionMismatch, match="escapes"):
+            CH.graded_character(sp, "dagger", cross_check=True)
+
+    @pytest.mark.parametrize("hstr", [
+        *(str(h) for n in (1, 2, 3)
+          for h in H.enumerate_hessenberg(n)),
+        "1,2,3,4", "2,2,3,4", "2,3,3,4", "2,3,4,4"])
+    def test_quotient_trace_is_trace_difference(self, hstr):
+        # oracle: tr(sigma | H^k) - tr(sigma | I_k), the latter over every
+        # row of the image echelon
+        for side, kind in (("x", "dot"), ("y", "dagger")):
+            sp = CH.solve_graph(G.build_graph(H.from_string(hstr), side))
+            CH.equivariant_traces(sp, kind)   # checks invariance
+            top = sp.graph.top_degree
+            quotients = CH.direct_quotients(sp, top)
+            for k, (image, quotient, _) in enumerate(quotients):
+                for lam in partitions_of(sp.n):
+                    sigma = G.class_representative(lam)
+                    direct = CH._quotient_trace(sp, k, image, quotient, sigma,
+                                                kind)
+                    assert direct == trace_by_difference(sp, k, sigma, kind), \
+                        (side, k, lam)
+
+    def test_quotient_trace_scales_a_non_unit_pivot(self):
+        # degree 1 of 2,2 is Q^4, and sigma = (2, 1) reverses it; the image
+        # row r = (2, 1, 1, 2) is fixed with pivot entry 2, so the trace on
+        # Q^4 / <r> is 0 - 1, read as -2 / 2 at the row e_3 sent to e_0
+        sp = CH.solve_graph(G.build_GX(H.from_string("2,2")))
+        image = L.Echelon.of([{0: 2, 1: 1, 2: 1, 3: 2}])
+        quotient = L.Echelon.of([{1: 1}, {2: 1}, {3: 1}])
+        assert CH._quotient_trace(sp, 1, image, quotient, (2, 1), "dot") == -1
 
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_cross_check_catches_a_wrong_character_value(self, side, kind):
@@ -414,7 +512,7 @@ class TestAugmentInvariance:
     def test_equivariant_dims_unchanged(self):
         t = c_triple("2,3,3")
         bl = G.build_blowup(t, "x")
-        aug = G.augment_blowup(bl)
+        aug = GC.augment_blowup(bl)
         sp = CH.solve_graph(bl)
         spa = CH.solve_graph(aug)
         for k in range(sp.max_degree + 1):

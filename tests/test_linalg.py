@@ -272,3 +272,28 @@ def test_row_order_leaves_the_basis(system, rnd: random.Random):
     rnd.shuffle(shuffled)
     a, b = L.kernel_of_rows(rows, ncols), L.kernel_of_rows(shuffled, ncols)
     assert a.columns == b.columns and a.unit_rows == b.unit_rows
+
+
+@given(sparse_systems(), st.dictionaries(st.integers(0, 7),
+                                         st.integers(-6, 6).filter(bool),
+                                         max_size=5))
+@example(([{0: 2, 2: 1}, {1: 3, 2: 1}], 3), {0: 1, 1: 1, 2: 1})
+@settings(max_examples=150, deadline=None)
+def test_clear_pivots_is_the_exact_remainder(system, row):
+    # oracle: row - sum_c row[c] / r_c[c] * r_c in Fractions, and the
+    # remainder is empty exactly when row lies in the span
+    rows, ncols = system
+    row = {c: v for c, v in row.items() if c < ncols}
+    ech = L.Echelon.of(rows)
+    ech.back_substitute()
+    rem, scale = ech.clear_pivots(row)
+    assert scale > 0 and not set(rem) & set(ech.pivots)
+    exact = {c: Fraction(v) for c, v in row.items()}
+    for c, r in ech.rows:
+        a = Fraction(row.get(c, 0), r[c])
+        for j, v in r.items():
+            exact[j] = exact.get(j, 0) - a * v
+    assert {c: Fraction(v, scale) for c, v in rem.items()} == \
+        {c: v for c, v in exact.items() if v}
+    in_span = fraction_rank(rows + [row], ncols) == fraction_rank(rows, ncols)
+    assert (not rem) == in_span

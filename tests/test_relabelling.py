@@ -13,6 +13,7 @@ from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import maps as M
 from gkmhess.linalg import Echelon, kernel_of_rows
+import graph_checks as GC
 
 # the n = 4 sample of the direct-quotient cross-check (acceptance
 # criterion 7)
@@ -209,7 +210,7 @@ GRAPH_MUTATIONS = {
         "the two sides have different vertices"),
     "x-edge-dropped": (_x(lambda g: _edges(g, g.edges[1:])),
                        "the edge 123 -- 132 is on one side only"),
-    "x-edge-added": (_x(G.augment_blowup), "is on one side only"),
+    "x-edge-added": (_x(GC.augment_blowup), "is on one side only"),
     "edge-repeated": (_x(lambda g: _edges(g, g.edges + g.edges[:1])),
                       "an edge is repeated or off the vertices"),
     "edge-off-the-vertices": (
