@@ -118,26 +118,25 @@ def _subst_exp(e: tuple, a: int, b: int) -> tuple:
     return tuple(ee)
 
 
-@lru_cache(maxsize=None)
-def edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The indices of the degree-k monomials grouped by their image under
-    t_a -> t_b, the groups in the order of their images."""
+def group_edges(mons, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The indices of the monomials mons (exponent tuples) grouped by
+    their image under t_a -> t_b, the groups in the order of their
+    images."""
     groups: dict[tuple, list[int]] = {}
-    for mi, mon in enumerate(monomials(n, k)):
+    for mi, mon in enumerate(mons):
         groups.setdefault(_subst_exp(mon, a, b), []).append(mi)
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
-@lru_cache(maxsize=None)
-def derivative_groups(n: int, k: int, a: int, b: int
+def group_derivatives(mons, a: int, b: int
                       ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(d/dt_a - d/dt_b) at t_a = t_b on the degree-k monomials, as
-    groups of (monomial index, coefficient) with one image, the groups in
-    the order of their images.  The image of t^e is (e_a - e_b) times
-    t^e with t_a^{e_a} t_b^{e_b} replaced by t_b^{e_a + e_b - 1}; the same
-    for either orientation of the label."""
+    """(d/dt_a - d/dt_b) at t_a = t_b on the monomials mons, as groups of
+    (monomial index, coefficient) with one image, the groups in the order
+    of their images.  The image of t^e is (e_a - e_b) times t^e with
+    t_a^{e_a} t_b^{e_b} replaced by t_b^{e_a + e_b - 1}; the same for
+    either orientation of the label."""
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    for mi, mon in enumerate(monomials(n, k)):
+    for mi, mon in enumerate(mons):
         ea, eb = mon[a - 1], mon[b - 1]
         if ea != eb:
             ee = list(mon)
@@ -145,6 +144,20 @@ def derivative_groups(n: int, k: int, a: int, b: int
             ee[b - 1] += ea - 1
             groups.setdefault(tuple(ee), []).append((mi, ea - eb))
     return tuple(tuple(g) for _, g in sorted(groups.items()))
+
+
+@lru_cache(maxsize=None)
+def edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`group_edges` on the degree-k monomials in n variables."""
+    return group_edges(monomials(n, k), a, b)
+
+
+@lru_cache(maxsize=None)
+def derivative_groups(n: int, k: int, a: int, b: int
+                      ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """:func:`group_derivatives` on the degree-k monomials in n
+    variables."""
+    return group_derivatives(monomials(n, k), a, b)
 
 
 def constraint_rows(graph, k: int) -> list[IntRow]:
@@ -381,14 +394,17 @@ def _perm_monomial_table(n: int, k: int, sigma) -> tuple[int, ...]:
     return tuple(table)
 
 
-def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
+def coordinate_perm(graph, k: int, sigma, action_kind: str,
+                    vmap: list[int] | None = None) -> list[int]:
     """The permutation pi of (monomial, vertex) coordinates for sigma.
 
     Dot: vertex w -> sigma w and variables t_i -> t_sigma(i); dagger:
     vertices only.  Returns pi as an array: coordinate c of a class f
-    contributes to coordinate pi[c] of sigma acting on f.
+    contributes to coordinate pi[c] of sigma acting on f.  vmap, if
+    given, is :func:`_vertex_map` of graph and sigma, made by the caller.
     """
-    vmap = _vertex_map(graph, sigma)
+    if vmap is None:
+        vmap = _vertex_map(graph, sigma)
     nv = len(graph.vertices)
     out = []
     for mj in _monomial_action(graph.n, k, sigma, action_kind):
@@ -403,6 +419,20 @@ def _vertex_map(graph, sigma) -> list[int]:
     vidx = graph.vertex_index()
     return [vidx[Vertex(v.circle, compose(sigma, v.perm))]
             for v in graph.vertices]
+
+
+class VertexMaps(dict):
+    """sigma -> :func:`_vertex_map` of one graph, each made on first use,
+    so that the invariance checks, traces and quotient traces of every
+    degree share it."""
+
+    def __init__(self, graph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, sigma) -> list[int]:
+        vmap = self[sigma] = _vertex_map(self.graph, sigma)
+        return vmap
 
 
 def _monomial_action(n: int, k: int, sigma, action_kind: str):
@@ -448,7 +478,8 @@ def _row_key(items) -> tuple:
 
 
 def check_action_invariance(space: GradedSolutionSpace, k: int,
-                            action_kind: str) -> None:
+                            action_kind: str,
+                            vmaps: VertexMaps | None = None) -> None:
     """Verify that the generators of S_n map the degree-k piece into
     itself; NotInvariant otherwise.
 
@@ -461,12 +492,15 @@ def check_action_invariance(space: GradedSolutionSpace, k: int,
     invariant.  The action permutes edges and quads, and no row depends on
     the orientation of its label (the first-order quad rows are
     antisymmetric for that reason), so this passes on every graph built
-    here.
+    here.  vmaps, if given, are the vertex maps of space.graph.
     """
+    if vmaps is None:
+        vmaps = VertexMaps(space.graph)
     rows = space.rows[k]
     keys = {_row_key(r.items()) for r in rows}
     for sigma in generators(space.n):
-        pi = coordinate_perm(space.graph, k, sigma, action_kind)
+        pi = coordinate_perm(space.graph, k, sigma, action_kind,
+                             vmaps[sigma])
         if not all(_row_key((pi[c], v) for c, v in r.items()) in keys
                    for r in rows):
             raise NotInvariant(
@@ -475,15 +509,19 @@ def check_action_invariance(space: GradedSolutionSpace, k: int,
 
 
 def equivariant_trace(space: GradedSolutionSpace, k: int, sigma,
-                      action_kind: str) -> Fraction:
+                      action_kind: str,
+                      vmaps: VertexMaps | None = None) -> Fraction:
     """Trace of sigma on the degree-k piece (assumes invariance checked).
 
     The kernel basis has unit rows, so the coordinate of a kernel element
     along basis column i is its value at unit row u_i over column i's own
     value there; the trace sums that coordinate of each permuted column.
+    vmaps, if given, are the vertex maps of space.graph.
     """
     basis = space.bases[k]
-    pinv = coordinate_perm(space.graph, k, inverse(sigma), action_kind)
+    sigma_inv = inverse(sigma)
+    pinv = coordinate_perm(space.graph, k, sigma_inv, action_kind,
+                           None if vmaps is None else vmaps[sigma_inv])
     total = Fraction(0)
     for u, col in zip(basis.unit_rows, basis.columns):
         v = col.get(pinv[u])
@@ -544,16 +582,20 @@ def _ambient_factor(lam: Partition) -> list[int]:
     return coeffs
 
 
-def equivariant_traces(space: GradedSolutionSpace, action_kind: str
+def equivariant_traces(space: GradedSolutionSpace, action_kind: str,
+                       vmaps: VertexMaps | None = None
                        ) -> dict[Partition, list[Fraction]]:
     """Trace of each class representative in every degree, after checking
-    that the action preserves every degree."""
+    that the action preserves every degree; vmaps, if given, are the
+    vertex maps of space.graph."""
+    if vmaps is None:
+        vmaps = VertexMaps(space.graph)
     for k in range(space.max_degree + 1):
-        check_action_invariance(space, k, action_kind)
+        check_action_invariance(space, k, action_kind, vmaps)
     traces: dict[Partition, list[Fraction]] = {}
     for lam in partitions_of(space.n):
         sigma = class_representative(lam)
-        traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
+        traces[lam] = [equivariant_trace(space, k, sigma, action_kind, vmaps)
                        for k in range(space.max_degree + 1)]
     return traces
 
@@ -572,14 +614,16 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     characters, carried over from side y by :func:`relabelled_character`,
     or read from the irreducible blocks of a twin graph
     (:class:`gkmhess.isotypic.TwinBlocks`), which can then stand for space
-    itself where there is no cross-check.
+    itself where there is no cross-check.  Each vertex map of the graph
+    is made once (:class:`VertexMaps`) for all degrees, checks and traces.
     """
     n = space.n
     top = space.graph.top_degree
     numer = hilbert_numerator(space)
     traced = traces is None
+    vmaps = VertexMaps(space.graph)
     if traced:
-        traces = equivariant_traces(space, action_kind)
+        traces = equivariant_traces(space, action_kind, vmaps)
     one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     for lam in partitions_of(n):
@@ -605,26 +649,30 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
         cross_check = n <= 3
     if cross_check:
         _cross_check_direct(space, action_kind, char, numer,
-                            invariant=traced)
+                            invariant=traced, vmaps=vmaps)
     return char
 
 
 def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
                         char: GradedCharacter, numer: list[int],
-                        invariant: bool = False) -> None:
+                        invariant: bool = False,
+                        vmaps: VertexMaps | None = None) -> None:
     """Direct-quotient traces; CrossCheckFailed on any disagreement.
 
     The traces are taken on the solved space, so the action is first
     checked to preserve each degree (NotInvariant otherwise), unless
     invariant says that equivariant_traces has done so already; the
-    image I_k is certified by :func:`_image_fault`.
+    image I_k is certified by :func:`_image_fault`.  vmaps, if given,
+    are the vertex maps of space.graph.
     """
+    if vmaps is None:
+        vmaps = VertexMaps(space.graph)
     n = space.n
     top = space.graph.top_degree
     sigmas = [class_representative(lam) for lam in partitions_of(n)]
     for k in range(top + 1):
         if not invariant:
-            check_action_invariance(space, k, action_kind)
+            check_action_invariance(space, k, action_kind, vmaps)
         for sigma in sigmas:
             if _image_fault(n, k, sigma, action_kind):
                 raise NotInvariant(
@@ -634,7 +682,7 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
     for k, (image, quotient, _) in enumerate(quotients):
         for lam, sigma in zip(partitions_of(n), sigmas):
             direct = _quotient_trace(space, k, image, quotient, sigma,
-                                     action_kind)
+                                     action_kind, vmaps)
             if direct != char.value(lam, k):
                 raise CrossCheckFailed(
                     f"degree {k}, type {lam}: direct {direct} != "
@@ -664,7 +712,8 @@ def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
 
 
 def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
-                    quotient: Echelon, sigma, action_kind: str) -> Fraction:
+                    quotient: Echelon, sigma, action_kind: str,
+                    vmaps: VertexMaps | None = None) -> Fraction:
     """Trace of sigma on H^k_T / I_k, read on the quotient rows.
 
     H^k_T is I_k plus the span of the quotient rows, a direct sum, and
@@ -672,10 +721,11 @@ def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
     sigma q along q over the quotient rows q.  Once the image pivots are
     cleared, the remainder of sigma q lies in the span of the quotient
     rows (NotInvariant otherwise), and that coordinate is its value at
-    the pivot of q over q's own.
+    the pivot of q over q's own.  vmaps, if given, are the vertex maps of
+    space.graph.
     """
     nv = len(space.graph.vertices)
-    vmap = _vertex_map(space.graph, sigma)
+    vmap = _vertex_map(space.graph, sigma) if vmaps is None else vmaps[sigma]
     mt = _monomial_action(space.n, k, sigma, action_kind)
     total = Fraction(0)
     for c, row in quotient.rows:

@@ -18,12 +18,9 @@ as one packed integer per partition, and csf_q and llt build a fresh
 graded function from them on every call.  csf_q_raw and llt_raw enumerate
 colorings outright and serve as the independent reference.
 
-The module also carries the bookkeeping for the modular-law proofs: the
-nine-way (proper) and four-way (arbitrary) classification of colorings of
-G_{h_-} by how kappa(d0) compares to kappa(d) and kappa(d+1), the
-color-swap bijection at positions d, d+1, and the modular-law checks
-themselves, valid for triples of both kinds.  The checks compare the
-memoised packed counts in integers, with no symmetric-function arithmetic.
+The module also carries the modular-law checks, valid for triples of both
+kinds.  They compare the memoised packed counts in integers, with no
+symmetric-function arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from gkmhess.hessenberg import (
-    HessenbergFunction, ModularTriple, WrongKind, indifference_graph)
+    HessenbergFunction, ModularTriple, indifference_graph)
 from gkmhess.symfunc import (
     GradedSymmetricFunction, Partition, SymmetricFunction, check_degree,
     partitions_of)
@@ -223,100 +220,7 @@ def _raw_sum(h: HessenbergFunction, colors: int,
 
 
 # ---------------------------------------------------------------------------
-# Modular-law machinery
-
-NINE_TAGS = ("<<", "<=", "<>", "=<", "==", "=>", "><", ">=", ">>")
-
-
-def _cmp_symbol(x: int, y: int) -> str:
-    return "<" if x < y else ("=" if x == y else ">")
-
-
-def classify_coloring(triple: ModularTriple, kappa: Coloring) -> str:
-    """Nine-way tag comparing kappa(d0) with kappa(d) and kappa(d+1).
-
-    Requires a kind-C triple and a proper coloring of G_{h_minus}.
-    """
-    if triple.kind != "C":
-        raise WrongKind("classification uses the kind-C parameters (d, d0)")
-    if not is_proper(triple.h_minus, kappa):
-        raise ValueError("coloring is not proper for G_{h_minus}")
-    d, d0 = triple.d, triple.d0
-    return (_cmp_symbol(kappa[d0 - 1], kappa[d - 1])
-            + _cmp_symbol(kappa[d0 - 1], kappa[d]))
-
-
-def coarsen_tag(tag: str) -> tuple[str, str]:
-    """Appendix-B coarsening: '=' and '>' both count as '>='."""
-    return tuple("<" if c == "<" else ">=" for c in tag)  # type: ignore[return-value]
-
-
-def classify_coloring_coarse(triple: ModularTriple, kappa: Coloring) -> tuple[str, str]:
-    """Four-way tag for an arbitrary coloring (kind C)."""
-    if triple.kind != "C":
-        raise WrongKind("classification uses the kind-C parameters (d, d0)")
-    d, d0 = triple.d, triple.d0
-    return ("<" if kappa[d0 - 1] < kappa[d - 1] else ">=",
-            "<" if kappa[d0 - 1] < kappa[d] else ">=")
-
-
-def tau_bijection(triple: ModularTriple, kappa: Coloring) -> Coloring:
-    """Compose with the transposition of positions d, d+1 (an involution)."""
-    if triple.kind != "C":
-        raise WrongKind("tau = (d+1, d) needs the kind-C parameter d")
-    d = triple.d
-    out = list(kappa)
-    out[d - 1], out[d] = out[d], out[d - 1]
-    return tuple(out)
-
-
-def asc_minus(triple: ModularTriple, kappa: Coloring) -> int:
-    """Ascent statistic with respect to the h_minus edge set."""
-    return asc(triple.h_minus, kappa)
-
-
-# keys: nine-way tag strings, or ('<'|'>=', '<'|'>=') pairs when coarse
-ClassCensus = dict
-
-
-def coloring_class_sums(triple: ModularTriple, proper_only: bool,
-                        coarse: bool) -> ClassCensus:
-    """Content-refined q-census of (proper) colorings of G_{h_minus}.
-
-    Maps tag -> content partition -> asc_minus value -> count.  With
-    coarse=True the tags are pairs like ('<', '>='); otherwise the nine
-    two-symbol strings (and proper colorings never produce '==').
-    """
-    if triple.kind != "C":
-        raise WrongKind("the decomposition uses the kind-C parameters")
-    hm = triple.h_minus
-    d, d0 = triple.d, triple.d0
-    edges = _edge_list(hm)
-    census: ClassCensus = {}
-    for lam, kappa in colorings_by_content(hm.n):
-        if proper_only and any(kappa[i - 1] == kappa[j - 1] for (i, j) in edges):
-            continue
-        nine = (_cmp_symbol(kappa[d0 - 1], kappa[d - 1])
-                + _cmp_symbol(kappa[d0 - 1], kappa[d]))
-        tag = coarsen_tag(nine) if coarse else nine
-        a = sum(1 for (i, j) in edges if kappa[j - 1] < kappa[i - 1])
-        bucket = census.setdefault(tag, {}).setdefault(lam, {})
-        bucket[a] = bucket.get(a, 0) + 1
-    return census
-
-
-def census_to_graded(n: int, census: ClassCensus, tags, q_shift) -> GradedSymmetricFunction:
-    """Assemble sum over given tags of q^(asc_minus + q_shift(tag)) z_kappa."""
-    terms: dict[int, dict[Partition, int]] = {}
-    for tag in tags:
-        for lam, bucket in census.get(tag, {}).items():
-            for a, cnt in bucket.items():
-                k = a + q_shift(tag)
-                terms.setdefault(k, {})
-                terms[k][lam] = terms[k].get(lam, 0) + cnt
-    return GradedSymmetricFunction(
-        n, {k: SymmetricFunction(n, "m", c) for k, c in terms.items()})
-
+# Modular laws
 
 def _modular_law_holds(triple: ModularTriple, proper_only: bool) -> bool:
     """F(h_+) + q F(h_-) = (1+q) F(h) on the memoised counts: for every lam

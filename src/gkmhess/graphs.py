@@ -84,23 +84,6 @@ def length(w: Perm) -> int:
     return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
 
 
-def cycle_type(w: Perm) -> tuple[int, ...]:
-    n = len(w)
-    seen = [False] * n
-    parts = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        c = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = w[j] - 1
-            c += 1
-        parts.append(c)
-    return tuple(sorted(parts, reverse=True))
-
-
 def class_representative(lam: tuple[int, ...]) -> Perm:
     """Canonical permutation with the given cycle type (consecutive cycles)."""
     out = []
@@ -264,17 +247,6 @@ def build_GY(h: HessenbergFunction) -> LabeledGraph:
 
 def build_graph(h: HessenbergFunction, side: str) -> LabeledGraph:
     return build_GX(h) if side == "x" else build_GY(h)
-
-
-def build_triple_graphs(triple: ModularTriple, side: str):
-    """(G_minus, G, G_plus) for a kind-C triple; edge sets are nested."""
-    if triple.kind != "C":
-        raise WrongKind(
-            "native construction is defined for kind C; transpose first "
-            "(see kind_r_via_transpose)")
-    return (build_graph(triple.h_minus, side),
-            build_graph(triple.h, side),
-            build_graph(triple.h_plus, side))
 
 
 def kind_r_via_transpose(triple: ModularTriple) -> ModularTriple:

@@ -23,6 +23,33 @@ so it splits the same way with 2 d_lam unknowns per monomial
 (:func:`blowup_block_rows`); :mod:`gkmhess.maps` checks Theorem 5.1 on
 these blocks.
 
+Every block system is solved modulo the diagonal, in n - 1 variables.
+
+Lemma.  Let sigma = t_1 + ... + t_n and R' = Q[t_i - t_j].  Then Q[t] =
+R'[sigma], a polynomial ring over R', and for alpha in R' an element
+sum_j g_j sigma^j (g_j in R') is divisible by alpha, or by alpha^2,
+exactly when every g_j is.  Suppose
+
+- every label of every edge and 4-gon is an index pair (a, b), which the
+  shape certificates below check, so that every condition is a
+  divisibility by t_a - t_b or its square, with constant coefficients;
+- every map multiplies by such a difference or by nothing, and any swap
+  exchanges t_d and t_{d+1} with d >= 2 (kind-C triples have d >= 2).
+
+Then each space is H = H' (x) Q[sigma], where H' is the same system with
+values in R', every map sends H' into H' and commutes with multiplication
+by sigma, and the dagger action touches no t.  The map t_1 -> 0 carries
+R' isomorphically onto Q[t_2, ..., t_n]: a label (a, b) with a >= 2 keeps
+its form, a label (1, b) becomes t_b, a multiplier t_d - t_1 becomes t_d,
+and the swap of t_d with t_{d+1}, d >= 2, is still a swap of variables.
+So the degree-k multiplicities, dimensions and ranks of H are the sums
+over j <= k of those of H' in degree j (:func:`partial_sums`).  The
+reduced monomials are those of t_2..t_n (:func:`reduced_monomials`); a
+swap or a 4-gon derivative that touches t_1 has no such form, and raises
+TouchesFirstVariable rather than giving a wrong rank.  The full-kernel
+path of :mod:`gkmhess.cohomology` stays in n variables, and the tests
+compare the two.
+
 Two checks make this a proof.  :func:`representations` checks that the
 matrices satisfy the Coxeter relations and that each has the character of
 its shape, so together they are the irreducibles and the transform is an
@@ -36,9 +63,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
-from gkmhess.cohomology import derivative_groups, edge_groups, monomials
+from gkmhess.cohomology import group_derivatives, group_edges, monomials
 from gkmhess.graphs import (
     LabeledGraph, Perm, all_perms, circ, class_representative, plain,
     swap_positions)
@@ -55,6 +83,11 @@ class NotARepresentation(ValueError):
 
 class NotTwinGraph(ValueError):
     """A graph is not the plain twin graph of a set of edge types."""
+
+
+class TouchesFirstVariable(ValueError):
+    """A swap or a 4-gon derivative involves t_1, which the reduced
+    systems set to 0."""
 
 
 @lru_cache(maxsize=None)
@@ -285,21 +318,81 @@ def _independent_columns(n: int, lam: Partition, a: int, b: int
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def reduced_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The degree-k monomials in t_2..t_n as exponent n-tuples with
+    e_1 = 0, graded lex."""
+    if n == 1:
+        return ((0,),) if k == 0 else ()
+    return tuple((0,) + m for m in monomials(n - 1, k))
+
+
+@lru_cache(maxsize=None)
+def reduced_index(n: int, k: int) -> dict:
+    return {m: i for i, m in enumerate(reduced_monomials(n, k))}
+
+
+def partial_sums(values) -> list[int]:
+    """The degree-k numbers of H = H' (x) Q[sigma], k = 0, 1, ..., from
+    the degree-j numbers of H' in values: the sums over j <= k."""
+    return list(accumulate(values))
+
+
+@lru_cache(maxsize=None)
+def _edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Divisibility by t_a - t_b (t_1 = 0) on the degree-k reduced
+    monomials, as groups of monomial indices whose coefficients must sum
+    to 0: for a >= 2 the groups with one image under t_a -> t_b; for
+    a = 1, divisibility by t_b, one group for each monomial free of
+    t_b."""
+    mons = reduced_monomials(n, k)
+    if a == 1:
+        return tuple((mi,) for mi, mon in enumerate(mons) if not mon[b - 1])
+    return group_edges(mons, a, b)
+
+
+@lru_cache(maxsize=None)
+def _derivative_groups(n: int, k: int, a: int, b: int
+                       ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(d/dt_a - d/dt_b) at t_a = t_b on the degree-k reduced monomials;
+    TouchesFirstVariable for a = 1."""
+    if a == 1:
+        raise TouchesFirstVariable(
+            f"the 4-gon label {(a, b)} involves t_1")
+    return group_derivatives(reduced_monomials(n, k), a, b)
+
+
+def reduced_swap(d: int):
+    """The exchange of t_d and t_{d+1} on reduced exponent tuples;
+    TouchesFirstVariable for d < 2."""
+    if d < 2:
+        raise TouchesFirstVariable(f"the swap of t_{d} and t_{d + 1} "
+                                   f"involves t_1")
+    return lambda e: e[:d - 1] + (e[d], e[d - 1]) + e[d + 1:]
+
+
+def reduced_factor(mult: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """t_a - t_b, mult = (a, b), with t_1 = 0, as (variable, coefficient)
+    terms."""
+    return tuple((i, c) for i, c in zip(mult, (1, -1)) if i != 1)
+
+
 def _divisible_rows(n: int, k: int, label: tuple[int, int], cols,
                     width: int, order: int = 0) -> list[IntRow]:
-    """The rows saying that x . col vanishes at t_a = t_b, label (a, b),
-    for each col (a dict over the width unknowns of a monomial): the sum
-    over each group of :func:`edge_groups`; with order=1, that its
-    (d/dt_a - d/dt_b) vanishes there instead, over each group of
-    :func:`derivative_groups`.  Coordinate mi * width + c is the
-    coefficient of the mi-th monomial in x_c."""
+    """The rows saying that x . col is divisible by t_a - t_b, label (a,
+    b), on the degree-k reduced monomials, for each col (a dict over the
+    width unknowns of a monomial): the sum over each group of
+    :func:`_edge_groups`; with order=1, that its (d/dt_a - d/dt_b)
+    vanishes at t_a = t_b instead, over each group of
+    :func:`_derivative_groups`.  Coordinate mi * width + c is the
+    coefficient of the mi-th reduced monomial in x_c."""
     a, b = label
     if order:
         return [{mi * width + c: cf * v for mi, cf in g
                  for c, v in col.items()}
-                for col in cols for g in derivative_groups(n, k, a, b)]
+                for col in cols for g in _derivative_groups(n, k, a, b)]
     return [{mi * width + c: v for mi in g for c, v in col.items()}
-            for col in cols for g in edge_groups(n, k, a, b)]
+            for col in cols for g in _edge_groups(n, k, a, b)]
 
 
 def _type_rows(n: int, types, lam: Partition, k: int, width: int,
@@ -317,11 +410,11 @@ def _type_rows(n: int, types, lam: Partition, k: int, width: int,
 
 def block_rows(n: int, types: tuple[tuple[int, int], ...], lam: Partition,
                k: int) -> list[IntRow]:
-    """The integer rows on one row x of rho_lam(F) in degree k: for each
-    type (a, b), the independent columns q of I - rho_lam(s_ab) and each
-    group of monomials with one image under t_a -> t_b, the sum over the
-    group of x (I - rho_lam(s_ab)) at q.  Coordinate mi * d + p is the
-    coefficient of the mi-th monomial in x_p."""
+    """The integer rows on one row x of rho_lam(F) in degree k, modulo the
+    diagonal: for each type (a, b), the independent columns q of I -
+    rho_lam(s_ab) and each group of :func:`_edge_groups`, the sum over
+    the group of x (I - rho_lam(s_ab)) at q.  Coordinate mi * d + p is
+    the coefficient of the mi-th reduced monomial in x_p."""
     return _type_rows(n, types, lam, k, len(standard_tableaux(lam)), 0)
 
 
@@ -332,9 +425,10 @@ def blowup_block_rows(n: int, plain_types, circle_types, d: int,
     on x_P, the circle types on x_C, x_P - x_C divisible by t_d - t_{d+1},
     and (x_P - x_C)(I - rho_lam(tau)) by its square.  Given the third,
     (x_P - x_C)(I - rho_lam(tau)) vanishes at t_d = t_{d+1}, so the
-    fourth adds only the rows of its derivative there.  Coordinate
-    mi * 2 d_lam + p is the coefficient of the mi-th monomial in x_P at
-    p, and mi * 2 d_lam + d_lam + p that in x_C."""
+    fourth adds only the rows of its derivative there.  Modulo the
+    diagonal, as :func:`block_rows`; TouchesFirstVariable for d = 1.
+    Coordinate mi * 2 d_lam + p is the coefficient of the mi-th reduced
+    monomial in x_P at p, and mi * 2 d_lam + d_lam + p that in x_C."""
     dl = len(standard_tableaux(lam))
     tau = (d, d + 1)
     return (_type_rows(n, plain_types, lam, k, 2 * dl, 0)
@@ -384,13 +478,14 @@ class TwinBlocks:
 
 def twin_blocks(graph: LabeledGraph) -> TwinBlocks:
     """The multiplicities of a plain twin graph in every degree
-    k <= top_degree + 1, each the number of columns of :func:`block_rows`
-    less their rank."""
+    k <= top_degree + 1: the partial sums of those modulo the diagonal,
+    each the number of columns of :func:`block_rows` less their rank."""
     types = twin_edge_types(graph)
     max_degree = graph.top_degree + 1
     n = graph.n
-    mult = {lam: [len(monomials(n, k)) * len(standard_tableaux(lam))
-                  - rank_of_int_rows(block_rows(n, types, lam, k))
-                  for k in range(max_degree + 1)]
-            for lam in partitions_of(n)}
+    mult = {lam: partial_sums([
+        len(reduced_monomials(n, j)) * len(standard_tableaux(lam))
+        - rank_of_int_rows(block_rows(n, types, lam, j))
+        for j in range(max_degree + 1)])
+        for lam in partitions_of(n)}
     return TwinBlocks(graph, max_degree, mult)

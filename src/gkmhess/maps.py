@@ -16,7 +16,8 @@ phi + psi_! and eta + rho_! are both isomorphisms onto the signed blow-up
 cohomology; it is verified degreewise by exact rank computations.  The
 library check (:class:`TripleContext`, :func:`check_theorem_main`) solves
 the five graphs in full.  The CLI's check (:func:`check_theorem_blocks`)
-solves, maps and ranks one irreducible of S_n at a time on side y.  Both
+solves, maps and ranks one irreducible of S_n at a time on side y, in
+t_2..t_n (:mod:`gkmhess.isotypic` states the lemma).  Both
 take equivariance from the vertex rules, never from a map matrix: every
 side-y rule is certified a right multiplication (:func:`block_rules`),
 so the dagger action commutes with it, and every side-x rule the
@@ -36,7 +37,6 @@ dot ambient factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
 from math import lcm
 from typing import Callable
 
@@ -52,8 +52,9 @@ from gkmhess.graphs import (
     identity_perm, inverse, kind_r_via_transpose, plain, swap_positions)
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
 from gkmhess.isotypic import (
-    TwinBlocks, block_rows, blowup_block_rows, blowup_edge_types, rho,
-    standard_tableaux, twin_blocks, twin_edge_types)
+    TwinBlocks, block_rows, blowup_block_rows, blowup_edge_types,
+    partial_sums, reduced_factor, reduced_index, reduced_monomials,
+    reduced_swap, rho, standard_tableaux, twin_blocks, twin_edge_types)
 from gkmhess.linalg import Echelon, IntRow, kernel_of_rows, rank_of_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction, Partition, partitions_of
 
@@ -210,18 +211,17 @@ def _times_t(e: tuple, i: int) -> tuple:
     return e[:i - 1] + (e[i - 1] + 1,) + e[i:]
 
 
-def _image_terms(n: int, k: int, shift: int, mult: tuple[int, int] | None,
-                 swap: bool, d: int) -> list[list[tuple[int, int]]]:
-    """Per degree-(k - shift) monomial, its image in degree k as (monomial
-    index, coefficient) pairs: swapped (t_d with t_{d+1}) if asked, then
-    times t_a - t_b for mult = (a, b)."""
-    idx = monomial_index(n, k)
+def _image_terms(sources, index: dict, factor, swap
+                 ) -> list[list[tuple[int, int]]]:
+    """Per source monomial (an exponent tuple of sources), its image as
+    (index of the monomial, coefficient) pairs: swap(e) for swap given,
+    then times the linear form factor, (variable, coefficient) terms, or
+    times 1 for None."""
     out = []
-    for mon in monomials(n, k - shift):
-        e = swap_positions(mon, d, d + 1) if swap else mon
-        out.append([(idx[e], 1)] if mult is None else
-                   [(idx[_times_t(e, mult[0])], 1),
-                    (idx[_times_t(e, mult[1])], -1)])
+    for mon in sources:
+        e = swap(mon) if swap else mon
+        out.append([(index[e], 1)] if factor is None else
+                   [(index[_times_t(e, i)], c) for i, c in factor])
     return out
 
 
@@ -242,7 +242,10 @@ def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
             continue
         s, mult, swap = hit
         if (mult, swap) not in tables:
-            tables[mult, swap] = _image_terms(n, k, shift, mult, swap, d)
+            tables[mult, swap] = _image_terms(
+                monomials(n, k - shift), monomial_index(n, k),
+                None if mult is None else tuple(zip(mult, (1, -1))),
+                (lambda e: swap_positions(e, d, d + 1)) if swap else None)
         si = src_index[s]
         for mi, terms in enumerate(tables[mult, swap]):
             matrix[mi * nv_src + si] += [(t * nv_dst + vi, c)
@@ -452,46 +455,54 @@ def block_rules(graphs: TripleGraphs) -> dict[str, list[Read]]:
 def block_map_matrix(n: int, lam: Partition, reads: list[Read], d: int,
                      k: int, shift: int) -> MapMatrix:
     """A map into blow-up degree k on one row x of rho_lam of the source
-    class, with the reads of :func:`block_rules`: on a sheet read as (g,
-    mult, swap), x goes to mult swap(x rho_lam(g^-1)).  The entries are
-    multiplied by the common denominator D of those matrices, one factor
-    for the whole map, which changes no rank and no membership.
+    class, modulo the diagonal, with the reads of :func:`block_rules`: on
+    a sheet read as (g, mult, swap), x goes to mult swap(x rho_lam(g^-1)),
+    with t_1 = 0 in mult (:func:`reduced_factor`) and the swap of t_d and
+    t_{d+1} on the reduced monomials (:func:`reduced_swap`, d >= 2).  The
+    entries are multiplied by the common denominator D of those matrices,
+    one factor for the whole map, which changes no rank and no
+    membership.
 
     Source coordinate mi * d_lam + p is the coefficient of the mi-th
-    degree-(k - shift) monomial in x_p, as in :func:`block_rows`; blow-up
-    coordinates are those of :func:`blowup_block_rows`.
+    degree-(k - shift) reduced monomial in x_p, as in :func:`block_rows`;
+    blow-up coordinates are those of :func:`blowup_block_rows`.
     """
     dl = len(standard_tableaux(lam))
     mats = [None if r is None else rho(n, lam, inverse(r[0])) for r in reads]
     den = lcm(*(x.denominator for m in mats if m for row in m for x in row))
-    matrix: MapMatrix = [[] for _ in range(
-        dl * len(monomials(n, k - shift)))]
+    sources = reduced_monomials(n, k - shift)
+    matrix: MapMatrix = [[] for _ in range(dl * len(sources))]
     for sheet, (read, m) in enumerate(zip(reads, mats)):
         if read is None:
             continue
+        _, mult, swap = read
         ints = [[(sheet * dl + q, int(x * den)) for q, x in enumerate(row)
                  if x] for row in m]
-        for mi, terms in enumerate(_image_terms(n, k, shift, read[1],
-                                                read[2], d)):
+        terms = _image_terms(sources, reduced_index(n, k),
+                             None if mult is None else reduced_factor(mult),
+                             reduced_swap(d) if swap else None)
+        for mi, image in enumerate(terms):
             for p in range(dl):
                 matrix[mi * dl + p] += [(t * 2 * dl + q, c * v)
-                                        for t, c in terms for q, v in ints[p]]
+                                        for t, c in image for q, v in ints[p]]
     return matrix
 
 
 def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
     """The side-y report of :func:`check_theorem_main` on the graphs
     through max_degree, with every space solved, mapped and ranked one
-    irreducible lam of S_n at a time; no full kernel is solved.
+    irreducible lam of S_n at a time, modulo the diagonal; no full kernel
+    is solved.
 
     The shape certificates (:func:`twin_edge_types` on the plain and
     circle graphs, :func:`blowup_edge_types`) show that each space is the
     set of classes F = sum_w f(w) w in Q[t] (x) Q[S_n], or pairs (P, C)
-    on the blow-up, cut out by divisibilities of right multiples of F.
-    :func:`block_rules` shows that each map is a right multiplication,
-    times constants and the t_d/t_{d+1} swap.  The dagger action is left
-    multiplication, which commutes with all of these; so it preserves
-    every space and commutes with every map, with no further check.
+    on the blow-up, cut out by divisibilities of right multiples of F by
+    label differences.  :func:`block_rules` shows that each map is a
+    right multiplication, times constants, label differences and the
+    t_d/t_{d+1} swap, d >= 2.  The dagger action is left multiplication,
+    which commutes with all of these; so it preserves every space and
+    commutes with every map, with no further check.
 
     The certified irreducibles rho_lam give Q[S_n] = sum_lam End(V_lam).
     A space is then the sum over lam of the d_lam x d_lam matrices whose
@@ -503,6 +514,12 @@ def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
     (MembershipFailed).  A vector of the blow-up block space is
     determined by its free (non-pivot) coordinates in the echelon of its
     rows, so the images, once members, are ranked on those coordinates.
+
+    Every block is solved in t_2..t_n, and by the lemma of
+    :mod:`gkmhess.isotypic` each number of the report in degree k is the
+    partial sum (:func:`partial_sums`) of the reduced numbers in degrees
+    j <= k: each space is H' (x) Q[sigma], and each map, as its
+    multipliers lie in R', is the reduced map tensored with Q[sigma].
     Certificate faults raise NotTwinGraph or EquivarianceFailed.
     """
     n, d = graphs.blowup.n, graphs.d
@@ -513,54 +530,69 @@ def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
     rules = block_rules(graphs)
     shapes = {lam: len(standard_tableaux(lam)) for lam in partitions_of(n)}
     # mid and minus feed degree k from degree k - 1
-    bases = {(name, lam, k): kernel_of_rows(block_rows(n, t, lam, k),
-                                            dl * len(monomials(n, k)))
-             for name, t in types.items() for lam, dl in shapes.items()
-             for k in range(max_degree + (name in ("plus", "circle")))}
-    @cache
-    def blowup(lam: Partition, k: int) -> tuple[list[IntRow], set[int]]:
-        """The blow-up block rows and their free coordinates."""
-        rows = blowup_block_rows(n, plain_types, circle_types, d, lam, k)
-        pivots = Echelon.of(rows).pivots
-        return rows, {c for c in range(2 * shapes[lam] * len(monomials(n, k)))
-                      if c not in pivots}
+    tops = {name: max_degree - (name in ("mid", "minus")) for name in types}
+    bases = {(name, lam, j): kernel_of_rows(
+        block_rows(n, t, lam, j), dl * len(reduced_monomials(n, j)))
+        for name, t in types.items() for lam, dl in shapes.items()
+        for j in range(tops[name] + 1)}
+    blowup = {}   # (lam, j) -> the blow-up block rows' column adjacency,
+    for lam, dl in shapes.items():   # and their free columns
+        for j in range(max_degree + 1):
+            rows = blowup_block_rows(n, plain_types, circle_types, d, lam, j)
+            pivots = Echelon.of(rows).pivots
+            blowup[lam, j] = column_adjacency(rows), {
+                c for c in range(2 * dl * len(reduced_monomials(n, j)))
+                if c not in pivots}
+    dims = {name: partial_sums([
+        sum(dl * bases[name, lam, j].dim for lam, dl in shapes.items())
+        for j in range(top + 1)]) for name, top in tops.items()}
+    dims["blowup"] = partial_sums([
+        sum(dl * len(blowup[lam, j][1]) for lam, dl in shapes.items())
+        for j in range(max_degree + 1)])
 
     def dim(name: str, k: int) -> int:
-        if k < 0:
-            return 0
-        if name == "blowup":
-            return sum(dl * len(blowup(lam, k)[1])
-                       for lam, dl in shapes.items())
-        return sum(dl * bases[name, lam, k].dim for lam, dl in shapes.items())
+        return dims[name][k] if k >= 0 else 0
 
-    def images(name: str, lam: Partition, k: int, adj: dict) -> list[IntRow]:
+    def images(name: str, lam: Partition, j: int, adj: dict) -> list[IntRow]:
         _, source, shift = MAPS[name]
-        if k < shift:
+        if j < shift:
             return []
-        matrix = block_map_matrix(n, lam, rules[name], d, k, shift)
+        matrix = block_map_matrix(n, lam, rules[name], d, j, shift)
         cols = [_apply(matrix, col)
-                for col in bases[source, lam, k - shift].columns]
-        for j, col in enumerate(cols):
+                for col in bases[source, lam, j - shift].columns]
+        for i, col in enumerate(cols):
             bad = first_violated_row(adj, col)
             if bad is not None:
                 raise MembershipFailed(
-                    f"{name} image column {j} of shape {lam} violates the "
-                    f"degree-{k} block row {bad}")
+                    f"{name} image column {i} of shape {lam} violates the "
+                    f"reduced degree-{j} block row {bad}")
         return cols
 
+    def reduced_pair(first: str, second: str, j: int) -> list[int]:
+        """The two images' ranks, their joint rank and the two source
+        dimensions in reduced degree j, summed over lam."""
+        total = [0] * 5
+        for lam, dl in shapes.items():
+            adj, free = blowup[lam, j]
+            cols_a, cols_b = (images(name, lam, j, adj)
+                              for name in (first, second))
+            block = (*_ranks(_restrict(cols_a, free),
+                             _restrict(cols_b, free)),
+                     len(cols_a), len(cols_b))
+            total = [t + dl * b for t, b in zip(total, block)]
+        return total
+
+    # per pair, the reduced values of degrees 0, 1, ... made so far; a
+    # membership failure in degree j is raised again in every degree >= j
+    reduced: dict[str, list[list[int]]] = {label: [] for *_, label in PAIRS}
+
     def pair_ranks(k: int):
-        adj = {lam: column_adjacency(blowup(lam, k)[0]) for lam in shapes}
         for first, second, label in PAIRS:
-            total = [0] * 5
-            for lam, dl in shapes.items():
-                cols_a, cols_b = (images(name, lam, k, adj[lam])
-                                  for name in (first, second))
-                free = blowup(lam, k)[1]
-                block = (*_ranks(_restrict(cols_a, free),
-                                 _restrict(cols_b, free)),
-                         len(cols_a), len(cols_b))
-                total = [t + dl * b for t, b in zip(total, block)]
-            yield (first, second, label, *total)
+            made = reduced[label]
+            while len(made) <= k:
+                made.append(reduced_pair(first, second, len(made)))
+            yield (first, second, label,
+                   *(partial_sums(column)[k] for column in zip(*made)))
 
     return _main_report(graphs, max_degree, dim, pair_ranks)
 

@@ -1,13 +1,14 @@
 """Graph constructions and checks read only by the tests: the edge
-augmentation of a blow-up, the circle isomorphism of a kind-C triple and
-pairwise independence of the labels at each vertex."""
+augmentation of a blow-up, the circle isomorphism of a kind-C triple,
+pairwise independence of the labels at each vertex, the cycle type of a
+permutation and the nested plain graphs of a kind-C triple."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
 from gkmhess.graphs import (
-    SignedBlowupGraph, _label, build_circle_graph, build_graph, circ,
+    Perm, SignedBlowupGraph, _label, build_circle_graph, build_graph, circ,
     swap_positions)
 from gkmhess.hessenberg import ModularTriple, WrongKind
 
@@ -87,3 +88,31 @@ def two_independence_check(g) -> tuple[bool, tuple | None]:
                 if edges[x][2] == edges[y][2]:
                     return False, (g.vertices[vi], edges[x], edges[y])
     return True, None
+
+
+def cycle_type(w: Perm) -> tuple[int, ...]:
+    n = len(w)
+    seen = [False] * n
+    parts = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        c = 0
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            j = w[j] - 1
+            c += 1
+        parts.append(c)
+    return tuple(sorted(parts, reverse=True))
+
+
+def build_triple_graphs(triple: ModularTriple, side: str):
+    """(G_minus, G, G_plus) for a kind-C triple; edge sets are nested."""
+    if triple.kind != "C":
+        raise WrongKind(
+            "native construction is defined for kind C; transpose first "
+            "(see kind_r_via_transpose)")
+    return (build_graph(triple.h_minus, side),
+            build_graph(triple.h, side),
+            build_graph(triple.h_plus, side))

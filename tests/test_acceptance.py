@@ -15,6 +15,7 @@ from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import maps as M
 from gkmhess.symfunc import GradedSymmetricFunction, SymmetricFunction
+import coloring_census as CC
 import graph_checks as GC
 
 # n = 4 instances where the direct-quotient character path is also run
@@ -124,13 +125,13 @@ def test_criterion_3_combinatorial_modular_laws():
             failures.append(("csf", str(t.h), t.kind, t.params))
     for t in all_triples(3, 4, kind="C"):
         n = t.h.n
-        coarse = C.coloring_class_sums(t, proper_only=False, coarse=True)
+        coarse = CC.coloring_class_sums(t, proper_only=False, coarse=True)
         shifts = {("<", "<"): 2, ("<", ">="): 1, (">=", "<"): 1,
                   (">=", ">="): 0}
-        if C.census_to_graded(n, coarse, shifts, shifts.get) != C.llt(t.h_plus):
+        if CC.census_to_graded(n, coarse, shifts, shifts.get) != C.llt(t.h_plus):
             failures.append(("llt-decomp", str(t.h), t.params))
-        nine = C.coloring_class_sums(t, proper_only=True, coarse=False)
-        plus = C.census_to_graded(
+        nine = CC.coloring_class_sums(t, proper_only=True, coarse=False)
+        plus = CC.census_to_graded(
             n, nine, ("<<", "<>", "><", ">>"),
             lambda tag: (tag[0] == "<") + (tag[1] == "<"))
         if plus != C.csf_q(t.h_plus):
@@ -143,9 +144,9 @@ def test_criterion_3_combinatorial_modular_laws():
             if {k + 1: v for k, v in a.get(lam, {}).items()} != b.get(lam, {}):
                 failures.append(("color-sum", str(t.h), t.params, lam))
         for _, kappa in C.colorings_by_content(n):
-            if C.classify_coloring_coarse(t, kappa) == ("<", ">="):
-                kt = C.tau_bijection(t, kappa)
-                if C.asc_minus(t, kappa) + 1 != C.asc_minus(t, kt):
+            if CC.classify_coloring_coarse(t, kappa) == ("<", ">="):
+                kt = CC.tau_bijection(t, kappa)
+                if CC.asc_minus(t, kappa) + 1 != CC.asc_minus(t, kt):
                     failures.append(("asc", str(t.h), kappa))
     report(3, not failures, f"{count} triples")
     assert not failures, failures

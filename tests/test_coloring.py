@@ -11,6 +11,7 @@ import pytest
 from gkmhess import coloring as C
 from gkmhess import hessenberg as H
 from gkmhess.symfunc import GradedSymmetricFunction, SymmetricFunction
+import coloring_census as CC
 
 
 def mterm(n, coeffs):
@@ -149,24 +150,24 @@ def c_triple(hstr):
 
 class TestClassify:
     def test_ascending(self):
-        assert C.classify_coloring(c_triple("2,3,3"), (1, 2, 3)) == "<<"
+        assert CC.classify_coloring(c_triple("2,3,3"), (1, 2, 3)) == "<<"
 
     def test_greater_equal(self):
-        assert C.classify_coloring(c_triple("2,3,3"), (2, 1, 2)) == ">="
+        assert CC.classify_coloring(c_triple("2,3,3"), (2, 1, 2)) == ">="
 
     def test_equal_less(self):
         # proper for G_{h_-} = single edge {3,2}: kappa(2)=1 != kappa(3)=2
-        assert C.classify_coloring(c_triple("2,3,3"), (1, 1, 2)) == "=<"
+        assert CC.classify_coloring(c_triple("2,3,3"), (1, 1, 2)) == "=<"
 
     def test_improper_rejected(self):
         with pytest.raises(ValueError):
-            C.classify_coloring(c_triple("2,3,3"), (1, 2, 2))
+            CC.classify_coloring(c_triple("2,3,3"), (1, 2, 2))
 
     def test_kind_r_rejected(self):
         h = H.from_string("2,3,3")
         r = next(t for t in H.find_modular_triples(h) if t.kind == "R")
         with pytest.raises(H.WrongKind):
-            C.classify_coloring(r, (1, 2, 3))
+            CC.classify_coloring(r, (1, 2, 3))
 
     def test_equal_equal_never_occurs(self):
         # {d+1, d} is an edge of G_{h_-}, so proper colorings separate
@@ -176,7 +177,7 @@ class TestClassify:
                 for t in H.find_modular_triples(h):
                     if t.kind != "C":
                         continue
-                    census = C.coloring_class_sums(t, proper_only=True,
+                    census = CC.coloring_class_sums(t, proper_only=True,
                                                    coarse=False)
                     assert "==" not in census
 
@@ -184,12 +185,12 @@ class TestClassify:
 class TestTau:
     def test_swap(self):
         t = c_triple("2,3,3")   # d = 2, tau swaps positions 2, 3
-        assert C.tau_bijection(t, (1, 3, 2)) == (1, 2, 3)
+        assert CC.tau_bijection(t, (1, 3, 2)) == (1, 2, 3)
 
     def test_involution(self):
         t = c_triple("2,3,3")
         for kappa in [(1, 2, 3), (2, 2, 1), (3, 1, 2)]:
-            assert C.tau_bijection(t, C.tau_bijection(t, kappa)) == kappa
+            assert CC.tau_bijection(t, CC.tau_bijection(t, kappa)) == kappa
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_ascent_shift_on_less_geq(self, n):
@@ -199,9 +200,9 @@ class TestTau:
                 if t.kind != "C":
                     continue
                 for _, kappa in C.colorings_by_content(n):
-                    if C.classify_coloring_coarse(t, kappa) == ("<", ">="):
-                        kt = C.tau_bijection(t, kappa)
-                        assert C.asc_minus(t, kappa) + 1 == C.asc_minus(t, kt)
+                    if CC.classify_coloring_coarse(t, kappa) == ("<", ">="):
+                        kt = CC.tau_bijection(t, kappa)
+                        assert CC.asc_minus(t, kappa) + 1 == CC.asc_minus(t, kt)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_tau_maps_classes_bijectively(self, n):
@@ -210,7 +211,7 @@ class TestTau:
             for t in H.find_modular_triples(h):
                 if t.kind != "C":
                     continue
-                census = C.coloring_class_sums(t, proper_only=False,
+                census = CC.coloring_class_sums(t, proper_only=False,
                                                coarse=True)
                 a = census.get(("<", ">="), {})
                 b = census.get((">=", "<"), {})
@@ -228,7 +229,7 @@ class TestColorSumIdentity:
             for t in H.find_modular_triples(h):
                 if t.kind != "C":
                     continue
-                census = C.coloring_class_sums(t, proper_only=False,
+                census = CC.coloring_class_sums(t, proper_only=False,
                                                coarse=True)
                 a = census.get(("<", ">="), {})
                 b = census.get((">=", "<"), {})
@@ -248,14 +249,14 @@ class TestDecompositionTotals:
             for t in H.find_modular_triples(h):
                 if t.kind != "C":
                     continue
-                census = C.coloring_class_sums(t, proper_only=False,
+                census = CC.coloring_class_sums(t, proper_only=False,
                                                coarse=True)
-                plus = C.census_to_graded(n, census, shifts, shifts.get)
+                plus = CC.census_to_graded(n, census, shifts, shifts.get)
                 assert plus == C.llt(t.h_plus)
-                mid = C.census_to_graded(
+                mid = CC.census_to_graded(
                     n, census, shifts, lambda tag: 1 if tag[0] == "<" else 0)
                 assert mid == C.llt(t.h)
-                minus = C.census_to_graded(n, census, shifts, lambda tag: 0)
+                minus = CC.census_to_graded(n, census, shifts, lambda tag: 0)
                 assert minus == C.llt(t.h_minus)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -266,29 +267,29 @@ class TestDecompositionTotals:
             for t in H.find_modular_triples(h):
                 if t.kind != "C":
                     continue
-                census = C.coloring_class_sums(t, proper_only=True,
+                census = CC.coloring_class_sums(t, proper_only=True,
                                                coarse=False)
                 all_tags = list(census)
-                plus = C.census_to_graded(
+                plus = CC.census_to_graded(
                     n, census, plus_tags,
                     lambda tag: (tag[0] == "<") + (tag[1] == "<"))
                 assert plus == C.csf_q(t.h_plus)
-                mid = C.census_to_graded(
+                mid = CC.census_to_graded(
                     n, census, mid_tags, lambda tag: 1 if tag[0] == "<" else 0)
                 assert mid == C.csf_q(t.h)
-                minus = C.census_to_graded(n, census, all_tags, lambda tag: 0)
+                minus = CC.census_to_graded(n, census, all_tags, lambda tag: 0)
                 assert minus == C.csf_q(t.h_minus)
 
     def test_census_leaves_no_cyclic_garbage(self):
         # the first call fills lru caches (partitions_of builds its table
         # once per n with a nested helper); the second must leave nothing
         t = c_triple("2,3,4,5,5")
-        C.coloring_class_sums(t, proper_only=False, coarse=True)
+        CC.coloring_class_sums(t, proper_only=False, coarse=True)
         gc.collect()
         flags, before = gc.get_debug(), len(gc.garbage)
         gc.set_debug(flags | gc.DEBUG_SAVEALL)
         try:
-            C.coloring_class_sums(t, proper_only=False, coarse=True)
+            CC.coloring_class_sums(t, proper_only=False, coarse=True)
             gc.collect()
             garbage = gc.garbage[before:]
         finally:

@@ -428,8 +428,8 @@ class TestSideYFailure:
         ctx = M.TripleContext.build(c_triple("2,3,3"), "y")
         perm = CH.coordinate_perm
 
-        def reversed_dagger(graph, k, sigma, action_kind):
-            return perm(graph, k, sigma, action_kind)[::-1]
+        def reversed_dagger(graph, k, sigma, action_kind, vmap=None):
+            return perm(graph, k, sigma, action_kind, vmap)[::-1]
 
         # the dagger action no longer permutes the blow-up rows
         with monkeypatch.context() as mp:
