@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
@@ -289,6 +290,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=1)   # parse_args leaves it as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")

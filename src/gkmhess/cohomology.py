@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from gkmhess.graphs import (
@@ -383,15 +384,12 @@ def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
 
 @lru_cache(maxsize=None)
 def _perm_monomial_table(n: int, k: int, sigma) -> tuple[int, ...]:
-    """Monomial index -> index of the monomial with t_i renamed t_sigma(i)."""
+    """Monomial index -> index of the monomial with t_i renamed t_sigma(i):
+    its exponent of t_j is that of t_sigma^-1(j)."""
     idx = monomial_index(n, k)
-    table = []
-    for mon in monomials(n, k):
-        ee = [0] * n
-        for i, e in enumerate(mon):
-            ee[sigma[i] - 1] = e
-        table.append(idx[tuple(ee)])
-    return tuple(table)
+    # a one-argument itemgetter returns the item, not a 1-tuple
+    renamed = itemgetter(*(i - 1 for i in inverse(sigma))) if n > 1 else tuple
+    return tuple(idx[renamed(mon)] for mon in monomials(n, k))
 
 
 def coordinate_perm(graph, k: int, sigma, action_kind: str,
@@ -870,14 +868,21 @@ def _action_fault(n: int, k: int):
     generators sigma and every w, through :func:`coordinate_perm` and
     :func:`relabelling` themselves.
     """
-    graph = LabeledGraph(n, tuple(plain(w) for w in all_perms(n)), (), 0)
-    p = relabelling(graph, k)
+    vmaps = _symmetric_group_maps(n)
+    p = relabelling(vmaps.graph, k)
     for sigma in generators(n):
-        pi_x = coordinate_perm(graph, k, sigma, "dot")
-        pi_y = coordinate_perm(graph, k, sigma, "dagger")
-        if any(pi_x[pc] != p[pi_y[c]] for c, pc in enumerate(p)):
+        pi_x = coordinate_perm(vmaps.graph, k, sigma, "dot", vmaps[sigma])
+        pi_y = coordinate_perm(vmaps.graph, k, sigma, "dagger", vmaps[sigma])
+        if list(map(pi_x.__getitem__, p)) != list(map(p.__getitem__, pi_y)):
             return sigma
     return None
+
+
+@lru_cache(maxsize=None)
+def _symmetric_group_maps(n: int) -> VertexMaps:
+    """The vertex maps of the graph whose vertices are S_n, with no edges,
+    shared by the action checks of every degree."""
+    return VertexMaps(LabeledGraph(n, tuple(map(plain, all_perms(n))), (), 0))
 
 
 def certify_relabelling(graph_y, graph_x, name: str,

@@ -28,13 +28,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from gkmhess.hessenberg import (
     HessenbergFunction, ModularTriple, indifference_graph)
 from gkmhess.symfunc import (
-    GradedSymmetricFunction, Partition, SymmetricFunction, check_degree,
-    partitions_of)
+    GradedSymmetricFunction, Partition, SymmetricFunction, check_degree)
 
 Coloring = tuple[int, ...]
 
@@ -48,35 +47,6 @@ def asc(h: HessenbergFunction, kappa: Coloring) -> int:
     if len(kappa) != h.n:
         raise ValueError("coloring length differs from n")
     return sum(1 for (i, j) in _edge_list(h) if kappa[j - 1] < kappa[i - 1])
-
-
-def is_proper(h: HessenbergFunction, kappa: Coloring) -> bool:
-    return all(kappa[i - 1] != kappa[j - 1] for (i, j) in _edge_list(h))
-
-
-def _arrangements(counts: list[int], out: list[int] | None = None,
-                  pos: int = 0) -> Iterator[Coloring]:
-    """Distinct arrangements of the multiset {color c with multiplicity
-    counts[c-1]}; colors are 1-based.  out and pos are the recursion state:
-    the colors placed so far and the next position."""
-    if out is None:
-        out = [0] * sum(counts)
-    if pos == len(out):
-        yield tuple(out)
-        return
-    for c, left in enumerate(counts, start=1):
-        if left:
-            counts[c - 1] -= 1
-            out[pos] = c
-            yield from _arrangements(counts, out, pos + 1)
-            counts[c - 1] += 1
-
-
-def colorings_by_content(n: int) -> Iterator[tuple[Partition, Coloring]]:
-    """All colorings with content a partition of n (colors 1..len(lam))."""
-    for lam in partitions_of(n):
-        for kappa in _arrangements(list(lam)):
-            yield lam, kappa
 
 
 @lru_cache(maxsize=None)

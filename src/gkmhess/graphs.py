@@ -95,10 +95,6 @@ def class_representative(lam: tuple[int, ...]) -> Perm:
     return tuple(out)
 
 
-def longest_element(n: int) -> Perm:
-    return tuple(range(n, 0, -1))
-
-
 # ---------------------------------------------------------------------------
 # edge labels and vertices
 
@@ -151,12 +147,6 @@ class LabeledGraph:
 
     def vertex_index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    def degree_of(self, vi: int) -> int:
-        return sum(1 for (a, b, _) in self.edges if vi in (a, b))
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(a, b) for (a, b, _) in self.edges}
 
     def to_json(self) -> dict:
         return {

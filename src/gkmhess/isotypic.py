@@ -53,9 +53,11 @@ compare the two.
 Two checks make this a proof.  :func:`representations` checks that the
 matrices satisfy the Coxeter relations and that each has the character of
 its shape, so together they are the irreducibles and the transform is an
-isomorphism; :func:`twin_edge_types` and :func:`blowup_edge_types` check
-that the graph has the shape above.  Either raises a named error rather
-than giving a wrong character or report.
+isomorphism; both checks run in integers, on the generators scaled by D =
+lcm(1, ..., n-1)^2, which clears every seminormal denominator.
+:func:`twin_edge_types` and :func:`blowup_edge_types` check that the graph
+has the shape above.  Either raises a named error rather than giving a
+wrong character or report.
 """
 
 from __future__ import annotations
@@ -64,16 +66,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm, prod
 
 from gkmhess.cohomology import group_derivatives, group_edges, monomials
 from gkmhess.graphs import (
-    LabeledGraph, Perm, all_perms, circ, class_representative, plain,
-    swap_positions)
+    LabeledGraph, Perm, all_perms, circ, class_representative,
+    identity_perm, plain, swap_positions)
 from gkmhess.linalg import Echelon, IntRow, rank_of_int_rows
 from gkmhess.symfunc import Partition, mn_character, partitions_of
 
 Matrix = list[list[Fraction]]
+Columns = tuple[tuple[tuple[int, int], ...], ...]   # column -> (row, value)
+Scaled = tuple[tuple[tuple[int, ...], ...], int]    # integer rows, den > 0
 Tableau = tuple[tuple[int, int], ...]   # (row, column) of 1, 2, ..., n
 
 
@@ -132,15 +136,6 @@ def seminormal_matrices(lam: Partition) -> list[Matrix]:
     return mats
 
 
-def _mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, summing over the nonzero entries of each column of b (at most
-    two in a seminormal matrix)."""
-    cols = [[(j, row[c]) for j, row in enumerate(b) if row[c]]
-            for c in range(len(b[0]))]
-    return [[sum((ra[j] * x for j, x in col), Fraction(0)) for col in cols]
-            for ra in a]
-
-
 def _word(w: Perm) -> list[int]:
     """A reduced word k_1 ... k_l with w = s_{k_1} ... s_{k_l}."""
     w, out = list(w), []
@@ -152,65 +147,104 @@ def _word(w: Perm) -> list[int]:
         out.append(i + 1)
 
 
-def _identity(d: int) -> Matrix:
-    return [[Fraction(int(p == q)) for q in range(d)] for p in range(d)]
+def scale(n: int) -> int:
+    """D = lcm(1, ..., n-1)^2, which clears the seminormal entries 1/r and
+    1 - 1/r^2 of S_n, 0 < |r| < n."""
+    return lcm(*range(1, n)) ** 2
 
 
-def _rho(gens: list[Matrix], d: int, w: Perm) -> Matrix:
-    """rho(w) = rho(s_{k_1}) ... rho(s_{k_l}), d x d, for the generator
-    matrices gens of s_1..s_{n-1} and a reduced word of w."""
-    out = _identity(d)
-    for k in _word(w):
-        out = _mul(out, gens[k - 1])
+def _integer_generators(lam: Partition, den: int) -> list[Columns]:
+    """den s_1, ..., den s_{n-1} of :func:`seminormal_matrices` as sparse
+    integer columns; NotARepresentation if an entry stays fractional."""
+    out = []
+    for k, m in enumerate(seminormal_matrices(lam), start=1):
+        scaled = [[x * den for x in row] for row in m]
+        if any(x.denominator != 1 for row in scaled for x in row):
+            raise NotARepresentation(
+                f"shape {lam}: {den} s_{k} is not an integer matrix")
+        out.append(_columns([[int(x) for x in row] for row in scaled]))
     return out
 
 
-@lru_cache(maxsize=None)
-def representations(n: int) -> dict[Partition, dict[tuple[int, int], Matrix]]:
-    """lam -> (a, b) -> rho_lam of the transposition (a b), for every
-    shape lam of n and every a < b, once certified; NotARepresentation
-    otherwise.
+def _columns(rows) -> Columns:
+    """The sparse columns of a dense integer matrix."""
+    return tuple(tuple((p, row[q]) for p, row in enumerate(rows) if row[q])
+                 for q in range(len(rows)))
 
-    The certificate: the seminormal matrices of each shape satisfy the
-    Coxeter relations of S_n, so they define a representation, and its
-    trace at each class representative is the Murnaghan-Nakayama
-    character of the shape, so it is that irreducible.
+
+def _unit(d: int, scalar: int = 1) -> list[list[int]]:
+    return [[scalar * (p == q) for q in range(d)] for p in range(d)]
+
+
+def _along(gens: list[Columns], word, d: int) -> list[list[int]]:
+    """The rows of gens[k_1 - 1] ... gens[k_l - 1] for the word k_1 ...
+    k_l, one sparse generator applied at a time: each entry sums the at
+    most two entries of a generator's column."""
+    rows = _unit(d)
+    for k in word:
+        rows = [[sum(row[p] * v for p, v in col) for col in gens[k - 1]]
+                for row in rows]
+    return rows
+
+
+def _lowest(rows, den: int) -> Scaled:
+    """rows / den with the common factor of den and every entry divided
+    out, so that den is the least common denominator."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+@lru_cache(maxsize=None)
+def representations(n: int) -> dict[Partition, dict[tuple[int, int], Scaled]]:
+    """lam -> (a, b) -> rho_lam of the transposition (a b) as (rows, den)
+    in lowest terms, for every shape lam of n and every a < b, once
+    certified; NotARepresentation otherwise.
+
+    The certificate, in integers: with S_k = D s_k (D = :func:`scale`),
+    (S_i S_j)^m = D^(2m) I for the Coxeter relations of S_n, so the
+    seminormal matrices define a representation, and the trace of S_{k_1}
+    ... S_{k_l} for a reduced word of each class representative is D^l
+    times the Murnaghan-Nakayama character of the shape, so it is that
+    irreducible.  Each (a b) is the product along a reduced word.
     """
+    den = scale(n)
     out = {}
     for lam in partitions_of(n):
-        gens = seminormal_matrices(lam)
+        gens = _integer_generators(lam, den)
         d = len(standard_tableaux(lam))
-        one = _identity(d)
-        for i, s in enumerate(gens):
-            for j, u in enumerate(gens[:i + 1]):
+        for i in range(n - 1):
+            for j in range(i + 1):
                 order = (1, 3, 2)[min(i - j, 2)]
-                prod = _mul(s, u)
-                power = prod
-                for _ in range(order - 1):
-                    power = _mul(power, prod)
-                if power != one:
+                if _along(gens, [i + 1, j + 1] * order, d) \
+                        != _unit(d, den ** (2 * order)):
                     raise NotARepresentation(
                         f"shape {lam}: (s_{i + 1} s_{j + 1})^{order} != 1")
         for mu in partitions_of(n):
-            m = _rho(gens, d, class_representative(mu))
-            if sum(m[p][p] for p in range(d)) != mn_character(lam, mu):
+            word = _word(class_representative(mu))
+            m = _along(gens, word, d)
+            if sum(m[p][p] for p in range(d)) \
+                    != den ** len(word) * mn_character(lam, mu):
                 raise NotARepresentation(
                     f"shape {lam}: the trace at class {mu} is not the "
                     f"character")
         out[lam] = rhos = {}
         for a in range(1, n):
-            rhos[a, a + 1] = gens[a - 1]
-            for b in range(a + 2, n + 1):   # (a b) = s_{b-1} (a b-1) s_{b-1}
-                rhos[a, b] = _mul(_mul(gens[b - 2], rhos[a, b - 1]),
-                                  gens[b - 2])
+            for b in range(a + 1, n + 1):
+                word = _word(swap_positions(identity_perm(n), a, b))
+                rhos[a, b] = _lowest(_along(gens, word, d), den ** len(word))
     return out
 
 
-def rho(n: int, lam: Partition, w: Perm) -> Matrix:
-    """rho_lam(w), from the certified matrices of s_1..s_{n-1}."""
+@lru_cache(maxsize=None)
+def rho(n: int, lam: Partition, w: Perm) -> Scaled:
+    """rho_lam(w) as (rows, den) in lowest terms, the product of the
+    certified matrices of s_1..s_{n-1} along a reduced word of w; made
+    once per (n, lam, w)."""
     mats = representations(n)[lam]
-    return _rho([mats[k, k + 1] for k in range(1, n)],
-                len(standard_tableaux(lam)), w)
+    word = _word(w)
+    gens = [_columns(mats[k, k + 1][0]) for k in range(1, n)]
+    den = prod(mats[k, k + 1][1] for k in word)
+    return _lowest(_along(gens, word, len(standard_tableaux(lam))), den)
 
 
 def _twin_edges(n: int, types, offset: int = 0) -> list:
@@ -306,13 +340,12 @@ def _independent_columns(n: int, lam: Partition, a: int, b: int
     times each of them is: the other columns are rational combinations.
     Cached per (n, lam, a, b); callers only read the dicts, and build new
     ones for the rows."""
-    r = representations(n)[lam][a, b]
-    d = len(r)
+    rows, den = representations(n)[lam][a, b]
     span, out = Echelon(), []
-    for q in range(d):
-        col = {p: int(p == q) - r[p][q] for p in range(d)}
-        den = lcm(*(v.denominator for v in col.values()))
-        ints = {p: int(v * den) for p, v in col.items() if v}
+    for q in range(len(rows)):
+        col = {p: den * (p == q) - row[q] for p, row in enumerate(rows)}
+        g = gcd(den, *col.values())
+        ints = {p: v // g for p, v in col.items() if v}
         if span.insert(ints):
             out.append(ints)
     return tuple(out)

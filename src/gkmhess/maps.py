@@ -459,9 +459,9 @@ def block_map_matrix(n: int, lam: Partition, reads: list[Read], d: int,
     a sheet read as (g, mult, swap), x goes to mult swap(x rho_lam(g^-1)),
     with t_1 = 0 in mult (:func:`reduced_factor`) and the swap of t_d and
     t_{d+1} on the reduced monomials (:func:`reduced_swap`, d >= 2).  The
-    entries are multiplied by the common denominator D of those matrices,
-    one factor for the whole map, which changes no rank and no
-    membership.
+    entries are multiplied by the least common denominator of those
+    matrices (:func:`rho`), one factor for the whole map, which changes no
+    rank and no membership.
 
     Source coordinate mi * d_lam + p is the coefficient of the mi-th
     degree-(k - shift) reduced monomial in x_p, as in :func:`block_rows`;
@@ -469,15 +469,15 @@ def block_map_matrix(n: int, lam: Partition, reads: list[Read], d: int,
     """
     dl = len(standard_tableaux(lam))
     mats = [None if r is None else rho(n, lam, inverse(r[0])) for r in reads]
-    den = lcm(*(x.denominator for m in mats if m for row in m for x in row))
+    den = lcm(*(m[1] for m in mats if m))
     sources = reduced_monomials(n, k - shift)
     matrix: MapMatrix = [[] for _ in range(dl * len(sources))]
     for sheet, (read, m) in enumerate(zip(reads, mats)):
         if read is None:
             continue
         _, mult, swap = read
-        ints = [[(sheet * dl + q, int(x * den)) for q, x in enumerate(row)
-                 if x] for row in m]
+        ints = [[(sheet * dl + q, x * den // m[1]) for q, x in enumerate(row)
+                 if x] for row in m[0]]
         terms = _image_terms(sources, reduced_index(n, k),
                              None if mult is None else reduced_factor(mult),
                              reduced_swap(d) if swap else None)

@@ -1,16 +1,47 @@
 """The coloring census of the modular-law proofs, read only by the tests:
-the nine-way (proper) and four-way (arbitrary) classification of colorings
-of G_{h_-} by how kappa(d0) compares to kappa(d) and kappa(d+1), the
-color-swap bijection at positions d, d+1, and the content-refined q-census
-of each class, assembled into graded symmetric functions."""
+every coloring whose content is a partition, properness, the nine-way
+(proper) and four-way (arbitrary) classification of colorings of G_{h_-}
+by how kappa(d0) compares to kappa(d) and kappa(d+1), the color-swap
+bijection at positions d, d+1, and the content-refined q-census of each
+class, assembled into graded symmetric functions."""
 
 from __future__ import annotations
 
-from gkmhess.coloring import (
-    Coloring, _edge_list, asc, colorings_by_content, is_proper)
-from gkmhess.hessenberg import ModularTriple, WrongKind
+from typing import Iterator
+
+from gkmhess.coloring import Coloring, _edge_list, asc
+from gkmhess.hessenberg import HessenbergFunction, ModularTriple, WrongKind
 from gkmhess.symfunc import (
-    GradedSymmetricFunction, Partition, SymmetricFunction)
+    GradedSymmetricFunction, Partition, SymmetricFunction, partitions_of)
+
+def is_proper(h: HessenbergFunction, kappa: Coloring) -> bool:
+    return all(kappa[i - 1] != kappa[j - 1] for (i, j) in _edge_list(h))
+
+
+def _arrangements(counts: list[int], out: list[int] | None = None,
+                  pos: int = 0) -> Iterator[Coloring]:
+    """Distinct arrangements of the multiset {color c with multiplicity
+    counts[c-1]}; colors are 1-based.  out and pos are the recursion state:
+    the colors placed so far and the next position."""
+    if out is None:
+        out = [0] * sum(counts)
+    if pos == len(out):
+        yield tuple(out)
+        return
+    for c, left in enumerate(counts, start=1):
+        if left:
+            counts[c - 1] -= 1
+            out[pos] = c
+            yield from _arrangements(counts, out, pos + 1)
+            counts[c - 1] += 1
+
+
+def colorings_by_content(n: int) -> Iterator[tuple[Partition, Coloring]]:
+    """All colorings with content a partition of n (colors 1..len(lam))."""
+    for lam in partitions_of(n):
+        for kappa in _arrangements(list(lam)):
+            yield lam, kappa
+
 
 NINE_TAGS = ("<<", "<=", "<>", "=<", "==", "=>", "><", ">=", ">>")
 

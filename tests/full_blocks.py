@@ -96,13 +96,14 @@ def block_map_matrix(n, lam, reads, d, k, shift):
     """A map on one row of rho_lam of the source class, n variables."""
     dl = len(standard_tableaux(lam))
     mats = [None if r is None else rho(n, lam, inverse(r[0])) for r in reads]
-    den = lcm(*(x.denominator for m in mats if m for row in m for x in row))
+    den = lcm(*(m[1] for m in mats if m))
     matrix = [[] for _ in range(dl * len(monomials(n, k - shift)))]
     for sheet, (read, m) in enumerate(zip(reads, mats)):
         if read is None:
             continue
-        ints = [[(sheet * dl + q, int(x * den)) for q, x in enumerate(row)
-                 if x] for row in m]
+        rows, factor = m[0], den // m[1]
+        ints = [[(sheet * dl + q, x * factor) for q, x in enumerate(row)
+                 if x] for row in rows]
         for mi, terms in enumerate(_image_terms(n, k, shift, read[1],
                                                 read[2], d)):
             for p in range(dl):

@@ -1,4 +1,5 @@
-"""Graph constructions and checks read only by the tests: the edge
+"""Graph constructions and checks read only by the tests: the longest
+permutation, vertex degrees and unlabelled edge sets, the edge
 augmentation of a blow-up, the circle isomorphism of a kind-C triple,
 pairwise independence of the labels at each vertex, the cycle type of a
 permutation and the nested plain graphs of a kind-C triple."""
@@ -13,6 +14,20 @@ from gkmhess.graphs import (
 from gkmhess.hessenberg import ModularTriple, WrongKind
 
 
+def longest_element(n: int) -> Perm:
+    return tuple(range(n, 0, -1))
+
+
+def degree_of(graph, vi: int) -> int:
+    """The number of edges at vertex index vi."""
+    return sum(1 for (a, b, _) in graph.edges if vi in (a, b))
+
+
+def edge_set(graph) -> set[tuple[int, int]]:
+    """The vertex index pairs of the edges, without labels."""
+    return {(a, b) for (a, b, _) in graph.edges}
+
+
 def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
     """Add the edges {w, circle(w tau)} with label t_{w(d+1)} - t_{w(d)}.
 
@@ -23,7 +38,7 @@ def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
         raise WrongKind("the edge augmentation is an X-side construction")
     d = gtilde.d
     vidx = gtilde.vertex_index()
-    existing = gtilde.edge_set()
+    existing = edge_set(gtilde)
     new_edges = list(gtilde.edges)
     for v in gtilde.vertices:
         if v.circle:

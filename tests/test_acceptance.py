@@ -143,7 +143,7 @@ def test_criterion_3_combinatorial_modular_laws():
         for lam in set(a) | set(b):
             if {k + 1: v for k, v in a.get(lam, {}).items()} != b.get(lam, {}):
                 failures.append(("color-sum", str(t.h), t.params, lam))
-        for _, kappa in C.colorings_by_content(n):
+        for _, kappa in CC.colorings_by_content(n):
             if CC.classify_coloring_coarse(t, kappa) == ("<", ">="):
                 kt = CC.tau_bijection(t, kappa)
                 if CC.asc_minus(t, kappa) + 1 != CC.asc_minus(t, kt):

@@ -59,6 +59,21 @@ class TestMonomialIndex:
         assert CH.monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
         assert CH.monomial_index(2, 2)[(1, 1)] == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_renaming_table_moves_each_exponent(self, n):
+        # t_i renamed t_sigma(i): the exponent of t_i lands at sigma(i)
+        for k in range(6):
+            idx = CH.monomial_index(n, k)
+            for sigma in G.all_perms(n):
+                expected = []
+                for mon in CH.monomials(n, k):
+                    moved = [0] * n
+                    for i, e in enumerate(mon):
+                        moved[sigma[i] - 1] = e
+                    expected.append(idx[tuple(moved)])
+                assert CH._perm_monomial_table(n, k, sigma) \
+                    == tuple(expected), (k, sigma)
+
 
 class TestDegreeZeroContainsConstants:
     @pytest.mark.parametrize("hstr", ["2,2", "2,3,3", "1,2,3"])

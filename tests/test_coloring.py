@@ -199,7 +199,7 @@ class TestTau:
             for t in H.find_modular_triples(h):
                 if t.kind != "C":
                     continue
-                for _, kappa in C.colorings_by_content(n):
+                for _, kappa in CC.colorings_by_content(n):
                     if CC.classify_coloring_coarse(t, kappa) == ("<", ">="):
                         kt = CC.tau_bijection(t, kappa)
                         assert CC.asc_minus(t, kappa) + 1 == CC.asc_minus(t, kt)
@@ -298,7 +298,7 @@ class TestDecompositionTotals:
         assert garbage == []
 
     def test_arrangements_order(self):
-        assert list(C._arrangements([2, 1])) == [(1, 1, 2), (1, 2, 1),
+        assert list(CC._arrangements([2, 1])) == [(1, 1, 2), (1, 2, 1),
                                                  (2, 1, 1)]
 
 

@@ -5,7 +5,7 @@ representations and the graph shape) reject every mutation tried."""
 import dataclasses
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -16,20 +16,24 @@ from gkmhess import hessenberg as H
 from gkmhess import isotypic as I
 from gkmhess import maps as M
 from gkmhess.symfunc import mn_character, partitions_of
+import fraction_reps as FR
 
 ALL_N4 = [str(h) for n in (1, 2, 3, 4) for h in H.enumerate_hessenberg(n)]
 
 
 @pytest.fixture
 def fresh_representations():
-    """The certified representations are cached per n, and the columns
-    read from them per (n, lam, a, b); a test that mutates the seminormal
-    matrices needs them built again, and so does every later test."""
+    """The certified representations are cached per n, the columns read
+    from them per (n, lam, a, b) and rho per (n, lam, w); a test that
+    mutates the seminormal matrices needs them built again, and so does
+    every later test."""
     I.representations.cache_clear()
     I._independent_columns.cache_clear()
+    I.rho.cache_clear()
     yield
     I.representations.cache_clear()
     I._independent_columns.cache_clear()
+    I.rho.cache_clear()
 
 
 def run_json(capsys, *argv):
@@ -85,10 +89,38 @@ class TestRepresentations:
             d = len(I.standard_tableaux(lam))
             assert d == mn_character(lam, (1,) * n)
             assert len(mats) == n * (n - 1) // 2
-            for m in mats.values():
-                assert I._mul(m, m) == I._identity(d)
+            for m in map(FR.fractions, mats.values()):
+                assert FR.mul(m, m) == FR.identity(d)
                 assert sum(m[p][p] for p in range(d)) \
                     == mn_character(lam, (2,) + (1,) * (n - 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equal_to_the_fraction_oracle(self, n):
+        # the same matrices as the dense Fraction products, each in
+        # lowest terms: no common factor of den and every entry
+        oracle = FR.representations(n)
+        reps = I.representations(n)
+        assert reps.keys() == oracle.keys()
+        for lam, mats in reps.items():
+            assert mats.keys() == oracle[lam].keys()
+            for ab, (rows, den) in mats.items():
+                assert FR.fractions((rows, den)) == oracle[lam][ab], (lam, ab)
+                assert den > 0 and gcd(den, *(x for r in rows for x in r)) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rho_equal_to_the_fraction_oracle(self, n):
+        for lam in partitions_of(n):
+            for w in G.all_perms(n):
+                assert FR.fractions(I.rho(n, lam, w)) == FR.rho(n, lam, w)
+
+    def test_scale_makes_the_generators_integral(self):
+        assert [I.scale(n) for n in (1, 2, 3, 4, 5, 6)] \
+            == [1, 1, 4, 36, 144, 3600]
+        for n in (3, 4, 5, 6):
+            for lam in partitions_of(n):
+                for m in I.seminormal_matrices(lam):
+                    assert all((x * I.scale(n)).denominator == 1
+                               for row in m for x in row)
 
     def test_seminormal_matrices_of_21(self):
         # contents: 12/3 has r = -1 - 1 = -2 for s_2, 13/2 has r = 2
@@ -113,6 +145,45 @@ class TestRepresentations:
         monkeypatch.setattr(I, "seminormal_matrices", mutated)
         with pytest.raises(I.NotARepresentation,
                            match=r"shape \(2, 2\): \(s_2 s_1\)\^3 != 1"):
+            I.representations(4)
+
+    def test_broken_commuting_relation(
+            self, monkeypatch, fresh_representations):
+        # s_3 replaced by s_2 s_3 s_2, the matrix of (2 4): still an
+        # involution and still in a braid relation with s_2, since
+        # (s_2 (s_2 s_3 s_2))^3 = (s_3 s_2)^3 = 1, but it no longer commutes
+        # with s_1; only (s_3 s_1)^2 = 1 fails
+        build = I.seminormal_matrices
+
+        def mutated(lam):
+            mats = build(lam)
+            if lam == (3, 1):
+                s1, s2, s3 = mats
+                mats[2] = FR.mul(FR.mul(s2, s3), s2)
+                assert FR.mul(mats[2], mats[2]) == FR.identity(3)
+                prod = FR.mul(s2, mats[2])
+                assert FR.mul(FR.mul(prod, prod), prod) == FR.identity(3)
+            return mats
+
+        monkeypatch.setattr(I, "seminormal_matrices", mutated)
+        with pytest.raises(I.NotARepresentation) as err:
+            I.representations(4)
+        assert str(err.value) == "shape (3, 1): (s_3 s_1)^2 != 1"
+
+    def test_fractional_generator_is_refused(
+            self, monkeypatch, fresh_representations):
+        # 1/5 is not a seminormal entry at n = 4 and D = 36 does not clear it
+        build = I.seminormal_matrices
+
+        def mutated(lam):
+            mats = build(lam)
+            if lam == (3, 1):
+                mats[0][0][0] = Fraction(1, 5)
+            return mats
+
+        monkeypatch.setattr(I, "seminormal_matrices", mutated)
+        with pytest.raises(I.NotARepresentation,
+                           match=r"shape \(3, 1\): 36 s_1 is not an integer"):
             I.representations(4)
 
     def test_wrong_shape_fails_the_character(

@@ -159,8 +159,8 @@ class TestCertificate:
         # relabelled dagger action
         perm = CH.coordinate_perm
 
-        def mutated(graph, k, sigma, action_kind):
-            return perm(graph, k, sigma, "dagger")
+        def mutated(graph, k, sigma, action_kind, vmap=None):
+            return perm(graph, k, sigma, "dagger", vmap)
 
         h = H.from_string("2,3,3")
         monkeypatch.setattr(CH, "coordinate_perm", mutated)
