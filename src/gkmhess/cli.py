@@ -27,8 +27,7 @@ from functools import lru_cache
 
 from gkmhess import coloring, hessenberg, maps
 from gkmhess.cohomology import (
-    Truncated, certify_relabelling, frobenius_of_character, hilbert_numerator,
-    solve_memo)
+    Truncated, certify_relabelling, frobenius_of_character, hilbert_numerator)
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
@@ -347,45 +346,49 @@ def _usable_output_file(path: str) -> str | None:
     return None
 
 
-# solves are shared between the items of one command, and a forked
-# --jobs worker shares them among the items it runs
-@solve_memo()
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cfg = RunConfig(jobs=args.jobs, fmt=args.format)
-    if args.output is not None:
-        reason = _usable_output_file(args.output)
-        if reason:
-            print(f"error: cannot write output file {args.output!r}: "
-                  f"{reason}", file=sys.stderr)
-            return 2
-    t0 = time.time()
+    """Run one command.  The twins its items read (:func:`maps.plain_twin`)
+    are shared between them, and by a forked --jobs worker between the
+    items it runs; they are dropped when the command ends, however it
+    ends, so nothing carries over to the next call."""
     try:
-        if args.cmd == "triples":
-            report = cmd_triples(_parse_h(args.h))
-        elif args.cmd == "graph":
-            report = cmd_graph(_parse_h(args.h), args.side)
-        elif args.cmd == "csf":
-            report = cmd_csf(_parse_h(args.h), args.basis)
-        elif args.cmd == "llt":
-            report = cmd_llt(_parse_h(args.h), args.basis)
-        elif args.cmd == "betti":
-            report = cmd_betti(_parse_h(args.h), args.side)
-        elif args.cmd == "character":
-            report = cmd_character(_parse_h(args.h), args.side)
-        elif args.cmd == "check":
-            h = _parse_h(args.h) if args.h else None
-            report = cmd_check(args.thm, h, args.sweep, cfg)
-        else:   # pragma: no cover
-            ap.error(f"unknown command {args.cmd}")
+        ap = build_parser()
+        args = ap.parse_args(argv)
+        cfg = RunConfig(jobs=args.jobs, fmt=args.format)
+        if args.output is not None:
+            reason = _usable_output_file(args.output)
+            if reason:
+                print(f"error: cannot write output file {args.output!r}: "
+                      f"{reason}", file=sys.stderr)
+                return 2
+        t0 = time.time()
+        try:
+            if args.cmd == "triples":
+                report = cmd_triples(_parse_h(args.h))
+            elif args.cmd == "graph":
+                report = cmd_graph(_parse_h(args.h), args.side)
+            elif args.cmd == "csf":
+                report = cmd_csf(_parse_h(args.h), args.basis)
+            elif args.cmd == "llt":
+                report = cmd_llt(_parse_h(args.h), args.basis)
+            elif args.cmd == "betti":
+                report = cmd_betti(_parse_h(args.h), args.side)
+            elif args.cmd == "character":
+                report = cmd_character(_parse_h(args.h), args.side)
+            elif args.cmd == "check":
+                h = _parse_h(args.h) if args.h else None
+                report = cmd_check(args.thm, h, args.sweep, cfg)
+            else:   # pragma: no cover
+                ap.error(f"unknown command {args.cmd}")
+                return 2
+        except (CapExceeded, Truncated, hessenberg.NotNonDecreasing,
+                hessenberg.ValueOutOfRange) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-    except (CapExceeded, Truncated, hessenberg.NotNonDecreasing,
-            hessenberg.ValueOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, cfg, args.output, time.time() - t0)
-    return 0 if report.get("pass", True) else 1
+        _emit(report, cfg, args.output, time.time() - t0)
+        return 0 if report.get("pass", True) else 1
+    finally:
+        maps.plain_twin.cache_clear()
 
 
 if __name__ == "__main__":

@@ -40,15 +40,15 @@ dot action into the dagger action, so it carries the Y kernel onto the X
 kernel.  :func:`certify_relabelling` checks this once per graph pair, on
 its vertices, edges, 4-gons and signs, and the actions once per (n, k);
 then the X dimensions and dot traces are the Y dimensions and
-dagger traces.  Inside :func:`solve_memo`, :func:`memoized` keeps what
-was made of the last few graphs met, the kernels of :func:`solve_graph`
-among them; nothing is kept beyond the block, and nothing on disk.
+dagger traces.  Nothing here keeps a solved space: what is derived from
+a graph alone, its vertex index and its vertex maps
+(:meth:`~gkmhess.graphs.LabeledGraph.vertex_map`), is kept on the graph,
+and the spaces and traces of the twins a command reads are kept for the
+command by :func:`gkmhess.maps.plain_twin`; nothing is kept on disk.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,8 +57,8 @@ from operator import itemgetter
 from typing import Iterator
 
 from gkmhess.graphs import (
-    LabeledGraph, SignedBlowupGraph, Vertex, all_perms, class_representative,
-    compose, generators, inverse, plain, swap_positions)
+    LabeledGraph, SignedBlowupGraph, all_perms, class_representative,
+    generators, inverse, plain, swap_positions)
 from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
@@ -219,67 +219,21 @@ class GradedSolutionSpace:
         return self.graph.n
 
 
-# The last MEMO_GRAPHS graphs met inside the current solve_memo() block,
-# most recently used last, as content key -> {name: what memoized(graph,
-# name, ...) made}; None outside a block.  Enough for the five graphs of
-# one triple and one more, so that a sweep holds a bounded number.
-MEMO_GRAPHS = 6
-_memo: OrderedDict[str, dict] | None = None
-
-
-@contextmanager
-def solve_memo():
-    """Within the block, :func:`memoized` makes each result of a graph (by
-    content) once, so solve_graph solves each degree once: it keeps the
-    last MEMO_GRAPHS graphs.  The memo belongs to the outermost block and
-    is dropped when it ends, so nothing carries over to a later block; the
-    CLI runs each command in one.  Outside, nothing is kept."""
-    global _memo
-    if _memo is not None:   # nested: the outer block's memo
-        yield
-        return
-    _memo = OrderedDict()
-    try:
-        yield
-    finally:
-        _memo = None
-
-
-def memoized(graph, name: str, make):
-    """make(graph), made once per graph and name inside a
-    :func:`solve_memo` block."""
-    if _memo is None:
-        return make(graph)
-    key = graph.content_key()
-    entry = _memo[key] = _memo.pop(key, {})
-    while len(_memo) > MEMO_GRAPHS:
-        _memo.popitem(last=False)
-    if name not in entry:
-        entry[name] = make(graph)
-    return entry[name]
-
-
 def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
-    """Solve every degree k <= max_degree (default top_degree + 1).
-
-    Each degree comes from the memo (inside :func:`solve_memo`), else from
-    the kernel of its rows.
+    """Solve every degree k <= max_degree (default top_degree + 1), each
+    as the kernel of its constraint rows.  Nothing is kept between calls:
+    a caller that reads one space more than once keeps it, as
+    :func:`gkmhess.maps.plain_twin` keeps the twins of one command.
     """
     if max_degree is None:
         max_degree = graph.top_degree + 1
-    # bases and rows by degree, filled in below
-    bases, rows = memoized(graph, "solve_graph", lambda g: ({}, {}))
     nverts = len(graph.vertices)
+    bases, rows = {}, {}
     for k in range(max_degree + 1):
-        if k in bases:
-            continue
         rows[k] = constraint_rows(graph, k)
         bases[k] = kernel_of_rows(rows[k],
                                   nverts * len(monomials(graph.n, k)))
-    degrees = range(max_degree + 1)
-    return GradedSolutionSpace(graph, max_degree,
-                               {k: bases[k] for k in degrees},
-                               {k: rows[k] for k in degrees})
+    return GradedSolutionSpace(graph, max_degree, bases, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,45 +346,19 @@ def _perm_monomial_table(n: int, k: int, sigma) -> tuple[int, ...]:
     return tuple(idx[renamed(mon)] for mon in monomials(n, k))
 
 
-def coordinate_perm(graph, k: int, sigma, action_kind: str,
-                    vmap: list[int] | None = None) -> list[int]:
+def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
     """The permutation pi of (monomial, vertex) coordinates for sigma.
 
     Dot: vertex w -> sigma w and variables t_i -> t_sigma(i); dagger:
     vertices only.  Returns pi as an array: coordinate c of a class f
-    contributes to coordinate pi[c] of sigma acting on f.  vmap, if
-    given, is :func:`_vertex_map` of graph and sigma, made by the caller.
+    contributes to coordinate pi[c] of sigma acting on f.  The vertex part
+    is the graph's own :meth:`~gkmhess.graphs.LabeledGraph.vertex_map`.
     """
-    if vmap is None:
-        vmap = _vertex_map(graph, sigma)
-    nv = len(graph.vertices)
-    out = []
-    for mj in _monomial_action(graph.n, k, sigma, action_kind):
-        base_dst = mj * nv
-        out.extend(base_dst + vmap[vi] for vi in range(nv))
-    return out
-
-
-def _vertex_map(graph, sigma) -> list[int]:
-    """The vertex part of :func:`coordinate_perm`: vertex index -> index
-    of the vertex sigma w on the same sheet, for each vertex w."""
-    vidx = graph.vertex_index()
-    return [vidx[Vertex(v.circle, compose(sigma, v.perm))]
-            for v in graph.vertices]
-
-
-class VertexMaps(dict):
-    """sigma -> :func:`_vertex_map` of one graph, each made on first use,
-    so that the invariance checks, traces and quotient traces of every
-    degree share it."""
-
-    def __init__(self, graph):
-        super().__init__()
-        self.graph = graph
-
-    def __missing__(self, sigma) -> list[int]:
-        vmap = self[sigma] = _vertex_map(self.graph, sigma)
-        return vmap
+    vmap = graph.vertex_map(sigma)
+    nv = len(vmap)
+    return [mj * nv + vj
+            for mj in _monomial_action(graph.n, k, sigma, action_kind)
+            for vj in vmap]
 
 
 def _monomial_action(n: int, k: int, sigma, action_kind: str):
@@ -476,8 +404,7 @@ def _row_key(items) -> tuple:
 
 
 def check_action_invariance(space: GradedSolutionSpace, k: int,
-                            action_kind: str,
-                            vmaps: VertexMaps | None = None) -> None:
+                            action_kind: str) -> None:
     """Verify that the generators of S_n map the degree-k piece into
     itself; NotInvariant otherwise.
 
@@ -490,15 +417,12 @@ def check_action_invariance(space: GradedSolutionSpace, k: int,
     invariant.  The action permutes edges and quads, and no row depends on
     the orientation of its label (the first-order quad rows are
     antisymmetric for that reason), so this passes on every graph built
-    here.  vmaps, if given, are the vertex maps of space.graph.
+    here.
     """
-    if vmaps is None:
-        vmaps = VertexMaps(space.graph)
     rows = space.rows[k]
     keys = {_row_key(r.items()) for r in rows}
     for sigma in generators(space.n):
-        pi = coordinate_perm(space.graph, k, sigma, action_kind,
-                             vmaps[sigma])
+        pi = coordinate_perm(space.graph, k, sigma, action_kind)
         if not all(_row_key((pi[c], v) for c, v in r.items()) in keys
                    for r in rows):
             raise NotInvariant(
@@ -507,19 +431,15 @@ def check_action_invariance(space: GradedSolutionSpace, k: int,
 
 
 def equivariant_trace(space: GradedSolutionSpace, k: int, sigma,
-                      action_kind: str,
-                      vmaps: VertexMaps | None = None) -> Fraction:
+                      action_kind: str) -> Fraction:
     """Trace of sigma on the degree-k piece (assumes invariance checked).
 
     The kernel basis has unit rows, so the coordinate of a kernel element
     along basis column i is its value at unit row u_i over column i's own
     value there; the trace sums that coordinate of each permuted column.
-    vmaps, if given, are the vertex maps of space.graph.
     """
     basis = space.bases[k]
-    sigma_inv = inverse(sigma)
-    pinv = coordinate_perm(space.graph, k, sigma_inv, action_kind,
-                           None if vmaps is None else vmaps[sigma_inv])
+    pinv = coordinate_perm(space.graph, k, inverse(sigma), action_kind)
     total = Fraction(0)
     for u, col in zip(basis.unit_rows, basis.columns):
         v = col.get(pinv[u])
@@ -580,20 +500,16 @@ def _ambient_factor(lam: Partition) -> list[int]:
     return coeffs
 
 
-def equivariant_traces(space: GradedSolutionSpace, action_kind: str,
-                       vmaps: VertexMaps | None = None
+def equivariant_traces(space: GradedSolutionSpace, action_kind: str
                        ) -> dict[Partition, list[Fraction]]:
     """Trace of each class representative in every degree, after checking
-    that the action preserves every degree; vmaps, if given, are the
-    vertex maps of space.graph."""
-    if vmaps is None:
-        vmaps = VertexMaps(space.graph)
+    that the action preserves every degree."""
     for k in range(space.max_degree + 1):
-        check_action_invariance(space, k, action_kind, vmaps)
+        check_action_invariance(space, k, action_kind)
     traces: dict[Partition, list[Fraction]] = {}
     for lam in partitions_of(space.n):
         sigma = class_representative(lam)
-        traces[lam] = [equivariant_trace(space, k, sigma, action_kind, vmaps)
+        traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
                        for k in range(space.max_degree + 1)]
     return traces
 
@@ -612,16 +528,14 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     characters, carried over from side y by :func:`relabelled_character`,
     or read from the irreducible blocks of a twin graph
     (:class:`gkmhess.isotypic.TwinBlocks`), which can then stand for space
-    itself where there is no cross-check.  Each vertex map of the graph
-    is made once (:class:`VertexMaps`) for all degrees, checks and traces.
+    itself where there is no cross-check.
     """
     n = space.n
     top = space.graph.top_degree
     numer = hilbert_numerator(space)
     traced = traces is None
-    vmaps = VertexMaps(space.graph)
     if traced:
-        traces = equivariant_traces(space, action_kind, vmaps)
+        traces = equivariant_traces(space, action_kind)
     one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     for lam in partitions_of(n):
@@ -647,30 +561,26 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
         cross_check = n <= 3
     if cross_check:
         _cross_check_direct(space, action_kind, char, numer,
-                            invariant=traced, vmaps=vmaps)
+                            invariant=traced)
     return char
 
 
 def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
                         char: GradedCharacter, numer: list[int],
-                        invariant: bool = False,
-                        vmaps: VertexMaps | None = None) -> None:
+                        invariant: bool = False) -> None:
     """Direct-quotient traces; CrossCheckFailed on any disagreement.
 
     The traces are taken on the solved space, so the action is first
     checked to preserve each degree (NotInvariant otherwise), unless
     invariant says that equivariant_traces has done so already; the
-    image I_k is certified by :func:`_image_fault`.  vmaps, if given,
-    are the vertex maps of space.graph.
+    image I_k is certified by :func:`_image_fault`.
     """
-    if vmaps is None:
-        vmaps = VertexMaps(space.graph)
     n = space.n
     top = space.graph.top_degree
     sigmas = [class_representative(lam) for lam in partitions_of(n)]
     for k in range(top + 1):
         if not invariant:
-            check_action_invariance(space, k, action_kind, vmaps)
+            check_action_invariance(space, k, action_kind)
         for sigma in sigmas:
             if _image_fault(n, k, sigma, action_kind):
                 raise NotInvariant(
@@ -680,7 +590,7 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
     for k, (image, quotient, _) in enumerate(quotients):
         for lam, sigma in zip(partitions_of(n), sigmas):
             direct = _quotient_trace(space, k, image, quotient, sigma,
-                                     action_kind, vmaps)
+                                     action_kind)
             if direct != char.value(lam, k):
                 raise CrossCheckFailed(
                     f"degree {k}, type {lam}: direct {direct} != "
@@ -710,8 +620,7 @@ def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
 
 
 def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
-                    quotient: Echelon, sigma, action_kind: str,
-                    vmaps: VertexMaps | None = None) -> Fraction:
+                    quotient: Echelon, sigma, action_kind: str) -> Fraction:
     """Trace of sigma on H^k_T / I_k, read on the quotient rows.
 
     H^k_T is I_k plus the span of the quotient rows, a direct sum, and
@@ -719,16 +628,12 @@ def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
     sigma q along q over the quotient rows q.  Once the image pivots are
     cleared, the remainder of sigma q lies in the span of the quotient
     rows (NotInvariant otherwise), and that coordinate is its value at
-    the pivot of q over q's own.  vmaps, if given, are the vertex maps of
-    space.graph.
+    the pivot of q over q's own.
     """
-    nv = len(space.graph.vertices)
-    vmap = _vertex_map(space.graph, sigma) if vmaps is None else vmaps[sigma]
-    mt = _monomial_action(space.n, k, sigma, action_kind)
+    pi = coordinate_perm(space.graph, k, sigma, action_kind)
     total = Fraction(0)
     for c, row in quotient.rows:
-        rem, scale = image.clear_pivots(
-            {mt[j // nv] * nv + vmap[j % nv]: v for j, v in row.items()})
+        rem, scale = image.clear_pivots({pi[j]: v for j, v in row.items()})
         if quotient.reduce(rem):
             raise NotInvariant(
                 f"{action_kind} action by {sigma} moves a degree-{k} "
@@ -868,21 +773,21 @@ def _action_fault(n: int, k: int):
     generators sigma and every w, through :func:`coordinate_perm` and
     :func:`relabelling` themselves.
     """
-    vmaps = _symmetric_group_maps(n)
-    p = relabelling(vmaps.graph, k)
+    graph = _symmetric_group(n)
+    p = relabelling(graph, k)
     for sigma in generators(n):
-        pi_x = coordinate_perm(vmaps.graph, k, sigma, "dot", vmaps[sigma])
-        pi_y = coordinate_perm(vmaps.graph, k, sigma, "dagger", vmaps[sigma])
+        pi_x = coordinate_perm(graph, k, sigma, "dot")
+        pi_y = coordinate_perm(graph, k, sigma, "dagger")
         if list(map(pi_x.__getitem__, p)) != list(map(p.__getitem__, pi_y)):
             return sigma
     return None
 
 
 @lru_cache(maxsize=None)
-def _symmetric_group_maps(n: int) -> VertexMaps:
-    """The vertex maps of the graph whose vertices are S_n, with no edges,
-    shared by the action checks of every degree."""
-    return VertexMaps(LabeledGraph(n, tuple(map(plain, all_perms(n))), (), 0))
+def _symmetric_group(n: int) -> LabeledGraph:
+    """The graph whose vertices are S_n, with no edges, whose vertex maps
+    the action checks of every degree share."""
+    return LabeledGraph(n, tuple(map(plain, all_perms(n))), (), 0)
 
 
 def certify_relabelling(graph_y, graph_x, name: str,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from gkmhess.hessenberg import (
     HessenbergFunction, ModularTriple, WrongKind, find_modular_triples)
@@ -137,7 +137,8 @@ class LabeledGraph:
     Edges are (vi, vj, label) with vi < vj indices into the vertex tuple
     and label (a, b), a < b, the form t_a - t_b.
     ``top_degree`` bounds the degree where the ordinary cohomology can be
-    nonzero (the box count of the underlying Hessenberg data).
+    nonzero (the box count of the underlying Hessenberg data).  The vertex
+    index and the vertex maps are made once per graph, on first use.
     """
 
     n: int
@@ -145,8 +146,24 @@ class LabeledGraph:
     edges: tuple[tuple[int, int, Label], ...]
     top_degree: int
 
+    @cached_property
     def vertex_index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _vertex_maps(self) -> dict[Perm, tuple[int, ...]]:
+        return {}
+
+    def vertex_map(self, sigma: Perm) -> tuple[int, ...]:
+        """Vertex index -> index of the vertex sigma w on the same sheet,
+        for each vertex w; made once per sigma."""
+        vmap = self._vertex_maps.get(sigma)
+        if vmap is None:
+            vidx = self.vertex_index
+            vmap = self._vertex_maps[sigma] = tuple(
+                vidx[Vertex(v.circle, compose(sigma, v.perm))]
+                for v in self.vertices)
+        return vmap
 
     def to_json(self) -> dict:
         return {

@@ -100,14 +100,6 @@ class Echelon:
         self.rows.append((c, r))
         return True
 
-    def copy(self) -> "Echelon":
-        """An echelon with the same rows.  Inserting into either leaves the
-        other unchanged; the row dicts are shared, so back-substitute first."""
-        out = Echelon()
-        out.pivots = dict(self.pivots)
-        out.rows = list(self.rows)
-        return out
-
     @property
     def rank(self) -> int:
         return len(self.rows)

@@ -37,6 +37,7 @@ dot ambient factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from math import lcm
 from typing import Callable
 
@@ -44,7 +45,7 @@ from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
     RelabelFailed, certify_relabelling, check_action_invariance,
     column_adjacency, first_violated_row, frobenius_of_character,
-    graded_character, memoized, monomial_index, monomials, relabel_space,
+    graded_character, monomial_index, monomials, relabel_space,
     relabelled_character, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
@@ -231,7 +232,7 @@ def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
     degree k - shift, both in monomial-major coordinates."""
     rule, source, shift = MAPS[name]
     n, d = ctx.blowup.n, ctx.d
-    src_index = getattr(ctx, f"g_{source}").vertex_index()
+    src_index = getattr(ctx, f"g_{source}").vertex_index
     nv_src, nv_dst = len(src_index), len(ctx.blowup.vertices)
     matrix: MapMatrix = [[] for _ in range(
         nv_src * len(monomials(n, k - shift)))]
@@ -293,11 +294,11 @@ def map_image_columns(ctx: TripleContext, name: str, k: int,
 def _ranks(cols_a: list[IntRow], cols_b: list[IntRow]
            ) -> tuple[int, int, int]:
     """The ranks of cols_a, of cols_b and of both together."""
-    ech_a = Echelon.of(cols_a)
-    joint = ech_a.copy()   # insert never changes stored rows
+    ech = Echelon.of(cols_a)
+    ra = ech.rank
     for vec in sorted(cols_b, key=len):   # as Echelon.of does
-        joint.insert(vec)
-    ra, rab = ech_a.rank, joint.rank
+        ech.insert(vec)
+    rab = ech.rank
     # rab <= ra + rb <= ra + len(cols_b), so equality pins rb
     rb = len(cols_b) if rab == ra + len(cols_b) \
         else rank_of_int_rows(cols_b)
@@ -676,16 +677,18 @@ def check_theorem_main_sides(triple: ModularTriple
     return report, side_x
 
 
+@lru_cache(maxsize=None)
 def plain_twin(h: HessenbergFunction
                ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
-    """The twin graph of h as (space, dagger traces).  The traces are read
-    from its irreducible blocks (:func:`twin_blocks`, once per graph in a
-    :func:`gkmhess.cohomology.solve_memo` block), and so is the space,
-    except at n <= 3: there the graph is solved as well, and the direct
-    quotient on the solved space cross-checks every character made from
-    these traces."""
+    """The twin graph of h as (space, dagger traces), made once per h and
+    kept until :func:`gkmhess.cli.main` clears the cache at the end of a
+    command; callers only read them.  The traces are read from its
+    irreducible blocks (:func:`twin_blocks`), and so is the space, except
+    at n <= 3: there the graph is solved as well, and the direct quotient
+    on the solved space cross-checks every character made from these
+    traces."""
     graph = build_GY(h)
-    blocks = memoized(graph, "twin_blocks", twin_blocks)
+    blocks = twin_blocks(graph)
     space = solve_graph(graph) if h.n <= 3 else blocks
     return space, blocks.traces()
 

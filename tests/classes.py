@@ -94,7 +94,7 @@ class EquivariantClass:
         """The class in monomial-major coordinates."""
         nv = len(self.graph.vertices)
         idx = monomial_index(self.graph.n, self.degree)
-        vidx = self.graph.vertex_index()
+        vidx = self.graph.vertex_index
         return {idx[e] * nv + vidx[v]: c
                 for v, p in self.values.items() for e, c in p.items()}
 

@@ -37,7 +37,7 @@ def augment_blowup(gtilde: SignedBlowupGraph) -> SignedBlowupGraph:
     if gtilde.side != "x":
         raise WrongKind("the edge augmentation is an X-side construction")
     d = gtilde.d
-    vidx = gtilde.vertex_index()
+    vidx = gtilde.vertex_index
     existing = edge_set(gtilde)
     new_edges = list(gtilde.edges)
     for v in gtilde.vertices:
@@ -67,7 +67,7 @@ def circle_isomorphism_check(triple: ModularTriple, side: str) -> bool:
     d = triple.d
     g = build_graph(triple.h, side)
     cg = build_circle_graph(triple, side)
-    cidx = cg.vertex_index()
+    cidx = cg.vertex_index
     clabels = {(min(a, b), max(a, b)): f for (a, b, f) in cg.edges}
     if len(g.edges) != len(cg.edges):
         return False

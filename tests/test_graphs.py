@@ -131,7 +131,7 @@ class TestTripleGraphs:
         t = c_triple("2,3,3")
         gm, g, gp = GC.build_triple_graphs(t, "x")
         extra = GC.edge_set(gp) - GC.edge_set(g)
-        vidx = gp.vertex_index()
+        vidx = gp.vertex_index
         expected = set()
         for v in gp.vertices:
             w = v.perm
@@ -201,14 +201,14 @@ class TestBlowup:
     def test_x_signs(self):
         t = c_triple("2,3,3")
         bl = G.build_blowup(t, "x")
-        vidx = bl.vertex_index()
+        vidx = bl.vertex_index
         assert bl.signs[vidx[G.plain((2, 3, 1))]] == 1
         assert bl.signs[vidx[G.circ((2, 3, 1))]] == -1
 
     def test_y_signs_by_length(self):
         t = c_triple("2,3,3")
         bl = G.build_blowup(t, "y")
-        vidx = bl.vertex_index()
+        vidx = bl.vertex_index
         # l(213) = 1: s_Y(213) = -1, s_Y(°213) = +1
         assert bl.signs[vidx[G.plain((2, 1, 3))]] == -1
         assert bl.signs[vidx[G.circ((2, 1, 3))]] == 1
@@ -254,7 +254,7 @@ class TestCircleIsomorphism:
         t = c_triple("2,3,3")
         g = G.build_graph(t.h, "y")
         cg = G.build_circle_graph(t, "y")
-        cidx = cg.vertex_index()
+        cidx = cg.vertex_index
         clabels = {(min(a, b), max(a, b)): f for (a, b, f) in cg.edges}
         mismatch = False
         for (a, b, f) in g.edges:
@@ -318,7 +318,7 @@ class TestTransposeGraphIsomorphism:
         for h in H.enumerate_hessenberg(n):
             gx = G.build_GX(h)
             gxt = G.build_GX(h.transpose())
-            tidx = gxt.vertex_index()
+            tidx = gxt.vertex_index
             tlabels = {(min(a, b), max(a, b)): f for (a, b, f) in gxt.edges}
             assert len(gx.edges) == len(gxt.edges)
             for (a, b, f) in gx.edges:
@@ -337,7 +337,7 @@ class TestTwinTransposeIsomorphism:
         for h in H.enumerate_hessenberg(n):
             gy = G.build_GY(h)
             gyt = G.build_GY(h.transpose())
-            tidx = gyt.vertex_index()
+            tidx = gyt.vertex_index
             tlabels = {(min(a, b), max(a, b)): f for (a, b, f) in gyt.edges}
             assert len(gy.edges) == len(gyt.edges)
             for (a, b, f) in gy.edges:
@@ -354,3 +354,49 @@ def test_graph_json_shape():
     data = g.to_json()
     assert data["vertices"] == ["12", "21"]
     assert data["edges"] == [["12", "21", [1, -1]]]
+
+
+def small_graphs():
+    """Every X, Y, circle and blow-up graph with n <= 3."""
+    for n in (1, 2, 3):
+        for h in H.enumerate_hessenberg(n):
+            yield G.build_GX(h)
+            yield G.build_GY(h)
+            for t in H.find_modular_triples(h):
+                if t.kind == "C":
+                    for side in "xy":
+                        yield G.build_circle_graph(t, side)
+                        yield G.build_blowup(t, side)
+
+
+class TestVertexMap:
+    def test_sends_each_vertex_to_sigma_times_it(self):
+        kinds = set()
+        for graph in small_graphs():
+            kinds.add((type(graph).__name__, graph.vertices[0].circle))
+            vidx = graph.vertex_index
+            for sigma in G.all_perms(graph.n):
+                assert list(graph.vertex_map(sigma)) == [
+                    vidx[G.Vertex(v.circle, G.compose(sigma, v.perm))]
+                    for v in graph.vertices]
+        assert kinds == {("LabeledGraph", False), ("LabeledGraph", True),
+                         ("SignedBlowupGraph", False)}
+
+    def test_made_once_per_sigma(self, monkeypatch):
+        calls = []
+        compose = G.compose
+
+        def counting(u, v):
+            calls.append(u)
+            return compose(u, v)
+
+        monkeypatch.setattr(G, "compose", counting)
+        graph = G.build_blowup(c_triple("2,3,3"), "y")
+        assert graph.vertex_index is graph.vertex_index
+        for sigma in G.all_perms(3):
+            first = graph.vertex_map(sigma)
+            assert graph.vertex_map(sigma) is first
+        assert len(calls) == 6 * len(graph.vertices)
+        assert G.build_blowup(c_triple("2,3,3"), "y").vertex_map(
+            (2, 1, 3)) == graph.vertex_map((2, 1, 3))
+        assert len(calls) == 7 * len(graph.vertices)

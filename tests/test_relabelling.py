@@ -1,6 +1,6 @@
 """Side x as the certified relabelling P of side y: the certificate, its
-failures under mutation, the independence of the two sides, and the solve
-memo that lets one triple be solved once."""
+failures under mutation, the independence of the two sides, and the twin
+cache that lets one command read each twin once."""
 
 import dataclasses
 import json
@@ -159,8 +159,8 @@ class TestCertificate:
         # relabelled dagger action
         perm = CH.coordinate_perm
 
-        def mutated(graph, k, sigma, action_kind, vmap=None):
-            return perm(graph, k, sigma, "dagger", vmap)
+        def mutated(graph, k, sigma, action_kind):
+            return perm(graph, k, sigma, "dagger")
 
         h = H.from_string("2,3,3")
         monkeypatch.setattr(CH, "coordinate_perm", mutated)
@@ -428,8 +428,8 @@ class TestSideYFailure:
         ctx = M.TripleContext.build(c_triple("2,3,3"), "y")
         perm = CH.coordinate_perm
 
-        def reversed_dagger(graph, k, sigma, action_kind, vmap=None):
-            return perm(graph, k, sigma, action_kind, vmap)[::-1]
+        def reversed_dagger(graph, k, sigma, action_kind):
+            return perm(graph, k, sigma, action_kind)[::-1]
 
         # the dagger action no longer permutes the blow-up rows
         with monkeypatch.context() as mp:
@@ -529,88 +529,45 @@ class TestOneSolvePerTriple:
         assert code == 0 and len(seen) == len(set(seen)) == 3
 
 
-class TestSolveMemo:
-    def test_second_solve_is_a_memo_hit(self, monkeypatch):
-        g = G.build_GY(H.from_string("2,3,3"))
-        with CH.solve_memo():
-            first = CH.solve_graph(g)
-
-            def unused(rows, ncols):
-                raise AssertionError("solved again")
-
-            monkeypatch.setattr(CH, "kernel_of_rows", unused)
-            again = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
-            assert again.bases == first.bases and again.rows == first.rows
-            low = CH.solve_graph(g, max_degree=1)
-            assert low.max_degree == 1 and sorted(low.bases) == [0, 1]
-
-    def test_memo_is_used_only_inside_a_block(self, monkeypatch):
-        g = G.build_GY(H.from_string("2,3,3"))
-        calls = []
-        kernel = CH.kernel_of_rows
-
-        def counting(rows, ncols):
-            calls.append(ncols)
-            return kernel(rows, ncols)
-
-        monkeypatch.setattr(CH, "kernel_of_rows", counting)
-        with CH.solve_memo():
-            CH.solve_graph(g, max_degree=2)
-            with CH.solve_memo():
-                CH.solve_graph(g, max_degree=2)
-            CH.solve_graph(g, max_degree=2)
-        assert len(calls) == 3 and CH._memo is None
-        CH.solve_graph(g, max_degree=2)   # outside: solved afresh
-        assert len(calls) == 6
-        with CH.solve_memo():   # nothing carries over between blocks
-            CH.solve_graph(g, max_degree=2)
-        assert len(calls) == 9
-
-    def test_higher_degrees_solve_only_the_new_ones(self, monkeypatch):
-        g = G.build_GY(H.from_string("2,3,3"))
-        calls = []
-        kernel = CH.kernel_of_rows
-
-        def counting(rows, ncols):
-            calls.append(ncols)
-            return kernel(rows, ncols)
-
-        with CH.solve_memo():
-            CH.solve_graph(g, max_degree=2)
-            monkeypatch.setattr(CH, "kernel_of_rows", counting)
-            space = CH.solve_graph(g, max_degree=4)
-        assert len(calls) == 2 and sorted(space.bases) == [0, 1, 2, 3, 4]
-
-    def test_memo_is_bounded(self):
-        graphs = [G.build_GY(h) for n in (1, 2, 3)
-                  for h in H.enumerate_hessenberg(n)]
-        assert len(graphs) > CH.MEMO_GRAPHS
-        with CH.solve_memo():
-            for g in graphs:
-                CH.solve_graph(g, max_degree=1)
-            assert list(CH._memo) == [g.content_key()
-                                      for g in graphs[-CH.MEMO_GRAPHS:]]
-
-    def test_returned_space_does_not_alias_the_memo(self):
-        g = G.build_GY(H.from_string("2,3,3"))
-        with CH.solve_memo():
-            space = CH.solve_graph(g)
-            dims = [space.dim(k) for k in range(space.max_degree + 1)]
-            space.bases[1] = space.bases[0]
-            space.rows.clear()
-            again = CH.solve_graph(g)
-        assert [again.dim(k) for k in range(again.max_degree + 1)] == dims
-        assert again.rows
-
-    def test_a_command_uses_the_memo(self, capsys, monkeypatch):
+class TestTwinCache:
+    def test_a_command_shares_its_twins(self, capsys, monkeypatch):
+        # read at the end of the command, before main drops them: the
+        # three twins of the corollary, each read again by another item
         seen = []
-        run_item = cli._run_item
+        emit = cli._emit
 
-        def spy(item):
-            seen.append(CH._memo is not None)
-            return run_item(item)
+        def spy(*args):
+            seen.append(M.plain_twin.cache_info())
+            return emit(*args)
 
-        monkeypatch.setattr(cli, "_run_item", spy)
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, _ = run_json(capsys, "check", "2,3,3,4", "--thm", "all")
+        assert code == 0 and len(seen) == 1
+        assert seen[0].currsize == 3 and seen[0].hits > 0
+        assert M.plain_twin.cache_info().currsize == 0
+
+    def test_main_leaves_no_twin(self, capsys):
         code, _ = run_json(capsys, "check", "2,3,3", "--thm", "all")
-        assert code == 0 and seen and all(seen)
-        assert CH._memo is None   # the command's solves are dropped
+        assert code == 0 and M.plain_twin.cache_info().currsize == 0
+
+    def test_usage_error_leaves_no_twin(self, capsys):
+        M.plain_twin(H.from_string("2,3,3"))   # kept before the call
+        assert cli.main(["betti", "7,7,7,7,7,7,7"]) == 2
+        assert M.plain_twin.cache_info().currsize == 0
+        M.plain_twin(H.from_string("2,3,3"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "2,3,3", "--thm", "9.9"])
+        assert exc.value.code == 2
+        assert M.plain_twin.cache_info().currsize == 0
+
+    def test_fail_item_leaves_no_twin(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise CH.RelabelFailed("refused")
+
+        # side y reads the twins and passes; side x fails
+        monkeypatch.setattr(M, "relabelled_character", refused)
+        code, data = run_json(capsys, "check", "2,3,3,4", "--thm",
+                              "corollary")
+        assert code == 1
+        assert [i["pass"] for i in data["items"]] == [False, True]
+        assert M.plain_twin.cache_info().currsize == 0
