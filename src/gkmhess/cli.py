@@ -5,11 +5,13 @@ Subcommands
     triples H          modular triples of a Hessenberg function
     csf H              chromatic quasisymmetric function (JSON schema)
     llt H              unicellular LLT polynomial
+    graph H            labeled GKM graph of the chosen side
     betti H            Hilbert numerator of the chosen side
     character H        graded character and Frobenius series
     check --thm T      verify a theorem on one function or a full sweep
 
-H is the comma-separated value vector, e.g. "2,3,3".  Exit codes: 0 all
+H is the comma-separated value vector, e.g. "2,3,3"; graph, betti and
+character take --side x (the default) or --side y.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 usage error.  Reports are deterministic
 apart from the wall-time field.
 """

@@ -14,6 +14,13 @@ group action permutes these rows like the others (see
 solved degree by degree by the sparse exact kernel in
 :mod:`gkmhess.linalg`.
 
+Both conditions are groups of (monomial index, coefficient) pairs, one
+per image monomial (:func:`group_edges`, :func:`group_derivatives`), and
+:func:`divisible_rows` alone turns them into rows on a combination x . col
+of the unknowns: f(u) - f(v) for an edge {u, v} and the signed vertex sum
+for a 4-gon (:func:`constraint_rows`), x (I - rho(s_ab)) in the blocks of
+:mod:`gkmhess.isotypic`.
+
 Coordinates are monomial-major everywhere: the coefficient of the mi-th
 degree-k monomial (graded lex, :func:`monomials`) at the vi-th vertex of
 a graph with V vertices is coordinate mi * V + vi.  Constraint rows,
@@ -107,6 +114,11 @@ def monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rec(k, n))
 
 
+def _times_t(e: tuple, i: int) -> tuple:
+    """The exponent vector of t_i times the monomial with exponents e."""
+    return e[:i - 1] + (e[i - 1] + 1,) + e[i:]
+
+
 @lru_cache(maxsize=None)
 def monomial_index(n: int, k: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n, k))}
@@ -119,13 +131,14 @@ def _subst_exp(e: tuple, a: int, b: int) -> tuple:
     return tuple(ee)
 
 
-def group_edges(mons, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The indices of the monomials mons (exponent tuples) grouped by
-    their image under t_a -> t_b, the groups in the order of their
-    images."""
-    groups: dict[tuple, list[int]] = {}
+def group_edges(mons, a: int, b: int
+                ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Divisibility by t_a - t_b on the monomials mons (exponent tuples),
+    as groups of (monomial index, coefficient 1) with one image under
+    t_a -> t_b, the groups in the order of their images."""
+    groups: dict[tuple, list[tuple[int, int]]] = {}
     for mi, mon in enumerate(mons):
-        groups.setdefault(_subst_exp(mon, a, b), []).append(mi)
+        groups.setdefault(_subst_exp(mon, a, b), []).append((mi, 1))
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
@@ -148,7 +161,8 @@ def group_derivatives(mons, a: int, b: int
 
 
 @lru_cache(maxsize=None)
-def edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def edge_groups(n: int, k: int, a: int, b: int
+                ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """:func:`group_edges` on the degree-k monomials in n variables."""
     return group_edges(monomials(n, k), a, b)
 
@@ -161,6 +175,26 @@ def derivative_groups(n: int, k: int, a: int, b: int
     return group_derivatives(monomials(n, k), a, b)
 
 
+def divisible_rows(groups, cols, width: int) -> list[IntRow]:
+    """The rows saying that x . col is divisible by a label, for each col
+    (a dict over the width unknowns of a monomial) and each group of
+    (monomial index, coefficient) pairs (:func:`group_edges`, or
+    :func:`group_derivatives` for the second order): the sum over the
+    group of cf * (x . col) at the mi-th monomial vanishes.  Coordinate
+    mi * width + c is the coefficient of the mi-th monomial in x_c."""
+    rows: list[IntRow] = []
+    for col in cols:
+        items = tuple(col.items())
+        for group in groups:
+            row = {}
+            for mi, cf in group:
+                base = mi * width
+                for c, x in items:
+                    row[base + c] = cf * x
+            rows.append(row)
+    return rows
+
+
 def constraint_rows(graph, k: int) -> list[IntRow]:
     """Integer rows whose kernel is the degree-k equivariant piece."""
     n = graph.n
@@ -168,28 +202,15 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
         # f(u) - f(v) vanishes at t_a = t_b: one row per image monomial
-        for group in edge_groups(n, k, a, b):
-            row = {}
-            for mi in group:
-                row[mi * nv + ui] = 1
-                row[mi * nv + vi] = -1
-            rows.append(row)
+        rows += divisible_rows(edge_groups(n, k, a, b), ({ui: 1, vi: -1},),
+                               nv)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
         for (vs, (a, b)) in graph.quads:
             # the signed sum and its derivative vanish at t_a = t_b
-            for groups in ([[(mi, 1) for mi in g]
-                            for g in edge_groups(n, k, a, b)],
-                           derivative_groups(n, k, a, b)):
-                for group in groups:
-                    row = {}
-                    for mi, cf in group:
-                        for vi in vs:
-                            col = mi * nv + vi
-                            row[col] = row.get(col, 0) + cf * signs[vi]
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        rows.append(row)
+            cols = ({vi: signs[vi] for vi in vs},)
+            rows += divisible_rows(edge_groups(n, k, a, b), cols, nv)
+            rows += divisible_rows(derivative_groups(n, k, a, b), cols, nv)
     return rows
 
 
@@ -271,8 +292,7 @@ def hilbert_numerator(space: GradedSolutionSpace) -> list[int]:
 def _shift_exp_index(n: int, k: int, i: int) -> tuple[int, ...]:
     """Map degree-(k-1) monomial index to the index of its t_i multiple."""
     dst = monomial_index(n, k)
-    return tuple(dst[mon[:i - 1] + (mon[i - 1] + 1,) + mon[i:]]
-                 for mon in monomials(n, k - 1))
+    return tuple(dst[_times_t(mon, i)] for mon in monomials(n, k - 1))
 
 
 def direct_quotients(space: GradedSolutionSpace, top: int,

@@ -54,7 +54,9 @@ Two checks make this a proof.  :func:`representations` checks that the
 matrices satisfy the Coxeter relations and that each has the character of
 its shape, so together they are the irreducibles and the transform is an
 isomorphism; both checks run in integers, on the generators scaled by D =
-lcm(1, ..., n-1)^2, which clears every seminormal denominator.
+lcm(1, ..., n-1)^2, which clears every seminormal denominator.  It
+returns those integer generators, and :func:`rho` makes every matrix
+rho_lam(w) from them, the transpositions of the block rows included.
 :func:`twin_edge_types` and :func:`blowup_edge_types` check that the graph
 has the shape above.  Either raises a named error rather than giving a
 wrong character or report.
@@ -66,9 +68,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-from gkmhess.cohomology import group_derivatives, group_edges, monomials
+from gkmhess.cohomology import (
+    divisible_rows, group_derivatives, group_edges, monomials)
 from gkmhess.graphs import (
     LabeledGraph, Perm, all_perms, circ, class_representative,
     identity_perm, plain, swap_positions)
@@ -195,17 +198,17 @@ def _lowest(rows, den: int) -> Scaled:
 
 
 @lru_cache(maxsize=None)
-def representations(n: int) -> dict[Partition, dict[tuple[int, int], Scaled]]:
-    """lam -> (a, b) -> rho_lam of the transposition (a b) as (rows, den)
-    in lowest terms, for every shape lam of n and every a < b, once
-    certified; NotARepresentation otherwise.
+def representations(n: int) -> dict[Partition, list[Columns]]:
+    """lam -> the integer generators D s_1, ..., D s_{n-1} (D =
+    :func:`scale`) of rho_lam as sparse columns, for every shape lam of n,
+    once certified; NotARepresentation otherwise.  :func:`rho` reads every
+    matrix from them.
 
-    The certificate, in integers: with S_k = D s_k (D = :func:`scale`),
-    (S_i S_j)^m = D^(2m) I for the Coxeter relations of S_n, so the
-    seminormal matrices define a representation, and the trace of S_{k_1}
-    ... S_{k_l} for a reduced word of each class representative is D^l
-    times the Murnaghan-Nakayama character of the shape, so it is that
-    irreducible.  Each (a b) is the product along a reduced word.
+    The certificate, in integers: with S_k = D s_k, (S_i S_j)^m = D^(2m) I
+    for the Coxeter relations of S_n, so the seminormal matrices define a
+    representation, and the trace of S_{k_1} ... S_{k_l} for a reduced
+    word of each class representative is D^l times the Murnaghan-Nakayama
+    character of the shape, so it is that irreducible.
     """
     den = scale(n)
     out = {}
@@ -227,24 +230,18 @@ def representations(n: int) -> dict[Partition, dict[tuple[int, int], Scaled]]:
                 raise NotARepresentation(
                     f"shape {lam}: the trace at class {mu} is not the "
                     f"character")
-        out[lam] = rhos = {}
-        for a in range(1, n):
-            for b in range(a + 1, n + 1):
-                word = _word(swap_positions(identity_perm(n), a, b))
-                rhos[a, b] = _lowest(_along(gens, word, d), den ** len(word))
+        out[lam] = gens
     return out
 
 
 @lru_cache(maxsize=None)
 def rho(n: int, lam: Partition, w: Perm) -> Scaled:
     """rho_lam(w) as (rows, den) in lowest terms, the product of the
-    certified matrices of s_1..s_{n-1} along a reduced word of w; made
-    once per (n, lam, w)."""
-    mats = representations(n)[lam]
+    certified generators D s_k along a reduced word k_1 ... k_l of w over
+    D^l; made once per (n, lam, w)."""
     word = _word(w)
-    gens = [_columns(mats[k, k + 1][0]) for k in range(1, n)]
-    den = prod(mats[k, k + 1][1] for k in word)
-    return _lowest(_along(gens, word, len(standard_tableaux(lam))), den)
+    return _lowest(_along(representations(n)[lam], word,
+                          len(standard_tableaux(lam))), scale(n) ** len(word))
 
 
 def _twin_edges(n: int, types, offset: int = 0) -> list:
@@ -340,7 +337,7 @@ def _independent_columns(n: int, lam: Partition, a: int, b: int
     times each of them is: the other columns are rational combinations.
     Cached per (n, lam, a, b); callers only read the dicts, and build new
     ones for the rows."""
-    rows, den = representations(n)[lam][a, b]
+    rows, den = rho(n, lam, swap_positions(identity_perm(n), a, b))
     span, out = Echelon(), []
     for q in range(len(rows)):
         col = {p: den * (p == q) - row[q] for p, row in enumerate(rows)}
@@ -372,15 +369,17 @@ def partial_sums(values) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _edge_groups(n: int, k: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def _edge_groups(n: int, k: int, a: int, b: int
+                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Divisibility by t_a - t_b (t_1 = 0) on the degree-k reduced
-    monomials, as groups of monomial indices whose coefficients must sum
-    to 0: for a >= 2 the groups with one image under t_a -> t_b; for
-    a = 1, divisibility by t_b, one group for each monomial free of
-    t_b."""
+    monomials, as groups of (monomial index, coefficient 1) whose
+    coefficients must sum to 0: for a >= 2 the groups with one image
+    under t_a -> t_b (:func:`group_edges`); for a = 1, divisibility by
+    t_b, one group for each monomial free of t_b."""
     mons = reduced_monomials(n, k)
     if a == 1:
-        return tuple((mi,) for mi, mon in enumerate(mons) if not mon[b - 1])
+        return tuple(((mi, 1),) for mi, mon in enumerate(mons)
+                     if not mon[b - 1])
     return group_edges(mons, a, b)
 
 
@@ -410,24 +409,6 @@ def reduced_factor(mult: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple((i, c) for i, c in zip(mult, (1, -1)) if i != 1)
 
 
-def _divisible_rows(n: int, k: int, label: tuple[int, int], cols,
-                    width: int, order: int = 0) -> list[IntRow]:
-    """The rows saying that x . col is divisible by t_a - t_b, label (a,
-    b), on the degree-k reduced monomials, for each col (a dict over the
-    width unknowns of a monomial): the sum over each group of
-    :func:`_edge_groups`; with order=1, that its (d/dt_a - d/dt_b)
-    vanishes at t_a = t_b instead, over each group of
-    :func:`_derivative_groups`.  Coordinate mi * width + c is the
-    coefficient of the mi-th reduced monomial in x_c."""
-    a, b = label
-    if order:
-        return [{mi * width + c: cf * v for mi, cf in g
-                 for c, v in col.items()}
-                for col in cols for g in _derivative_groups(n, k, a, b)]
-    return [{mi * width + c: v for mi in g for c, v in col.items()}
-            for col in cols for g in _edge_groups(n, k, a, b)]
-
-
 def _type_rows(n: int, types, lam: Partition, k: int, width: int,
                offset: int) -> list[IntRow]:
     """For each type (a, b): x (I - rho_lam(s_ab)) divisible by t_a - t_b,
@@ -435,7 +416,7 @@ def _type_rows(n: int, types, lam: Partition, k: int, width: int,
     rows = []
     for (a, b) in types:
         cols = _independent_columns(n, lam, a, b)
-        rows += _divisible_rows(n, k, (a, b), [
+        rows += divisible_rows(_edge_groups(n, k, a, b), [
             {offset + p: v for p, v in col.items()} for col in cols]
             if offset else cols, width)
     return rows
@@ -466,12 +447,12 @@ def blowup_block_rows(n: int, plain_types, circle_types, d: int,
     tau = (d, d + 1)
     return (_type_rows(n, plain_types, lam, k, 2 * dl, 0)
             + _type_rows(n, circle_types, lam, k, 2 * dl, dl)
-            + _divisible_rows(n, k, tau, [{p: 1, dl + p: -1}
-                                          for p in range(dl)], 2 * dl)
-            + _divisible_rows(
-                n, k, tau, [{**col, **{dl + p: -v for p, v in col.items()}}
-                            for col in _independent_columns(n, lam, *tau)],
-                2 * dl, order=1))
+            + divisible_rows(_edge_groups(n, k, *tau),
+                             [{p: 1, dl + p: -1} for p in range(dl)], 2 * dl)
+            + divisible_rows(
+                _derivative_groups(n, k, *tau),
+                [{**col, **{dl + p: -v for p, v in col.items()}}
+                 for col in _independent_columns(n, lam, *tau)], 2 * dl))
 
 
 @dataclass

@@ -43,7 +43,7 @@ from typing import Callable
 
 from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
-    RelabelFailed, certify_relabelling, check_action_invariance,
+    RelabelFailed, _times_t, certify_relabelling, check_action_invariance,
     column_adjacency, first_violated_row, frobenius_of_character,
     graded_character, monomial_index, monomials, relabel_space,
     relabelled_character, solve_graph)
@@ -205,11 +205,6 @@ MAPS = {
     "eta": (eta, "plus", 0),
     "rho": (rho_shriek, "minus", 1),
 }
-
-
-def _times_t(e: tuple, i: int) -> tuple:
-    """The exponent vector of t_i times the monomial with exponents e."""
-    return e[:i - 1] + (e[i - 1] + 1,) + e[i:]
 
 
 def _image_terms(sources, index: dict, factor, swap
@@ -725,26 +720,21 @@ def check_corollary_sides(triple: ModularTriple
 
     Reads only the twins of the three plain graphs of the triple (a
     kind-R triple is transposed first, as in :meth:`TripleGraphs.of`),
-    each through its own top degree + 1, by :func:`plain_twin`.  Both
-    sides come from one set of dagger traces: side x through the
-    certified relabelling.  Each law is (ok, difference); the difference
-    is the zero graded symmetric function exactly when the law holds.
+    each through its own top degree + 1, by :func:`plain_character`.
+    Both sides come from one set of dagger traces (:func:`plain_twin`):
+    side x through the certified relabelling.  Each law is (ok,
+    difference); the difference is the zero graded symmetric function
+    exactly when the law holds.
     """
     if triple.kind == "R":
         triple = kind_r_via_transpose(triple)
     hs = (triple.h_minus, triple.h, triple.h_plus)
-    spaces, traces = zip(*(plain_twin(h) for h in hs))
-    law_y = _modular_law(
-        frobenius_of_character(graded_character(sp, "dagger", traces=tr))
-        for sp, tr in zip(spaces, traces))
 
-    def side_x() -> Law:
-        return _modular_law(
-            frobenius_of_character(relabelled_character(
-                sp, build_GX(h), f"plain graph of {h}", traces=tr))
-            for h, sp, tr in zip(hs, spaces, traces))
+    def law(side: str) -> Law:
+        return _modular_law(frobenius_of_character(plain_character(h, side))
+                            for h in hs)
 
-    return law_y, side_x
+    return law("y"), lambda: law("x")
 
 
 def omega_graded(gf: GradedSymmetricFunction) -> GradedSymmetricFunction:

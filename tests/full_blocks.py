@@ -13,8 +13,9 @@ from functools import cache
 from math import lcm
 
 from gkmhess.cohomology import (
-    MembershipFailed, column_adjacency, derivative_groups, edge_groups,
-    first_violated_row, monomial_index, monomials)
+    MembershipFailed, _times_t, column_adjacency, derivative_groups,
+    divisible_rows, edge_groups, first_violated_row, monomial_index,
+    monomials)
 from gkmhess.graphs import circ, inverse, swap_positions
 from gkmhess.isotypic import (
     _independent_columns, blowup_edge_types, rho, standard_tableaux,
@@ -25,24 +26,12 @@ from gkmhess.maps import (
 from gkmhess.symfunc import partitions_of
 
 
-def _divisible_rows(n, k, label, cols, width, order=0):
-    """x . col vanishes at t_a = t_b (its derivative, with order=1), for
-    each col, on the degree-k monomials in n variables."""
-    a, b = label
-    if order:
-        return [{mi * width + c: cf * v for mi, cf in g
-                 for c, v in col.items()}
-                for col in cols for g in derivative_groups(n, k, a, b)]
-    return [{mi * width + c: v for mi in g for c, v in col.items()}
-            for col in cols for g in edge_groups(n, k, a, b)]
-
-
 def _type_rows(n, types, lam, k, width, offset):
     rows = []
     for (a, b) in types:
         cols = [{offset + p: v for p, v in col.items()}
                 for col in _independent_columns(n, lam, a, b)]
-        rows += _divisible_rows(n, k, (a, b), cols, width)
+        rows += divisible_rows(edge_groups(n, k, a, b), cols, width)
     return rows
 
 
@@ -57,12 +46,12 @@ def blowup_block_rows(n, plain_types, circle_types, d, lam, k):
     tau = (d, d + 1)
     return (_type_rows(n, plain_types, lam, k, 2 * dl, 0)
             + _type_rows(n, circle_types, lam, k, 2 * dl, dl)
-            + _divisible_rows(n, k, tau, [{p: 1, dl + p: -1}
-                                          for p in range(dl)], 2 * dl)
-            + _divisible_rows(
-                n, k, tau, [{**col, **{dl + p: -v for p, v in col.items()}}
-                            for col in _independent_columns(n, lam, *tau)],
-                2 * dl, order=1))
+            + divisible_rows(edge_groups(n, k, *tau),
+                             [{p: 1, dl + p: -1} for p in range(dl)], 2 * dl)
+            + divisible_rows(
+                derivative_groups(n, k, *tau),
+                [{**col, **{dl + p: -v for p, v in col.items()}}
+                 for col in _independent_columns(n, lam, *tau)], 2 * dl))
 
 
 def twin_mult(graph):
@@ -80,15 +69,12 @@ def _image_terms(n, k, shift, mult, swap, d):
     """Per degree-(k - shift) monomial its image in degree k, swapped if
     asked, then times t_a - t_b for mult = (a, b)."""
     idx = monomial_index(n, k)
-
-    def times(e, i):
-        return e[:i - 1] + (e[i - 1] + 1,) + e[i:]
-
     out = []
     for mon in monomials(n, k - shift):
         e = swap_positions(mon, d, d + 1) if swap else mon
         out.append([(idx[e], 1)] if mult is None else
-                   [(idx[times(e, mult[0])], 1), (idx[times(e, mult[1])], -1)])
+                   [(idx[_times_t(e, mult[0])], 1),
+                    (idx[_times_t(e, mult[1])], -1)])
     return out
 
 

@@ -4,11 +4,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmhess import cli
 from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
+from gkmhess import isotypic as I
 from gkmhess import linalg as L
 from gkmhess.coloring import csf_q, llt
 from gkmhess.maps import omega_graded
@@ -73,6 +75,75 @@ class TestMonomialIndex:
                     expected.append(idx[tuple(moved)])
                 assert CH._perm_monomial_table(n, k, sigma) \
                     == tuple(expected), (k, sigma)
+
+
+@st.composite
+def labelled_polys(draw, reduced=False):
+    """(n, k, (a, b), p): p of degree k <= 3 in n <= 4 variables, often a
+    multiple of the label's factor or its square, t_a - t_b or, on the
+    reduced monomials (e_1 = 0) with a = 1, t_b."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, 3))
+    a = draw(st.integers(1, n - 1))
+    b = draw(st.integers(a + 1, n))
+    mons = I.reduced_monomials if reduced else CH.monomials
+    factor = classes.tvar(n, b) if reduced and a == 1 else \
+        classes.sub(classes.tvar(n, a), classes.tvar(n, b))
+    j = draw(st.integers(0, min(k, 2)))
+    p = classes._collect((m, draw(st.integers(-2, 2)))
+                         for m in mons(n, k - j))
+    for _ in range(j):
+        p = classes.mul(p, factor)
+    if draw(st.booleans()):   # one more term, which may break divisibility
+        p = classes.add(p, {draw(st.sampled_from(mons(n, k))): 1})
+    return n, k, (a, b), p
+
+
+def annihilate(rows, mons, p):
+    """Whether every row kills p in the coordinates of width 1 over the
+    monomials mons."""
+    x = {mi: p.get(m, 0) for mi, m in enumerate(mons)}
+    return all(sum(v * x[c] for c, v in row.items()) == 0 for row in rows)
+
+
+class TestDivisibleRows:
+    """One row per col and group, read against polynomial divisibility
+    (:func:`classes.divisible_by_diff`) with width 1 and col {0: 1}."""
+
+    @given(labelled_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_and_derivative_rows(self, case):
+        n, k, (a, b), p = case
+        edge = CH.divisible_rows(CH.edge_groups(n, k, a, b), [{0: 1}], 1)
+        deriv = CH.divisible_rows(CH.derivative_groups(n, k, a, b),
+                                  [{0: 1}], 1)
+        mons = CH.monomials(n, k)
+        assert annihilate(edge, mons, p) == classes.divisible_by_diff(p, a, b)
+        assert annihilate(edge + deriv, mons, p) \
+            == classes.divisible_by_diff(p, a, b, order=2)
+
+    @given(labelled_polys(reduced=True))
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_rows(self, case):
+        # modulo the diagonal t_1 = 0, so t_1 - t_b divides as t_b does
+        n, k, (a, b), p = case
+        edge = CH.divisible_rows(I._edge_groups(n, k, a, b), [{0: 1}], 1)
+        mons = I.reduced_monomials(n, k)
+        if a == 1:
+            assert annihilate(edge, mons, p) == all(e[b - 1] for e in p)
+            return
+        deriv = CH.divisible_rows(I._derivative_groups(n, k, a, b),
+                                  [{0: 1}], 1)
+        assert annihilate(edge, mons, p) == classes.divisible_by_diff(p, a, b)
+        assert annihilate(edge + deriv, mons, p) \
+            == classes.divisible_by_diff(p, a, b, order=2)
+
+    def test_one_row_per_col_and_group(self):
+        groups = (((0, 1), (2, 3)), ((1, -1),))
+        cols = [{0: 1, 1: -1}, {1: 2}]
+        assert CH.divisible_rows(groups, cols, 2) == [
+            {0: 1, 1: -1, 4: 3, 5: -3}, {2: -1, 3: 1},
+            {1: 2, 5: 6}, {3: -2}]
 
 
 class TestDegreeZeroContainsConstants:

@@ -78,6 +78,10 @@ class TestBlocksEqualTheTracePath:
         assert ok, diff
 
 
+def transposition(n, a, b):
+    return G.swap_positions(G.identity_perm(n), a, b)
+
+
 class TestRepresentations:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_certified_irreducibles(self, n):
@@ -85,29 +89,31 @@ class TestRepresentations:
         assert sorted(reps) == sorted(partitions_of(n))
         assert sum(len(I.standard_tableaux(lam)) ** 2 for lam in reps) \
             == factorial(n)
-        for lam, mats in reps.items():
+        for lam, gens in reps.items():
             d = len(I.standard_tableaux(lam))
             assert d == mn_character(lam, (1,) * n)
-            assert len(mats) == n * (n - 1) // 2
-            for m in map(FR.fractions, mats.values()):
-                assert FR.mul(m, m) == FR.identity(d)
-                assert sum(m[p][p] for p in range(d)) \
-                    == mn_character(lam, (2,) + (1,) * (n - 2))
+            assert len(gens) == n - 1
+            for a in range(1, n):
+                for b in range(a + 1, n + 1):
+                    m = FR.fractions(I.rho(n, lam, transposition(n, a, b)))
+                    assert FR.mul(m, m) == FR.identity(d)
+                    assert sum(m[p][p] for p in range(d)) \
+                        == mn_character(lam, (2,) + (1,) * (n - 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_equal_to_the_fraction_oracle(self, n):
-        # the same matrices as the dense Fraction products, each in
-        # lowest terms: no common factor of den and every entry
+        # each (a b) through rho: the same matrices as the dense Fraction
+        # products, each in lowest terms, no common factor of den and
+        # every entry
         oracle = FR.representations(n)
-        reps = I.representations(n)
-        assert reps.keys() == oracle.keys()
-        for lam, mats in reps.items():
-            assert mats.keys() == oracle[lam].keys()
-            for ab, (rows, den) in mats.items():
-                assert FR.fractions((rows, den)) == oracle[lam][ab], (lam, ab)
+        assert I.representations(n).keys() == oracle.keys()
+        for lam, mats in oracle.items():
+            for (a, b), m in mats.items():
+                rows, den = I.rho(n, lam, transposition(n, a, b))
+                assert FR.fractions((rows, den)) == m, (lam, (a, b))
                 assert den > 0 and gcd(den, *(x for r in rows for x in r)) == 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rho_equal_to_the_fraction_oracle(self, n):
         for lam in partitions_of(n):
             for w in G.all_perms(n):
