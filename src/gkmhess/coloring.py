@@ -10,9 +10,10 @@ partition (S_1, ..., S_l) of [n] into colour classes with |S_c| = lam_c,
 and an edge j < i ascends exactly when j lies in an earlier class than i,
 so asc = sum over c and i in S_c of |N^-(i) & (S_1 u ... u S_{c-1})| with
 N^-(i) = {j < i : h(j) >= i}.  Both are computed exactly by a dynamic
-program that adds one colour class at a time over the 2^n vertex subsets
-(a proper coloring's classes contain no edge), with the ascents a class
-adds read off by one AND and one popcount against a spread mask.  The DP
+program that adds one colour class at a time, each a subset of the
+vertices not yet coloured (a proper coloring's classes contain no edge),
+with the ascents a class adds read off by one AND and one popcount
+against a spread mask, one per vertex subset.  The DP
 runs once per (h, proper_only) per process: its leaf counts are memoised
 as one packed integer per partition, and csf_q and llt build a fresh
 graded function from them on every call.  csf_q_raw and llt_raw enumerate
@@ -50,13 +51,20 @@ def asc(h: HessenbergFunction, kappa: Coloring) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subsets_by_size(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Entry k lists every k-subset of {0, ..., n-1} as (bitmask, members)."""
-    out: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        out[len(members)].append((mask, members))
-    return tuple(map(tuple, out))
+def _submasks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry free lists the subsets of the bitmask free by size: entry k of
+    it is the tuple of the k-subsets.  3^n subsets over all 2^n masks."""
+    table = []
+    for free in range(1 << n):
+        by_size: list[list[int]] = [[] for _ in range(free.bit_count() + 1)]
+        sub = free
+        while True:
+            by_size[sub.bit_count()].append(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        table.append(tuple(map(tuple, by_size)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -76,15 +84,19 @@ def _packed_counts(h: HessenbergFunction,
     Classes are added in colour order, the parts of lam weakly decreasing,
     so partitions sharing a prefix share its states.  A state maps the set
     U of vertices coloured so far (bit i-1 for vertex i) to its packed
-    ascent distribution; adding a class S adds w = sum over i in S of
-    |N^-(i) & U| ascents, a shift by width w.  w is one AND and one
-    popcount: the class's spread mask (_class_tables) holds N^-(i) in field
-    i of n bits, and U * rep holds a copy of U in every field.
+    ascent distribution; the next class S of size k is one of the
+    k-subsets of the free vertices [n] - U (_submasks), skipped when its
+    spread mask is None (an edge inside S, proper colorings only).  S adds
+    w = sum over i in S of |N^-(i) & U| ascents, a shift by width w.  w is
+    one AND and one popcount: the spread mask (_class_tables) holds N^-(i)
+    in field i of n bits, and U * rep holds a copy of U in every field.
     """
     n = h.n
     check_degree(n)
     width = factorial(n).bit_length() + 1
-    rep, classes = _class_tables(h, proper_only)
+    rep, spreads = _class_tables(h, proper_only)
+    submasks = _submasks(n)
+    full = (1 << n) - 1
     counts: dict[Partition, int] = {}
     stack: list[tuple[dict[int, int], Partition, int]] = [({0: 1}, (), n)]
     while stack:
@@ -96,8 +108,9 @@ def _packed_counts(h: HessenbergFunction,
             grown: dict[int, int] = {}
             for done, packed in states.items():
                 copies = done * rep
-                for cls, spread in classes[part]:
-                    if not cls & done:
+                for cls in submasks[full ^ done][part]:
+                    spread = spreads[cls]
+                    if spread is not None:
                         w = (spread & copies).bit_count()
                         grown[done | cls] = (grown.get(done | cls, 0)
                                              + (packed << width * w))
@@ -107,22 +120,30 @@ def _packed_counts(h: HessenbergFunction,
 
 
 def _class_tables(h: HessenbergFunction, proper_only: bool
-                  ) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(rep, classes): classes[k] lists each admissible k-subset S (no edge
-    inside it if proper_only) as (bitmask, spread mask), the spread mask
-    being sum over i in S of N^-(i) << n i, and rep = sum_k 1 << n k.  For
-    U disjoint from S, (spread & U * rep).bit_count() is the number of
-    ascents S adds after U: N^-(i) and U lie below 2^n, so the copies of U
-    land in separate fields and field i of the AND is N^-(i) & U."""
+                  ) -> tuple[int, list[int | None]]:
+    """(rep, spread): spread[S] for each bitmask S is sum over i in S of
+    N^-(i) << n i, or None if proper_only and S holds an edge, and
+    rep = sum_k 1 << n k.  For U disjoint from S,
+    (spread[S] & U * rep).bit_count() is the number of ascents S adds
+    after U: N^-(i) and U lie below 2^n, so the copies of U land in
+    separate fields and field i of the AND is N^-(i) & U.
+
+    Built from the lowest bit i of S up: spread[S] = spread[S - i] +
+    (N^-(i) << n i), and S holds an edge when S - i does or i has a
+    neighbour above it in S."""
     n = h.n
     below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
              for i in range(1, n + 1)]
+    above = [sum(1 << j for j in range(i + 1, h(i + 1))) for i in range(n)]
     rep = sum(1 << n * k for k in range(n))
-    classes = [[(cls, sum(below[i] << n * i for i in members))
-                for cls, members in same_size
-                if not (proper_only and any(below[i] & cls for i in members))]
-               for same_size in _subsets_by_size(n)]
-    return rep, classes
+    spread: list[int | None] = [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        prev = spread[mask ^ low]
+        spread.append(None if prev is None or proper_only and above[i] & mask
+                      else prev + (below[i] << n * i))
+    return rep, spread
 
 
 def _coloring_sum(h: HessenbergFunction, proper_only: bool) -> GradedSymmetricFunction:

@@ -1,9 +1,10 @@
 """Exact rational linear algebra on sparse matrices.
 
 Everything here is exact: rows and kernel columns are integer sparse
-vectors (rows have their content stripped after every combination,
-Bareiss style).  There is no floating point and no modular arithmetic;
-identical inputs produce bit-identical outputs.
+vectors, and every stored row is primitive (its content is stripped when
+it is stored and when back substitution changes it).  There is no
+floating point and no modular arithmetic; identical inputs produce
+bit-identical outputs.
 
 :class:`Echelon` is the one elimination engine: kernels, ranks, and the
 direct quotient and its trace in :mod:`gkmhess.cohomology` all reduce
@@ -53,7 +54,6 @@ def _reduce_by(row: IntRow, prow: IntRow, c: int) -> None:
             row[k] = nv
         else:
             row.pop(k, None)
-    _strip_content(row)
 
 
 class Echelon:
@@ -79,7 +79,8 @@ class Echelon:
         """Remainder of row against the current pivots, not stored.
 
         The remainder is empty exactly when row lies in the span of the
-        rows; otherwise its smallest column is not a pivot.
+        rows; otherwise its smallest column is not a pivot.  It is a
+        positive multiple of the primitive remainder, not always primitive.
         """
         r = dict(row)
         while r:
@@ -95,6 +96,7 @@ class Echelon:
         r = self.reduce(row)
         if not r:
             return False
+        _strip_content(r)
         c = min(r)
         self.pivots[c] = len(self.rows)
         self.rows.append((c, r))
@@ -111,12 +113,16 @@ class Echelon:
         Rows are taken in descending pivot order, so every row a reduction
         uses is already reduced: it meets no pivot column but its own, and
         clearing one column never fills another.  One scan of each row
-        therefore finds every column to clear.
+        therefore finds every column to clear.  A changed row has its
+        content stripped before any later row uses it.
         """
         pivots = self.pivots
         for c, r in sorted(self.rows, key=lambda cr: -cr[0]):
-            for k in [k for k in r if k != c and k in pivots]:
+            hits = [k for k in r if k != c and k in pivots]
+            for k in hits:
                 _reduce_by(r, self.rows[pivots[k]][1], k)
+            if hits:
+                _strip_content(r)
 
     def clear_pivots(self, row: IntRow) -> tuple[IntRow, int]:
         """(s * (row - sum_c row[c] / r_c[c] * r_c), s) after back

@@ -16,15 +16,18 @@ e_mu = sum K(lam', mu) s_lam and p_mu = sum chi^lam(mu) s_lam, with
 inverses m_mu = sum L(mu, lam) s_lam, s_lam = sum L(mu, lam) h_mu =
 sum L(mu, lam') e_mu = sum chi^lam(mu) / z_mu p_mu (Macdonald, Symmetric
 Functions and Hall Polynomials, I.6-I.7).  Only the p table out of s has
-non-integer entries.  The monomial basis is the canonical comparison
-basis; products are taken in p.
+non-integer entries.  A conversion scales the coefficients to integers
+over one denominator, the lcm of theirs, applies the tables in integers
+(skipping the identity table on the s side) and divides once at the end.
+The monomial basis is the canonical comparison basis; products are taken
+in p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 DEGREE_CAP = 8
 
@@ -178,14 +181,13 @@ def _inverse_kostka(n: int) -> Table:
 
 @lru_cache(maxsize=None)
 def _to_s(n: int, basis: str) -> Table:
-    """Rows: generator of the basis -> its s-expansion.
+    """Rows: generator of the basis -> its s-expansion, for basis != s.
 
     m_mu = sum L(mu, lam) s_lam, h_mu = sum K(lam, mu) s_lam,
     e_mu = sum K(lam', mu) s_lam = omega(h_mu), p_mu = sum chi^lam(mu) s_lam.
     """
     inv = _inverse_kostka(n)
     entries = {
-        "s": lambda mu, lam: int(mu == lam),
         "m": lambda mu, lam: inv[mu].get(lam, 0),
         "h": lambda mu, lam: kostka(lam, mu),
         "e": lambda mu, lam: kostka(conjugate(lam), mu),
@@ -196,21 +198,20 @@ def _to_s(n: int, basis: str) -> Table:
 
 @lru_cache(maxsize=None)
 def _from_s(n: int, basis: str) -> Table:
-    """Rows: s_lam -> its expansion in the basis, the inverse of _to_s.
+    """Rows: s_lam -> its expansion in the basis != s, the inverse of _to_s.
 
     s_lam = sum K(lam, mu) m_mu = sum L(mu, lam) h_mu = sum L(mu, lam') e_mu
     = sum chi^lam(mu) / z_mu p_mu (character orthogonality).
     """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
     inv = _inverse_kostka(n)
     entries = {
-        "s": lambda lam, mu: int(lam == mu),
         "m": lambda lam, mu: kostka(lam, mu),
         "h": lambda lam, mu: inv[mu].get(lam, 0),
         "e": lambda lam, mu: inv[mu].get(conjugate(lam), 0),
         "p": lambda lam, mu: Fraction(mn_character(lam, mu), z_lambda(mu)),
     }
+    if basis not in entries:
+        raise ValueError(f"unknown basis {basis!r}")
     return _table(n, entries[basis])
 
 
@@ -272,9 +273,16 @@ class SymmetricFunction:
         if target == self.basis:
             return self
         check_degree(self.degree)
-        svec = _apply(self.coeffs, _to_s(self.degree, self.basis))
-        return SymmetricFunction(
-            self.degree, target, _apply(svec, _from_s(self.degree, target)))
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        vec = {lam: c.numerator * (den // c.denominator)
+               for lam, c in self.coeffs.items()}
+        if self.basis != "s":
+            vec = _apply(vec, _to_s(self.degree, self.basis))
+        if target != "s":
+            vec = _apply(vec, _from_s(self.degree, target))
+        if den != 1:
+            vec = {lam: Fraction(c, den) for lam, c in vec.items()}
+        return SymmetricFunction(self.degree, target, vec)
 
     def omega(self) -> "SymmetricFunction":
         """The involution with omega(e_k) = h_k, omega(p_r) = (-1)^(r-1) p_r."""

@@ -3,7 +3,7 @@ machinery, and the combinatorial modular laws."""
 
 import gc
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -431,15 +431,21 @@ class TestMemo:
 class TestSpreadMask:
     @pytest.mark.parametrize("hstr", ["8,8,8,8,8,8,8,8", "2,4,5,6,7,7,8,8"])
     def test_weight_equals_member_sum(self, hstr):
-        # every disjoint pair (done, S) of classes of one n = 8 function
+        # every disjoint pair (done, S) of one n = 8 function, both kinds;
+        # the table has None exactly at the S a proper coloring cannot use
         h = H.from_string(hstr)
         n = h.n
         below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
                  for i in range(1, n + 1)]
-        rep, classes = C._class_tables(h, proper_only=False)
-        for same_size in classes:
-            for cls, spread in same_size:
+        for proper_only in (False, True):
+            rep, spreads = C._class_tables(h, proper_only)
+            assert len(spreads) == 1 << n
+            for cls, spread in enumerate(spreads):
                 members = [i for i in range(n) if cls >> i & 1]
+                has_edge = any(below[i] & cls for i in members)
+                assert (spread is None) == (proper_only and has_edge)
+                if spread is None:
+                    continue
                 rest = (1 << n) - 1 & ~cls
                 done = rest
                 while True:   # every subset of the complement of S
@@ -448,3 +454,18 @@ class TestSpreadMask:
                     if not done:
                         break
                     done = (done - 1) & rest
+
+
+class TestSubmasks:
+    @pytest.mark.parametrize("n", range(7))
+    def test_lists_the_k_subsets_of_every_free_mask(self, n):
+        table = C._submasks(n)
+        assert len(table) == 1 << n
+        for free, by_size in enumerate(table):
+            members = [i for i in range(n) if free >> i & 1]
+            assert len(by_size) == len(members) + 1
+            for k, subsets in enumerate(by_size):
+                expected = {sum(1 << i for i in c)
+                            for c in combinations(members, k)}
+                assert len(subsets) == len(expected)
+                assert set(subsets) == expected

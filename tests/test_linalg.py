@@ -4,6 +4,7 @@ to a subspace."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,6 +248,20 @@ def test_engine_invariants(system):
         assert not set(free).intersection(col) - {free[j]}
         assert not any(times(dense, col))
     assert same_span(cols, fraction_kernel(rows, ncols), ncols)
+
+
+@given(sparse_systems())
+@example(CHAIN)
+@settings(max_examples=150, deadline=None)
+def test_stored_rows_are_primitive(system):
+    # the content is stripped once per stored row, not per combination
+    rows, _ = system
+    ech = L.Echelon.of(rows)
+    for stage in ("inserted", "back-substituted"):
+        for c, r in ech.rows:
+            assert min(r) == c, stage
+            assert gcd(*r.values()) == 1, stage
+        ech.back_substitute()
 
 
 @given(sparse_systems(), st.randoms(use_true_random=False))

@@ -265,3 +265,43 @@ def test_omega_ring_hom_random(f, g):
 @settings(max_examples=40, deadline=None)
 def test_conversion_round_trip_random(f, basis):
     assert f.convert(basis).convert("m") == f
+
+
+def _fraction_apply(coeffs, table):
+    out = {}
+    for a, c in coeffs.items():
+        for b, t in table[a].items():
+            out[b] = out.get(b, Fraction(0)) + Fraction(c) * t
+    return out
+
+
+def fraction_route(f, target):
+    """f in the target basis, every sum taken in Fractions through s."""
+    n, vec = f.degree, dict(f.coeffs)
+    if f.basis != "s":
+        vec = _fraction_apply(vec, S._to_s(n, f.basis))
+    if target != "s":
+        vec = _fraction_apply(vec, S._from_s(n, target))
+    return {lam: c for lam, c in vec.items() if c}
+
+
+@st.composite
+def any_degree_symfuncs(draw, basis):
+    n = draw(st.integers(1, 6))
+    coeffs = {}
+    for lam in draw(st.sets(st.sampled_from(S.partitions_of(n)),
+                            max_size=5)):
+        coeffs[lam] = Fraction(draw(st.integers(-30, 30)),
+                               draw(st.sampled_from([1, 2, 3, 4, 6, 9, 35])))
+    return S.SymmetricFunction(n, basis, coeffs)
+
+
+@pytest.mark.parametrize("target", S.BASES)
+@pytest.mark.parametrize("source", S.BASES)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_convert_equals_the_fraction_route(source, target, data):
+    f = data.draw(any_degree_symfuncs(source))
+    got = f.convert(target)
+    assert got.basis == target
+    assert got.coeffs == fraction_route(f, target)
