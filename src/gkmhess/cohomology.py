@@ -8,11 +8,9 @@ divisible by the square of the shared label.  Divisibility by t_a - t_b is
 encoded by substituting t_a <- t_b and asking for zero; the squared
 condition also asks (d/dt_a - d/dt_b) to vanish at t_a = t_b.  Given the
 first condition this is the same as asking it of d/dt_a alone, but the
-antisymmetric form does not depend on the orientation of the label, so the
-group action permutes these rows like the others (see
-:func:`check_action_invariance`).  All give integer linear constraints,
-solved degree by degree by the sparse exact kernel in
-:mod:`gkmhess.linalg`.
+antisymmetric form does not depend on the orientation of the label.  All
+give integer linear constraints, solved degree by degree by the sparse
+exact kernel in :mod:`gkmhess.linalg`.
 
 Both conditions are groups of (monomial index, coefficient) pairs, one
 per image monomial (:func:`group_edges`, :func:`group_derivatives`), and
@@ -31,15 +29,16 @@ on the n = 4 kernels the monomial-major order eliminates two to three
 times faster than the vertex-major one.
 
 From the graded dimensions the Hilbert numerator (the dimension series
-times (1-q)^n) recovers the ordinary Betti numbers; symmetric-group
-characters are computed as exact traces on the kernel bases and pushed to
-ordinary cohomology either by series division (fast path) or through the
-direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T (authoritative
-path); the two are cross-checked on demand.  The direct quotient keeps
-I_k in reduced echelon form and b_k quotient rows, and takes traces on
-those rows alone; I_k is invariant by a lemma on the monomial tables
-(:func:`_image_fault`).  Frobenius characteristics of the graded
-characters land in the symmetric-function layer.
+times (1-q)^n) recovers the ordinary Betti numbers.  The graded character
+of a solved space is read on the direct quotient H^k_T / I_k,
+I_k = sum_i t_i H^{k-1}_T, alone: it keeps I_k in reduced echelon form
+and b_k quotient rows, and takes traces on those rows.  The same pass
+proves that the action preserves H^k_T and I_k (:func:`graded_character`
+states the induction), so no other invariance check is made.  Traces of
+the equivariant pieces read elsewhere (the irreducible blocks of a twin,
+or side y for side x) become a character by series division, which the
+direct quotient cross-checks at n <= 3.  Frobenius characteristics of
+the graded characters land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling` turns every X congruence into the Y congruence and the
@@ -214,21 +213,13 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     return rows
 
 
-def equivariant_piece(graph, k: int) -> SubspaceBasis:
-    """Kernel basis of the degree-k congruence system."""
-    return kernel_of_rows(constraint_rows(graph, k),
-                          len(graph.vertices) * len(monomials(graph.n, k)))
-
-
 @dataclass
 class GradedSolutionSpace:
-    """Degreewise kernel bases of the equivariant cohomology, plus the
-    constraint rows they solve (kept for invariance checks)."""
+    """Degreewise kernel bases of the equivariant cohomology."""
 
     graph: object
     max_degree: int
     bases: dict[int, SubspaceBasis]
-    rows: dict[int, list[IntRow]]
 
     def dim(self, k: int) -> int:
         if k < 0:
@@ -249,12 +240,10 @@ def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
     if max_degree is None:
         max_degree = graph.top_degree + 1
     nverts = len(graph.vertices)
-    bases, rows = {}, {}
-    for k in range(max_degree + 1):
-        rows[k] = constraint_rows(graph, k)
-        bases[k] = kernel_of_rows(rows[k],
-                                  nverts * len(monomials(graph.n, k)))
-    return GradedSolutionSpace(graph, max_degree, bases, rows)
+    bases = {k: kernel_of_rows(constraint_rows(graph, k),
+                               nverts * len(monomials(graph.n, k)))
+             for k in range(max_degree + 1)}
+    return GradedSolutionSpace(graph, max_degree, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +329,6 @@ def direct_quotients(space: GradedSolutionSpace, top: int,
         yield image, quotient, reps
 
 
-def ordinary_piece_direct(space: GradedSolutionSpace, k: int,
-                          expected: int | None = None) -> SubspaceBasis:
-    """Representatives of H^k_T / sum_i t_i H^{k-1}_T.
-
-    When ``expected`` is given (the Hilbert-numerator coefficient), a
-    mismatch raises DimensionMismatch; the direct computation is the
-    authoritative value.
-    """
-    *_, (_, _, reps) = direct_quotients(
-        space, k, None if expected is None else {k: expected})
-    return SubspaceBasis(space.bases[k].ambient_dim, reps)
-
-
 # ---------------------------------------------------------------------------
 # group actions, traces, characters
 
@@ -414,60 +390,6 @@ def first_violated_row(adj, col: dict) -> int | None:
     return min(residual) if residual else None
 
 
-def _row_key(items) -> tuple:
-    """A row as its sorted (column, value) pairs, up to sign: the entry at
-    the smallest column is made positive."""
-    key = sorted(items)
-    if key and key[0][1] < 0:
-        return tuple((c, -v) for c, v in key)
-    return tuple(key)
-
-
-def check_action_invariance(space: GradedSolutionSpace, k: int,
-                            action_kind: str) -> None:
-    """Verify that the generators of S_n map the degree-k piece into
-    itself; NotInvariant otherwise.
-
-    Generators suffice: the action is a group homomorphism.  Each generator
-    is checked on the constraint rows: if its coordinate permutation pi
-    maps every row onto a row of the system up to sign, then
-    r.(P x) = +-r'.x = 0 for every kernel vector x, so the kernel is
-    invariant.  The test is sufficient, not necessary, so a generator that
-    fails it is reported as NotInvariant even if the kernel happens to be
-    invariant.  The action permutes edges and quads, and no row depends on
-    the orientation of its label (the first-order quad rows are
-    antisymmetric for that reason), so this passes on every graph built
-    here.
-    """
-    rows = space.rows[k]
-    keys = {_row_key(r.items()) for r in rows}
-    for sigma in generators(space.n):
-        pi = coordinate_perm(space.graph, k, sigma, action_kind)
-        if not all(_row_key((pi[c], v) for c, v in r.items()) in keys
-                   for r in rows):
-            raise NotInvariant(
-                f"{action_kind} action by {sigma} does not permute the "
-                f"degree-{k} constraint rows")
-
-
-def equivariant_trace(space: GradedSolutionSpace, k: int, sigma,
-                      action_kind: str) -> Fraction:
-    """Trace of sigma on the degree-k piece (assumes invariance checked).
-
-    The kernel basis has unit rows, so the coordinate of a kernel element
-    along basis column i is its value at unit row u_i over column i's own
-    value there; the trace sums that coordinate of each permuted column.
-    """
-    basis = space.bases[k]
-    pinv = coordinate_perm(space.graph, k, inverse(sigma), action_kind)
-    total = Fraction(0)
-    for u, col in zip(basis.unit_rows, basis.columns):
-        v = col.get(pinv[u])
-        if v:
-            total += Fraction(v, col[u])
-    return total
-
-
 @dataclass
 class GradedCharacter:
     """Ordinary graded character: (cycle type, q degree) -> value."""
@@ -520,42 +442,43 @@ def _ambient_factor(lam: Partition) -> list[int]:
     return coeffs
 
 
-def equivariant_traces(space: GradedSolutionSpace, action_kind: str
-                       ) -> dict[Partition, list[Fraction]]:
-    """Trace of each class representative in every degree, after checking
-    that the action preserves every degree."""
-    for k in range(space.max_degree + 1):
-        check_action_invariance(space, k, action_kind)
-    traces: dict[Partition, list[Fraction]] = {}
-    for lam in partitions_of(space.n):
-        sigma = class_representative(lam)
-        traces[lam] = [equivariant_trace(space, k, sigma, action_kind)
-                       for k in range(space.max_degree + 1)]
-    return traces
-
-
 def graded_character(space: GradedSolutionSpace, action_kind: str,
                      cross_check: bool | None = None,
                      traces: dict[Partition, list[Fraction]] | None = None
                      ) -> GradedCharacter:
-    """Ordinary graded character by series division, optionally verified
-    against the direct quotient.
+    """Ordinary graded character of space under the action.
 
-    cross_check defaults to n <= 3 (the direct path runs everywhere small);
-    the direct quotient is authoritative and a disagreement raises
-    CrossCheckFailed.  traces, if given, stand for
-    equivariant_traces(space, action_kind): computed once for two
-    characters, carried over from side y by :func:`relabelled_character`,
-    or read from the irreducible blocks of a twin graph
-    (:class:`gkmhess.isotypic.TwinBlocks`), which can then stand for space
-    itself where there is no cross-check.
+    Without traces it is read on the direct quotient H^k_T / I_k,
+    I_k = sum_i t_i H^{k-1}_T (:func:`_cross_check_direct`), and
+    cross_check has nothing to add.  This is a proof for each class
+    representative sigma, by induction on k, once sigma preserves
+    H^{k-1}_T (nothing to show at k = 0, where I_0 = 0):
+
+    - the rank check on the reps (:func:`direct_quotients`) shows that I_k
+      lies in H^k_T, so H^k_T is I_k plus the span of the quotient rows;
+    - :func:`_image_fault` gives sigma I_k <= I_k, as sigma H^{k-1}_T <=
+      H^{k-1}_T;
+    - the membership check of :func:`_quotient_trace` gives sigma q in
+      H^k_T for every quotient row q.
+
+    So sigma preserves H^k_T and I_k, and the trace read on the quotient
+    rows is its trace on H^k_T / I_k.  The quotient dimensions are the
+    numerator coefficients (DimensionMismatch otherwise).
+
+    traces, if given, are the traces of the class representatives on the
+    equivariant pieces H^k_T: carried over from side y by
+    :func:`relabelled_character`, or read from the irreducible blocks of
+    a twin graph (:class:`gkmhess.isotypic.TwinBlocks`), which can then
+    stand for space itself where there is no cross-check.  The character
+    is then their series division by the ambient factor, and cross_check
+    (default n <= 3) compares it with the direct quotient; a disagreement
+    raises CrossCheckFailed.
     """
+    numer = hilbert_numerator(space)
+    if traces is None:
+        return _cross_check_direct(space, action_kind, numer)
     n = space.n
     top = space.graph.top_degree
-    numer = hilbert_numerator(space)
-    traced = traces is None
-    if traced:
-        traces = equivariant_traces(space, action_kind)
     one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     for lam in partitions_of(n):
@@ -580,41 +503,40 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     if cross_check is None:
         cross_check = n <= 3
     if cross_check:
-        _cross_check_direct(space, action_kind, char, numer,
-                            invariant=traced)
+        _cross_check_direct(space, action_kind, numer, char)
     return char
 
 
 def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
-                        char: GradedCharacter, numer: list[int],
-                        invariant: bool = False) -> None:
-    """Direct-quotient traces; CrossCheckFailed on any disagreement.
-
-    The traces are taken on the solved space, so the action is first
-    checked to preserve each degree (NotInvariant otherwise), unless
-    invariant says that equivariant_traces has done so already; the
-    image I_k is certified by :func:`_image_fault`.
+                        numer: list[int],
+                        series: GradedCharacter | None = None
+                        ) -> GradedCharacter:
+    """The graded character read on the direct quotient, degree by degree
+    (see :func:`graded_character`), with numer the Hilbert numerator.
+    NotInvariant where :func:`_image_fault` or :func:`_quotient_trace`
+    fails to certify a class representative, and CrossCheckFailed at the
+    first value that differs from series, where that is given.
     """
     n = space.n
-    top = space.graph.top_degree
-    sigmas = [class_representative(lam) for lam in partitions_of(n)]
-    for k in range(top + 1):
-        if not invariant:
-            check_action_invariance(space, k, action_kind)
-        for sigma in sigmas:
+    sigmas = [(lam, class_representative(lam)) for lam in partitions_of(n)]
+    values: dict[tuple[Partition, int], Fraction] = {}
+    quotients = direct_quotients(space, space.graph.top_degree,
+                                 dict(enumerate(numer)))
+    for k, (image, quotient, _) in enumerate(quotients):
+        for lam, sigma in sigmas:
             if _image_fault(n, k, sigma, action_kind):
                 raise NotInvariant(
                     f"{action_kind} action by {sigma} does not intertwine "
                     f"t-multiplication into degree {k}")
-    quotients = direct_quotients(space, top, dict(enumerate(numer)))
-    for k, (image, quotient, _) in enumerate(quotients):
-        for lam, sigma in zip(partitions_of(n), sigmas):
             direct = _quotient_trace(space, k, image, quotient, sigma,
                                      action_kind)
-            if direct != char.value(lam, k):
+            if series is not None and direct != series.value(lam, k):
                 raise CrossCheckFailed(
                     f"degree {k}, type {lam}: direct {direct} != "
-                    f"series {char.value(lam, k)}")
+                    f"series {series.value(lam, k)}")
+            if direct:
+                values[(lam, k)] = direct
+    return GradedCharacter(n, values)
 
 
 def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
@@ -641,13 +563,14 @@ def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
 
 def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
                     quotient: Echelon, sigma, action_kind: str) -> Fraction:
-    """Trace of sigma on H^k_T / I_k, read on the quotient rows.
+    """Trace of sigma on H^k_T / I_k, read on the quotient rows, given
+    sigma I_k <= I_k.
 
-    H^k_T is I_k plus the span of the quotient rows, a direct sum, and
-    sigma preserves H^k_T and I_k, so the trace sums the coordinate of
-    sigma q along q over the quotient rows q.  Once the image pivots are
-    cleared, the remainder of sigma q lies in the span of the quotient
-    rows (NotInvariant otherwise), and that coordinate is its value at
+    H^k_T is I_k plus the span of the quotient rows, a direct sum.  Once
+    the image pivots are cleared, the remainder of sigma q must lie in the
+    span of the quotient rows, that is sigma q in H^k_T (NotInvariant
+    otherwise); so sigma preserves H^k_T, and the trace sums the
+    coordinate of sigma q along q over the quotient rows q, its value at
     the pivot of q over q's own.
     """
     pi = coordinate_perm(space.graph, k, sigma, action_kind)
@@ -672,11 +595,10 @@ def frobenius_of_character(char: GradedCharacter) -> GradedSymmetricFunction:
     return GradedSymmetricFunction(char.n, terms)
 
 
-def frobenius_series(space: GradedSolutionSpace, action_kind: str,
-                     cross_check: bool | None = None) -> GradedSymmetricFunction:
+def frobenius_series(space: GradedSolutionSpace, action_kind: str
+                     ) -> GradedSymmetricFunction:
     """Frobenius characteristic of the ordinary graded character, m basis."""
-    return frobenius_of_character(
-        graded_character(space, action_kind, cross_check=cross_check))
+    return frobenius_of_character(graded_character(space, action_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +758,7 @@ def certify_relabelling(graph_y, graph_x, name: str,
 def relabel_space(space_y: GradedSolutionSpace, graph_x,
                   name: str) -> GradedSolutionSpace:
     """The side-x space P(space_y) of graph_x, certified as
-    certify_relabelling does: each basis column and unit row moved by P,
-    with the X constraint rows."""
+    certify_relabelling does: each basis column and unit row moved by P."""
     certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
     bases = {}
     for k, basis in space_y.bases.items():
@@ -846,9 +767,7 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
             basis.ambient_dim,
             [{p[c]: v for c, v in col.items()} for col in basis.columns],
             unit_rows=[p[u] for u in basis.unit_rows])
-    return GradedSolutionSpace(
-        graph_x, space_y.max_degree, bases,
-        {k: constraint_rows(graph_x, k) for k in bases})
+    return GradedSolutionSpace(graph_x, space_y.max_degree, bases)
 
 
 def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
@@ -858,18 +777,18 @@ def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
     """The dot-action graded character of graph_x, side x of the graph of
     space_y, without solving side x.
 
-    Once the relabelling is certified, the dot traces on X are the dagger
-    traces on Y (given as traces, or computed) and the dimensions are
-    equal, so the character is those traces times the dot ambient factor.
-    The direct-quotient cross-check (default n <= 3) runs on P(space_y).
+    Without traces it is the direct quotient of P(space_y)
+    (:func:`relabel_space`) under the dot action.  Given the dagger traces
+    of space_y, once the relabelling is certified, the dot traces on X are
+    those traces and the dimensions are equal, so the character is those
+    traces times the dot ambient factor; the direct-quotient cross-check
+    (default n <= 3) runs on P(space_y).
     """
     if cross_check is None:
         cross_check = space_y.n <= 3
-    if cross_check:
+    if traces is None or cross_check:
         space = relabel_space(space_y, graph_x, name)
     else:
         certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
         space = space_y   # read only for its dimensions
-    if traces is None:
-        traces = equivariant_traces(space_y, "dagger")
     return graded_character(space, "dot", cross_check, traces)

@@ -461,10 +461,11 @@ class TwinBlocks:
     k <= max_degree of the equivariant cohomology of a plain twin graph.
 
     It stands for a solved space where only dimensions and dagger traces
-    are read: :func:`gkmhess.cohomology.hilbert_numerator`,
-    :func:`gkmhess.cohomology.graded_character` without the cross-check,
-    and :func:`gkmhess.cohomology.relabelled_character`, whose
-    certificate reads only the graph and max_degree.
+    are read: :func:`gkmhess.cohomology.hilbert_numerator`, and
+    :func:`gkmhess.cohomology.graded_character` and
+    :func:`gkmhess.cohomology.relabelled_character` given these traces
+    and no cross-check; the certificate of the latter reads only the
+    graph and max_degree.
     """
 
     graph: LabeledGraph

@@ -18,14 +18,16 @@ library check (:class:`TripleContext`, :func:`check_theorem_main`) solves
 the five graphs in full.  The CLI's check (:func:`check_theorem_blocks`)
 solves, maps and ranks one irreducible of S_n at a time on side y, in
 t_2..t_n (:mod:`gkmhess.isotypic` states the lemma).  Both
-take equivariance from the vertex rules, never from a map matrix: every
-side-y rule is certified a right multiplication (:func:`block_rules`),
-so the dagger action commutes with it, and every side-x rule the
-relabelled side-y rule (:func:`certify_side_x`).  The two checks give the
-same report.  The corollary (the modular law for the graded characters)
-is checked as an identity of Frobenius series; it reads only the three
-plain graphs.  The characters of plain graphs come from the irreducible
-blocks of their twins (:mod:`gkmhess.isotypic`).
+take equivariance from the graphs and the vertex rules, never from a
+solved space or a map matrix: the side-y blow-up is certified a twin
+shape (:func:`blowup_edge_types`), so the dagger action preserves its
+cohomology, every side-y rule a right multiplication
+(:func:`block_rules`), so the dagger action commutes with it, and every
+side-x graph and rule the relabelled side-y one (:func:`certify_side_x`).
+The two checks give the same report.  The corollary (the modular law for
+the graded characters) is checked as an identity of Frobenius series; it
+reads only the three plain graphs.  The characters of plain graphs come
+from the irreducible blocks of their twins (:mod:`gkmhess.isotypic`).
 
 The CLI checks both on side y only.  Side x is its relabelling (see
 :func:`gkmhess.cohomology.relabelling`): once the graphs, the actions and
@@ -42,11 +44,11 @@ from math import lcm
 from typing import Callable
 
 from gkmhess.cohomology import (
-    GradedCharacter, GradedSolutionSpace, MembershipFailed, NotInvariant,
-    RelabelFailed, _times_t, certify_relabelling, check_action_invariance,
-    column_adjacency, first_violated_row, frobenius_of_character,
-    graded_character, monomial_index, monomials, relabel_space,
-    relabelled_character, solve_graph)
+    GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
+    _times_t, certify_relabelling, column_adjacency, constraint_rows,
+    first_violated_row, frobenius_of_character, graded_character,
+    monomial_index, monomials, relabel_space, relabelled_character,
+    solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
@@ -95,10 +97,6 @@ class TripleGraphs:
     @property
     def d0(self) -> int:
         return self.triple.d0
-
-    @property
-    def action_kind(self) -> str:
-        return "dot" if self.side == "x" else "dagger"
 
     @classmethod
     def of(cls, triple: ModularTriple, side: str) -> "TripleGraphs":
@@ -263,8 +261,8 @@ def map_image_columns(ctx: TripleContext, name: str, k: int,
     """Images in blow-up degree k of the source basis, as integer vectors,
     by :func:`map_matrix`: phi/eta take the degree-k source basis and
     psi/rho the degree-(k-1) one.  Every image is verified to satisfy the
-    blow-up constraint rows, whose column adjacency is adj (membership in
-    the signed space); MembershipFailed otherwise."""
+    degree-k blow-up constraint rows, whose column adjacency is adj
+    (membership in the signed space); MembershipFailed otherwise."""
     _, source, shift = MAPS[name]
     if k < shift:
         return []
@@ -276,7 +274,7 @@ def map_image_columns(ctx: TripleContext, name: str, k: int,
         bad = first_violated_row(adj, col)
         if bad is not None:
             verts = sorted({str(blowup[c % len(blowup)])
-                            for c in ctx.sp_blowup.rows[k][bad]})
+                            for c in constraint_rows(ctx.blowup, k)[bad]})
             raise MembershipFailed(
                 f"{name} image column {j} violates a degree-{k} congruence "
                 f"touching vertices {verts} (constraint row {bad})")
@@ -315,7 +313,7 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
     for k < 0; pair_ranks(k) yields, for each of PAIRS, (first, second,
     label, rank of the first image, of the second, of both together,
     dimension of the first source, of the second), and raises
-    MembershipFailed or NotInvariant at a failed check of degree k."""
+    MembershipFailed at a failed check of degree k."""
     report: dict = {"side": graphs.side, "h": str(graphs.triple.h),
                     "params": list(graphs.triple.params), "degrees": {}}
     failures = []
@@ -341,7 +339,7 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
                     fails.append(DimensionGap(
                         f"degree {k}: {label} sum has rank {rab}, "
                         f"space has dim {dim_blow}"))
-        except (MembershipFailed, NotInvariant) as exc:
+        except MembershipFailed as exc:
             fails.append(exc)
         row["consistency"] = (
             row["dims"]["circle"] + row["dims"]["mid_prev"]
@@ -364,18 +362,21 @@ def check_theorem_main(ctx: TripleContext,
     """Degreewise verification that phi + psi_! and eta + rho_! are
     equivariant isomorphisms onto the signed blow-up cohomology.
 
-    For every degree: each map is injective (image rank = source dim), the
-    two images meet trivially (joint rank = rank sum), the sum fills the
-    space (joint rank = blow-up dim), and the group action preserves the
-    blow-up space.  Returns the per-degree report; with raise_on_failure
-    the named errors fire at the first violation.
+    For every degree: each image satisfies the blow-up constraint rows,
+    built per degree by :func:`constraint_rows` (MembershipFailed
+    otherwise), each map is injective (image rank = source dim), the two
+    images meet trivially (joint rank = rank sum), and the sum fills the
+    space (joint rank = blow-up dim).  Returns the per-degree report; with
+    raise_on_failure the named errors fire at the first violation.
 
-    Equivariance of the maps is certified once, on their vertex rules,
-    before any degree and in both modes: :func:`block_rules` on the side-y
-    graphs (the dagger action commutes with every map, EquivarianceFailed
-    otherwise) and, for a side-x context as :meth:`TripleContext.build`
-    makes it, :func:`certify_side_x`, which carries that onto the dot
-    action (RelabelFailed otherwise).
+    Equivariance is certified once, on the graphs and the vertex rules,
+    before any degree and in both modes, as :func:`check_theorem_blocks`
+    certifies it.  :func:`blowup_edge_types` on the side-y blow-up shows
+    that the dagger action preserves its cohomology (NotTwinGraph
+    otherwise), and :func:`block_rules` that it commutes with every map
+    (EquivarianceFailed otherwise).  For a side-x context as
+    :meth:`TripleContext.build` makes it, :func:`certify_side_x` carries
+    both onto the dot action (RelabelFailed otherwise).
 
     The ranks are taken on the free coordinates of the blow-up basis (its
     unit rows).  The images lie in the kernel, which is checked first, and
@@ -385,6 +386,7 @@ def check_theorem_main(ctx: TripleContext,
     the same report.
     """
     graphs_y = ctx if ctx.side == "y" else TripleGraphs.of(ctx.triple, "y")
+    blowup_edge_types(graphs_y.blowup)
     block_rules(graphs_y)
     if ctx.side == "x":
         certify_side_x(graphs_y, ctx.sp_blowup.max_degree)
@@ -393,8 +395,7 @@ def check_theorem_main(ctx: TripleContext,
         return getattr(ctx, f"sp_{name}").dim(k)
 
     def pair_ranks(k: int):
-        check_action_invariance(ctx.sp_blowup, k, ctx.action_kind)
-        adj = column_adjacency(ctx.sp_blowup.rows[k])
+        adj = column_adjacency(constraint_rows(ctx.blowup, k))
         free = set(ctx.sp_blowup.bases[k].unit_rows)
         for first, second, label in PAIRS:
             cols_a, cols_b = (map_image_columns(ctx, name, k, adj)
@@ -650,9 +651,9 @@ def relabel_failure(text: str) -> str:
 
 def relabel_report(report: dict) -> dict:
     """The side-x 5.1 report of a side-y report whose relabelling is
-    certified: the same degrees, failures worded for the dot action."""
-    return {**report, "side": "x",
-            "failures": [relabel_failure(f) for f in report["failures"]]}
+    certified: the same degrees and failures, none of which names an
+    action, as every action fault raises before any degree."""
+    return {**report, "side": "x"}
 
 
 def check_theorem_main_sides(triple: ModularTriple

@@ -18,8 +18,9 @@ from gkmhess.symfunc import GradedSymmetricFunction, SymmetricFunction
 import coloring_census as CC
 import graph_checks as GC
 
-# n = 4 instances where the direct-quotient character path is also run
-# (criterion 7); chosen across the dimension range
+# n = 4 instances where the characters from the irreducible blocks are
+# compared with the direct quotient of the solved graph (criterion 7);
+# chosen across the dimension range
 SAMPLE4 = ("1,2,3,4", "2,2,3,4", "2,3,3,4", "2,3,4,4")
 
 # n = 4 kind-C triples exercised by the main-theorem check (criterion 4)
@@ -34,13 +35,10 @@ class Store:
     def compute(self, h: H.HessenbergFunction, side: str):
         key = (h.values, side)
         if key not in self.series:
-            cross = h.n <= 3 or (side in ("x", "y") and str(h) in SAMPLE4)
-            graph = G.build_graph(h, side)
-            space = CH.solve_graph(graph)
+            space = CH.solve_graph(G.build_graph(h, side))
             kind = "dot" if side == "x" else "dagger"
             self.numerators[key] = CH.hilbert_numerator(space)
-            self.series[key] = CH.frobenius_series(space, kind,
-                                                   cross_check=cross)
+            self.series[key] = CH.frobenius_series(space, kind)
         return self.numerators[key], self.series[key]
 
 
@@ -270,18 +268,17 @@ def test_criterion_7_oracle_cross_checks():
     """Series-division characters equal direct-quotient characters: every
     n <= 3 instance and the fixed n = 4 sample, both sides.
 
-    CrossCheckFailed (raised inside graded_character) is a build failure.
+    The series division is that of the CLI (maps.plain_character, from the
+    dagger traces of the irreducible blocks of the twin), the direct
+    quotient that of the solved graph of each side.
     """
-    count = 0
-    for h in all_h(1, 2, 3):
+    failures = []
+    hs = [*all_h(1, 2, 3), *map(H.from_string, SAMPLE4)]
+    for h in hs:
         for side, kind in (("x", "dot"), ("y", "dagger")):
             space = CH.solve_graph(G.build_graph(h, side))
-            CH.graded_character(space, kind, cross_check=True)
-            count += 1
-    for s in SAMPLE4:
-        h = H.from_string(s)
-        for side, kind in (("x", "dot"), ("y", "dagger")):
-            space = CH.solve_graph(G.build_graph(h, side))
-            CH.graded_character(space, kind, cross_check=True)
-            count += 1
-    report(7, True, f"{count} instances")
+            if M.plain_character(h, side) != CH.graded_character(
+                    space, kind, cross_check=True):
+                failures.append((str(h), side))
+    report(7, not failures, f"{2 * len(hs)} instances")
+    assert not failures, failures

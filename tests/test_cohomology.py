@@ -13,10 +13,11 @@ from gkmhess import hessenberg as H
 from gkmhess import isotypic as I
 from gkmhess import linalg as L
 from gkmhess.coloring import csf_q, llt
-from gkmhess.maps import omega_graded
+from gkmhess.maps import omega_graded, plain_character
 from gkmhess.symfunc import partitions_of
 import classes
 import graph_checks as GC
+import kernel_traces as KT
 from test_linalg import restrict_endomorphism, trace
 
 
@@ -29,21 +30,21 @@ class TestEquivariantPiece:
     def test_h22_degree0(self):
         # oracle: 2 unknown constants, one forced equality -> dim 1
         g = G.build_GX(H.from_string("2,2"))
-        assert CH.equivariant_piece(g, 0).dim == 1
+        assert CH.solve_graph(g, 0).bases[0].dim == 1
 
     def test_h22_degree1(self):
         # oracle: 4 unknowns, 1 substitution constraint -> dim 3
         g = G.build_GX(H.from_string("2,2"))
-        assert CH.equivariant_piece(g, 1).dim == 3
+        assert CH.solve_graph(g, 1).bases[1].dim == 3
 
     @pytest.mark.parametrize("hstr", ["2,2", "2,3,3", "3,3,3"])
     def test_degree0_connected(self, hstr):
         g = G.build_GX(H.from_string(hstr))
-        assert CH.equivariant_piece(g, 0).dim == 1
+        assert CH.solve_graph(g, 0).bases[0].dim == 1
 
     def test_basis_columns_are_classes(self):
         g = G.build_GX(H.from_string("2,3,3"))
-        basis = CH.equivariant_piece(g, 2)
+        basis = CH.solve_graph(g, 2).bases[2]
         for col in basis.columns:
             cls = classes.EquivariantClass.from_vector(g, 2, col)
             assert classes.membership_check(cls, g)
@@ -150,7 +151,7 @@ class TestDegreeZeroContainsConstants:
     @pytest.mark.parametrize("hstr", ["2,2", "2,3,3", "1,2,3"])
     def test_constant_in_space(self, hstr):
         g = G.build_GX(H.from_string(hstr))
-        basis = CH.equivariant_piece(g, 0)
+        basis = CH.solve_graph(g, 0).bases[0]
         ones = {i: 1 for i in range(len(g.vertices))}
         ech = L.Echelon()
         for col in basis.columns:
@@ -223,27 +224,30 @@ def trace_by_difference(space, k, sigma, kind):
         permuted = {pi[j]: v for j, v in row.items()}
         assert not image.reduce(permuted)
         t_image += Fraction(permuted.get(c, 0), row[c])
-    return CH.equivariant_trace(space, k, sigma, kind) - t_image
+    return KT.kernel_trace(space, k, sigma, kind) - t_image
+
+
+def quotient_reps(space, k, expected=None):
+    """The representatives of H^k_T / I_k that direct_quotients picks."""
+    *_, (_, _, reps) = CH.direct_quotients(space, k, expected)
+    return reps
 
 
 class TestOrdinaryDirect:
     def test_h233_dims(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
         numer = CH.hilbert_numerator(sp)
-        basis = CH.ordinary_piece_direct(sp, 1, expected=numer[1])
-        assert basis.dim == 4
-        basis = CH.ordinary_piece_direct(sp, 3)
-        assert basis.dim == 0
+        assert len(quotient_reps(sp, 1, {1: numer[1]})) == 4
+        assert len(quotient_reps(sp, 3)) == 0
 
     def test_degree0(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
-        basis = CH.ordinary_piece_direct(sp, 0)
-        assert basis.dim == 1
+        assert len(quotient_reps(sp, 0)) == 1
 
     def test_mismatch_raises(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,2")))
         with pytest.raises(CH.DimensionMismatch):
-            CH.ordinary_piece_direct(sp, 1, expected=2)
+            quotient_reps(sp, 1, {1: 2})
 
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_tampered_quotient_raises(self, side, kind, monkeypatch):
@@ -276,15 +280,13 @@ class TestOrdinaryDirect:
         # a dagger action that renames variables from degree 2 on does not
         # commute with t-multiplication into degree 2
         sp = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
-        numer = CH.hilbert_numerator(sp)
-        char = CH.graded_character(sp, "dagger", cross_check=False)
         real = CH._monomial_action
         monkeypatch.setattr(
             CH, "_monomial_action",
             lambda n, k, sigma, kind: real(n, k, sigma,
                                            "dot" if k >= 2 else kind))
         with pytest.raises(CH.NotInvariant, match="into degree 2"):
-            CH._cross_check_direct(sp, "dagger", char, numer, invariant=True)
+            CH.graded_character(sp, "dagger")
 
     def test_image_off_the_classes_raises(self, monkeypatch):
         # t_1 "multiplication" onto the first monomial: its multiples are
@@ -304,11 +306,10 @@ class TestOrdinaryDirect:
           for h in H.enumerate_hessenberg(n)),
         "1,2,3,4", "2,2,3,4", "2,3,3,4", "2,3,4,4"])
     def test_quotient_trace_is_trace_difference(self, hstr):
-        # oracle: tr(sigma | H^k) - tr(sigma | I_k), the latter over every
-        # row of the image echelon
+        # oracle: tr(sigma | H^k) - tr(sigma | I_k), the former on the
+        # kernel basis, the latter over every row of the image echelon
         for side, kind in (("x", "dot"), ("y", "dagger")):
             sp = CH.solve_graph(G.build_graph(H.from_string(hstr), side))
-            CH.equivariant_traces(sp, kind)   # checks invariance
             top = sp.graph.top_degree
             quotients = CH.direct_quotients(sp, top)
             for k, (image, quotient, _) in enumerate(quotients):
@@ -332,33 +333,32 @@ class TestOrdinaryDirect:
     def test_cross_check_catches_a_wrong_character_value(self, side, kind):
         sp = CH.solve_graph(G.build_graph(H.from_string("2,3,3,4"), side))
         numer = CH.hilbert_numerator(sp)
-        char = CH.graded_character(sp, kind, cross_check=False)
-        CH._cross_check_direct(sp, kind, char, numer)
+        char = plain_character(H.from_string("2,3,3,4"), side)
+        assert CH._cross_check_direct(sp, kind, numer, char) == char
         char.values[((2, 2), 1)] = char.value((2, 2), 1) + 1
         with pytest.raises(CH.CrossCheckFailed,
                            match=r"degree 1, type \(2, 2\):"):
-            CH._cross_check_direct(sp, kind, char, numer)
+            CH._cross_check_direct(sp, kind, numer, char)
 
     def test_quotient_traces_act_through_coordinate_perm(self, monkeypatch):
         # with the variables of the dot action left alone, the action no
         # longer preserves H^k_T, and the quotient traces see it
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
-        numer = CH.hilbert_numerator(sp)
-        char = CH.graded_character(sp, "dot", cross_check=False)
         perm = CH.coordinate_perm
         monkeypatch.setattr(CH, "coordinate_perm",
                             lambda graph, k, sigma, kind:
                             perm(graph, k, sigma, "dagger"))
         with pytest.raises(CH.NotInvariant, match="quotient representative"):
-            CH._cross_check_direct(sp, "dot", char, numer, invariant=True)
+            CH.graded_character(sp, "dot")
 
 
 class TestCharacters:
     def test_identity_trace_is_dimension(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
-        for k in range(sp.max_degree + 1):
-            tr = CH.equivariant_trace(sp, k, (1, 2, 3), "dot")
-            assert tr == sp.dim(k)
+        quotients = CH.direct_quotients(sp, sp.max_degree)
+        for k, (image, quotient, _) in enumerate(quotients):
+            tr = CH._quotient_trace(sp, k, image, quotient, (1, 2, 3), "dot")
+            assert tr == sp.dim(k) - image.rank
 
     def test_h22_trivial_character(self):
         sp = CH.solve_graph(G.build_GX(H.from_string("2,2")))
@@ -376,19 +376,15 @@ class TestCharacters:
         # trace must agree for two permutations of the same cycle type
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3,4")),
                             max_degree=2)
-        for k in (0, 1, 2):
-            CH.check_action_invariance(sp, k, "dot")
-            a = CH.equivariant_trace(sp, k, (2, 1, 4, 3), "dot")
-            b = CH.equivariant_trace(sp, k, (1, 3, 2, 4)[:4], "dot")
-            ref22 = CH.equivariant_trace(
-                sp, k, G.class_representative((2, 2)), "dot")
-            ref21 = CH.equivariant_trace(
-                sp, k, G.class_representative((2, 1, 1)), "dot")
-            assert a == ref22
-            assert b == ref21
+        for k, (image, quotient, _) in enumerate(CH.direct_quotients(sp, 2)):
+            def tr(sigma):
+                return CH._quotient_trace(sp, k, image, quotient, sigma, "dot")
+            assert tr((2, 1, 4, 3)) == tr(G.class_representative((2, 2)))
+            assert tr((1, 3, 2, 4)) == tr(G.class_representative((2, 1, 1)))
 
     def test_trace_matches_restrict_endomorphism(self):
-        # the optimized trace equals the trace of the restricted matrix
+        # the quotient trace is tr(sigma | H^k_T) - tr(sigma | I_k), each the
+        # trace of a restricted matrix; so is the kernel-trace oracle's
         g = G.build_GX(H.from_string("2,3,3"))
         sp = CH.solve_graph(g)
         k = 1
@@ -396,8 +392,13 @@ class TestCharacters:
         pi = CH.coordinate_perm(g, k, sigma, "dot")
         p = [[int(pi[c] == r) for c in range(len(pi))]
              for r in range(len(pi))]
-        restricted = restrict_endomorphism(sp.bases[k], p)
-        assert trace(restricted) == CH.equivariant_trace(sp, k, sigma, "dot")
+        *_, (image, quotient, _) = CH.direct_quotients(sp, k)
+        on_h = trace(restrict_endomorphism(sp.bases[k], p))
+        on_i = trace(restrict_endomorphism(
+            L.SubspaceBasis(len(pi), [row for _, row in image.rows]), p))
+        assert CH._quotient_trace(sp, k, image, quotient, sigma, "dot") \
+            == on_h - on_i
+        assert KT.kernel_trace(sp, k, sigma, "dot") == on_h
 
     def test_degree0_traces_are_one_connected(self):
         for hstr, side, kind in (("2,3,3", "x", "dot"), ("2,3,3", "y", "dagger")):
@@ -517,43 +518,53 @@ class TestQuadConditionsMatter:
         assert numer != numer[::-1]
 
 
+def row_key(items):
+    """A row as its sorted (column, value) pairs, up to sign."""
+    key = sorted(items)
+    return tuple(key) if not key or key[0][1] > 0 else \
+        tuple((c, -v) for c, v in key)
+
+
 def row_set(rows):
-    return {CH._row_key(r.items()) for r in rows}
-
-
-def rows_closed(graph, k, rows, kind):
-    """Every generator's coordinate permutation maps the row set onto
-    itself up to sign (the fast path of check_action_invariance)."""
-    keys = row_set(rows)
-    return all(
-        {CH._row_key((pi[c], v) for c, v in r.items()) for r in rows} == keys
-        for pi in (CH.coordinate_perm(graph, k, sigma, kind)
-                   for sigma in G.generators(graph.n)))
+    return {row_key(r.items()) for r in rows}
 
 
 class TestActionInvarianceGuard:
     def test_symmetry_broken_graph_raises(self):
         # deleting one edge of the hexagon breaks vertex transitivity, so
-        # the dot action no longer preserves the solution space
-        g = G.build_GX(H.from_string("2,3,3"))
-        broken = G.LabeledGraph(g.n, g.vertices, g.edges[1:], g.top_degree)
-        sp = CH.solve_graph(broken, max_degree=1)
-        with pytest.raises(CH.NotInvariant):
-            CH.check_action_invariance(sp, 1, "dot")
+        # neither action preserves the solution space, and the direct
+        # quotient, the only path from a solved space to its character,
+        # refuses it
+        h = H.from_string("2,3,3")
+        for side, kind in (("x", "dot"), ("y", "dagger")):
+            g = G.build_graph(h, side)
+            broken = G.LabeledGraph(g.n, g.vertices, g.edges[1:],
+                                    g.top_degree)
+            sp = CH.solve_graph(broken)
+            with pytest.raises(CH.NotInvariant, match=f"{kind} action"):
+                CH.graded_character(sp, kind)
+            with pytest.raises(CH.NotInvariant):
+                KT.kernel_traces(sp, kind)
 
     @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4"])
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_generators_permute_the_rows(self, hstr, side, kind):
-        # the row-set test, the only invariance test, passes on every graph
-        # of a triple
+        # every generator maps the constraint rows of every graph of a
+        # triple onto themselves up to sign, so each kernel is invariant:
+        # a check of the encoding, independent of the direct quotient
         t = c_triple(hstr)
         graphs = [G.build_graph(h, side)
                   for h in (t.h_minus, t.h, t.h_plus)]
         graphs += [G.build_circle_graph(t, side), G.build_blowup(t, side)]
         for g in graphs:
             for k in range(t.h_plus.dimension() + 2):
-                assert rows_closed(g, k, CH.constraint_rows(g, k), kind), \
-                    (type(g).__name__, k)
+                rows = CH.constraint_rows(g, k)
+                keys = row_set(rows)
+                for sigma in G.generators(g.n):
+                    pi = CH.coordinate_perm(g, k, sigma, kind)
+                    assert row_set({pi[c]: v for c, v in r.items()}
+                                   for r in rows) == keys, \
+                        (type(g).__name__, k, sigma)
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_quad_rows_ignore_label_orientation(self, side):
@@ -563,22 +574,6 @@ class TestActionInvarianceGuard:
         for k in range(bl.top_degree + 2):
             assert row_set(CH.constraint_rows(flipped, k)) \
                 == row_set(CH.constraint_rows(bl, k))
-
-    def test_rows_not_permuted_raise(self):
-        # r0 + r1 in place of r0 spans the same rows, so the kernel is
-        # unchanged and invariant, but the row set is no longer permuted;
-        # the row test is sufficient, not necessary, and rejects it
-        g = G.build_GX(H.from_string("2,3,3"))
-        sp = CH.solve_graph(g, max_degree=2)
-        for k in (1, 2):
-            r0, r1 = sp.rows[k][0], sp.rows[k][1]
-            summed = {c: r0.get(c, 0) + r1.get(c, 0) for c in {*r0, *r1}}
-            sp.rows[k][0] = {c: v for c, v in summed.items() if v}
-            assert not rows_closed(g, k, sp.rows[k], "dot")
-            with pytest.raises(CH.NotInvariant,
-                               match=f"does not permute the degree-{k} "
-                                     "constraint rows"):
-                CH.check_action_invariance(sp, k, "dot")
 
     def test_blowup_basis_passes_polynomial_membership(self):
         # divisible_by_diff(order=2) does not read the constraint rows

@@ -17,6 +17,7 @@ from gkmhess import isotypic as I
 from gkmhess import maps as M
 from gkmhess.symfunc import mn_character, partitions_of
 import fraction_reps as FR
+import kernel_traces as KT
 
 ALL_N4 = [str(h) for n in (1, 2, 3, 4) for h in H.enumerate_hessenberg(n)]
 
@@ -51,12 +52,13 @@ class TestBlocksEqualTheTracePath:
         assert blocks.max_degree == space.max_degree == gy.top_degree + 1
         for k in range(space.max_degree + 1):
             assert blocks.dim(k) == space.dim(k), k
-        assert blocks.traces() == CH.equivariant_traces(space, "dagger")
-        name = f"plain graph of {h}"
+        assert blocks.traces() == KT.kernel_traces(space, "dagger")
+        # the series division of the block traces against the direct
+        # quotient of each side, solved on its own
         assert M.plain_character(h, "y") == CH.graded_character(
-            space, "dagger", cross_check=False)
-        assert M.plain_character(h, "x") == CH.relabelled_character(
-            space, G.build_GX(h), name, cross_check=False)
+            space, "dagger", cross_check=True)
+        assert M.plain_character(h, "x") == CH.graded_character(
+            CH.solve_graph(G.build_GX(h)), "dot", cross_check=True)
 
     def test_n4_character_solves_no_kernel(self, monkeypatch):
         def unused(rows, ncols):
@@ -278,22 +280,6 @@ class TestGraphShape:
         for item in data["items"]:
             assert item["pass"] is False
             assert item["error_class"] == "NotTwinGraph"
-
-
-class TestCrossCheckChecksInvariance:
-    def test_rows_not_permuted_raise_not_invariant(self):
-        # r0 + r1 in place of r0 leaves the kernel, the traces and the
-        # character as they were; with the traces given, only the direct
-        # cross-check takes a trace on the space, and it must refuse
-        h = H.from_string("2,3,3")
-        space = CH.solve_graph(G.build_GY(h))
-        traces = CH.equivariant_traces(space, "dagger")
-        CH.graded_character(space, "dagger", True, traces)
-        r0, r1 = space.rows[1][:2]
-        summed = {c: r0.get(c, 0) + r1.get(c, 0) for c in {*r0, *r1}}
-        space.rows[1][0] = {c: v for c, v in summed.items() if v}
-        with pytest.raises(CH.NotInvariant, match="degree-1"):
-            CH.graded_character(space, "dagger", True, traces)
 
 
 def c_triple(hstr):

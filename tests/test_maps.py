@@ -10,7 +10,9 @@ from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import maps as M
 from gkmhess.coloring import csf_q
+from gkmhess.isotypic import NotTwinGraph
 import classes
+import kernel_traces as KT
 
 
 def c_triple(hstr):
@@ -310,6 +312,25 @@ class TestTheoremMain:
                     "blow-up vertex 123: ")):
                 M.check_theorem_main(ctx_x, raise_on_failure)
 
+    def test_flipped_blowup_sign_is_caught(self, ctx_y, monkeypatch):
+        # one vertex sign of the side-y blow-up flipped: its 4-gon no longer
+        # has the signs +-(1, -1, -1, 1), so nothing shows that the dagger
+        # action preserves the blow-up cohomology; the shape certificate
+        # runs before any degree, in both modes
+        import dataclasses
+        signs = list(ctx_y.blowup.signs)
+        signs[0] = -signs[0]
+        bad = dataclasses.replace(ctx_y, blowup=dataclasses.replace(
+            ctx_y.blowup, signs=tuple(signs)))
+
+        def no_degree(graph, k):
+            raise AssertionError(f"degree {k} was checked")
+
+        monkeypatch.setattr(M, "constraint_rows", no_degree)
+        for raise_on_failure in (True, False):
+            with pytest.raises(NotTwinGraph, match="^the signs of the 4-gon"):
+                M.check_theorem_main(bad, raise_on_failure)
+
 
 def corollary(triple, side):
     law_y, side_x = M.check_corollary_sides(triple)
@@ -366,8 +387,8 @@ class TestCharacterTransport:
         for k in range(4):
             for lam in ((3,), (2, 1), (1, 1, 1)):
                 sigma = G.class_representative(lam)
-                assert CH.equivariant_trace(ctx_x.sp_circle, k, sigma, "dot") \
-                    == CH.equivariant_trace(ctx_x.sp_mid, k, sigma, "dot")
+                assert KT.kernel_trace(ctx_x.sp_circle, k, sigma, "dot") \
+                    == KT.kernel_trace(ctx_x.sp_mid, k, sigma, "dot")
 
 
 class TestPhiModuleCompatibility:
