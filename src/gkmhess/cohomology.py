@@ -771,7 +771,6 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
 
 
 def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
-                         cross_check: bool | None = None,
                          traces: dict[Partition, list[Fraction]] | None = None
                          ) -> GradedCharacter:
     """The dot-action graded character of graph_x, side x of the graph of
@@ -781,14 +780,12 @@ def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
     (:func:`relabel_space`) under the dot action.  Given the dagger traces
     of space_y, once the relabelling is certified, the dot traces on X are
     those traces and the dimensions are equal, so the character is those
-    traces times the dot ambient factor; the direct-quotient cross-check
-    (default n <= 3) runs on P(space_y).
+    traces times the dot ambient factor; at n <= 3 the direct-quotient
+    cross-check of :func:`graded_character` runs on P(space_y).
     """
-    if cross_check is None:
-        cross_check = space_y.n <= 3
-    if traces is None or cross_check:
+    if traces is None or space_y.n <= 3:
         space = relabel_space(space_y, graph_x, name)
     else:
         certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
         space = space_y   # read only for its dimensions
-    return graded_character(space, "dot", cross_check, traces)
+    return graded_character(space, "dot", traces=traces)

@@ -14,22 +14,21 @@ On the twin side the multiplications use t_d, t_{d+1}, t_{d0} themselves
 and phi additionally swaps t_d with t_{d+1}.  The main theorem states that
 phi + psi_! and eta + rho_! are both isomorphisms onto the signed blow-up
 cohomology; it is verified degreewise by exact rank computations.  The
-library check (:class:`TripleContext`, :func:`check_theorem_main`) solves
-the five graphs in full.  The CLI's check (:func:`check_theorem_blocks`)
-solves, maps and ranks one irreducible of S_n at a time on side y, in
-t_2..t_n (:mod:`gkmhess.isotypic` states the lemma).  Both
-take equivariance from the graphs and the vertex rules, never from a
-solved space or a map matrix: the side-y blow-up is certified a twin
-shape (:func:`blowup_edge_types`), so the dagger action preserves its
-cohomology, every side-y rule a right multiplication
-(:func:`block_rules`), so the dagger action commutes with it, and every
-side-x graph and rule the relabelled side-y one (:func:`certify_side_x`).
-The two checks give the same report.  The corollary (the modular law for
-the graded characters) is checked as an identity of Frobenius series; it
-reads only the three plain graphs.  The characters of plain graphs come
-from the irreducible blocks of their twins (:mod:`gkmhess.isotypic`).
+check (:func:`check_theorem_blocks`, entered by
+:func:`check_theorem_main_sides`) solves, maps and ranks one irreducible
+of S_n at a time on side y, in t_2..t_n (:mod:`gkmhess.isotypic` states
+the lemma), and solves no full kernel.  It takes equivariance from the
+graphs and the vertex rules, never from a solved space or a map matrix:
+the side-y blow-up is certified a twin shape (:func:`blowup_edge_types`),
+so the dagger action preserves its cohomology, every side-y rule a right
+multiplication (:func:`block_rules`), so the dagger action commutes with
+it, and every side-x graph and rule the relabelled side-y one
+(:func:`certify_side_x`).  The corollary (the modular law for the graded
+characters) is checked as an identity of Frobenius series; it reads only
+the three plain graphs.  The characters of plain graphs come from the
+irreducible blocks of their twins (:mod:`gkmhess.isotypic`).
 
-The CLI checks both on side y only.  Side x is its relabelling (see
+Both are checked on side y only.  Side x is its relabelling (see
 :func:`gkmhess.cohomology.relabelling`): once the graphs, the actions and
 the four rules are certified to correspond, the side-x 5.1 report is the
 side-y one, and the side-x characters are the side-y traces times the
@@ -38,16 +37,15 @@ dot ambient factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Callable
 
 from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
-    _times_t, certify_relabelling, column_adjacency, constraint_rows,
-    first_violated_row, frobenius_of_character, graded_character,
-    monomial_index, monomials, relabel_space, relabelled_character,
+    _times_t, certify_relabelling, column_adjacency, first_violated_row,
+    frobenius_of_character, graded_character, relabelled_character,
     solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
@@ -60,18 +58,6 @@ from gkmhess.isotypic import (
     reduced_swap, rho, standard_tableaux, twin_blocks, twin_edge_types)
 from gkmhess.linalg import Echelon, IntRow, kernel_of_rows, rank_of_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction, Partition, partitions_of
-
-
-class RankDeficit(ValueError):
-    """A map fails to be injective in some degree."""
-
-
-class Overlap(ValueError):
-    """The two images intersect nontrivially in some degree."""
-
-
-class DimensionGap(ValueError):
-    """Injective with zero overlap but not surjective."""
 
 
 class EquivarianceFailed(ValueError):
@@ -124,36 +110,6 @@ class TripleGraphs:
                 "blowup": f"blow-up of {t.h}"}[name]
 
 
-@dataclass
-class TripleContext(TripleGraphs):
-    """A triple's five graphs with their solved cohomologies."""
-
-    sp_minus: GradedSolutionSpace
-    sp_mid: GradedSolutionSpace
-    sp_plus: GradedSolutionSpace
-    sp_circle: GradedSolutionSpace
-    sp_blowup: GradedSolutionSpace
-
-    @classmethod
-    def build(cls, triple: ModularTriple, side: str) -> "TripleContext":
-        """Solve side y through degree h_plus.dimension() + 1; side x is
-        its certified relabelling, with bases P(side-y bases)."""
-        if side not in ("x", "y"):
-            raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-        graphs = TripleGraphs.of(triple, "y")
-        max_degree = graphs.triple.h_plus.dimension() + 1
-        spaces = {name: solve_graph(g, max_degree)
-                  for name, g in graphs.graphs().items()}
-        if side == "x":
-            graphs = TripleGraphs.of(graphs.triple, "x")
-            spaces = {name: relabel_space(spaces[name], g,
-                                          graphs.graph_name(name))
-                      for name, g in graphs.graphs().items()}
-        return cls(**{f.name: getattr(graphs, f.name)
-                      for f in fields(TripleGraphs)},
-                   **{f"sp_{name}": sp for name, sp in spaces.items()})
-
-
 # ---------------------------------------------------------------------------
 # the four maps, vertex by vertex
 
@@ -164,7 +120,7 @@ Hit = tuple[Vertex, tuple[int, int] | None, bool] | None
 MapMatrix = list[list[tuple[int, int]]]
 
 
-def phi(ctx: TripleContext, v: Vertex) -> Hit:
+def phi(ctx: TripleGraphs, v: Vertex) -> Hit:
     """phi(f)(w) = f(°w tau), phi(f)(°w) = f(°w); on the twin side the
     plain values additionally swap t_d with t_{d+1}."""
     if v.circle:
@@ -173,7 +129,7 @@ def phi(ctx: TripleContext, v: Vertex) -> Hit:
     return circ(w_tau), None, ctx.side == "y"
 
 
-def psi_shriek(ctx: TripleContext, v: Vertex) -> Hit:
+def psi_shriek(ctx: TripleGraphs, v: Vertex) -> Hit:
     """psi_!(f)(w) = (x_{d+1} - x_d) f(w) on plain vertices, 0 on circle;
     the twin side multiplies by t_{d+1} - t_d instead."""
     if v.circle:
@@ -182,12 +138,12 @@ def psi_shriek(ctx: TripleContext, v: Vertex) -> Hit:
     return v, ((w[d], w[d - 1]) if ctx.side == "x" else (d + 1, d)), False
 
 
-def eta(ctx: TripleContext, v: Vertex) -> Hit:
+def eta(ctx: TripleGraphs, v: Vertex) -> Hit:
     """eta(f)(w) = eta(f)(°w) = f(w)."""
     return plain(v.perm), None, False
 
 
-def rho_shriek(ctx: TripleContext, v: Vertex) -> Hit:
+def rho_shriek(ctx: TripleGraphs, v: Vertex) -> Hit:
     """rho_!(f)(w) = (x_d - x_{d0}) f(w), rho_!(f)(°w) = (x_{d+1} - x_{d0}) f(w);
     the twin side uses the t variables directly."""
     w, d, d0 = v.perm, ctx.d, ctx.d0
@@ -196,7 +152,7 @@ def rho_shriek(ctx: TripleContext, v: Vertex) -> Hit:
     return plain(w), ((d + 1) if v.circle else d, d0), False
 
 
-# name -> (rule, source: graph g_<source> and space sp_<source>, degree shift)
+# name -> (rule, source: the graph g_<source>, degree shift)
 MAPS = {
     "phi": (phi, "circle", 0),
     "psi": (psi_shriek, "mid", 1),
@@ -219,34 +175,6 @@ def _image_terms(sources, index: dict, factor, swap
     return out
 
 
-def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
-    """The map into blow-up degree k as a sparse integer matrix: entry c
-    lists (blow-up coordinate, coefficient) for the source coordinate c of
-    degree k - shift, both in monomial-major coordinates."""
-    rule, source, shift = MAPS[name]
-    n, d = ctx.blowup.n, ctx.d
-    src_index = getattr(ctx, f"g_{source}").vertex_index
-    nv_src, nv_dst = len(src_index), len(ctx.blowup.vertices)
-    matrix: MapMatrix = [[] for _ in range(
-        nv_src * len(monomials(n, k - shift)))]
-    tables: dict = {}   # (mult, swap) -> per source monomial its image terms
-    for vi, v in enumerate(ctx.blowup.vertices):
-        hit = rule(ctx, v)
-        if hit is None:
-            continue
-        s, mult, swap = hit
-        if (mult, swap) not in tables:
-            tables[mult, swap] = _image_terms(
-                monomials(n, k - shift), monomial_index(n, k),
-                None if mult is None else tuple(zip(mult, (1, -1))),
-                (lambda e: swap_positions(e, d, d + 1)) if swap else None)
-        si = src_index[s]
-        for mi, terms in enumerate(tables[mult, swap]):
-            matrix[mi * nv_src + si] += [(t * nv_dst + vi, c)
-                                         for t, c in terms]
-    return matrix
-
-
 def _apply(matrix: MapMatrix, col: dict) -> dict:
     """M col for an integer vector."""
     out: dict = {}
@@ -254,31 +182,6 @@ def _apply(matrix: MapMatrix, col: dict) -> dict:
         for t, coeff in matrix[c]:
             out[t] = out.get(t, 0) + coeff * v
     return {t: v for t, v in out.items() if v}
-
-
-def map_image_columns(ctx: TripleContext, name: str, k: int,
-                      adj: dict) -> list[IntRow]:
-    """Images in blow-up degree k of the source basis, as integer vectors,
-    by :func:`map_matrix`: phi/eta take the degree-k source basis and
-    psi/rho the degree-(k-1) one.  Every image is verified to satisfy the
-    degree-k blow-up constraint rows, whose column adjacency is adj
-    (membership in the signed space); MembershipFailed otherwise."""
-    _, source, shift = MAPS[name]
-    if k < shift:
-        return []
-    matrix = map_matrix(ctx, name, k)
-    blowup = ctx.sp_blowup.graph.vertices
-    out = [_apply(matrix, col)
-           for col in getattr(ctx, f"sp_{source}").bases[k - shift].columns]
-    for j, col in enumerate(out):
-        bad = first_violated_row(adj, col)
-        if bad is not None:
-            verts = sorted({str(blowup[c % len(blowup)])
-                            for c in constraint_rows(ctx.blowup, k)[bad]})
-            raise MembershipFailed(
-                f"{name} image column {j} violates a degree-{k} congruence "
-                f"touching vertices {verts} (constraint row {bad})")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +209,8 @@ def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
 PAIRS = (("phi", "psi", "first"), ("eta", "rho", "second"))
 
 
-def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
-                 raise_on_failure: bool = False) -> dict:
+def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks
+                 ) -> dict:
     """The degreewise 5.1 report.  dim(name, k) is the dimension of the
     graph called name (as in :meth:`TripleGraphs.graphs`) in degree k, 0
     for k < 0; pair_ranks(k) yields, for each of PAIRS, (first, second,
@@ -316,9 +219,9 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
     MembershipFailed at a failed check of degree k."""
     report: dict = {"side": graphs.side, "h": str(graphs.triple.h),
                     "params": list(graphs.triple.params), "degrees": {}}
-    failures = []
+    failures: list[str] = []
     for k in range(max_degree + 1):
-        fails: list[Exception] = []
+        fails: list[str] = []
         dim_blow = dim("blowup", k)
         row: dict = {"dim_blowup": dim_blow, "dims": {
             "circle": dim("circle", k), "mid_prev": dim("mid", k - 1),
@@ -329,86 +232,27 @@ def _main_report(graphs: TripleGraphs, max_degree: int, dim, pair_ranks,
                 row[f"{second}_rank"] = rb
                 row[f"{label}_joint_rank"] = rab
                 if ra < na or rb < nb:
-                    fails.append(RankDeficit(
-                        f"degree {k}: {first if ra < na else second} "
-                        f"not injective"))
+                    fails.append(f"degree {k}: {first if ra < na else second} "
+                                 f"not injective")
                 elif rab < ra + rb:
-                    fails.append(Overlap(
-                        f"degree {k}: images of {first} and {second} overlap"))
+                    fails.append(
+                        f"degree {k}: images of {first} and {second} overlap")
                 elif rab != dim_blow:
-                    fails.append(DimensionGap(
-                        f"degree {k}: {label} sum has rank {rab}, "
-                        f"space has dim {dim_blow}"))
+                    fails.append(f"degree {k}: {label} sum has rank {rab}, "
+                                 f"space has dim {dim_blow}")
         except MembershipFailed as exc:
-            fails.append(exc)
+            fails.append(str(exc))
         row["consistency"] = (
             row["dims"]["circle"] + row["dims"]["mid_prev"]
             == row["dims"]["plus"] + row["dims"]["minus_prev"])
         if not row["consistency"]:
-            fails.append(DimensionGap(
-                f"degree {k}: the two decompositions disagree"))
+            fails.append(f"degree {k}: the two decompositions disagree")
         row["ok"] = not fails
         report["degrees"][k] = row
         failures += fails
-        if failures and raise_on_failure:
-            raise failures[0]
-    report["failures"] = [str(f) for f in failures]
+    report["failures"] = failures
     report["pass"] = not failures
     return report
-
-
-def check_theorem_main(ctx: TripleContext,
-                       raise_on_failure: bool = True) -> dict:
-    """Degreewise verification that phi + psi_! and eta + rho_! are
-    equivariant isomorphisms onto the signed blow-up cohomology.
-
-    For every degree: each image satisfies the blow-up constraint rows,
-    built per degree by :func:`constraint_rows` (MembershipFailed
-    otherwise), each map is injective (image rank = source dim), the two
-    images meet trivially (joint rank = rank sum), and the sum fills the
-    space (joint rank = blow-up dim).  Returns the per-degree report; with
-    raise_on_failure the named errors fire at the first violation.
-
-    Equivariance is certified once, on the graphs and the vertex rules,
-    before any degree and in both modes, as :func:`check_theorem_blocks`
-    certifies it.  :func:`blowup_edge_types` on the side-y blow-up shows
-    that the dagger action preserves its cohomology (NotTwinGraph
-    otherwise), and :func:`block_rules` that it commutes with every map
-    (EquivarianceFailed otherwise).  For a side-x context as
-    :meth:`TripleContext.build` makes it, :func:`certify_side_x` carries
-    both onto the dot action (RelabelFailed otherwise).
-
-    The ranks are taken on the free coordinates of the blow-up basis (its
-    unit rows).  The images lie in the kernel, which is checked first, and
-    a kernel vector is determined by its free coordinates, so the ranks
-    are the same; a degree that does not pass that way is ranked again in
-    all coordinates, so even a basis that misses part of the kernel gets
-    the same report.
-    """
-    graphs_y = ctx if ctx.side == "y" else TripleGraphs.of(ctx.triple, "y")
-    blowup_edge_types(graphs_y.blowup)
-    block_rules(graphs_y)
-    if ctx.side == "x":
-        certify_side_x(graphs_y, ctx.sp_blowup.max_degree)
-
-    def dim(name: str, k: int) -> int:
-        return getattr(ctx, f"sp_{name}").dim(k)
-
-    def pair_ranks(k: int):
-        adj = column_adjacency(constraint_rows(ctx.blowup, k))
-        free = set(ctx.sp_blowup.bases[k].unit_rows)
-        for first, second, label in PAIRS:
-            cols_a, cols_b = (map_image_columns(ctx, name, k, adj)
-                              for name in (first, second))
-            ra, rb, rab = _ranks(_restrict(cols_a, free),
-                                 _restrict(cols_b, free))
-            if not (ra == len(cols_a) and rb == len(cols_b)
-                    and rab == ra + rb == ctx.sp_blowup.dim(k)):
-                ra, rb, rab = _ranks(cols_a, cols_b)
-            yield first, second, label, ra, rb, rab, len(cols_a), len(cols_b)
-
-    return _main_report(ctx, ctx.sp_blowup.max_degree, dim, pair_ranks,
-                        raise_on_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +330,13 @@ def block_map_matrix(n: int, lam: Partition, reads: list[Read], d: int,
 
 
 def check_theorem_blocks(graphs: TripleGraphs, max_degree: int) -> dict:
-    """The side-y report of :func:`check_theorem_main` on the graphs
-    through max_degree, with every space solved, mapped and ranked one
-    irreducible lam of S_n at a time, modulo the diagonal; no full kernel
-    is solved.
+    """Degreewise verification that phi + psi_! and eta + rho_! are
+    equivariant isomorphisms onto the signed blow-up cohomology, on the
+    side-y graphs through max_degree (:func:`_main_report`): each image
+    lies in the blow-up space, each map is injective, the two images meet
+    trivially and their sum fills the space.  Every space is solved,
+    mapped and ranked one irreducible lam of S_n at a time, modulo the
+    diagonal; no full kernel is solved.
 
     The shape certificates (:func:`twin_edge_types` on the plain and
     circle graphs, :func:`blowup_edge_types`) show that each space is the

@@ -7,9 +7,9 @@ t_1..t_n, each a dict from exponent tuples to nonzero Fractions, and
 membership is decided by polynomial divisibility, never by the constraint
 rows of :mod:`gkmhess.cohomology`: t_a - t_b divides p when p vanishes at
 t_a = t_b, and its square divides p when the first-order term of
-t_a -> t_b + eps vanishes too.  Map images are read from
-:func:`gkmhess.maps.map_matrix`, which test_maps checks against the
-vertex formulas.
+t_a -> t_b + eps vanishes too.  Map images are read from the map
+matrices of the full-kernel oracle (:func:`full_kernels.map_matrix`),
+which test_maps checks against the vertex formulas.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from gkmhess.cohomology import MembershipFailed, monomial_index, monomials
 from gkmhess.graphs import SignedBlowupGraph, Vertex, plain, swap_positions
-from gkmhess.maps import MAPS, map_matrix
+from gkmhess.maps import MAPS
+from full_kernels import map_matrix
 
 Poly = dict[tuple, Fraction]
 

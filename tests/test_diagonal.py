@@ -63,8 +63,6 @@ def test_no_n_variable_table_on_the_block_path(capsys, monkeypatch):
               I._derivative_groups):
         f.cache_clear()
     monkeypatch.setattr(I, "monomials", spy)
-    for name in ("monomials", "monomial_index"):
-        monkeypatch.setattr(M, name, unused)
     monkeypatch.setattr(CH, "constraint_rows", unused)
     assert cli.main(["check", "2,3,3,4,5", "--thm", "all"]) == 0
     capsys.readouterr()

@@ -12,6 +12,7 @@ from gkmhess import maps as M
 from gkmhess.coloring import csf_q
 from gkmhess.isotypic import NotTwinGraph
 import classes
+import full_kernels as FK
 import kernel_traces as KT
 
 
@@ -22,12 +23,12 @@ def c_triple(hstr):
 
 @pytest.fixture(scope="module")
 def ctx_x():
-    return M.TripleContext.build(c_triple("2,3,3"), "x")
+    return FK.solve(c_triple("2,3,3"), "x")
 
 
 @pytest.fixture(scope="module")
 def ctx_y():
-    return M.TripleContext.build(c_triple("2,3,3"), "y")
+    return FK.solve(c_triple("2,3,3"), "y")
 
 
 def const_class(graph, value=1):
@@ -231,8 +232,9 @@ class TestLemmaMembership:
 class TestTheoremMain:
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_n3_passes(self, side, ctx_x, ctx_y):
+        # the full-kernel oracle on its own
         ctx = ctx_x if side == "x" else ctx_y
-        report = M.check_theorem_main(ctx)
+        report = FK.report(ctx)
         assert report["pass"]
         for k, row in report["degrees"].items():
             assert row["dims"]["circle"] + row["dims"]["mid_prev"] == \
@@ -243,57 +245,42 @@ class TestTheoremMain:
     def test_kind_r_reduces_to_transpose(self):
         h = H.from_string("2,3,3")
         r = next(t for t in H.find_modular_triples(h) if t.kind == "R")
-        ctx = M.TripleContext.build(r, "x")
-        assert ctx.triple.kind == "C"
-        assert M.check_theorem_main(ctx)["pass"]
+        report, side_x = M.check_theorem_main_sides(r)
+        assert M.TripleGraphs.of(r, "y").triple.kind == "C"
+        assert report["pass"] and side_x()["pass"]
 
-    def test_report_mode_flags_corrupted_context(self, ctx_x):
-        # swapping in the wrong source space breaks the dimension ledger;
-        # report mode must record the failure instead of raising
-        import dataclasses
-        bad = dataclasses.replace(ctx_x, sp_circle=ctx_x.sp_minus)
-        report = M.check_theorem_main(bad, raise_on_failure=False)
-        assert not report["pass"]
-        assert report["failures"]
-        with pytest.raises((M.RankDeficit, M.Overlap, M.DimensionGap,
-                            CH.MembershipFailed)):
-            M.check_theorem_main(bad)
+    def test_degree_ok_reflects_only_that_degree(self):
+        # stub dimensions and ranks that fail in degree 3 only: the first
+        # images overlap there and eta is not injective
+        graphs = M.TripleGraphs.of(c_triple("2,3,3"), "y")
 
-    def test_degree_ok_reflects_only_that_degree(self, ctx_x):
-        # one basis column short in degree 3: the sums overfill the space
-        # there, and degree 4 is still reported ok
-        import dataclasses
-        sp = ctx_x.sp_blowup
-        basis = sp.bases[3]
-        short = dataclasses.replace(
-            basis, columns=basis.columns[:-1], unit_rows=basis.unit_rows[:-1])
-        bad = dataclasses.replace(ctx_x, sp_blowup=dataclasses.replace(
-            sp, bases={**sp.bases, 3: short}))
-        report = M.check_theorem_main(bad, raise_on_failure=False)
+        def dim(name, k):
+            return 0 if k < 0 else 2 if name == "blowup" else 1
+
+        def pair_ranks(k):
+            yield "phi", "psi", "first", 1, 1, 1 if k == 3 else 2, 1, 1
+            yield "eta", "rho", "second", 0 if k == 3 else 1, 1, 2, 1, 1
+
+        report = M._main_report(graphs, 5, dim, pair_ranks)
         assert [k for k, row in report["degrees"].items()
                 if not row["ok"]] == [3]
-        assert not report["pass"]
-        assert report["failures"] == [
-            f"degree 3: {label} sum has rank 56, space has dim 55"
-            for label in ("first", "second")]
-        with pytest.raises(M.DimensionGap):
-            M.check_theorem_main(bad)
+        assert report["failures"] == ["degree 3: images of phi and psi overlap",
+                                      "degree 3: eta not injective"]
+        assert report["pass"] is False
 
-    def test_non_equivariant_rule_is_caught(self, ctx_y, monkeypatch):
+    def test_non_equivariant_rule_is_caught(self, monkeypatch):
         # eta read at (1 2) w is still a class on the twin side with the
         # same image, but it does not commute with the dagger action
         def skewed(ctx, v):
             return G.plain(G.compose((2, 1, 3), v.perm)), None, False
 
         monkeypatch.setitem(M.MAPS, "eta", (skewed, "plus", 0))
-        # the rule certificate runs before any degree, in both modes
-        for raise_on_failure in (True, False):
-            with pytest.raises(M.EquivarianceFailed, match=(
-                    "^eta does not commute with dagger action: its value "
-                    "at 132 is not")):
-                M.check_theorem_main(ctx_y, raise_on_failure)
+        with pytest.raises(M.EquivarianceFailed, match=(
+                "^eta does not commute with dagger action: its value "
+                "at 132 is not")):
+            M.check_theorem_main_sides(c_triple("2,3,3"))
 
-    def test_mutated_x_rule_is_caught(self, ctx_x, monkeypatch):
+    def test_mutated_x_rule_is_caught(self, monkeypatch):
         # psi with the side-x multiplier reversed: side y is unchanged and
         # still commutes with the dagger action
         rule, source, shift = M.MAPS["psi"]
@@ -306,30 +293,31 @@ class TestTheoremMain:
             return s, (b, a), swap
 
         monkeypatch.setitem(M.MAPS, "psi", (flipped, source, shift))
-        for raise_on_failure in (True, False):
-            with pytest.raises(CH.RelabelFailed, match=(
-                    "^relabelling check failed on the map psi at the "
-                    "blow-up vertex 123: ")):
-                M.check_theorem_main(ctx_x, raise_on_failure)
+        report, side_x = M.check_theorem_main_sides(c_triple("2,3,3"))
+        assert report["pass"]
+        with pytest.raises(CH.RelabelFailed, match=(
+                "^relabelling check failed on the map psi at the "
+                "blow-up vertex 123: ")):
+            side_x()
 
-    def test_flipped_blowup_sign_is_caught(self, ctx_y, monkeypatch):
+    def test_flipped_blowup_sign_is_caught(self, monkeypatch):
         # one vertex sign of the side-y blow-up flipped: its 4-gon no longer
         # has the signs +-(1, -1, -1, 1), so nothing shows that the dagger
         # action preserves the blow-up cohomology; the shape certificate
-        # runs before any degree, in both modes
+        # runs before any kernel is solved
         import dataclasses
-        signs = list(ctx_y.blowup.signs)
+        graphs = M.TripleGraphs.of(c_triple("2,3,3"), "y")
+        signs = list(graphs.blowup.signs)
         signs[0] = -signs[0]
-        bad = dataclasses.replace(ctx_y, blowup=dataclasses.replace(
-            ctx_y.blowup, signs=tuple(signs)))
+        bad = dataclasses.replace(graphs, blowup=dataclasses.replace(
+            graphs.blowup, signs=tuple(signs)))
 
-        def no_degree(graph, k):
-            raise AssertionError(f"degree {k} was checked")
+        def no_kernel(rows, ncols):
+            raise AssertionError("a kernel was solved")
 
-        monkeypatch.setattr(M, "constraint_rows", no_degree)
-        for raise_on_failure in (True, False):
-            with pytest.raises(NotTwinGraph, match="^the signs of the 4-gon"):
-                M.check_theorem_main(bad, raise_on_failure)
+        monkeypatch.setattr(M, "kernel_of_rows", no_kernel)
+        with pytest.raises(NotTwinGraph, match="^the signs of the 4-gon"):
+            M.check_theorem_blocks(bad, 4)
 
 
 def corollary(triple, side):

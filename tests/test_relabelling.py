@@ -101,18 +101,6 @@ class TestSidesStayIndependent:
         assert KT.kernel_traces(space_x, "dot") \
             == KT.kernel_traces(space_y, "dagger")
 
-    def test_relabelled_context_matches_direct_solves(self):
-        ctx = M.TripleContext.build(c_triple("2,3,3"), "x")
-        for name, graph in ctx.graphs().items():
-            direct = CH.solve_graph(graph, ctx.sp_blowup.max_degree)
-            space = getattr(ctx, f"sp_{name}")
-            assert space.graph is graph
-            for k in range(space.max_degree + 1):
-                assert space.dim(k) == direct.dim(k)
-                joint = Echelon.of(direct.bases[k].columns)
-                assert not any(joint.reduce(col)
-                               for col in space.bases[k].columns)
-
 
 class TestCertificate:
     @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4", "1,3,4,4"])
@@ -424,10 +412,10 @@ class TestSideYFailure:
 
     def test_report_is_worded_for_the_dot_action(self, capsys, monkeypatch):
         # the failures of a report name no action, so side x keeps them
-        ctx = M.TripleContext.build(c_triple("2,3,3"), "y")
+        graphs = M.TripleGraphs.of(c_triple("2,3,3"), "y")
         with monkeypatch.context() as mp:
             mp.setattr(M, "_ranks", lambda a, b: (0, 0, 0))
-            report = M.check_theorem_main(ctx, raise_on_failure=False)
+            report = M.check_theorem_blocks(graphs, 4)
         assert report["failures"] and report["side"] == "y"
         assert not any("dagger" in f for f in report["failures"])
         assert M.relabel_report(report) == {**report, "side": "x"}
@@ -490,17 +478,6 @@ class TestOneSolvePerTriple:
             monkeypatch.setattr(module, name, unused)
         code, data = run_json(capsys, "betti", "4,4,4,4", "--side", "x")
         assert code == 0 and data["numerator"] == [1, 3, 5, 6, 5, 3, 1]
-
-    @pytest.mark.parametrize("argv", [("2,3,3", "--thm", "5.1"),
-                                      ("2,3,3,4", "--thm", "all")])
-    def test_check_builds_no_full_map_matrix(self, capsys, monkeypatch,
-                                             argv):
-        def unused(ctx, name, k):
-            raise AssertionError(f"map matrix of {name} built")
-
-        monkeypatch.setattr(M, "map_matrix", unused)
-        code, data = run_json(capsys, "check", *argv)
-        assert code == 0 and data["pass"]
 
     def test_twin_blocks_once_per_graph(self, capsys, monkeypatch):
         # 1.1, 1.2 and the corollary's middle graph read the twin of h,
