@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,6 +218,7 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
     # the fork start method starts every worker at the first submit
     workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_item, items))
     else:

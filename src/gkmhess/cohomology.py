@@ -29,15 +29,18 @@ on the n = 4 kernels the monomial-major order eliminates two to three
 times faster than the vertex-major one.
 
 From the graded dimensions the Hilbert numerator (the dimension series
-times (1-q)^n) recovers the ordinary Betti numbers.  The graded character
-of a solved space is read on the direct quotient H^k_T / I_k,
-I_k = sum_i t_i H^{k-1}_T, alone: it keeps I_k in reduced echelon form
-and b_k quotient rows, and takes traces on those rows.  The same pass
-proves that the action preserves H^k_T and I_k (:func:`graded_character`
-states the induction), so no other invariance check is made.  Traces of
-the equivariant pieces read elsewhere (the irreducible blocks of a twin,
-or side y for side x) become a character by series division, which the
-direct quotient cross-checks at n <= 3.  Frobenius characteristics of
+times (1-q)^n) recovers the ordinary Betti numbers; degree top_degree + 1
+is ranked, not solved (:func:`solve_graph`).  The graded character of a
+solved space is read on the direct quotient H^k_T / I_k,
+I_k = sum_i t_i H^{k-1}_T, alone, on the free coordinates of the kernel
+basis: it keeps I_k restricted to them in reduced echelon form, takes b_k
+basis columns at the other free coordinates as representatives, and
+reads traces there.  The same pass proves that the action preserves H^k_T
+and I_k (:func:`graded_character` states the induction), so no other
+invariance check is made.  Traces of the equivariant pieces read
+elsewhere (the irreducible blocks of a twin, or side y for side x)
+become a character by series division, which the direct quotient
+cross-checks at n <= 3.  Frobenius characteristics of
 the graded characters land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
@@ -55,7 +58,7 @@ command by :func:`gkmhess.maps.plain_twin`; nothing is kept on disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -65,7 +68,8 @@ from typing import Iterator
 from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, all_perms, class_representative,
     generators, inverse, plain, swap_positions)
-from gkmhess.linalg import Echelon, IntRow, SubspaceBasis, kernel_of_rows
+from gkmhess.linalg import (
+    Echelon, IntRow, SubspaceBasis, kernel_of_rows, rank_of_int_rows)
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
     partitions_of)
@@ -215,16 +219,18 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
 
 @dataclass
 class GradedSolutionSpace:
-    """Degreewise kernel bases of the equivariant cohomology."""
+    """Degreewise kernel bases of the equivariant cohomology; ranked holds
+    the dimensions of the degrees ranked instead."""
 
     graph: object
     max_degree: int
     bases: dict[int, SubspaceBasis]
+    ranked: dict[int, int] = field(default_factory=dict)
 
     def dim(self, k: int) -> int:
         if k < 0:
             return 0
-        return self.bases[k].dim
+        return self.bases[k].dim if k in self.bases else self.ranked[k]
 
     @property
     def n(self) -> int:
@@ -232,18 +238,24 @@ class GradedSolutionSpace:
 
 
 def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
-    """Solve every degree k <= max_degree (default top_degree + 1), each
-    as the kernel of its constraint rows.  Nothing is kept between calls:
-    a caller that reads one space more than once keeps it, as
-    :func:`gkmhess.maps.plain_twin` keeps the twins of one command.
+    """Solve every degree k <= max_degree, each as the kernel of its
+    constraint rows.  By default max_degree is top_degree + 1, read only
+    by the Truncated check of :func:`hilbert_numerator`, and only ranked.
+    Nothing is kept between calls: a caller that reads one space more than
+    once keeps it, as :func:`gkmhess.maps.plain_twin` keeps the twins of
+    one command.
     """
-    if max_degree is None:
-        max_degree = graph.top_degree + 1
-    nverts = len(graph.vertices)
-    bases = {k: kernel_of_rows(constraint_rows(graph, k),
-                               nverts * len(monomials(graph.n, k)))
-             for k in range(max_degree + 1)}
-    return GradedSolutionSpace(graph, max_degree, bases)
+    rank_top = max_degree is None
+    space = GradedSolutionSpace(
+        graph, graph.top_degree + 1 if rank_top else max_degree, {})
+    for k in range(space.max_degree + 1):
+        rows = constraint_rows(graph, k)
+        ncols = len(graph.vertices) * len(monomials(graph.n, k))
+        if rank_top and k == space.max_degree:
+            space.ranked[k] = ncols - rank_of_int_rows(rows)
+        else:
+            space.bases[k] = kernel_of_rows(rows, ncols)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -286,47 +298,48 @@ def _shift_exp_index(n: int, k: int, i: int) -> tuple[int, ...]:
 
 def direct_quotients(space: GradedSolutionSpace, top: int,
                      expected: dict[int, int] | None = None
-                     ) -> Iterator[tuple[Echelon, Echelon, list[IntRow]]]:
+                     ) -> Iterator[tuple[Echelon, list[tuple[int, IntRow]],
+                                         dict]]:
     """The direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T, in each
-    degree k = 0, ..., top in turn, as (image, quotient, reps).
+    degree k = 0, ..., top in turn, as (image, reps, adj), on the free
+    coordinates F of the kernel basis (its unit rows), which determine a
+    vector of H^k_T.  adj is the column adjacency of the degree-k
+    constraint rows, which every generator of I_k must satisfy.  image is
+    the back-substituted echelon of the generators on F, and reps are the
+    (f, column) of the basis at the free coordinates f that are not image
+    pivots, so H^k_T = I_k + span(reps), a direct sum.  DimensionMismatch
+    if a generator leaves H^k_T, or if len(reps) differs from expected[k]
+    where that is given.
 
-    image spans I_k.  quotient holds the remainders of the basis columns
-    after clearing the image pivots: its rows are zero at every image
-    pivot and, with the image rows, a reduced echelon of H^k_T.  reps are
-    the basis columns that raise its rank, in basis order.
-    DimensionMismatch if the image leaves H^k_T, or if the quotient
-    dimension differs from expected[k] where that is given.
-
-    Passing that check in degree k means H^k_T = span(reps) + I_k, so
-    I_{k+1} is spanned by the t_i multiples of reps and of a spanning set
-    of I_k: by induction, m r over the reps r of each degree j <= k and
+    So I_{k+1} is spanned by the t_i multiples of reps and of a spanning
+    set of I_k: by induction, m r over the reps r of each degree j <= k and
     the monomials m of degree k + 1 - j.  Each m is made once, as
     t_{i_1} ... t_{i_d} with i_1 >= ... >= i_d; the t-multiples of all of
     H^k_T would repeat most of them.
     """
     nv = len(space.graph.vertices)
     gens: list[tuple[IntRow, int]] = []   # (m r, i_d) spanning I_k
-    reps: list[IntRow] = []
+    reps: list[tuple[int, IntRow]] = []
     for k in range(top + 1):
         gens = [({table[c // nv] * nv + c % nv: v for c, v in g.items()}, i)
-                for g, last in gens + [(r, space.n) for r in reps]
+                for g, last in gens + [(r, space.n) for _, r in reps]
                 for i in range(1, last + 1)
                 for table in [_shift_exp_index(space.n, k, i)]]
-        image = Echelon.of([g for g, _ in gens])
-        image.back_substitute()
-        quotient = Echelon()
-        basis = space.bases[k]
-        reps = [col for col in basis.columns
-                if quotient.insert(image.clear_pivots(col)[0])]
-        dim_q = basis.dim - image.rank
-        if len(reps) != dim_q:
-            raise DimensionMismatch("image escapes the solution space")
-        if expected and k in expected and dim_q != expected[k]:
+        adj = column_adjacency(constraint_rows(space.graph, k))
+        if any(first_violated_row(adj, g) is not None for g, _ in gens):
             raise DimensionMismatch(
-                f"direct quotient dim {dim_q} != numerator coefficient "
+                f"image escapes the solution space at degree {k}")
+        basis = space.bases[k]
+        free = set(basis.unit_rows)
+        image = Echelon.of(_restrict([g for g, _ in gens], free))
+        image.back_substitute()
+        reps = [(f, col) for f, col in zip(basis.unit_rows, basis.columns)
+                if f not in image.pivots]
+        if expected and k in expected and len(reps) != expected[k]:
+            raise DimensionMismatch(
+                f"direct quotient dim {len(reps)} != numerator coefficient "
                 f"{expected[k]} at degree {k}")
-        quotient.back_substitute()
-        yield image, quotient, reps
+        yield image, reps, adj
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +380,10 @@ def _monomial_action(n: int, k: int, sigma, action_kind: str):
     raise ValueError(f"unknown action kind {action_kind!r}")
 
 
+def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
+    return [{c: v for c, v in col.items() if c in free} for col in cols]
+
+
 def column_adjacency(rows: list[IntRow]):
     """Column -> [(row index, coefficient)] of a row system."""
     adj: dict[int, list[tuple[int, int]]] = {}
@@ -382,12 +399,8 @@ def first_violated_row(adj, col: dict) -> int | None:
     residual: dict = {}
     for c, v in col.items():
         for ri, cf in adj.get(c, ()):
-            nv = residual.get(ri, 0) + cf * v
-            if nv:
-                residual[ri] = nv
-            else:
-                residual.pop(ri, None)
-    return min(residual) if residual else None
+            residual[ri] = residual.get(ri, 0) + cf * v
+    return min((ri for ri, x in residual.items() if x), default=None)
 
 
 @dataclass
@@ -454,16 +467,18 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     representative sigma, by induction on k, once sigma preserves
     H^{k-1}_T (nothing to show at k = 0, where I_0 = 0):
 
-    - the rank check on the reps (:func:`direct_quotients`) shows that I_k
-      lies in H^k_T, so H^k_T is I_k plus the span of the quotient rows;
+    - the membership check of the generators (:func:`direct_quotients`)
+      shows that I_k lies in H^k_T, so H^k_T is I_k plus the span of the
+      reps, the basis columns at the free coordinates that are not image
+      pivots;
     - :func:`_image_fault` gives sigma I_k <= I_k, as sigma H^{k-1}_T <=
       H^{k-1}_T;
-    - the membership check of :func:`_quotient_trace` gives sigma q in
-      H^k_T for every quotient row q.
+    - the membership check of :func:`_quotient_trace` gives sigma r in
+      H^k_T for every rep r.
 
-    So sigma preserves H^k_T and I_k, and the trace read on the quotient
-    rows is its trace on H^k_T / I_k.  The quotient dimensions are the
-    numerator coefficients (DimensionMismatch otherwise).
+    So sigma preserves H^k_T and I_k, and the trace read on the reps is
+    its trace on H^k_T / I_k.  The quotient dimensions are the numerator
+    coefficients (DimensionMismatch otherwise).
 
     traces, if given, are the traces of the class representatives on the
     equivariant pieces H^k_T: carried over from side y by
@@ -522,13 +537,13 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
     values: dict[tuple[Partition, int], Fraction] = {}
     quotients = direct_quotients(space, space.graph.top_degree,
                                  dict(enumerate(numer)))
-    for k, (image, quotient, _) in enumerate(quotients):
+    for k, (image, reps, adj) in enumerate(quotients):
         for lam, sigma in sigmas:
             if _image_fault(n, k, sigma, action_kind):
                 raise NotInvariant(
                     f"{action_kind} action by {sigma} does not intertwine "
                     f"t-multiplication into degree {k}")
-            direct = _quotient_trace(space, k, image, quotient, sigma,
+            direct = _quotient_trace(space, k, image, reps, adj, sigma,
                                      action_kind)
             if series is not None and direct != series.value(lam, k):
                 raise CrossCheckFailed(
@@ -562,26 +577,26 @@ def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
 
 
 def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
-                    quotient: Echelon, sigma, action_kind: str) -> Fraction:
-    """Trace of sigma on H^k_T / I_k, read on the quotient rows, given
-    sigma I_k <= I_k.
+                    reps: list[tuple[int, IntRow]], adj, sigma,
+                    action_kind: str) -> Fraction:
+    """Trace of sigma on H^k_T / I_k, read on the reps (f, r) of
+    :func:`direct_quotients`, given sigma I_k <= I_k.
 
-    H^k_T is I_k plus the span of the quotient rows, a direct sum.  Once
-    the image pivots are cleared, the remainder of sigma q must lie in the
-    span of the quotient rows, that is sigma q in H^k_T (NotInvariant
-    otherwise); so sigma preserves H^k_T, and the trace sums the
-    coordinate of sigma q along q over the quotient rows q, its value at
-    the pivot of q over q's own.
+    Each sigma r must satisfy the constraint rows (adj), that is lie in
+    H^k_T (NotInvariant otherwise); so sigma preserves H^k_T, and sigma r
+    is an element of I_k plus a combination of the reps.  Clearing the
+    image pivots leaves that combination on the free coordinates, and the
+    coordinate of sigma r along r is its value at f over r's own.
     """
     pi = coordinate_perm(space.graph, k, sigma, action_kind)
     total = Fraction(0)
-    for c, row in quotient.rows:
-        rem, scale = image.clear_pivots({pi[j]: v for j, v in row.items()})
-        if quotient.reduce(rem):
+    for f, col in reps:
+        moved = {pi[c]: v for c, v in col.items()}
+        if first_violated_row(adj, moved) is not None:
             raise NotInvariant(
                 f"{action_kind} action by {sigma} moves a degree-{k} "
                 f"quotient representative off H^k_T")
-        total += Fraction(rem.get(c, 0), scale * row[c])
+        total += image.remainder_at(moved, f) / col[f]
     return total
 
 
@@ -767,7 +782,7 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
             basis.ambient_dim,
             [{p[c]: v for c, v in col.items()} for col in basis.columns],
             unit_rows=[p[u] for u in basis.unit_rows])
-    return GradedSolutionSpace(graph_x, space_y.max_degree, bases)
+    return replace(space_y, graph=graph_x, bases=bases)
 
 
 def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,

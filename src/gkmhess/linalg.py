@@ -21,6 +21,7 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -124,30 +125,18 @@ class Echelon:
             if hits:
                 _strip_content(r)
 
-    def clear_pivots(self, row: IntRow) -> tuple[IntRow, int]:
-        """(s * (row - sum_c row[c] / r_c[c] * r_c), s) after back
-        substitution, the sum over the pivot columns c of row, r_c the row
-        with pivot c and s > 0 the lcm of their pivot entries.
-
-        Each r_c meets no pivot column but its own, so one pass clears
-        them all: the remainder is zero at every pivot column, and empty
-        exactly when row lies in the span of the rows.
-        """
-        hits = [(c, v, self.rows[self.pivots[c]][1])
-                for c, v in row.items() if c in self.pivots]
-        if not hits:
-            return dict(row), 1
-        s = lcm(*(r[c] for c, _, r in hits))
-        out = {k: s * v for k, v in row.items()}
-        for c, v, r in hits:
-            m = v * (s // r[c])
-            for k, x in r.items():
-                nv = out.get(k, 0) - m * x
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-        return out, s
+    def remainder_at(self, row: IntRow, f: int) -> Fraction:
+        """Column f of row - sum_c row[c] / r_c[c] * r_c after back
+        substitution, c over the pivot columns of row and r_c the row with
+        pivot c.  That remainder is zero at every pivot column, and zero
+        everywhere exactly when row lies in the span of the rows."""
+        out = Fraction(row.get(f, 0))
+        for c, v in row.items():
+            if c in self.pivots:
+                r = self.rows[self.pivots[c]][1]
+                if f in r:
+                    out -= Fraction(v * r[f], r[c])
+        return out
 
     def kernel_columns(self, ncols: int) -> tuple[list[IntRow], list[int]]:
         """Canonical kernel basis after back substitution.

@@ -44,9 +44,9 @@ from typing import Callable
 
 from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
-    _times_t, certify_relabelling, column_adjacency, first_violated_row,
-    frobenius_of_character, graded_character, relabelled_character,
-    solve_graph)
+    _restrict, _times_t, certify_relabelling, column_adjacency,
+    first_violated_row, frobenius_of_character, graded_character,
+    relabelled_character, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
@@ -199,10 +199,6 @@ def _ranks(cols_a: list[IntRow], cols_b: list[IntRow]
     rb = len(cols_b) if rab == ra + len(cols_b) \
         else rank_of_int_rows(cols_b)
     return ra, rb, rab
-
-
-def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
-    return [{c: v for c, v in col.items() if c in free} for col in cols]
 
 
 # the two sums of Theorem 5.1: (first map, second map, report label)

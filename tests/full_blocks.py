@@ -13,16 +13,16 @@ from functools import cache
 from math import lcm
 
 from gkmhess.cohomology import (
-    MembershipFailed, _times_t, column_adjacency, derivative_groups,
-    divisible_rows, edge_groups, first_violated_row, monomial_index,
-    monomials)
+    MembershipFailed, _restrict, _times_t, column_adjacency,
+    derivative_groups, divisible_rows, edge_groups, first_violated_row,
+    monomial_index, monomials)
 from gkmhess.graphs import circ, inverse, swap_positions
 from gkmhess.isotypic import (
     _independent_columns, blowup_edge_types, rho, standard_tableaux,
     twin_edge_types)
 from gkmhess.linalg import Echelon, kernel_of_rows, rank_of_int_rows
 from gkmhess.maps import (
-    MAPS, PAIRS, _apply, _main_report, _ranks, _restrict, block_rules)
+    MAPS, PAIRS, _apply, _main_report, _ranks, block_rules)
 from gkmhess.symfunc import partitions_of
 
 

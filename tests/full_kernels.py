@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gkmhess.cohomology import (
-    GradedSolutionSpace, MembershipFailed, column_adjacency, constraint_rows,
-    first_violated_row, monomial_index, monomials, solve_graph)
+    GradedSolutionSpace, MembershipFailed, _restrict, column_adjacency,
+    constraint_rows, first_violated_row, monomial_index, monomials,
+    solve_graph)
 from gkmhess.graphs import swap_positions
 from gkmhess.maps import (
     MAPS, PAIRS, MapMatrix, TripleGraphs, _apply, _image_terms, _main_report,
-    _ranks, _restrict)
+    _ranks)
 
 
 @dataclass

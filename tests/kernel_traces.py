@@ -38,10 +38,11 @@ def kernel_trace(space, k, sigma, kind) -> Fraction:
 
 
 def kernel_traces(space, kind) -> dict:
-    """The kernel trace of each class representative in every degree
-    k <= space.max_degree, as {cycle type: [trace in degree k]}."""
+    """The kernel trace of each class representative in every solved
+    degree, as {cycle type: [trace in degree k]}.  The default solve ranks
+    degree top + 1 instead: solve with max_degree to have its traces."""
     traces = {lam: [] for lam in partitions_of(space.n)}
-    for k in range(space.max_degree + 1):
+    for k in sorted(space.bases):
         adj = CH.column_adjacency(CH.constraint_rows(space.graph, k))
         for lam, row in traces.items():
             row.append(_trace(space, k, class_representative(lam), kind, adj))

@@ -1,5 +1,6 @@
 """Command-line driver: outputs, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 
@@ -169,7 +170,8 @@ class TestCheck:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, pooled = run_json(capsys, *argv, "--jobs", "100000")
         assert code == 0 and sizes == pools   # 16 items in sweep 3

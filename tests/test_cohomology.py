@@ -199,6 +199,17 @@ class TestHilbertNumerator:
         with pytest.raises(CH.Truncated):
             CH.hilbert_numerator(sp)
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_ranked_degree_off_by_one_raises(self, side):
+        # the default solve ranks degree top + 1 and keeps only its
+        # dimension, which the Truncated check still reads
+        g = G.build_graph(H.from_string("2,3,3"), side)
+        sp = CH.solve_graph(g)
+        assert sp.ranked == {3: CH.solve_graph(g, 3).dim(3)}
+        sp.ranked[3] += 1
+        with pytest.raises(CH.Truncated, match="degree 3: b = 1"):
+            CH.hilbert_numerator(sp)
+
     def test_blowup_total(self):
         import math
         t = c_triple("2,3,3")
@@ -207,16 +218,21 @@ class TestHilbertNumerator:
             assert sum(CH.hilbert_numerator(sp)) == 2 * math.factorial(3)
 
 
+def t_multiples(space, k):
+    """t_i times each degree-(k-1) basis column, for every i: a spanning
+    set of I_k = sum_i t_i H^{k-1}_T in full coordinates."""
+    nv = len(space.graph.vertices)
+    return [{table[c // nv] * nv + c % nv: v for c, v in col.items()}
+            for i in range(1, space.n + 1) if k
+            for table in [CH._shift_exp_index(space.n, k, i)]
+            for col in space.bases[k - 1].columns]
+
+
 def trace_by_difference(space, k, sigma, kind):
     """tr(sigma | H^k_T) - tr(sigma | I_k), I_k = sum_i t_i H^{k-1}_T: each
     row r of the back-substituted image, permuted and reduced to zero, has
     coordinate v[c] / r[c] along itself, c the pivot of r."""
-    nv = len(space.graph.vertices)
-    image = L.Echelon.of([
-        {table[c // nv] * nv + c % nv: v for c, v in col.items()}
-        for i in range(1, space.n + 1) if k
-        for table in [CH._shift_exp_index(space.n, k, i)]
-        for col in space.bases[k - 1].columns])
+    image = L.Echelon.of(t_multiples(space, k))
     image.back_substitute()
     pi = CH.coordinate_perm(space.graph, k, sigma, kind)
     t_image = Fraction(0)
@@ -229,13 +245,14 @@ def trace_by_difference(space, k, sigma, kind):
 
 def quotient_reps(space, k, expected=None):
     """The representatives of H^k_T / I_k that direct_quotients picks."""
-    *_, (_, _, reps) = CH.direct_quotients(space, k, expected)
+    *_, (_, reps, _) = CH.direct_quotients(space, k, expected)
     return reps
 
 
 class TestOrdinaryDirect:
     def test_h233_dims(self):
-        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
+        # degree 3 is top + 1: solved, not only ranked, when asked for
+        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")), 3)
         numer = CH.hilbert_numerator(sp)
         assert len(quotient_reps(sp, 1, {1: numer[1]})) == 4
         assert len(quotient_reps(sp, 3)) == 0
@@ -250,15 +267,34 @@ class TestOrdinaryDirect:
             quotient_reps(sp, 1, {1: 2})
 
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
+    def test_dropped_basis_column_raises(self, side, kind):
+        # a basis missing the column of a representative, a class outside
+        # I_k: its quotient falls short of the numerator of the whole
+        # space, and its own numerator is no longer that of a free module
+        sp = CH.solve_graph(G.build_graph(H.from_string("2,3,4,4"), side))
+        numer = CH.hilbert_numerator(sp)
+        quotients = CH.direct_quotients(sp, sp.graph.top_degree)
+        for k, (_, reps, _) in enumerate(quotients):
+            basis = sp.bases[k]
+            j = basis.unit_rows.index(reps[-1][0])
+            short = L.SubspaceBasis(
+                basis.ambient_dim, basis.columns[:j] + basis.columns[j + 1:],
+                basis.unit_rows[:j] + basis.unit_rows[j + 1:])
+            cut = dataclasses.replace(sp, bases={**sp.bases, k: short})
+            with pytest.raises(CH.DimensionMismatch, match=f"at degree {k}"):
+                CH._cross_check_direct(cut, kind, numer)
+            with pytest.raises((CH.NotFree, CH.Truncated)):
+                CH.graded_character(cut, kind)
+
+    @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_tampered_quotient_raises(self, side, kind, monkeypatch):
-        # unit vectors at the quotient pivots: sigma moves one of them off
-        # the image plus their span, already in degree 0
+        # unit vectors at the free coordinates of the reps: not classes,
+        # and sigma moves one of them off H^k_T, already in degree 0
         real = CH.direct_quotients
 
         def tampered(space, top, expected=None):
-            for image, quotient, reps in real(space, top, expected):
-                units = L.Echelon.of([{c: 1} for c, _ in quotient.rows])
-                yield image, units, reps
+            for image, reps, adj in real(space, top, expected):
+                yield image, [(f, {f: 1}) for f, _ in reps], adj
 
         sp = CH.solve_graph(G.build_graph(H.from_string("2,3,3"), side))
         monkeypatch.setattr(CH, "direct_quotients", tampered)
@@ -312,22 +348,24 @@ class TestOrdinaryDirect:
             sp = CH.solve_graph(G.build_graph(H.from_string(hstr), side))
             top = sp.graph.top_degree
             quotients = CH.direct_quotients(sp, top)
-            for k, (image, quotient, _) in enumerate(quotients):
+            for k, (image, reps, adj) in enumerate(quotients):
                 for lam in partitions_of(sp.n):
                     sigma = G.class_representative(lam)
-                    direct = CH._quotient_trace(sp, k, image, quotient, sigma,
-                                                kind)
+                    direct = CH._quotient_trace(sp, k, image, reps, adj,
+                                                sigma, kind)
                     assert direct == trace_by_difference(sp, k, sigma, kind), \
                         (side, k, lam)
 
     def test_quotient_trace_scales_a_non_unit_pivot(self):
-        # degree 1 of 2,2 is Q^4, and sigma = (2, 1) reverses it; the image
-        # row r = (2, 1, 1, 2) is fixed with pivot entry 2, so the trace on
-        # Q^4 / <r> is 0 - 1, read as -2 / 2 at the row e_3 sent to e_0
+        # with no constraint rows degree 1 of 2,2 is Q^4, and sigma = (2, 1)
+        # reverses it; the image row r = (2, 1, 1, 2) is fixed with pivot
+        # entry 2, so the trace on Q^4 / <r> is 0 - 1, read as -3 / 3 at the
+        # rep 3 e_3: it goes to 3 e_0, whose remainder is -3 at coordinate 3
         sp = CH.solve_graph(G.build_GX(H.from_string("2,2")))
         image = L.Echelon.of([{0: 2, 1: 1, 2: 1, 3: 2}])
-        quotient = L.Echelon.of([{1: 1}, {2: 1}, {3: 1}])
-        assert CH._quotient_trace(sp, 1, image, quotient, (2, 1), "dot") == -1
+        reps = [(1, {1: 1}), (2, {2: 1}), (3, {3: 3})]
+        assert CH._quotient_trace(sp, 1, image, reps, {}, (2, 1), "dot") \
+            == -1
 
     @pytest.mark.parametrize("side,kind", [("x", "dot"), ("y", "dagger")])
     def test_cross_check_catches_a_wrong_character_value(self, side, kind):
@@ -354,10 +392,10 @@ class TestOrdinaryDirect:
 
 class TestCharacters:
     def test_identity_trace_is_dimension(self):
-        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
+        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")), 3)
         quotients = CH.direct_quotients(sp, sp.max_degree)
-        for k, (image, quotient, _) in enumerate(quotients):
-            tr = CH._quotient_trace(sp, k, image, quotient, (1, 2, 3), "dot")
+        for k, (image, reps, adj) in enumerate(quotients):
+            tr = CH._quotient_trace(sp, k, image, reps, adj, (1, 2, 3), "dot")
             assert tr == sp.dim(k) - image.rank
 
     def test_h22_trivial_character(self):
@@ -376,9 +414,10 @@ class TestCharacters:
         # trace must agree for two permutations of the same cycle type
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3,4")),
                             max_degree=2)
-        for k, (image, quotient, _) in enumerate(CH.direct_quotients(sp, 2)):
+        for k, (image, reps, adj) in enumerate(CH.direct_quotients(sp, 2)):
             def tr(sigma):
-                return CH._quotient_trace(sp, k, image, quotient, sigma, "dot")
+                return CH._quotient_trace(sp, k, image, reps, adj, sigma,
+                                          "dot")
             assert tr((2, 1, 4, 3)) == tr(G.class_representative((2, 2)))
             assert tr((1, 3, 2, 4)) == tr(G.class_representative((2, 1, 1)))
 
@@ -392,11 +431,12 @@ class TestCharacters:
         pi = CH.coordinate_perm(g, k, sigma, "dot")
         p = [[int(pi[c] == r) for c in range(len(pi))]
              for r in range(len(pi))]
-        *_, (image, quotient, _) = CH.direct_quotients(sp, k)
+        *_, (image, reps, adj) = CH.direct_quotients(sp, k)
         on_h = trace(restrict_endomorphism(sp.bases[k], p))
+        # I_1 = sum_i t_i H^0_T, with H^0_T the constants
         on_i = trace(restrict_endomorphism(
-            L.SubspaceBasis(len(pi), [row for _, row in image.rows]), p))
-        assert CH._quotient_trace(sp, k, image, quotient, sigma, "dot") \
+            L.SubspaceBasis(len(pi), t_multiples(sp, k)), p))
+        assert CH._quotient_trace(sp, k, image, reps, adj, sigma, "dot") \
             == on_h - on_i
         assert KT.kernel_trace(sp, k, sigma, "dot") == on_h
 
@@ -580,7 +620,7 @@ class TestActionInvarianceGuard:
         t = c_triple("2,3,3,4")
         for side in ("x", "y"):
             bl = G.build_blowup(t, side)
-            sp = CH.solve_graph(bl)
+            sp = CH.solve_graph(bl, bl.top_degree + 1)
             for k in range(sp.max_degree + 1):
                 for col in sp.bases[k].columns:
                     # from_vector raises MembershipFailed on a violation

@@ -14,6 +14,7 @@ from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import isotypic as I
+from gkmhess import linalg as L
 from gkmhess import maps as M
 from gkmhess.symfunc import mn_character, partitions_of
 import fraction_reps as FR
@@ -45,20 +46,31 @@ def run_json(capsys, *argv):
 class TestBlocksEqualTheTracePath:
     @pytest.mark.parametrize("hstr", ALL_N4)
     def test_dims_traces_and_characters(self, hstr):
+        # each side solved on its own rows; the default solve ranks degree
+        # top + 1, whose kernel the trace oracle reads
         h = H.from_string(hstr)
-        gy = G.build_GY(h)
-        space = CH.solve_graph(gy)
-        blocks = I.twin_blocks(gy)
-        assert blocks.max_degree == space.max_degree == gy.top_degree + 1
-        for k in range(space.max_degree + 1):
-            assert blocks.dim(k) == space.dim(k), k
-        assert blocks.traces() == KT.kernel_traces(space, "dagger")
-        # the series division of the block traces against the direct
-        # quotient of each side, solved on its own
-        assert M.plain_character(h, "y") == CH.graded_character(
-            space, "dagger", cross_check=True)
-        assert M.plain_character(h, "x") == CH.graded_character(
-            CH.solve_graph(G.build_GX(h)), "dot", cross_check=True)
+        blocks = I.twin_blocks(G.build_GY(h))
+        for side, kind in (("y", "dagger"), ("x", "dot")):
+            g = G.build_graph(h, side)
+            top = g.top_degree + 1
+            space = CH.solve_graph(g)
+            kernel = L.kernel_of_rows(CH.constraint_rows(g, top), len(
+                g.vertices) * len(CH.monomials(h.n, top)))
+            assert blocks.max_degree == space.max_degree == top
+            assert top not in space.bases
+            assert space.ranked == {top: kernel.dim}
+            for k in range(top + 1):
+                assert blocks.dim(k) == space.dim(k), k
+            oracle = KT.kernel_traces(dataclasses.replace(
+                space, bases={**space.bases, top: kernel}, ranked={}), kind)
+            if side == "y":
+                assert blocks.traces() == oracle
+            # the direct quotient against the series division of the
+            # oracle's traces and of the block traces
+            char = CH.graded_character(space, kind)
+            assert char == CH.graded_character(space, kind, traces=oracle,
+                                               cross_check=False)
+            assert char == M.plain_character(h, side)
 
     def test_n4_character_solves_no_kernel(self, monkeypatch):
         def unused(rows, ncols):

@@ -294,21 +294,20 @@ def test_row_order_leaves_the_basis(system, rnd: random.Random):
                                          max_size=5))
 @example(([{0: 2, 2: 1}, {1: 3, 2: 1}], 3), {0: 1, 1: 1, 2: 1})
 @settings(max_examples=150, deadline=None)
-def test_clear_pivots_is_the_exact_remainder(system, row):
-    # oracle: row - sum_c row[c] / r_c[c] * r_c in Fractions, and the
-    # remainder is empty exactly when row lies in the span
+def test_remainder_at_is_the_exact_remainder(system, row):
+    # oracle: row - sum_c row[c] / r_c[c] * r_c in Fractions, zero at
+    # every pivot, and zero everywhere exactly when row lies in the span
     rows, ncols = system
     row = {c: v for c, v in row.items() if c < ncols}
     ech = L.Echelon.of(rows)
     ech.back_substitute()
-    rem, scale = ech.clear_pivots(row)
-    assert scale > 0 and not set(rem) & set(ech.pivots)
+    rem = [ech.remainder_at(row, f) for f in range(ncols)]
+    assert not any(rem[c] for c in ech.pivots)
     exact = {c: Fraction(v) for c, v in row.items()}
     for c, r in ech.rows:
         a = Fraction(row.get(c, 0), r[c])
         for j, v in r.items():
             exact[j] = exact.get(j, 0) - a * v
-    assert {c: Fraction(v, scale) for c, v in rem.items()} == \
-        {c: v for c, v in exact.items() if v}
+    assert rem == [exact.get(f, 0) for f in range(ncols)]
     in_span = fraction_rank(rows + [row], ncols) == fraction_rank(rows, ncols)
-    assert (not rem) == in_span
+    assert (not any(rem)) == in_span

@@ -71,7 +71,7 @@ class TestSidesStayIndependent:
     def test_direct_x_kernel_is_the_relabelled_y_kernel(self):
         count = 0
         for name, gy, gx in side_pairs():
-            space_y = CH.solve_graph(gy)
+            space_y = CH.solve_graph(gy, gy.top_degree + 1)
             relabelled = CH.relabel_space(space_y, gx, name)
             direct = {}
             for k in range(space_y.max_degree + 1):
@@ -96,8 +96,9 @@ class TestSidesStayIndependent:
 
     def test_dot_traces_on_x_are_dagger_traces_on_y(self):
         h = H.from_string("2,3,3,4")
-        space_x = CH.solve_graph(G.build_GX(h))
-        space_y = CH.solve_graph(G.build_GY(h))
+        gx, gy = G.build_GX(h), G.build_GY(h)
+        space_x = CH.solve_graph(gx, gx.top_degree + 1)
+        space_y = CH.solve_graph(gy, gy.top_degree + 1)
         assert KT.kernel_traces(space_x, "dot") \
             == KT.kernel_traces(space_y, "dagger")
 
