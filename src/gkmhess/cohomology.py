@@ -19,14 +19,18 @@ of the unknowns: f(u) - f(v) for an edge {u, v} and the signed vertex sum
 for a 4-gon (:func:`constraint_rows`), x (I - rho(s_ab)) in the blocks of
 :mod:`gkmhess.isotypic`.
 
-Coordinates are monomial-major everywhere: the coefficient of the mi-th
-degree-k monomial (graded lex, :func:`monomials`) at the vi-th vertex of
-a graph with V vertices is coordinate mi * V + vi.  Constraint rows,
-kernel bases, coordinate permutations and the map matrices of
-:mod:`gkmhess.maps` all use this order.  The echelon pivots on the
-smallest column of each row, so the order is also the elimination order;
-on the n = 4 kernels the monomial-major order eliminates two to three
-times faster than the vertex-major one.
+Coordinates are monomial-major, the vertices reversed within each
+monomial: the coefficient of the mi-th degree-k monomial (graded lex,
+:func:`monomials`) at the vi-th of V vertices is coordinate
+mi * V + (V - 1 - vi).  Constraint rows, kernel bases, coordinate
+permutations, relabellings and the map matrices of the full-kernel test
+oracle all use this order.  The echelon pivots on the smallest column of
+each row, so the order is also the elimination order: on the n = 4
+kernels monomial-major eliminates two to three times faster than
+vertex-major, and reversing the vertices cut elimination plus kernel
+columns over the ten n = 4 kind-C blow-ups from 21-28 s to 15-17 s
+(2-CPU VM).  The blocks of :mod:`gkmhess.isotypic` keep their own order,
+which reversing did not speed up.
 
 From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; degree top_degree + 1
@@ -35,12 +39,13 @@ solved space is read on the direct quotient H^k_T / I_k,
 I_k = sum_i t_i H^{k-1}_T, alone, on the free coordinates of the kernel
 basis: it keeps I_k restricted to them in reduced echelon form, takes b_k
 basis columns at the other free coordinates as representatives, and
-reads traces there.  The same pass proves that the action preserves H^k_T
-and I_k (:func:`graded_character` states the induction), so no other
-invariance check is made.  Traces of the equivariant pieces read
-elsewhere (the irreducible blocks of a twin, or side y for side x)
-become a character by series division, which the direct quotient
-cross-checks at n <= 3.  Frobenius characteristics of
+reads traces there.  A certificate on the shift tables proves
+I_k <= H^k_T, and the trace pass of the two generators of S_n proves
+that the action preserves H^k_T and I_k (:func:`graded_character` states
+the induction), so no other invariance check is made.  Traces of the
+equivariant pieces read elsewhere (the irreducible blocks of a twin, or
+side y for side x) become a character by series division, which the
+direct quotient cross-checks at n <= 3.  Frobenius characteristics of
 the graded characters land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
@@ -61,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import itemgetter
 from typing import Iterator
 
@@ -202,16 +207,17 @@ def constraint_rows(graph, k: int) -> list[IntRow]:
     """Integer rows whose kernel is the degree-k equivariant piece."""
     n = graph.n
     nv = len(graph.vertices)
+    last = nv - 1   # the vertex vi sits at slot last - vi
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
         # f(u) - f(v) vanishes at t_a = t_b: one row per image monomial
-        rows += divisible_rows(edge_groups(n, k, a, b), ({ui: 1, vi: -1},),
-                               nv)
+        rows += divisible_rows(edge_groups(n, k, a, b),
+                               ({last - ui: 1, last - vi: -1},), nv)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
         for (vs, (a, b)) in graph.quads:
             # the signed sum and its derivative vanish at t_a = t_b
-            cols = ({vi: signs[vi] for vi in vs},)
+            cols = ({last - vi: signs[vi] for vi in vs},)
             rows += divisible_rows(edge_groups(n, k, a, b), cols, nv)
             rows += divisible_rows(derivative_groups(n, k, a, b), cols, nv)
     return rows
@@ -296,39 +302,70 @@ def _shift_exp_index(n: int, k: int, i: int) -> tuple[int, ...]:
     return tuple(dst[_times_t(mon, i)] for mon in monomials(n, k - 1))
 
 
+@lru_cache(maxsize=None)
+def _shift_fault(n: int, k: int, label, second: bool,
+                 tables) -> str | None:
+    """Why the t_i tables (tables[i - 1], degree k - 1 to k) fail to
+    certify t_i H^{k-1}_T <= H^k_T on the conditions of label, or None:
+    its edge groups, and its derivative groups too for a 4-gon (second).
+
+    An injective table moves the degree-(k-1) monomial m at each vertex
+    to table[m], linearly.  A degree-k group g at a vertex combination
+    col, which is the same in every degree, then reads on t_i f what the
+    pulled-back group {m: g[table[m]]} at col reads on f, and that is 0
+    when the pulled-back group lies in the span of the degree-(k-1)
+    groups.  The cache is keyed on the tables themselves.
+    """
+    kinds = (edge_groups, derivative_groups)[:1 + second]
+    span = Echelon.of([dict(g) for kind in kinds
+                       for g in kind(n, k - 1, *label)])
+    for i, table in enumerate(tables, start=1):
+        inverse = {mi: m for m, mi in enumerate(table)}
+        if len(inverse) < len(table):
+            return f"the t_{i} table is not injective"
+        if any(span.reduce({inverse[mi]: cf for mi, cf in g
+                            if mi in inverse})
+               for kind in kinds for g in kind(n, k, *label)):
+            return (f"the t_{i} table does not carry the conditions of the "
+                    f"label {label}")
+    return None
+
+
 def direct_quotients(space: GradedSolutionSpace, top: int,
                      expected: dict[int, int] | None = None
                      ) -> Iterator[tuple[Echelon, list[tuple[int, IntRow]],
                                          dict]]:
-    """The direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T, in each
-    degree k = 0, ..., top in turn, as (image, reps, adj), on the free
-    coordinates F of the kernel basis (its unit rows), which determine a
-    vector of H^k_T.  adj is the column adjacency of the degree-k
-    constraint rows, which every generator of I_k must satisfy.  image is
-    the back-substituted echelon of the generators on F, and reps are the
-    (f, column) of the basis at the free coordinates f that are not image
-    pivots, so H^k_T = I_k + span(reps), a direct sum.  DimensionMismatch
-    if a generator leaves H^k_T, or if len(reps) differs from expected[k]
-    where that is given.
+    """H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T, for k = 0, ..., top, as
+    (image, reps, adj) on the free coordinates F (unit rows) of the
+    kernel basis, which determine a vector of H^k_T: image is the reduced
+    echelon of I_k on F, reps the (f, column) of the basis at the f that
+    are not image pivots, so H^k_T = I_k + span(reps), and adj the column
+    adjacency of the degree-k rows.  DimensionMismatch if
+    :func:`_shift_fault` fails, or len(reps) != expected[k] where given.
 
-    So I_{k+1} is spanned by the t_i multiples of reps and of a spanning
-    set of I_k: by induction, m r over the reps r of each degree j <= k and
-    the monomials m of degree k + 1 - j.  Each m is made once, as
-    t_{i_1} ... t_{i_d} with i_1 >= ... >= i_d; the t-multiples of all of
+    I_{k+1} is spanned by m r over the reps r of each degree j <= k and
+    the monomials m of degree k + 1 - j, each m made once as
+    t_{i_1} ... t_{i_d}, i_1 >= ... >= i_d; the t-multiples of all of
     H^k_T would repeat most of them.
     """
-    nv = len(space.graph.vertices)
+    graph, n = space.graph, space.n
+    nv = len(graph.vertices)
+    labels = {(label, False) for *_, label in graph.edges} | {
+        (label, True) for _, label in getattr(graph, "quads", ())}
     gens: list[tuple[IntRow, int]] = []   # (m r, i_d) spanning I_k
     reps: list[tuple[int, IntRow]] = []
     for k in range(top + 1):
+        tables = tuple(_shift_exp_index(n, k, i) for i in range(1, n + 1)
+                       ) if k else ()
+        for label, second in sorted(labels) if k else ():
+            reason = _shift_fault(n, k, label, second, tables)
+            if reason:
+                raise DimensionMismatch(f"image escapes the solution space "
+                                        f"at degree {k}: {reason}")
         gens = [({table[c // nv] * nv + c % nv: v for c, v in g.items()}, i)
-                for g, last in gens + [(r, space.n) for _, r in reps]
+                for g, last in gens + [(r, n) for _, r in reps]
                 for i in range(1, last + 1)
-                for table in [_shift_exp_index(space.n, k, i)]]
-        adj = column_adjacency(constraint_rows(space.graph, k))
-        if any(first_violated_row(adj, g) is not None for g, _ in gens):
-            raise DimensionMismatch(
-                f"image escapes the solution space at degree {k}")
+                for table in [tables[i - 1]]]
         basis = space.bases[k]
         free = set(basis.unit_rows)
         image = Echelon.of(_restrict([g for g, _ in gens], free))
@@ -339,7 +376,7 @@ def direct_quotients(space: GradedSolutionSpace, top: int,
             raise DimensionMismatch(
                 f"direct quotient dim {len(reps)} != numerator coefficient "
                 f"{expected[k]} at degree {k}")
-        yield image, reps, adj
+        yield image, reps, column_adjacency(constraint_rows(graph, k))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +402,10 @@ def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
     """
     vmap = graph.vertex_map(sigma)
     nv = len(vmap)
-    return [mj * nv + vj
+    slots = [nv - 1 - vj for vj in reversed(vmap)]   # slot -> slot
+    return [mj * nv + s
             for mj in _monomial_action(graph.n, k, sigma, action_kind)
-            for vj in vmap]
+            for s in slots]
 
 
 def _monomial_action(n: int, k: int, sigma, action_kind: str):
@@ -463,22 +501,21 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
 
     Without traces it is read on the direct quotient H^k_T / I_k,
     I_k = sum_i t_i H^{k-1}_T (:func:`_cross_check_direct`), and
-    cross_check has nothing to add.  This is a proof for each class
-    representative sigma, by induction on k, once sigma preserves
-    H^{k-1}_T (nothing to show at k = 0, where I_0 = 0):
+    cross_check has nothing to add.  By induction on k, S_n preserves
+    H^k_T and I_k once it preserves H^{k-1}_T (I_0 = 0):
 
-    - the membership check of the generators (:func:`direct_quotients`)
-      shows that I_k lies in H^k_T, so H^k_T is I_k plus the span of the
-      reps, the basis columns at the free coordinates that are not image
-      pivots;
-    - :func:`_image_fault` gives sigma I_k <= I_k, as sigma H^{k-1}_T <=
-      H^{k-1}_T;
-    - the membership check of :func:`_quotient_trace` gives sigma r in
-      H^k_T for every rep r.
+    - :func:`_shift_fault` gives t_i H^{k-1}_T <= H^k_T, so I_k <= H^k_T
+      and H^k_T = I_k + span(reps) (:func:`direct_quotients`);
+    - for each generator sigma of S_n, (1 2) and the n-cycle,
+      :func:`_image_fault` gives sigma I_k <= I_k, and the membership
+      check of :func:`_quotient_trace` sigma r in H^k_T for each rep r.
 
-    So sigma preserves H^k_T and I_k, and the trace read on the reps is
-    its trace on H^k_T / I_k.  The quotient dimensions are the numerator
-    coefficients (DimensionMismatch otherwise).
+    As they generate S_n, every sigma preserves H^k_T and I_k, and the
+    trace read on the reps is the trace on H^k_T / I_k.  The generators
+    are class representatives, checked in the pass that reads their
+    traces; the other classes are read unchecked, the identity as
+    len(reps).  The quotient dimensions are the numerator coefficients
+    (DimensionMismatch otherwise).
 
     traces, if given, are the traces of the class representatives on the
     equivariant pieces H^k_T: carried over from side y by
@@ -529,22 +566,25 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
     """The graded character read on the direct quotient, degree by degree
     (see :func:`graded_character`), with numer the Hilbert numerator.
     NotInvariant where :func:`_image_fault` or :func:`_quotient_trace`
-    fails to certify a class representative, and CrossCheckFailed at the
-    first value that differs from series, where that is given.
+    fails to certify a generator of S_n, and CrossCheckFailed at the first
+    value that differs from series, where that is given.
     """
     n = space.n
-    sigmas = [(lam, class_representative(lam)) for lam in partitions_of(n)]
+    one = (1,) * n
     values: dict[tuple[Partition, int], Fraction] = {}
     quotients = direct_quotients(space, space.graph.top_degree,
                                  dict(enumerate(numer)))
     for k, (image, reps, adj) in enumerate(quotients):
-        for lam, sigma in sigmas:
-            if _image_fault(n, k, sigma, action_kind):
+        for lam in partitions_of(n):
+            sigma = class_representative(lam)
+            checked = sigma in generators(n)   # (1 2) and the n-cycle
+            if checked and _image_fault(n, k, sigma, action_kind):
                 raise NotInvariant(
                     f"{action_kind} action by {sigma} does not intertwine "
                     f"t-multiplication into degree {k}")
-            direct = _quotient_trace(space, k, image, reps, adj, sigma,
-                                     action_kind)
+            direct = Fraction(len(reps)) if lam == one else _quotient_trace(
+                space, k, image, reps, adj if checked else None, sigma,
+                action_kind)
             if series is not None and direct != series.value(lam, k):
                 raise CrossCheckFailed(
                     f"degree {k}, type {lam}: direct {direct} != "
@@ -580,24 +620,25 @@ def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
                     reps: list[tuple[int, IntRow]], adj, sigma,
                     action_kind: str) -> Fraction:
     """Trace of sigma on H^k_T / I_k, read on the reps (f, r) of
-    :func:`direct_quotients`, given sigma I_k <= I_k.
+    :func:`direct_quotients`, given that sigma preserves I_k.
 
-    Each sigma r must satisfy the constraint rows (adj), that is lie in
-    H^k_T (NotInvariant otherwise); so sigma preserves H^k_T, and sigma r
-    is an element of I_k plus a combination of the reps.  Clearing the
-    image pivots leaves that combination on the free coordinates, and the
-    coordinate of sigma r along r is its value at f over r's own.
+    Unless adj is None, each sigma r must satisfy the rows adj, that is
+    lie in H^k_T (NotInvariant otherwise), so it is in I_k plus a
+    combination of the reps; its coordinate along r is its remainder at
+    f over r[f], summed in integers over the pivot entries' lcm.
     """
     pi = coordinate_perm(space.graph, k, sigma, action_kind)
-    total = Fraction(0)
+    scale = lcm(*(r[c] for c, r in image.rows))
+    den = lcm(*(col[f] for f, col in reps))
+    total = 0
     for f, col in reps:
         moved = {pi[c]: v for c, v in col.items()}
-        if first_violated_row(adj, moved) is not None:
+        if adj is not None and first_violated_row(adj, moved) is not None:
             raise NotInvariant(
                 f"{action_kind} action by {sigma} moves a degree-{k} "
                 f"quotient representative off H^k_T")
-        total += image.remainder_at(moved, f) / col[f]
-    return total
+        total += image.remainder_at(moved, f, scale) * (den // col[f])
+    return Fraction(total, scale * den)
 
 
 def frobenius_of_character(char: GradedCharacter) -> GradedSymmetricFunction:
@@ -633,9 +674,9 @@ def relabelling(graph, k: int) -> list[int]:
     """
     nv = len(graph.vertices)
     out = [0] * (nv * len(monomials(graph.n, k)))
-    for vi, v in enumerate(graph.vertices):
+    for s, v in enumerate(reversed(graph.vertices)):
         for mi, mj in enumerate(_perm_monomial_table(graph.n, k, v.perm)):
-            out[mi * nv + vi] = mj * nv + vi
+            out[mi * nv + s] = mj * nv + s
     return out
 
 

@@ -21,7 +21,6 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -125,17 +124,18 @@ class Echelon:
             if hits:
                 _strip_content(r)
 
-    def remainder_at(self, row: IntRow, f: int) -> Fraction:
-        """Column f of row - sum_c row[c] / r_c[c] * r_c after back
-        substitution, c over the pivot columns of row and r_c the row with
-        pivot c.  That remainder is zero at every pivot column, and zero
-        everywhere exactly when row lies in the span of the rows."""
-        out = Fraction(row.get(f, 0))
+    def remainder_at(self, row: IntRow, f: int, scale: int) -> int:
+        """scale times column f of row - sum_c row[c] / r_c[c] * r_c after
+        back substitution, c over the pivot columns of row and r_c the row
+        with pivot c; scale must be a multiple of every r_c[c].  That
+        remainder is zero at every pivot column, and zero everywhere
+        exactly when row lies in the span of the rows."""
+        out = scale * row.get(f, 0)
         for c, v in row.items():
             if c in self.pivots:
                 r = self.rows[self.pivots[c]][1]
                 if f in r:
-                    out -= Fraction(v * r[f], r[c])
+                    out -= v * r[f] * (scale // r[c])
         return out
 
     def kernel_columns(self, ncols: int) -> tuple[list[IntRow], list[int]]:

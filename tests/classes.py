@@ -96,7 +96,7 @@ class EquivariantClass:
         nv = len(self.graph.vertices)
         idx = monomial_index(self.graph.n, self.degree)
         vidx = self.graph.vertex_index
-        return {idx[e] * nv + vidx[v]: c
+        return {idx[e] * nv + nv - 1 - vidx[v]: c
                 for v, p in self.values.items() for e, c in p.items()}
 
     @classmethod
@@ -107,7 +107,7 @@ class EquivariantClass:
         values: dict[Vertex, Poly] = {}
         for c, val in col.items():
             if val:
-                values.setdefault(graph.vertices[c % nv], {})[
+                values.setdefault(graph.vertices[nv - 1 - c % nv], {})[
                     mons[c // nv]] = Fraction(val)
         return cls(graph, degree, values)
 

@@ -69,8 +69,8 @@ def map_matrix(ctx: TripleGraphs, name: str, k: int) -> MapMatrix:
                 (lambda e: swap_positions(e, d, d + 1)) if swap else None)
         si = src_index[s]
         for mi, terms in enumerate(tables[mult, swap]):
-            matrix[mi * nv_src + si] += [(t * nv_dst + vi, c)
-                                         for t, c in terms]
+            matrix[mi * nv_src + nv_src - 1 - si] += [
+                (t * nv_dst + nv_dst - 1 - vi, c) for t, c in terms]
     return matrix
 
 

@@ -19,17 +19,13 @@ import coloring_census as CC
 import full_kernels as FK
 import graph_checks as GC
 
-# n = 4 instances where the characters from the irreducible blocks are
-# compared with the direct quotient of the solved graph (criterion 7);
-# chosen across the dimension range
-SAMPLE4 = ("1,2,3,4", "2,2,3,4", "2,3,3,4", "2,3,4,4")
-
 # n = 4 kind-C triples exercised by the main-theorem check (criterion 4)
 TRIPLES4 = ("2,3,3,4", "1,3,4,4", "2,3,4,4")
 
 
 class Store:
     def __init__(self):
+        self.characters: dict = {}
         self.series: dict = {}
         self.numerators: dict = {}
 
@@ -39,8 +35,14 @@ class Store:
             space = CH.solve_graph(G.build_graph(h, side))
             kind = "dot" if side == "x" else "dagger"
             self.numerators[key] = CH.hilbert_numerator(space)
-            self.series[key] = CH.frobenius_series(space, kind)
+            # the direct quotient of the solved graph
+            char = self.characters[key] = CH.graded_character(space, kind)
+            self.series[key] = CH.frobenius_of_character(char)
         return self.numerators[key], self.series[key]
+
+    def character(self, h: H.HessenbergFunction, side: str):
+        self.compute(h, side)
+        return self.characters[h.values, side]
 
 
 @pytest.fixture(scope="module")
@@ -265,21 +267,20 @@ def test_criterion_6_structural_invariants(store):
     assert not failures, failures
 
 
-def test_criterion_7_oracle_cross_checks():
+def test_criterion_7_oracle_cross_checks(store):
     """Series-division characters equal direct-quotient characters: every
-    n <= 3 instance and the fixed n = 4 sample, both sides.
+    instance with n <= 4 (all 14 at n = 4), both sides.
 
     The series division is that of the CLI (maps.plain_character, from the
     dagger traces of the irreducible blocks of the twin), the direct
-    quotient that of the solved graph of each side.
+    quotient that of the solved graph of each side, as the store keeps it
+    for criteria 1, 2, 5 and 6.
     """
     failures = []
-    hs = [*all_h(1, 2, 3), *map(H.from_string, SAMPLE4)]
+    hs = list(all_h(1, 2, 3, 4))
     for h in hs:
-        for side, kind in (("x", "dot"), ("y", "dagger")):
-            space = CH.solve_graph(G.build_graph(h, side))
-            if M.plain_character(h, side) != CH.graded_character(
-                    space, kind, cross_check=True):
+        for side in ("x", "y"):
+            if M.plain_character(h, side) != store.character(h, side):
                 failures.append((str(h), side))
     report(7, not failures, f"{2 * len(hs)} instances")
     assert not failures, failures

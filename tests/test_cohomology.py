@@ -1,7 +1,9 @@
 """Graph cohomology: solved dimensions, numerators, characters, classes."""
 
 import dataclasses
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +338,59 @@ class TestOrdinaryDirect:
         sp = CH.solve_graph(G.build_GY(H.from_string("2,3,3")))
         with pytest.raises(CH.DimensionMismatch, match="escapes"):
             CH.graded_character(sp, "dagger", cross_check=True)
+
+    def test_shift_tables_are_certified(self):
+        # every label in either orientation, edge and 4-gon conditions
+        for n in (2, 3, 4):
+            for k in range(1, 7):
+                tables = tuple(CH._shift_exp_index(n, k, i)
+                               for i in range(1, n + 1))
+                for a in range(1, n + 1):
+                    for b in set(range(1, n + 1)) - {a}:
+                        for second in (False, True):
+                            assert CH._shift_fault(n, k, (a, b), second,
+                                                   tables) is None
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("dropped", [1, 2])
+    def test_dropped_derivative_group_is_caught(self, side, dropped,
+                                                monkeypatch):
+        # the space is solved on every row; the certificate then reads the
+        # degree-j derivative groups without their first, and the t_i
+        # pullbacks of the degree-(j+1) groups leave the span of the rest
+        sp = CH.solve_graph(G.build_blowup(c_triple("2,3,3"), side))
+        real = CH.derivative_groups
+        monkeypatch.setattr(
+            CH, "derivative_groups",
+            lambda n, k, a, b: real(n, k, a, b)[1 if k == dropped else 0:])
+        monkeypatch.setattr(CH, "_shift_fault", lru_cache(maxsize=None)(
+            CH._shift_fault.__wrapped__))
+        with pytest.raises(CH.DimensionMismatch,
+                           match=f"degree {dropped + 1}: the t_. table does "
+                                 f"not carry the conditions of the label"):
+            CH.graded_character(sp, "dot" if side == "x" else "dagger")
+
+    def test_generators_are_class_representatives(self):
+        # the quotient checks the generators in its pass over the classes
+        for n in range(1, 7):
+            reps = {G.class_representative(lam) for lam in partitions_of(n)}
+            assert set(G.generators(n)) <= reps
+
+    @pytest.mark.parametrize("broken", G.generators(4),
+                             ids=["transposition", "4-cycle"])
+    def test_action_broken_for_one_generator_raises(self, broken,
+                                                    monkeypatch):
+        # the dot action of (1 2), or of the 4-cycle alone, leaves the
+        # variables alone; every other permutation acts as it should
+        sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3,4")))
+        perm = CH.coordinate_perm
+        monkeypatch.setattr(
+            CH, "coordinate_perm",
+            lambda graph, k, sigma, kind:
+            perm(graph, k, sigma, "dagger" if sigma == broken else kind))
+        with pytest.raises(CH.NotInvariant,
+                           match=re.escape(f"by {broken} moves")):
+            CH.graded_character(sp, "dot")
 
     @pytest.mark.parametrize("hstr", [
         *(str(h) for n in (1, 2, 3)

@@ -4,7 +4,7 @@ to a subspace."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -296,12 +296,16 @@ def test_row_order_leaves_the_basis(system, rnd: random.Random):
 @settings(max_examples=150, deadline=None)
 def test_remainder_at_is_the_exact_remainder(system, row):
     # oracle: row - sum_c row[c] / r_c[c] * r_c in Fractions, zero at
-    # every pivot, and zero everywhere exactly when row lies in the span
+    # every pivot, and zero everywhere exactly when row lies in the span;
+    # read as an integer over any common multiple of the pivot entries
     rows, ncols = system
     row = {c: v for c, v in row.items() if c < ncols}
     ech = L.Echelon.of(rows)
     ech.back_substitute()
-    rem = [ech.remainder_at(row, f) for f in range(ncols)]
+    scale = 2 * lcm(*(r[c] for c, r in ech.rows))
+    scaled = [ech.remainder_at(row, f, scale) for f in range(ncols)]
+    assert all(isinstance(x, int) for x in scaled)
+    rem = [Fraction(x, scale) for x in scaled]
     assert not any(rem[c] for c in ech.pivots)
     exact = {c: Fraction(v) for c, v in row.items()}
     for c, r in ech.rows:
