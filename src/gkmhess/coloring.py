@@ -10,14 +10,15 @@ partition (S_1, ..., S_l) of [n] into colour classes with |S_c| = lam_c,
 and an edge j < i ascends exactly when j lies in an earlier class than i,
 so asc = sum over c and i in S_c of |N^-(i) & (S_1 u ... u S_{c-1})| with
 N^-(i) = {j < i : h(j) >= i}.  Both are computed exactly by a dynamic
-program that adds one colour class at a time, each a subset of the
-vertices not yet coloured (a proper coloring's classes contain no edge),
-with the ascents a class adds read off by one AND and one popcount
-against a spread mask, one per vertex subset.  The DP
-runs once per (h, proper_only) per process: its leaf counts are memoised
-as one packed integer per partition, and csf_q and llt build a fresh
-graded function from them on every call.  csf_q_raw and llt_raw enumerate
-colorings outright and serve as the independent reference.
+program that adds one colour class of size >= 2 at a time, each a subset
+of the vertices not yet coloured (a proper coloring's classes contain no
+edge), with the ascents a class adds read off by one AND and one popcount
+against a spread mask, one per vertex subset.  The closing run of
+singleton classes takes one step, from a table of the ascent
+distributions of the orderings of each vertex subset.  The DP runs once
+per transpose pair {h, h^t} and kind per process: its leaf counts are
+memoised as one packed integer per partition, and csf_q and llt build a
+fresh graded function from them on every call.
 
 The module also carries the modular-law checks, valid for triples of both
 kinds.  They compare the memoised packed counts in integers, with no
@@ -71,47 +72,74 @@ def _submasks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _packed_counts(h: HessenbergFunction,
                    proper_only: bool) -> tuple[int, Mapping[Partition, int]]:
     """Colour-class dynamic program behind csf_q, llt and the modular-law
-    checks (module docstring), run once per (h, proper_only) per process.
+    checks (module docstring), run once per ({h, h^t}, proper_only) per
+    process.
 
     Returns (width, {lam: packed}) with the dict read-only, packed being
     sum_a c_a 2^(width a) with c_a the number of (proper) colorings of
     content lam with a ascents.  Every c_a counts colorings of a subset of
     [n] with fixed class sizes, so c_a <= n! < 2^(width-1): no field carries
     into the next, and neither does a sum of two fields (the law checks).
-    The memo keeps at most two entries per Hessenberg function of degree
+    The memo keeps at most four entries per transpose pair of degree
     <= DEGREE_CAP (check_degree raises, uncached, above it).
 
-    Classes are added in colour order, the parts of lam weakly decreasing,
-    so partitions sharing a prefix share its states.  A state maps the set
-    U of vertices coloured so far (bit i-1 for vertex i) to its packed
-    ascent distribution; the next class S of size k is one of the
-    k-subsets of the free vertices [n] - U (_submasks), skipped when its
-    spread mask is None (an edge inside S, proper colorings only).  S adds
-    w = sum over i in S of |N^-(i) & U| ascents, a shift by width w.  w is
-    one AND and one popcount: the spread mask (_class_tables) holds N^-(i)
-    in field i of n bits, and U * rep holds a copy of U in every field.
+    Transpose.  v -> n+1-v maps the edges of G_h onto those of G_{h^t}, so
+    kappa -> (l+1-kappa(n+1-v))_v, l the number of colours, is a bijection
+    from the (proper) colorings of G_h onto those of G_{h^t} that keeps
+    every ascent and reverses the content.  Reading the m_lam coefficient
+    at content lam, as the DP does, already rests on csf_q and llt being
+    symmetric, so h and h^t have the same counts: when h^t sorts first,
+    its memoised entry is returned.
+
+    Classes of size >= 2 are added in colour order, the parts of lam
+    weakly decreasing, so partitions sharing a prefix share its states.
+    A state maps the set U of vertices coloured so far (bit i-1 for vertex
+    i) to its packed ascent distribution; the next class S of size k is
+    one of the k-subsets of the free vertices [n] - U (_submasks), skipped
+    when its proper mask is None (an edge inside S, proper colorings
+    only).  S adds w = sum over i in S of |N^-(i) & U| ascents, a shift by
+    width w.  w is one AND and one popcount: the spread mask
+    (_class_tables) holds N^-(i) in field i of n bits, and U * rep holds a
+    copy of U in every field.
+
+    Singleton tail.  Every state U also closes its branch with singletons
+    on R = [n] - U, in colour order i_1, ..., i_r, all proper.  i_t adds
+    |N^-(i_t) & U| + |N^-(i_t) & {i_1, ..., i_{t-1}}| ascents.  The first
+    terms sum to cross(U), the edges from U up into R, which is
+    (spread[R] & U * rep).bit_count() on the spread mask without
+    properness.  The second terms are the ascents of the ordering of R;
+    their distribution is orderings[R] (_class_tables): split by the
+    vertex i with the last colour, which ascends over its neighbours below
+    it in R.  So lam + (1,) * r gains sum_U packed_U * orderings[R] <<
+    width * cross(U).  No coefficient of the product carries: each counts
+    colorings of [n] of one content by ascents, so it is at most n!.
     """
     n = h.n
     check_degree(n)
+    transpose = h.transpose()
+    if transpose.values < h.values:
+        return _packed_counts(transpose, proper_only)
     width = factorial(n).bit_length() + 1
-    rep, spreads = _class_tables(h, proper_only)
+    rep, spread, proper, orderings = _class_tables(h, width)
+    classes = proper if proper_only else spread
     submasks = _submasks(n)
     full = (1 << n) - 1
     counts: dict[Partition, int] = {}
     stack: list[tuple[dict[int, int], Partition, int]] = [({0: 1}, (), n)]
     while stack:
         states, lam, rest = stack.pop()
-        if not rest:   # every vertex is coloured: the one state is [n]
-            (counts[lam],) = states.values()
-            continue
-        for part in range(min(rest, lam[-1] if lam else n), 0, -1):
+        counts[lam + (1,) * rest] = sum(
+            packed * orderings[full ^ done]
+            << width * (spread[full ^ done] & done * rep).bit_count()
+            for done, packed in states.items())
+        for part in range(min(rest, lam[-1] if lam else n), 1, -1):
             grown: dict[int, int] = {}
             for done, packed in states.items():
                 copies = done * rep
                 for cls in submasks[full ^ done][part]:
-                    spread = spreads[cls]
-                    if spread is not None:
-                        w = (spread & copies).bit_count()
+                    mask = classes[cls]
+                    if mask is not None:
+                        w = (mask & copies).bit_count()
                         grown[done | cls] = (grown.get(done | cls, 0)
                                              + (packed << width * w))
             if grown:
@@ -119,31 +147,36 @@ def _packed_counts(h: HessenbergFunction,
     return width, MappingProxyType(counts)
 
 
-def _class_tables(h: HessenbergFunction, proper_only: bool
-                  ) -> tuple[int, list[int | None]]:
-    """(rep, spread): spread[S] for each bitmask S is sum over i in S of
-    N^-(i) << n i, or None if proper_only and S holds an edge, and
-    rep = sum_k 1 << n k.  For U disjoint from S,
-    (spread[S] & U * rep).bit_count() is the number of ascents S adds
+def _class_tables(h: HessenbergFunction, width: int
+                  ) -> tuple[int, list[int], list[int | None], list[int]]:
+    """(rep, spread, proper, orderings), the lists over all bitmasks S.
+    spread[S] is sum over i in S of N^-(i) << n i, proper[S] the same or
+    None if S holds an edge, and rep = sum_k 1 << n k.  For U disjoint from
+    S, (spread[S] & U * rep).bit_count() is the number of ascents S adds
     after U: N^-(i) and U lie below 2^n, so the copies of U land in
-    separate fields and field i of the AND is N^-(i) & U.
+    separate fields and field i of the AND is N^-(i) & U.  orderings[S] is
+    sum_a c_a 2^(width a), c_a the number of orderings of S with a edges
+    j < i that list j first.
 
-    Built from the lowest bit i of S up: spread[S] = spread[S - i] +
-    (N^-(i) << n i), and S holds an edge when S - i does or i has a
-    neighbour above it in S."""
+    One pass from the lowest bit i of S up: spread[S] = spread[S - i] +
+    (N^-(i) << n i), S holds an edge when S - i does or i has a neighbour
+    above it in S, and orderings[S] = sum over i in S of orderings[S - i]
+    << width |N^-(i) & S|, with orderings[{}] = 1."""
     n = h.n
     below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
              for i in range(1, n + 1)]
     above = [sum(1 << j for j in range(i + 1, h(i + 1))) for i in range(n)]
-    rep = sum(1 << n * k for k in range(n))
-    spread: list[int | None] = [0]
+    spread, proper, orderings = [0], [0], [1]
     for mask in range(1, 1 << n):
         low = mask & -mask
         i = low.bit_length() - 1
-        prev = spread[mask ^ low]
-        spread.append(None if prev is None or proper_only and above[i] & mask
-                      else prev + (below[i] << n * i))
-    return rep, spread
+        spread.append(spread[mask ^ low] + (below[i] << n * i))
+        proper.append(None if proper[mask ^ low] is None or above[i] & mask
+                      else spread[mask])
+        orderings.append(sum(
+            orderings[mask ^ 1 << j] << width * (below[j] & mask).bit_count()
+            for j in range(i, n) if mask >> j & 1))
+    return sum(1 << n * k for k in range(n)), spread, proper, orderings
 
 
 def _coloring_sum(h: HessenbergFunction, proper_only: bool) -> GradedSymmetricFunction:
@@ -168,46 +201,6 @@ def csf_q(h: HessenbergFunction) -> GradedSymmetricFunction:
 def llt(h: HessenbergFunction) -> GradedSymmetricFunction:
     """Sum of z_kappa q^asc over all colorings, in the m basis."""
     return _coloring_sum(h, proper_only=False)
-
-
-def csf_q_raw(h: HessenbergFunction, colors: int) -> GradedSymmetricFunction:
-    """csf_q by brute enumeration of all colorings [n] -> [colors].
-
-    Reads each m_lam coefficient off the dominant monomial (content exactly
-    lam on the first len(lam) colors).  Slower than csf_q; kept as an
-    independent cross-check and to demonstrate that any colors >= n give
-    the same answer.
-    """
-    return _raw_sum(h, colors, proper_only=True)
-
-
-def llt_raw(h: HessenbergFunction, colors: int) -> GradedSymmetricFunction:
-    """llt by brute enumeration over all colorings [n] -> [colors]."""
-    return _raw_sum(h, colors, proper_only=False)
-
-
-def _raw_sum(h: HessenbergFunction, colors: int,
-             proper_only: bool) -> GradedSymmetricFunction:
-    from itertools import product as iproduct
-    n = h.n
-    check_degree(n)
-    edges = _edge_list(h)
-    counts: dict[int, dict[Partition, int]] = {}
-    for kappa in iproduct(range(1, colors + 1), repeat=n):
-        content = [0] * colors
-        for c in kappa:
-            content[c - 1] += 1
-        used = max((i + 1 for i, c in enumerate(content) if c), default=0)
-        lam = tuple(content[:used])
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or 0 in lam:
-            continue   # not the dominant monomial of its orbit
-        if proper_only and any(kappa[i - 1] == kappa[j - 1] for (i, j) in edges):
-            continue
-        a = sum(1 for (i, j) in edges if kappa[j - 1] < kappa[i - 1])
-        counts.setdefault(a, {})
-        counts[a][lam] = counts[a].get(lam, 0) + 1
-    return GradedSymmetricFunction(
-        n, {a: SymmetricFunction(n, "m", c) for a, c in counts.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 every coloring whose content is a partition, properness, the nine-way
 (proper) and four-way (arbitrary) classification of colorings of G_{h_-}
 by how kappa(d0) compares to kappa(d) and kappa(d+1), the color-swap
-bijection at positions d, d+1, and the content-refined q-census of each
-class, assembled into graded symmetric functions."""
+bijection at positions d, d+1, the content-refined q-census of each
+class, assembled into graded symmetric functions, and csf_q and llt by
+brute enumeration, the reference for the colour-class DP."""
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from gkmhess.coloring import Coloring, _edge_list, asc
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple, WrongKind
 from gkmhess.symfunc import (
-    GradedSymmetricFunction, Partition, SymmetricFunction, partitions_of)
+    GradedSymmetricFunction, Partition, SymmetricFunction, check_degree,
+    partitions_of)
 
 def is_proper(h: HessenbergFunction, kappa: Coloring) -> bool:
     return all(kappa[i - 1] != kappa[j - 1] for (i, j) in _edge_list(h))
@@ -134,3 +137,42 @@ def census_to_graded(n: int, census: ClassCensus, tags, q_shift) -> GradedSymmet
                 terms[k][lam] = terms[k].get(lam, 0) + cnt
     return GradedSymmetricFunction(
         n, {k: SymmetricFunction(n, "m", c) for k, c in terms.items()})
+
+
+def csf_q_raw(h: HessenbergFunction, colors: int) -> GradedSymmetricFunction:
+    """csf_q by brute enumeration of all colorings [n] -> [colors].
+
+    Reads each m_lam coefficient off the dominant monomial (content exactly
+    lam on the first len(lam) colors).  Slower than csf_q; kept as an
+    independent cross-check and to demonstrate that any colors >= n give
+    the same answer.
+    """
+    return _raw_sum(h, colors, proper_only=True)
+
+
+def llt_raw(h: HessenbergFunction, colors: int) -> GradedSymmetricFunction:
+    """llt by brute enumeration over all colorings [n] -> [colors]."""
+    return _raw_sum(h, colors, proper_only=False)
+
+
+def _raw_sum(h: HessenbergFunction, colors: int,
+             proper_only: bool) -> GradedSymmetricFunction:
+    n = h.n
+    check_degree(n)
+    edges = _edge_list(h)
+    counts: dict[int, dict[Partition, int]] = {}
+    for kappa in product(range(1, colors + 1), repeat=n):
+        content = [0] * colors
+        for c in kappa:
+            content[c - 1] += 1
+        used = max((i + 1 for i, c in enumerate(content) if c), default=0)
+        lam = tuple(content[:used])
+        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or 0 in lam:
+            continue   # not the dominant monomial of its orbit
+        if proper_only and any(kappa[i - 1] == kappa[j - 1] for (i, j) in edges):
+            continue
+        a = sum(1 for (i, j) in edges if kappa[j - 1] < kappa[i - 1])
+        counts.setdefault(a, {})
+        counts[a][lam] = counts[a].get(lam, 0) + 1
+    return GradedSymmetricFunction(
+        n, {a: SymmetricFunction(n, "m", c) for a, c in counts.items()})

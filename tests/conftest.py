@@ -2,7 +2,10 @@
 
 import pytest
 
+from gkmhess import cohomology as CH
+from gkmhess import graphs as G
 from gkmhess import maps
+from gkmhess.hessenberg import HessenbergFunction
 
 
 @pytest.fixture(autouse=True)
@@ -13,3 +16,39 @@ def fresh_twins():
     maps.plain_twin.cache_clear()
     yield
     maps.plain_twin.cache_clear()
+
+
+class Store:
+    """Solved spaces and what the tests read off them, keyed by (h, side)
+    and kept for the whole session: the acceptance criteria and the
+    trace-path comparison of test_isotypic read the same full kernels."""
+
+    def __init__(self):
+        self.spaces: dict = {}
+        self.characters: dict = {}
+        self.series: dict = {}
+        self.numerators: dict = {}
+
+    def space(self, h: HessenbergFunction, side: str):
+        key = (h.values, side)
+        if key not in self.spaces:
+            space = self.spaces[key] = CH.solve_graph(G.build_graph(h, side))
+            kind = "dot" if side == "x" else "dagger"
+            self.numerators[key] = CH.hilbert_numerator(space)
+            # the direct quotient of the solved graph
+            char = self.characters[key] = CH.graded_character(space, kind)
+            self.series[key] = CH.frobenius_of_character(char)
+        return self.spaces[key]
+
+    def compute(self, h: HessenbergFunction, side: str):
+        self.space(h, side)
+        return self.numerators[h.values, side], self.series[h.values, side]
+
+    def character(self, h: HessenbergFunction, side: str):
+        self.space(h, side)
+        return self.characters[h.values, side]
+
+
+@pytest.fixture(scope="session")
+def store():
+    return Store()

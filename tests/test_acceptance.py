@@ -2,12 +2,10 @@
 
 Each criterion is one test that prints a single PASS/FAIL line.  Expensive
 intermediate results (Frobenius series, Hilbert numerators) are shared
-through a module-scoped store keyed by (h, side).
+through the session-scoped store of conftest.py, keyed by (h, side).
 """
 
 import math
-
-import pytest
 
 from gkmhess import cohomology as CH
 from gkmhess import coloring as C
@@ -21,33 +19,6 @@ import graph_checks as GC
 
 # n = 4 kind-C triples exercised by the main-theorem check (criterion 4)
 TRIPLES4 = ("2,3,3,4", "1,3,4,4", "2,3,4,4")
-
-
-class Store:
-    def __init__(self):
-        self.characters: dict = {}
-        self.series: dict = {}
-        self.numerators: dict = {}
-
-    def compute(self, h: H.HessenbergFunction, side: str):
-        key = (h.values, side)
-        if key not in self.series:
-            space = CH.solve_graph(G.build_graph(h, side))
-            kind = "dot" if side == "x" else "dagger"
-            self.numerators[key] = CH.hilbert_numerator(space)
-            # the direct quotient of the solved graph
-            char = self.characters[key] = CH.graded_character(space, kind)
-            self.series[key] = CH.frobenius_of_character(char)
-        return self.numerators[key], self.series[key]
-
-    def character(self, h: H.HessenbergFunction, side: str):
-        self.compute(h, side)
-        return self.characters[h.values, side]
-
-
-@pytest.fixture(scope="module")
-def store():
-    return Store()
 
 
 def all_h(*sizes):

@@ -92,11 +92,11 @@ class TestRawEnumerationAgreement:
         # the content enumeration
         for h in H.enumerate_hessenberg(n):
             fast = C.csf_q(h)
-            assert C.csf_q_raw(h, n) == fast
-            assert C.csf_q_raw(h, n + 1) == fast
+            assert CC.csf_q_raw(h, n) == fast
+            assert CC.csf_q_raw(h, n + 1) == fast
             fast = C.llt(h)
-            assert C.llt_raw(h, n) == fast
-            assert C.llt_raw(h, n + 1) == fast
+            assert CC.llt_raw(h, n) == fast
+            assert CC.llt_raw(h, n + 1) == fast
 
     @pytest.mark.parametrize("hstr", ["1,2,3,4,5,6", "2,2,4,4,6,6",
                                       "2,3,4,5,6,6", "3,4,5,6,6,6",
@@ -104,8 +104,8 @@ class TestRawEnumerationAgreement:
     def test_raw_sample_n6(self, hstr):
         # the exhaustive brute-force oracle over [6]^6 on a fixed sample
         h = H.from_string(hstr)
-        assert C.csf_q_raw(h, 6) == C.csf_q(h)
-        assert C.llt_raw(h, 6) == C.llt(h)
+        assert CC.csf_q_raw(h, 6) == C.csf_q(h)
+        assert CC.llt_raw(h, 6) == C.llt(h)
 
     @pytest.mark.parametrize("hstr", ["2,3,4,5,6,7,7", "7,7,7,7,7,7,7",
                                       "2,3,4,5,6,7,8,8", "3,4,5,6,7,8,8,8",
@@ -126,6 +126,10 @@ class TestRawEnumerationAgreement:
             row = {a: g.coeffs[ones] for a, g in f.terms.items()
                    if ones in g.coeffs}
             assert row == dist
+        # the singleton tail's orderings table closes (1^n) at U = {}
+        width, _ = C._packed_counts(h, True)
+        *_, orderings = C._class_tables(h, width)
+        assert orderings[-1] == sum(c << width * a for a, c in dist.items())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_csf_below_llt(self, n):
@@ -410,7 +414,7 @@ class TestMemo:
         h = H.from_string("2,3,4,4")
         first, second = C.csf_q(h), C.csf_q(h)
         assert first == second and first is not second
-        expected = C.csf_q_raw(h, 4)
+        expected = CC.csf_q_raw(h, 4)
         first.terms.clear()
         assert C.csf_q(h) == second == expected
         assert C.csf_q(h).terms
@@ -424,7 +428,7 @@ class TestMemo:
         h = H.from_string("2,2")
         C.csf_q(h)
         assert C.csf_q(h) != C.llt(h)
-        assert C.llt(h) == C.llt_raw(h, 2)
+        assert C.llt(h) == CC.llt_raw(h, 2)
 
 
 
@@ -437,8 +441,9 @@ class TestSpreadMask:
         n = h.n
         below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
                  for i in range(1, n + 1)]
+        rep, spread, proper, _ = C._class_tables(h, 1)
         for proper_only in (False, True):
-            rep, spreads = C._class_tables(h, proper_only)
+            spreads = proper if proper_only else spread
             assert len(spreads) == 1 << n
             for cls, spread in enumerate(spreads):
                 members = [i for i in range(n) if cls >> i & 1]
@@ -469,3 +474,60 @@ class TestSubmasks:
                             for c in combinations(members, k)}
                 assert len(subsets) == len(expected)
                 assert set(subsets) == expected
+
+
+class TestTransposePairs:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_uncached_dp_agrees_on_h_and_its_transpose(self, n, monkeypatch):
+        # with transpose the identity the DP runs on h and on h^t alike,
+        # instead of h reading the memoised entry of h^t
+        pairs = [(h, h.transpose()) for h in H.enumerate_hessenberg(n)]
+        monkeypatch.setattr(H.HessenbergFunction, "transpose",
+                            lambda self: self)
+        dp = C._packed_counts.__wrapped__
+        for h, ht in pairs:
+            if ht.values < h.values:
+                for proper_only in (False, True):
+                    assert dp(h, proper_only) == dp(ht, proper_only)
+
+    def test_one_entry_per_pair_is_computed(self):
+        h, ht = next((h, h.transpose()) for h in H.enumerate_hessenberg(4)
+                     if h.transpose().values < h.values)
+        assert C._packed_counts(h, True) is C._packed_counts(ht, True)
+
+
+class TestPlantedFaults:
+    """A fault planted in either shortcut of the DP is caught by the raw
+    enumeration at n <= 5 (which agrees with the unplanted DP:
+    test_color_count_invariance)."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_counts(self):
+        C._packed_counts.cache_clear()
+        yield
+        C._packed_counts.cache_clear()
+
+    @staticmethod
+    def caught(f, raw):
+        return any(f(h) != raw(h, n) for n in range(1, 6)
+                   for h in H.enumerate_hessenberg(n))
+
+    def test_tail_without_cross_term(self, monkeypatch):
+        # csf reads its classes from the proper masks, so a zero spread
+        # table drops the tail's cross term and nothing else
+        tables = C._class_tables
+
+        def no_cross(h, width):
+            rep, spread, proper, orderings = tables(h, width)
+            return rep, [0] * len(spread), proper, orderings
+
+        monkeypatch.setattr(C, "_class_tables", no_cross)
+        assert self.caught(C.csf_q, CC.csf_q_raw)
+
+    def test_transpose_pointed_at_a_wrong_function(self, monkeypatch):
+        # the path 1,2,...,n sorts before every other function of size n
+        monkeypatch.setattr(H.HessenbergFunction, "transpose",
+                            lambda self: H.validate(range(1, self.n + 1)))
+        assert self.caught(C.csf_q, CC.csf_q_raw)
+        C._packed_counts.cache_clear()
+        assert self.caught(C.llt, CC.llt_raw)

@@ -45,15 +45,16 @@ def run_json(capsys, *argv):
 
 class TestBlocksEqualTheTracePath:
     @pytest.mark.parametrize("hstr", ALL_N4)
-    def test_dims_traces_and_characters(self, hstr):
-        # each side solved on its own rows; the default solve ranks degree
-        # top + 1, whose kernel the trace oracle reads
+    def test_dims_traces_and_characters(self, hstr, store):
+        # each side solved on its own rows, read from the session store
+        # (the acceptance criteria solve the same graphs); the default
+        # solve ranks degree top + 1, whose kernel the trace oracle reads
         h = H.from_string(hstr)
         blocks = I.twin_blocks(G.build_GY(h))
         for side, kind in (("y", "dagger"), ("x", "dot")):
             g = G.build_graph(h, side)
             top = g.top_degree + 1
-            space = CH.solve_graph(g)
+            space = store.space(h, side)
             kernel = L.kernel_of_rows(CH.constraint_rows(g, top), len(
                 g.vertices) * len(CH.monomials(h.n, top)))
             assert blocks.max_degree == space.max_degree == top
@@ -67,7 +68,7 @@ class TestBlocksEqualTheTracePath:
                 assert blocks.traces() == oracle
             # the direct quotient against the series division of the
             # oracle's traces and of the block traces
-            char = CH.graded_character(space, kind)
+            char = store.character(h, side)
             assert char == CH.graded_character(space, kind, traces=oracle,
                                                cross_check=False)
             assert char == M.plain_character(h, side)
