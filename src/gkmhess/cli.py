@@ -12,8 +12,11 @@ Subcommands
 
 H is the comma-separated value vector, e.g. "2,3,3"; graph, betti and
 character take --side x (the default) or --side y.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 usage error.  Reports are deterministic
-apart from the wall-time field.
+checks pass, 1 a check failed, 2 usage error.  A check item that raises
+is a FAIL item; a certificate or check that raises elsewhere, as in
+betti or character, is one line "error: <class>: <reason>" on stderr,
+with exit code 1 and no report.  Reports are deterministic apart from
+the wall-time field.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from gkmhess import coloring, hessenberg, maps
-from gkmhess.cohomology import (
-    Truncated, certify_relabelling, frobenius_of_character, hilbert_numerator)
+from gkmhess.cohomology import frobenius_of_character, hilbert_numerator
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
@@ -94,10 +96,7 @@ def cmd_graph(h: HessenbergFunction, side: str) -> dict:
 
 def cmd_betti(h: HessenbergFunction, side: str) -> dict:
     _check_cap(h.n, False)
-    space, _ = maps.plain_twin(h)
-    if side == "x":   # the same numbers, once the relabelling is certified
-        certify_relabelling(space.graph, build_graph(h, "x"),
-                            f"plain graph of {h}", space.max_degree)
+    space, _ = maps.plain_side(h, side)
     numer = hilbert_numerator(space)
     return {"command": "betti", "h": str(h), "side": side,
             "numerator": numer, "total": sum(numer)}
@@ -383,10 +382,13 @@ def main(argv=None) -> int:
             else:   # pragma: no cover
                 ap.error(f"unknown command {args.cmd}")
                 return 2
-        except (CapExceeded, Truncated, hessenberg.NotNonDecreasing,
+        except (CapExceeded, hessenberg.NotNonDecreasing,
                 hessenberg.ValueOutOfRange) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except ValueError as exc:   # a failed certificate or check
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         _emit(report, cfg, args.output, time.time() - t0)
         return 0 if report.get("pass", True) else 1
     finally:

@@ -45,20 +45,21 @@ that the action preserves H^k_T and I_k (:func:`graded_character` states
 the induction), so no other invariance check is made.  Traces of the
 equivariant pieces read elsewhere (the irreducible blocks of a twin, or
 side y for side x) become a character by series division, which the
-direct quotient cross-checks at n <= 3.  Frobenius characteristics of
-the graded characters land in the symmetric-function layer.
+direct quotient cross-checks wherever the space is solved.  Their
+Frobenius characteristics land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling` turns every X congruence into the Y congruence and the
 dot action into the dagger action, so it carries the Y kernel onto the X
 kernel.  :func:`certify_relabelling` checks this once per graph pair, on
 its vertices, edges, 4-gons and signs, and the actions once per (n, k);
-then the X dimensions and dot traces are the Y dimensions and
-dagger traces.  Nothing here keeps a solved space: what is derived from
-a graph alone, its vertex index and its vertex maps
-(:meth:`~gkmhess.graphs.LabeledGraph.vertex_map`), is kept on the graph,
-and the spaces and traces of the twins a command reads are kept for the
-command by :func:`gkmhess.maps.plain_twin`; nothing is kept on disk.
+then the X dimensions and dot traces are the Y dimensions and dagger
+traces (:func:`gkmhess.maps.plain_side`).  Nothing here keeps a solved
+space: what is derived from a graph alone, its vertex index and its
+vertex maps (:meth:`~gkmhess.graphs.LabeledGraph.vertex_map`), is kept
+on the graph, and the spaces and traces of the twins a command reads are
+kept for the command by :func:`gkmhess.maps.plain_twin`; nothing is kept
+on disk.
 """
 
 from __future__ import annotations
@@ -518,13 +519,14 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     (DimensionMismatch otherwise).
 
     traces, if given, are the traces of the class representatives on the
-    equivariant pieces H^k_T: carried over from side y by
-    :func:`relabelled_character`, or read from the irreducible blocks of
-    a twin graph (:class:`gkmhess.isotypic.TwinBlocks`), which can then
-    stand for space itself where there is no cross-check.  The character
-    is then their series division by the ambient factor, and cross_check
-    (default n <= 3) compares it with the direct quotient; a disagreement
-    raises CrossCheckFailed.
+    equivariant pieces H^k_T, read from the irreducible blocks of a twin
+    graph and, for side x, carried over by the certified relabelling
+    (:func:`gkmhess.maps.plain_side`); the blocks
+    (:class:`gkmhess.isotypic.TwinBlocks`) can stand for space itself.
+    The character is then their series division by the ambient factor,
+    and cross_check (by default, whenever space is a solved
+    GradedSolutionSpace, the only space with a direct quotient) compares
+    it with the direct quotient; a disagreement raises CrossCheckFailed.
     """
     numer = hilbert_numerator(space)
     if traces is None:
@@ -553,7 +555,7 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
                 f"at degree {k}")
     char = GradedCharacter(n, values)
     if cross_check is None:
-        cross_check = n <= 3
+        cross_check = isinstance(space, GradedSolutionSpace)
     if cross_check:
         _cross_check_direct(space, action_kind, numer, char)
     return char
@@ -825,23 +827,3 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
             unit_rows=[p[u] for u in basis.unit_rows])
     return replace(space_y, graph=graph_x, bases=bases)
 
-
-def relabelled_character(space_y: GradedSolutionSpace, graph_x, name: str,
-                         traces: dict[Partition, list[Fraction]] | None = None
-                         ) -> GradedCharacter:
-    """The dot-action graded character of graph_x, side x of the graph of
-    space_y, without solving side x.
-
-    Without traces it is the direct quotient of P(space_y)
-    (:func:`relabel_space`) under the dot action.  Given the dagger traces
-    of space_y, once the relabelling is certified, the dot traces on X are
-    those traces and the dimensions are equal, so the character is those
-    traces times the dot ambient factor; at n <= 3 the direct-quotient
-    cross-check of :func:`graded_character` runs on P(space_y).
-    """
-    if traces is None or space_y.n <= 3:
-        space = relabel_space(space_y, graph_x, name)
-    else:
-        certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
-        space = space_y   # read only for its dimensions
-    return graded_character(space, "dot", traces=traces)

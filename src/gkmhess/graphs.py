@@ -286,27 +286,17 @@ def build_blowup(triple: ModularTriple, side: str) -> SignedBlowupGraph:
     if triple.kind != "C":
         raise WrongKind("blow-up is defined for kind-C triples")
     n = triple.h.n
-    _check_cap(n)
     d, d0 = triple.d, triple.d0
+    copy = _build_on_pairs(n, hessenberg_pairs(triple.h), side, False, 0)
+    circle = build_circle_graph(triple, side)
     perms = all_perms(n)
     nperm = len(perms)
     pidx = {w: i for i, w in enumerate(perms)}
-    vertices = tuple(plain(w) for w in perms) + tuple(circ(w) for w in perms)
-
-    edges = []
-    for w in perms:
-        for (i, j) in hessenberg_pairs(triple.h):
-            v = swap_positions(w, i, j)
-            if pidx[w] < pidx[v]:
-                edges.append((pidx[w], pidx[v], _label(side, w, i, j)))
-        for (i, j) in circle_pairs(triple):
-            v = swap_positions(w, i, j)
-            if pidx[w] < pidx[v]:
-                edges.append((nperm + pidx[w], nperm + pidx[v],
-                              _label(side, w, i, j)))
-        edges.append((pidx[w], nperm + pidx[w],
-                      _label(side, w, d + 1, d)))
-    edges.sort()
+    vertices = copy.vertices + circle.vertices
+    shifted = tuple((nperm + a, nperm + b, f) for a, b, f in circle.edges)
+    joins = tuple((i, nperm + i, _label(side, w, d + 1, d))
+                  for i, w in enumerate(perms))
+    edges = tuple(sorted(copy.edges + shifted + joins))
 
     if side == "x":
         signs = (1,) * nperm + (-1,) * nperm
@@ -323,6 +313,6 @@ def build_blowup(triple: ModularTriple, side: str) -> SignedBlowupGraph:
             quads.append((vs, _label(side, w, d + 1, d)))
     quads.sort(key=lambda q: q[0])
 
-    return SignedBlowupGraph(n, vertices, tuple(edges),
+    return SignedBlowupGraph(n, vertices, edges,
                              triple.h_plus.dimension(), signs, tuple(quads),
                              d, d0, side)

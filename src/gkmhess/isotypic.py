@@ -460,12 +460,12 @@ class TwinBlocks:
     """The multiplicity m_lam(k) of each irreducible in each degree
     k <= max_degree of the equivariant cohomology of a plain twin graph.
 
-    It stands for a solved space where only dimensions and dagger traces
-    are read: :func:`gkmhess.cohomology.hilbert_numerator`, and
-    :func:`gkmhess.cohomology.graded_character` and
-    :func:`gkmhess.cohomology.relabelled_character` given these traces
-    and no cross-check; the certificate of the latter reads only the
-    graph and max_degree.
+    It stands for a solved space, of side y or, once the relabelling is
+    certified on its graph and max_degree, of side x
+    (:func:`gkmhess.maps.plain_side`), where only dimensions are read:
+    :func:`gkmhess.cohomology.hilbert_numerator`, and
+    :func:`gkmhess.cohomology.graded_character` given these traces, which
+    makes no cross-check on it, as it has no direct quotient.
     """
 
     graph: LabeledGraph

@@ -46,7 +46,7 @@ from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
     _restrict, _times_t, certify_relabelling, column_adjacency,
     first_violated_row, frobenius_of_character, graded_character,
-    relabelled_character, solve_graph)
+    relabel_space, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
@@ -523,25 +523,40 @@ def plain_twin(h: HessenbergFunction
     kept until :func:`gkmhess.cli.main` clears the cache at the end of a
     command; callers only read them.  The traces are read from its
     irreducible blocks (:func:`twin_blocks`), and so is the space, except
-    at n <= 3: there the graph is solved as well, and the direct quotient
-    on the solved space cross-checks every character made from these
-    traces."""
+    at n <= 3, the one size rule: there the graph is solved as well, so
+    that :func:`graded_character` cross-checks every character made from
+    these traces on its direct quotient."""
     graph = build_GY(h)
     blocks = twin_blocks(graph)
     space = solve_graph(graph) if h.n <= 3 else blocks
     return space, blocks.traces()
 
 
-def plain_character(h: HessenbergFunction, side: str) -> GradedCharacter:
-    """The graded character of the plain graph of h from its twin
-    (:func:`plain_twin`): the dagger action on side y, and on side x the
-    dot action through the certified relabelling
-    (:func:`relabelled_character`)."""
+def plain_side(h: HessenbergFunction, side: str
+               ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
+    """The plain graph of h on side as (space, traces), read off its twin
+    (:func:`plain_twin`): side y is the twin, and side x its certified
+    relabelling, whose dot traces are the dagger traces.  A solved twin is
+    relabelled basis and all (:func:`relabel_space`); twin blocks, which
+    are read only for their dimensions, are passed on once the
+    relabelling is certified (:func:`certify_relabelling`).  RelabelFailed
+    otherwise."""
     space, traces = plain_twin(h)
     if side == "y":
-        return graded_character(space, "dagger", traces=traces)
-    return relabelled_character(space, build_GX(h), f"plain graph of {h}",
-                                traces=traces)
+        return space, traces
+    graph_x, name = build_GX(h), f"plain graph of {h}"
+    if isinstance(space, GradedSolutionSpace):
+        return relabel_space(space, graph_x, name), traces
+    certify_relabelling(space.graph, graph_x, name, space.max_degree)
+    return space, traces
+
+
+def plain_character(h: HessenbergFunction, side: str) -> GradedCharacter:
+    """The graded character of the plain graph of h (:func:`plain_side`):
+    the dot action on side x, the dagger action on side y."""
+    space, traces = plain_side(h, side)
+    return graded_character(space, "dot" if side == "x" else "dagger",
+                            traces=traces)
 
 
 # (ok, difference) of a modular law of Frobenius series

@@ -1,6 +1,7 @@
 """Command-line driver: outputs, exit codes, determinism."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,8 @@ import pytest
 from gkmhess import cli
 from gkmhess import cohomology as CH
 from gkmhess import graphs as G
+from gkmhess import hessenberg as H
+from gkmhess import maps as M
 
 
 def run(capsys, *argv):
@@ -207,6 +210,47 @@ class TestErrors:
                          "--jobs", "-3") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestFailedCertificate:
+    """A certificate that fails in betti or character, on a solved twin
+    (n = 3) or on twin blocks (n = 4), is one line on stderr naming its
+    class, exit 1 and no report."""
+
+    @staticmethod
+    def drop_an_edge(build):
+        def built(h):
+            graph = build(h)
+            return dataclasses.replace(graph, edges=graph.edges[1:])
+        return built
+
+    def check_fails(self, capsys, tmp_path, argv, error_class):
+        path = tmp_path / "report.json"
+        assert cli.main([*argv, "--output", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not path.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {error_class}: ")
+        return err
+
+    @pytest.mark.parametrize("cmd", ["betti", "character"])
+    @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,4,4"])
+    def test_mutated_side_x(self, capsys, tmp_path, monkeypatch, cmd, hstr):
+        monkeypatch.setattr(M, "build_GX", self.drop_an_edge(G.build_GX))
+        with pytest.raises(CH.RelabelFailed):
+            getattr(cli, f"cmd_{cmd}")(H.from_string(hstr), "x")
+        err = self.check_fails(capsys, tmp_path, [cmd, hstr, "--side", "x"],
+                               "RelabelFailed")
+        assert f"on the plain graph of {hstr}: the edge " in err
+
+    @pytest.mark.parametrize("cmd", ["betti", "character"])
+    @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,4,4"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_failing_twin_certificate(self, capsys, tmp_path, monkeypatch,
+                                      cmd, hstr, side):
+        monkeypatch.setattr(M, "build_GY", self.drop_an_edge(G.build_GY))
+        self.check_fails(capsys, tmp_path, [cmd, hstr, "--side", side],
+                         "NotTwinGraph")
 
 
 class TestUnusableOutputFile:

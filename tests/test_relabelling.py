@@ -11,6 +11,7 @@ from gkmhess import cli
 from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
+from gkmhess import isotypic as I
 from gkmhess import maps as M
 from gkmhess.linalg import Echelon, kernel_of_rows
 import graph_checks as GC
@@ -83,7 +84,7 @@ class TestSidesStayIndependent:
                 assert not any(joint.reduce(col) for col in cols), (name, k)
             space_x = CH.GradedSolutionSpace(gx, space_y.max_degree, direct)
             assert CH.graded_character(space_x, "dot") \
-                == CH.relabelled_character(space_y, gx, name), name
+                == CH.graded_character(relabelled, "dot"), name
             count += 1
         assert count == 16
 
@@ -101,6 +102,54 @@ class TestSidesStayIndependent:
         space_y = CH.solve_graph(gy, gy.top_degree + 1)
         assert KT.kernel_traces(space_x, "dot") \
             == KT.kernel_traces(space_y, "dagger")
+
+
+class TestPlainSide:
+    """maps.plain_side chooses side x by the kind of twin it relabels, and
+    graded_character cross-checks exactly the solved spaces."""
+
+    @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4"])
+    def test_side_x_by_the_kind_of_twin(self, hstr):
+        h = H.from_string(hstr)
+        twin, traces = M.plain_side(h, "y")
+        assert (twin, traces) == M.plain_twin(h)
+        space, x_traces = M.plain_side(h, "x")
+        assert x_traces is traces
+        if h.n <= 3:   # solved: the relabelled bases, on the X graph
+            assert isinstance(twin, CH.GradedSolutionSpace)
+            assert space.graph == G.build_GX(h)
+            assert space.bases == CH.relabel_space(
+                twin, G.build_GX(h), "plain graph").bases
+        else:   # blocks: the twin itself, once certified
+            assert isinstance(twin, I.TwinBlocks) and space is twin
+
+    def test_small_blocks_with_traces_give_the_block_character(self):
+        for n in (1, 2, 3):
+            for h in H.enumerate_hessenberg(n):
+                blocks = I.twin_blocks(G.build_GY(h))
+                for side, kind in (("x", "dot"), ("y", "dagger")):
+                    assert CH.graded_character(
+                        blocks, kind, traces=blocks.traces()) \
+                        == M.plain_character(h, side), (h, side)
+
+    def test_solved_spaces_alone_are_cross_checked_by_default(
+            self, monkeypatch):
+        calls = []
+        direct = CH._cross_check_direct
+
+        def spy(*args):
+            calls.append(args[0])
+            return direct(*args)
+
+        monkeypatch.setattr(CH, "_cross_check_direct", spy)
+        gy = G.build_GY(H.from_string("2,3,3,4"))
+        blocks = I.twin_blocks(gy)
+        space = CH.solve_graph(gy)
+        char = CH.graded_character(space, "dagger", traces=blocks.traces())
+        assert len(calls) == 1 and calls[0] is space
+        assert CH.graded_character(blocks, "dagger",
+                                   traces=blocks.traces()) == char
+        assert len(calls) == 1
 
 
 class TestCertificate:
@@ -531,7 +580,7 @@ class TestTwinCache:
             raise CH.RelabelFailed("refused")
 
         # side y reads the twins and passes; side x fails
-        monkeypatch.setattr(M, "relabelled_character", refused)
+        monkeypatch.setattr(M, "certify_relabelling", refused)
         code, data = run_json(capsys, "check", "2,3,3,4", "--thm",
                               "corollary")
         assert code == 1
