@@ -12,11 +12,11 @@ Subcommands
 
 H is the comma-separated value vector, e.g. "2,3,3"; graph, betti and
 character take --side x (the default) or --side y.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 usage error.  A check item that raises
-is a FAIL item; a certificate or check that raises elsewhere, as in
-betti or character, is one line "error: <class>: <reason>" on stderr,
-with exit code 1 and no report.  Reports are deterministic apart from
-the wall-time field.
+checks pass, 1 a check failed, 2 usage error, 141 stdout closed early.
+A check item that raises is a FAIL item; a certificate or check that
+raises elsewhere, as in betti or character, is one line "error: <class>:
+<reason>" on stderr, with exit code 1 and no report.  Reports are
+deterministic apart from the wall-time field.
 """
 
 from __future__ import annotations
@@ -265,15 +265,11 @@ def _render_text(report: dict) -> str:
 def _emit(report: dict, cfg: RunConfig, out_path: str | None,
           wall: float) -> None:
     report["wall_time_sec"] = round(wall, 3)
-    if cfg.fmt == "json":
-        text = json.dumps(report, indent=1)
-    else:
-        text = _render_text(report)
-    print(text)
-    if out_path:
+    text = json.dumps(report, indent=1)
+    if out_path:   # first, so that a closed stdout leaves it written
         with open(out_path, "w") as fh:
-            fh.write(json.dumps(report, indent=1))
-            fh.write("\n")
+            fh.write(text + "\n")
+    print(text if cfg.fmt == "json" else _render_text(report), flush=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,10 +344,10 @@ def _usable_output_file(path: str) -> str | None:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The twins its items read (:func:`maps.plain_twin`)
-    are shared between them, and by a forked --jobs worker between the
-    items it runs; they are dropped when the command ends, however it
-    ends, so nothing carries over to the next call."""
+    """Run one command.  The twins and plain characters its items read
+    (:func:`maps.clear_plain_caches`) are shared between them, and by a
+    forked --jobs worker between its items; they are dropped when the
+    command ends, however it ends, so nothing carries over to the next."""
     try:
         ap = build_parser()
         args = ap.parse_args(argv)
@@ -380,8 +376,7 @@ def main(argv=None) -> int:
                 h = _parse_h(args.h) if args.h else None
                 report = cmd_check(args.thm, h, args.sweep, cfg)
             else:   # pragma: no cover
-                ap.error(f"unknown command {args.cmd}")
-                return 2
+                ap.error(f"unknown command {args.cmd}")   # exits with 2
         except (CapExceeded, hessenberg.NotNonDecreasing,
                 hessenberg.ValueOutOfRange) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -389,10 +384,15 @@ def main(argv=None) -> int:
         except ValueError as exc:   # a failed certificate or check
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        _emit(report, cfg, args.output, time.time() - t0)
+        try:
+            _emit(report, cfg, args.output, time.time() - t0)
+        except BrokenPipeError:   # stdout closed early, as by `| head`: what
+            # stays buffered goes nowhere, so exit flushes quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141   # 128 + SIGPIPE, as a shell reports a piped exit
         return 0 if report.get("pass", True) else 1
     finally:
-        maps.plain_twin.cache_clear()
+        maps.clear_plain_caches()
 
 
 if __name__ == "__main__":

@@ -34,19 +34,20 @@ which reversing did not speed up.
 
 From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; degree top_degree + 1
-is ranked, not solved (:func:`solve_graph`).  The graded character of a
-solved space is read on the direct quotient H^k_T / I_k,
-I_k = sum_i t_i H^{k-1}_T, alone, on the free coordinates of the kernel
-basis: it keeps I_k restricted to them in reduced echelon form, takes b_k
-basis columns at the other free coordinates as representatives, and
-reads traces there.  A certificate on the shift tables proves
-I_k <= H^k_T, and the trace pass of the two generators of S_n proves
-that the action preserves H^k_T and I_k (:func:`graded_character` states
-the induction), so no other invariance check is made.  Traces of the
-equivariant pieces read elsewhere (the irreducible blocks of a twin, or
-side y for side x) become a character by series division, which the
-direct quotient cross-checks wherever the space is solved.  Their
-Frobenius characteristics land in the symmetric-function layer.
+is ranked modulo the diagonal (:func:`solve_graph`, by the lemma of
+:mod:`gkmhess.isotypic`).  The graded character of a solved space is
+read on the direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T,
+alone, on the free coordinates of the kernel basis: it keeps I_k
+restricted to them in reduced echelon form, takes b_k basis columns at
+the other free coordinates as representatives, and reads traces there.
+A certificate on the shift tables proves I_k <= H^k_T, and the trace
+pass of the two generators of S_n proves that the action preserves
+H^k_T and I_k (:func:`graded_character` states the induction), so no
+other invariance check is made.  Traces of the equivariant pieces read
+elsewhere (the irreducible blocks of a twin, or side y for side x)
+become a character by series division, which the direct quotient
+cross-checks wherever the space is solved.  Their Frobenius
+characteristics land in the symmetric-function layer.
 
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling` turns every X congruence into the Y congruence and the
@@ -79,6 +80,9 @@ from gkmhess.linalg import (
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
     partitions_of)
+
+
+Groups = tuple[tuple[tuple[int, int], ...], ...]   # of (mi, coefficient)
 
 
 class NotFree(ValueError):
@@ -133,26 +137,20 @@ def monomial_index(n: int, k: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n, k))}
 
 
-def _subst_exp(e: tuple, a: int, b: int) -> tuple:
-    ee = list(e)
-    ee[b - 1] += ee[a - 1]
-    ee[a - 1] = 0
-    return tuple(ee)
-
-
-def group_edges(mons, a: int, b: int
-                ) -> tuple[tuple[tuple[int, int], ...], ...]:
+def group_edges(mons, a: int, b: int) -> Groups:
     """Divisibility by t_a - t_b on the monomials mons (exponent tuples),
     as groups of (monomial index, coefficient 1) with one image under
     t_a -> t_b, the groups in the order of their images."""
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for mi, mon in enumerate(mons):
-        groups.setdefault(_subst_exp(mon, a, b), []).append((mi, 1))
+        ee = list(mon)
+        ee[b - 1] += ee[a - 1]
+        ee[a - 1] = 0
+        groups.setdefault(tuple(ee), []).append((mi, 1))
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
-def group_derivatives(mons, a: int, b: int
-                      ) -> tuple[tuple[tuple[int, int], ...], ...]:
+def group_derivatives(mons, a: int, b: int) -> Groups:
     """(d/dt_a - d/dt_b) at t_a = t_b on the monomials mons, as groups of
     (monomial index, coefficient) with one image, the groups in the order
     of their images.  The image of t^e is (e_a - e_b) times t^e with
@@ -170,18 +168,47 @@ def group_derivatives(mons, a: int, b: int
 
 
 @lru_cache(maxsize=None)
-def edge_groups(n: int, k: int, a: int, b: int
-                ) -> tuple[tuple[tuple[int, int], ...], ...]:
+def edge_groups(n: int, k: int, a: int, b: int) -> Groups:
     """:func:`group_edges` on the degree-k monomials in n variables."""
     return group_edges(monomials(n, k), a, b)
 
 
 @lru_cache(maxsize=None)
-def derivative_groups(n: int, k: int, a: int, b: int
-                      ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """:func:`group_derivatives` on the degree-k monomials in n
-    variables."""
+def derivative_groups(n: int, k: int, a: int, b: int) -> Groups:
+    """:func:`group_derivatives` on the degree-k monomials in n variables."""
     return group_derivatives(monomials(n, k), a, b)
+
+
+@lru_cache(maxsize=None)
+def reduced_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Degree-k exponent tuples in t_2..t_n (e_1 = 0), graded lex."""
+    if n == 1:
+        return ((0,),) if k == 0 else ()
+    return tuple((0,) + m for m in monomials(n - 1, k))
+
+
+@lru_cache(maxsize=None)
+def _edge_groups(n: int, k: int, a: int, b: int) -> Groups:
+    """Divisibility by t_a - t_b, a < b, at t_1 = 0 on the degree-k
+    reduced monomials: :func:`group_edges` for a >= 2; for a = 1,
+    divisibility by t_b, one group for each monomial free of t_b."""
+    mons = reduced_monomials(n, k)
+    if a == 1:
+        return tuple(((mi, 1),) for mi, mon in enumerate(mons)
+                     if not mon[b - 1])
+    return group_edges(mons, a, b)
+
+
+@lru_cache(maxsize=None)
+def _derivative_groups(n: int, k: int, a: int, b: int) -> Groups:
+    """(d/dt_a - d/dt_b) at t_a = t_b, a < b, on the degree-k reduced
+    monomials.  For a = 1, given :func:`_edge_groups`, divisibility by
+    t_b^2: one group for each monomial with e_b = 1."""
+    mons = reduced_monomials(n, k)
+    if a == 1:
+        return tuple(((mi, 1),) for mi, mon in enumerate(mons)
+                     if mon[b - 1] == 1)
+    return group_derivatives(mons, a, b)
 
 
 def divisible_rows(groups, cols, width: int) -> list[IntRow]:
@@ -204,23 +231,25 @@ def divisible_rows(groups, cols, width: int) -> list[IntRow]:
     return rows
 
 
-def constraint_rows(graph, k: int) -> list[IntRow]:
-    """Integer rows whose kernel is the degree-k equivariant piece."""
+def constraint_rows(graph, k: int, edges=edge_groups,
+                    derivatives=derivative_groups) -> list[IntRow]:
+    """Integer rows whose kernel is the degree-k equivariant piece, or
+    with the reduced groups (:func:`_edge_groups`) that of H' in t_2..t_n."""
     n = graph.n
     nv = len(graph.vertices)
     last = nv - 1   # the vertex vi sits at slot last - vi
     rows: list[IntRow] = []
     for (ui, vi, (a, b)) in graph.edges:
         # f(u) - f(v) vanishes at t_a = t_b: one row per image monomial
-        rows += divisible_rows(edge_groups(n, k, a, b),
+        rows += divisible_rows(edges(n, k, a, b),
                                ({last - ui: 1, last - vi: -1},), nv)
     if isinstance(graph, SignedBlowupGraph):
         signs = graph.signs
         for (vs, (a, b)) in graph.quads:
             # the signed sum and its derivative vanish at t_a = t_b
             cols = ({last - vi: signs[vi] for vi in vs},)
-            rows += divisible_rows(edge_groups(n, k, a, b), cols, nv)
-            rows += divisible_rows(derivative_groups(n, k, a, b), cols, nv)
+            rows += divisible_rows(edges(n, k, a, b), cols, nv)
+            rows += divisible_rows(derivatives(n, k, a, b), cols, nv)
     return rows
 
 
@@ -247,21 +276,24 @@ class GradedSolutionSpace:
 def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
     """Solve every degree k <= max_degree, each as the kernel of its
     constraint rows.  By default max_degree is top_degree + 1, read only
-    by the Truncated check of :func:`hilbert_numerator`, and only ranked.
+    by the Truncated check of :func:`hilbert_numerator`, and only ranked:
+    H = H' (x) Q[sigma] (the lemma of :mod:`gkmhess.isotypic`), so its
+    dimension is dim H^top plus the corank of the rows of H' in t_2..t_n.
     Nothing is kept between calls: a caller that reads one space more than
     once keeps it, as :func:`gkmhess.maps.plain_twin` keeps the twins of
-    one command.
-    """
+    one command."""
     rank_top = max_degree is None
     space = GradedSolutionSpace(
         graph, graph.top_degree + 1 if rank_top else max_degree, {})
+    nv = len(graph.vertices)
     for k in range(space.max_degree + 1):
-        rows = constraint_rows(graph, k)
-        ncols = len(graph.vertices) * len(monomials(graph.n, k))
         if rank_top and k == space.max_degree:
-            space.ranked[k] = ncols - rank_of_int_rows(rows)
+            rows = constraint_rows(graph, k, _edge_groups, _derivative_groups)
+            space.ranked[k] = space.dim(k - 1) + nv * len(
+                reduced_monomials(graph.n, k)) - rank_of_int_rows(rows)
         else:
-            space.bases[k] = kernel_of_rows(rows, ncols)
+            space.bases[k] = kernel_of_rows(constraint_rows(graph, k),
+                                            nv * len(monomials(graph.n, k)))
     return space
 
 

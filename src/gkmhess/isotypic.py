@@ -43,12 +43,10 @@ R' isomorphically onto Q[t_2, ..., t_n]: a label (a, b) with a >= 2 keeps
 its form, a label (1, b) becomes t_b, a multiplier t_d - t_1 becomes t_d,
 and the swap of t_d with t_{d+1}, d >= 2, is still a swap of variables.
 So the degree-k multiplicities, dimensions and ranks of H are the sums
-over j <= k of those of H' in degree j (:func:`partial_sums`).  The
-reduced monomials are those of t_2..t_n (:func:`reduced_monomials`); a
-swap or a 4-gon derivative that touches t_1 has no such form, and raises
-TouchesFirstVariable rather than giving a wrong rank.  The full-kernel
-path of :mod:`gkmhess.cohomology` stays in n variables, and the tests
-compare the two.
+over j <= k of those of H' in degree j (:func:`partial_sums`).  A swap
+touching t_1 has no reduced form, so it raises TouchesFirstVariable.
+The full-kernel path (:mod:`gkmhess.cohomology`) solves in n variables
+but ranks degree top + 1 modulo the diagonal; the tests compare the two.
 
 Two checks make this a proof.  :func:`representations` checks that the
 matrices satisfy the Coxeter relations and that each has the character of
@@ -71,7 +69,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from gkmhess.cohomology import (
-    divisible_rows, group_derivatives, group_edges, monomials)
+    _derivative_groups, _edge_groups, divisible_rows, reduced_monomials)
 from gkmhess.graphs import (
     LabeledGraph, Perm, all_perms, circ, class_representative,
     identity_perm, plain, swap_positions)
@@ -93,8 +91,7 @@ class NotTwinGraph(ValueError):
 
 
 class TouchesFirstVariable(ValueError):
-    """A swap or a 4-gon derivative involves t_1, which the reduced
-    systems set to 0."""
+    """A swap involves t_1, which the reduced systems set to 0."""
 
 
 @lru_cache(maxsize=None)
@@ -349,15 +346,6 @@ def _independent_columns(n: int, lam: Partition, a: int, b: int
 
 
 @lru_cache(maxsize=None)
-def reduced_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The degree-k monomials in t_2..t_n as exponent n-tuples with
-    e_1 = 0, graded lex."""
-    if n == 1:
-        return ((0,),) if k == 0 else ()
-    return tuple((0,) + m for m in monomials(n - 1, k))
-
-
-@lru_cache(maxsize=None)
 def reduced_index(n: int, k: int) -> dict:
     return {m: i for i, m in enumerate(reduced_monomials(n, k))}
 
@@ -366,32 +354,6 @@ def partial_sums(values) -> list[int]:
     """The degree-k numbers of H = H' (x) Q[sigma], k = 0, 1, ..., from
     the degree-j numbers of H' in values: the sums over j <= k."""
     return list(accumulate(values))
-
-
-@lru_cache(maxsize=None)
-def _edge_groups(n: int, k: int, a: int, b: int
-                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Divisibility by t_a - t_b (t_1 = 0) on the degree-k reduced
-    monomials, as groups of (monomial index, coefficient 1) whose
-    coefficients must sum to 0: for a >= 2 the groups with one image
-    under t_a -> t_b (:func:`group_edges`); for a = 1, divisibility by
-    t_b, one group for each monomial free of t_b."""
-    mons = reduced_monomials(n, k)
-    if a == 1:
-        return tuple(((mi, 1),) for mi, mon in enumerate(mons)
-                     if not mon[b - 1])
-    return group_edges(mons, a, b)
-
-
-@lru_cache(maxsize=None)
-def _derivative_groups(n: int, k: int, a: int, b: int
-                       ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(d/dt_a - d/dt_b) at t_a = t_b on the degree-k reduced monomials;
-    TouchesFirstVariable for a = 1."""
-    if a == 1:
-        raise TouchesFirstVariable(
-            f"the 4-gon label {(a, b)} involves t_1")
-    return group_derivatives(reduced_monomials(n, k), a, b)
 
 
 def reduced_swap(d: int):
@@ -440,7 +402,7 @@ def blowup_block_rows(n: int, plain_types, circle_types, d: int,
     and (x_P - x_C)(I - rho_lam(tau)) by its square.  Given the third,
     (x_P - x_C)(I - rho_lam(tau)) vanishes at t_d = t_{d+1}, so the
     fourth adds only the rows of its derivative there.  Modulo the
-    diagonal, as :func:`block_rows`; TouchesFirstVariable for d = 1.
+    diagonal, as :func:`block_rows`.
     Coordinate mi * 2 d_lam + p is the coefficient of the mi-th reduced
     monomial in x_P at p, and mi * 2 d_lam + d_lam + p that in x_C."""
     dl = len(standard_tableaux(lam))

@@ -46,7 +46,7 @@ from gkmhess.cohomology import (
     GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
     _restrict, _times_t, certify_relabelling, column_adjacency,
     first_violated_row, frobenius_of_character, graded_character,
-    relabel_space, solve_graph)
+    reduced_monomials, relabel_space, solve_graph)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
@@ -54,8 +54,8 @@ from gkmhess.graphs import (
 from gkmhess.hessenberg import HessenbergFunction, ModularTriple
 from gkmhess.isotypic import (
     TwinBlocks, block_rows, blowup_block_rows, blowup_edge_types,
-    partial_sums, reduced_factor, reduced_index, reduced_monomials,
-    reduced_swap, rho, standard_tableaux, twin_blocks, twin_edge_types)
+    partial_sums, reduced_factor, reduced_index, reduced_swap, rho,
+    standard_tableaux, twin_blocks, twin_edge_types)
 from gkmhess.linalg import Echelon, IntRow, kernel_of_rows, rank_of_int_rows
 from gkmhess.symfunc import GradedSymmetricFunction, Partition, partitions_of
 
@@ -520,12 +520,11 @@ def check_theorem_main_sides(triple: ModularTriple
 def plain_twin(h: HessenbergFunction
                ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
     """The twin graph of h as (space, dagger traces), made once per h and
-    kept until :func:`gkmhess.cli.main` clears the cache at the end of a
-    command; callers only read them.  The traces are read from its
-    irreducible blocks (:func:`twin_blocks`), and so is the space, except
-    at n <= 3, the one size rule: there the graph is solved as well, so
-    that :func:`graded_character` cross-checks every character made from
-    these traces on its direct quotient."""
+    kept until :func:`clear_plain_caches`; callers only read them.  The
+    traces are read from its irreducible blocks (:func:`twin_blocks`), and
+    so is the space, except at n <= 3, the one size rule: there the graph
+    is solved as well, so that :func:`graded_character` cross-checks every
+    character made from these traces on its direct quotient."""
     graph = build_GY(h)
     blocks = twin_blocks(graph)
     space = solve_graph(graph) if h.n <= 3 else blocks
@@ -551,12 +550,19 @@ def plain_side(h: HessenbergFunction, side: str
     return space, traces
 
 
+@lru_cache(maxsize=None)
 def plain_character(h: HessenbergFunction, side: str) -> GradedCharacter:
     """The graded character of the plain graph of h (:func:`plain_side`):
     the dot action on side x, the dagger action on side y."""
     space, traces = plain_side(h, side)
     return graded_character(space, "dot" if side == "x" else "dagger",
                             traces=traces)
+
+
+def clear_plain_caches() -> None:
+    """Drop what :func:`plain_twin` and :func:`plain_character` keep."""
+    plain_twin.cache_clear()
+    plain_character.cache_clear()
 
 
 # (ok, difference) of a modular law of Frobenius series

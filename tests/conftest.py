@@ -4,18 +4,20 @@ import pytest
 
 from gkmhess import cohomology as CH
 from gkmhess import graphs as G
+from gkmhess import linalg as L
 from gkmhess import maps
 from gkmhess.hessenberg import HessenbergFunction
 
 
 @pytest.fixture(autouse=True)
 def fresh_twins():
-    """maps.plain_twin keeps the twins it has read until cli.main clears
-    it; a test that calls it from the library, or that patches what it
-    reads, must neither see nor leave a twin of another test."""
-    maps.plain_twin.cache_clear()
+    """maps.plain_twin and maps.plain_character keep what they have made
+    until cli.main clears them; a test that calls them from the library,
+    or that patches what they read, must neither see nor leave a twin or
+    a character of another test."""
+    maps.clear_plain_caches()
     yield
-    maps.plain_twin.cache_clear()
+    maps.clear_plain_caches()
 
 
 class Store:
@@ -28,6 +30,7 @@ class Store:
         self.characters: dict = {}
         self.series: dict = {}
         self.numerators: dict = {}
+        self.top_kernels: dict = {}
 
     def space(self, h: HessenbergFunction, side: str):
         key = (h.values, side)
@@ -39,6 +42,18 @@ class Store:
             char = self.characters[key] = CH.graded_character(space, kind)
             self.series[key] = CH.frobenius_of_character(char)
         return self.spaces[key]
+
+    def top_kernel(self, h: HessenbergFunction, side: str):
+        """The kernel of degree top_degree + 1 in n variables, which the
+        default solve only ranks."""
+        key = (h.values, side)
+        if key not in self.top_kernels:
+            g = self.space(h, side).graph
+            k = g.top_degree + 1
+            self.top_kernels[key] = L.kernel_of_rows(
+                CH.constraint_rows(g, k),
+                len(g.vertices) * len(CH.monomials(h.n, k)))
+        return self.top_kernels[key]
 
     def compute(self, h: HessenbergFunction, side: str):
         self.space(h, side)

@@ -4,6 +4,8 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -290,6 +292,28 @@ class TestUnusableOutputFile:
         assert code == 0
         with open(a_file) as fh:
             assert json.load(fh)["command"] == "csf"
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe before the report is printed, as
+    `| head` does: the --output file is written all the same, and the
+    command exits 141 with nothing on stderr."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_quiet_exit_and_output_file(self, tmp_path, fmt):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path, err = tmp_path / "report.json", tmp_path / "stderr"
+        with open(err, "wb") as err_fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "gkmhess.cli", "check", "3,3,3",
+                 "--thm", "5.1", "--format", fmt, "--output", str(path)],
+                stdout=subprocess.PIPE, stderr=err_fh, env=env)
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+        assert err.read_bytes() == b""
+        assert json.loads(path.read_text())["pass"] is True
 
 
 class TestDeterminismAndCache:

@@ -12,7 +12,6 @@ from gkmhess import cli
 from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
-from gkmhess import isotypic as I
 from gkmhess import linalg as L
 from gkmhess.coloring import csf_q, llt
 from gkmhess.maps import omega_graded, plain_character
@@ -89,7 +88,7 @@ def labelled_polys(draw, reduced=False):
     k = draw(st.integers(0, 3))
     a = draw(st.integers(1, n - 1))
     b = draw(st.integers(a + 1, n))
-    mons = I.reduced_monomials if reduced else CH.monomials
+    mons = CH.reduced_monomials if reduced else CH.monomials
     factor = classes.tvar(n, b) if reduced and a == 1 else \
         classes.sub(classes.tvar(n, a), classes.tvar(n, b))
     j = draw(st.integers(0, min(k, 2)))
@@ -130,13 +129,15 @@ class TestDivisibleRows:
     def test_reduced_rows(self, case):
         # modulo the diagonal t_1 = 0, so t_1 - t_b divides as t_b does
         n, k, (a, b), p = case
-        edge = CH.divisible_rows(I._edge_groups(n, k, a, b), [{0: 1}], 1)
-        mons = I.reduced_monomials(n, k)
+        edge = CH.divisible_rows(CH._edge_groups(n, k, a, b), [{0: 1}], 1)
+        deriv = CH.divisible_rows(CH._derivative_groups(n, k, a, b),
+                                  [{0: 1}], 1)
+        mons = CH.reduced_monomials(n, k)
         if a == 1:
             assert annihilate(edge, mons, p) == all(e[b - 1] for e in p)
+            assert annihilate(edge + deriv, mons, p) \
+                == all(e[b - 1] >= 2 for e in p)
             return
-        deriv = CH.divisible_rows(I._derivative_groups(n, k, a, b),
-                                  [{0: 1}], 1)
         assert annihilate(edge, mons, p) == classes.divisible_by_diff(p, a, b)
         assert annihilate(edge + deriv, mons, p) \
             == classes.divisible_by_diff(p, a, b, order=2)

@@ -14,7 +14,6 @@ from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import isotypic as I
-from gkmhess import linalg as L
 from gkmhess import maps as M
 from gkmhess.symfunc import mn_character, partitions_of
 import fraction_reps as FR
@@ -55,8 +54,7 @@ class TestBlocksEqualTheTracePath:
             g = G.build_graph(h, side)
             top = g.top_degree + 1
             space = store.space(h, side)
-            kernel = L.kernel_of_rows(CH.constraint_rows(g, top), len(
-                g.vertices) * len(CH.monomials(h.n, top)))
+            kernel = store.top_kernel(h, side)
             assert blocks.max_degree == space.max_degree == top
             assert top not in space.bases
             assert space.ranked == {top: kernel.dim}

@@ -490,9 +490,9 @@ class TestOneSolvePerTriple:
         built, solved = [], []
         rows_of, kernel = CH.constraint_rows, CH.kernel_of_rows
 
-        def rows_spy(graph, k):
+        def rows_spy(graph, k, *groups):
             built.append((graph.content_key(), k))
-            return rows_of(graph, k)
+            return rows_of(graph, k, *groups)
 
         def kernel_spy(rows, ncols):
             solved.append(built[-1])
@@ -564,6 +564,24 @@ class TestTwinCache:
     def test_main_leaves_no_twin(self, capsys):
         code, _ = run_json(capsys, "check", "2,3,3", "--thm", "all")
         assert code == 0 and M.plain_twin.cache_info().currsize == 0
+        assert M.plain_character.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (("check", "2,3,3,4", "--thm", "all"), 6),
+        (("check", "--thm", "all", "--sweep", "3"), 10)])
+    def test_a_command_makes_each_plain_character_once(
+            self, capsys, monkeypatch, argv, pairs):
+        # 1.1, 1.2 and the corollaries read some (h, side) more than once
+        seen = []
+        character = M.graded_character
+
+        def spy(space, kind, **kwargs):
+            seen.append((space.graph.content_key(), kind))
+            return character(space, kind, **kwargs)
+
+        monkeypatch.setattr(M, "graded_character", spy)
+        code, _ = run_json(capsys, *argv)
+        assert code == 0 and len(seen) == len(set(seen)) == pairs
 
     def test_usage_error_leaves_no_twin(self, capsys):
         M.plain_twin(H.from_string("2,3,3"))   # kept before the call
