@@ -15,8 +15,12 @@ of the vertices not yet coloured (a proper coloring's classes contain no
 edge), with the ascents a class adds read off by one AND and one popcount
 against a spread mask, one per vertex subset.  The closing run of
 singleton classes takes one step, from a table of the ascent
-distributions of the orderings of each vertex subset.  The DP runs once
-per transpose pair {h, h^t} and kind per process: its leaf counts are
+distributions of the orderings of each vertex subset, memoised per
+process by shape.  Shape lemma: with s_1 < ... < s_m the elements of a
+vertex subset S and c_a = |N^+(s_a) & S|, N^+(i) = (i, h(i)], the graph
+G_h induces on S has an edge s_a s_b, a < b, exactly when b <= a + c_a,
+so the distribution depends on (c_1, ..., c_m) alone.  The DP runs once per
+transpose pair {h, h^t} and kind per process: its leaf counts are
 memoised as one packed integer per partition, and csf_q and llt build a
 fresh graded function from them on every call.
 
@@ -147,6 +151,10 @@ def _packed_counts(h: HessenbergFunction,
     return width, MappingProxyType(counts)
 
 
+# width -> {shape code: orderings distribution} (_class_tables)
+_SHAPE_ORDERINGS: dict[int, dict[int, int]] = {}
+
+
 def _class_tables(h: HessenbergFunction, width: int
                   ) -> tuple[int, list[int], list[int | None], list[int]]:
     """(rep, spread, proper, orderings), the lists over all bitmasks S.
@@ -160,22 +168,39 @@ def _class_tables(h: HessenbergFunction, width: int
 
     One pass from the lowest bit i of S up: spread[S] = spread[S - i] +
     (N^-(i) << n i), S holds an edge when S - i does or i has a neighbour
-    above it in S, and orderings[S] = sum over i in S of orderings[S - i]
-    << width |N^-(i) & S|, with orderings[{}] = 1."""
+    above it in S, and orderings[S] is read from the memo of the width by
+    code[S] = code[S - i] << 4 | (|N^+(i) & S| + 1), code[{}] = 0.
+
+    Shape lemma.  Let s_1 < ... < s_m be the elements of S and c_a =
+    |N^+(s_a) & S|.  N^+(s_a) = (s_a, h(s_a)], so S & N^+(s_a) is the run
+    of the c_a elements of S just above s_a: the graph induced on S has an
+    edge s_a s_b, a < b, exactly when b <= a + c_a, and orderings[S]
+    depends on (c_1, ..., c_m) alone.  The code lists the c_a + 1 <= m <=
+    DEGREE_CAP < 16 in 4-bit fields from s_1 up: removing s_1 changes no
+    other c_a, and the + 1 keeps codes of different sizes apart.  A shape
+    of size m is a Hessenberg function of size m, so a width's memo holds
+    at most sum_{m <= n} Catalan(m) entries (2056 at n = 8).  On a miss,
+    orderings[S] = sum over i in S of orderings[S - i] << width
+    |N^-(i) & S|, i the vertex listed last."""
     n = h.n
     below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
              for i in range(1, n + 1)]
     above = [sum(1 << j for j in range(i + 1, h(i + 1))) for i in range(n)]
-    spread, proper, orderings = [0], [0], [1]
+    memo = _SHAPE_ORDERINGS.setdefault(width, {0: 1})
+    spread, proper, code, orderings = [0], [0], [0], [1]
     for mask in range(1, 1 << n):
         low = mask & -mask
         i = low.bit_length() - 1
         spread.append(spread[mask ^ low] + (below[i] << n * i))
-        proper.append(None if proper[mask ^ low] is None or above[i] & mask
+        up = above[i] & mask
+        proper.append(None if proper[mask ^ low] is None or up
                       else spread[mask])
-        orderings.append(sum(
-            orderings[mask ^ 1 << j] << width * (below[j] & mask).bit_count()
-            for j in range(i, n) if mask >> j & 1))
+        code.append(key := code[mask ^ low] << 4 | (up.bit_count() + 1))
+        if key not in memo:
+            memo[key] = sum(orderings[mask ^ 1 << j]
+                            << width * (below[j] & mask).bit_count()
+                            for j in range(i, n) if mask >> j & 1)
+        orderings.append(memo[key])
     return sum(1 << n * k for k in range(n)), spread, proper, orderings
 
 

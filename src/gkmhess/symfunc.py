@@ -21,6 +21,11 @@ over one denominator, the lcm of theirs, applies the tables in integers
 (skipping the identity table on the s side) and divides once at the end.
 The monomial basis is the canonical comparison basis; products are taken
 in p.
+
+K is one table per degree, made by the Pieri rule h_k s_nu = sum s_lam
+over lam/nu a horizontal strip of k boxes (Macdonald I.5.16): K(lam, mu)
+counts the ways to reach lam from the empty shape by strips of sizes mu_1,
+mu_2, ..., and partitions sharing a prefix share its shapes.
 """
 
 from __future__ import annotations
@@ -106,42 +111,44 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
-    if not lam:
-        return 1 if not mu else 0
-    if sum(lam) != sum(mu):
-        return 0
-    last = mu[-1]
-    rest = mu[:-1]
-    total = 0
-    for nu in _horizontal_strip_removals(lam, last):
-        total += kostka(nu, rest)
-    return total
+    return _kostka_columns(sum(mu))[mu].get(lam, 0)
 
 
-def _horizontal_strip_removals(lam: Partition, size: int):
-    """All partitions nu with lam/nu a horizontal strip of the given size."""
-    ell = len(lam)
+@lru_cache(maxsize=None)
+def _kostka_columns(n: int) -> dict[Partition, dict[Partition, int]]:
+    """{mu: {lam: K(lam, mu)}} over the partitions of n, zeros dropped, by
+    the Pieri rule (module docstring).  A state is a prefix of mu with the
+    number of ways each shape is reached by strips of its parts."""
+    columns: dict[Partition, dict[Partition, int]] = {}
+    stack: list[tuple[dict[Partition, int], Partition, int]] = [
+        ({(): 1}, (), n)]
+    while stack:
+        shapes, mu, rest = stack.pop()
+        if not rest:
+            columns[mu] = shapes
+        for part in range(min(rest, mu[-1] if mu else n), 0, -1):
+            grown: dict[Partition, int] = {}
+            for nu, k in shapes.items():
+                for lam in _strip_additions(nu, part):
+                    grown[lam] = grown.get(lam, 0) + k
+            stack.append((grown, mu + (part,), rest - part))
+    return columns
 
-    def rec(i: int, remaining: int, prefix: list[int]):
-        if i == ell:
-            if remaining == 0:
-                yield tuple(x for x in prefix if x > 0)
-            return
-        below = lam[i + 1] if i + 1 < ell else 0
-        hi = lam[i] if i == 0 else min(lam[i], prefix[-1])
-        lo = below
-        for v in range(hi, lo - 1, -1):
-            removed = lam[i] - v
-            if removed > remaining:
-                continue
-            prefix.append(v)
-            yield from rec(i + 1, remaining - removed, prefix)
-            prefix.pop()
 
-    yield from rec(0, size, [])
+def _strip_additions(nu: Partition, size: int) -> list[Partition]:
+    """The partitions lam with lam/nu a horizontal strip of size boxes: at
+    most one box per column, so nu_(i-1) >= lam_i >= nu_i for i >= 2 (row
+    len(nu) + 1 opens below), and row 1 takes the boxes left over."""
+    tails: list[tuple[Partition, int]] = [((), size)]
+    for i in range(len(nu), 0, -1):
+        low = nu[i] if i < len(nu) else 0
+        tails = [((v,) + tail, left - v + low) for tail, left in tails
+                 for v in range(low, min(nu[i - 1], low + left) + 1)]
+    first = nu[0] if nu else 0
+    return [tuple(x for x in (first + left,) + tail if x)
+            for tail, left in tails]
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +173,13 @@ def _inverse_kostka(n: int) -> Table:
     partition up, L(mu, .) = e_mu - sum_{nu after mu} K(mu, nu) L(nu, .).
     """
     parts = partitions_of(n)
+    columns = _kostka_columns(n)
     inv: Table = {}
     for i in range(len(parts) - 1, -1, -1):
         mu = parts[i]
         row = {mu: 1}
         for nu in parts[i + 1:]:
-            k = kostka(mu, nu)
+            k = columns[nu].get(mu, 0)
             if k:
                 for lam, c in inv[nu].items():
                     row[lam] = row.get(lam, 0) - k * c
@@ -186,11 +194,11 @@ def _to_s(n: int, basis: str) -> Table:
     m_mu = sum L(mu, lam) s_lam, h_mu = sum K(lam, mu) s_lam,
     e_mu = sum K(lam', mu) s_lam = omega(h_mu), p_mu = sum chi^lam(mu) s_lam.
     """
-    inv = _inverse_kostka(n)
+    inv, columns = _inverse_kostka(n), _kostka_columns(n)
     entries = {
         "m": lambda mu, lam: inv[mu].get(lam, 0),
-        "h": lambda mu, lam: kostka(lam, mu),
-        "e": lambda mu, lam: kostka(conjugate(lam), mu),
+        "h": lambda mu, lam: columns[mu].get(lam, 0),
+        "e": lambda mu, lam: columns[mu].get(conjugate(lam), 0),
         "p": lambda mu, lam: mn_character(lam, mu),
     }
     return _table(n, entries[basis])
@@ -203,9 +211,9 @@ def _from_s(n: int, basis: str) -> Table:
     s_lam = sum K(lam, mu) m_mu = sum L(mu, lam) h_mu = sum L(mu, lam') e_mu
     = sum chi^lam(mu) / z_mu p_mu (character orthogonality).
     """
-    inv = _inverse_kostka(n)
+    inv, columns = _inverse_kostka(n), _kostka_columns(n)
     entries = {
-        "m": lambda lam, mu: kostka(lam, mu),
+        "m": lambda lam, mu: columns[mu].get(lam, 0),
         "h": lambda lam, mu: inv[mu].get(lam, 0),
         "e": lambda lam, mu: inv[mu].get(conjugate(lam), 0),
         "p": lambda lam, mu: Fraction(mn_character(lam, mu), z_lambda(mu)),

@@ -3,8 +3,10 @@ every coloring whose content is a partition, properness, the nine-way
 (proper) and four-way (arbitrary) classification of colorings of G_{h_-}
 by how kappa(d0) compares to kappa(d) and kappa(d+1), the color-swap
 bijection at positions d, d+1, the content-refined q-census of each
-class, assembled into graded symmetric functions, and csf_q and llt by
-brute enumeration, the reference for the colour-class DP."""
+class, assembled into graded symmetric functions, csf_q and llt by
+brute enumeration, the reference for the colour-class DP, and the DP's
+class tables built for one h alone, the reference for the tables read
+from the memo of ordering distributions by shape."""
 
 from __future__ import annotations
 
@@ -176,3 +178,26 @@ def _raw_sum(h: HessenbergFunction, colors: int,
         counts[a][lam] = counts[a].get(lam, 0) + 1
     return GradedSymmetricFunction(
         n, {a: SymmetricFunction(n, "m", c) for a, c in counts.items()})
+
+
+def class_tables(h: HessenbergFunction, width: int
+                 ) -> tuple[int, list[int], list[int | None], list[int]]:
+    """(rep, spread, proper, orderings) as coloring._class_tables defines
+    them, with every orderings[S] summed over the last vertex i of S from
+    the tables of h alone: orderings[S] = sum over i in S of
+    orderings[S - i] << width |N^-(i) & S|, orderings[{}] = 1."""
+    n = h.n
+    below = [sum(1 << (j - 1) for j in range(1, i) if h(j) >= i)
+             for i in range(1, n + 1)]
+    above = [sum(1 << j for j in range(i + 1, h(i + 1))) for i in range(n)]
+    spread, proper, orderings = [0], [0], [1]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        spread.append(spread[mask ^ low] + (below[i] << n * i))
+        proper.append(None if proper[mask ^ low] is None or above[i] & mask
+                      else spread[mask])
+        orderings.append(sum(
+            orderings[mask ^ 1 << j] << width * (below[j] & mask).bit_count()
+            for j in range(i, n) if mask >> j & 1))
+    return sum(1 << n * k for k in range(n)), spread, proper, orderings

@@ -4,7 +4,7 @@ machinery, and the combinatorial modular laws."""
 import gc
 import random
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -459,6 +459,22 @@ class TestSpreadMask:
                     if not done:
                         break
                     done = (done - 1) & rest
+
+
+class TestShapeMemo:
+    """orderings[S] is read from a per-width memo keyed by the shape code
+    of S (_class_tables); the census rebuilds the tables of each h alone."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_equal_the_per_function_recursion(self, n):
+        width = factorial(n).bit_length() + 1
+        C._SHAPE_ORDERINGS.pop(width, None)   # every entry made by this test
+        for h in H.enumerate_hessenberg(n):
+            assert C._class_tables(h, width) == CC.class_tables(h, width)
+        # a shape of size m is a Hessenberg function of size m, and each
+        # one is the shape of [m] under itself, so every Catalan(m) appears
+        catalan = [comb(2 * m, m) // (m + 1) for m in range(n + 1)]
+        assert len(C._SHAPE_ORDERINGS[width]) == sum(catalan)
 
 
 class TestSubmasks:

@@ -60,6 +60,42 @@ M_ORACLES = {
 }
 
 
+# Strip-removal oracle for the Kostka numbers of the Pieri table: the
+# boxes holding the largest entry of a semistandard tableau form a
+# horizontal strip, so K(lam, mu) is the sum of K(nu, mu without its last
+# part) over the nu with lam/nu a horizontal strip of mu's last part.
+
+@lru_cache(maxsize=None)
+def kostka_by_strip_removal(lam, mu):
+    if not lam:
+        return 1 if not mu else 0
+    if sum(lam) != sum(mu):
+        return 0
+    return sum(kostka_by_strip_removal(nu, mu[:-1])
+               for nu in horizontal_strip_removals(lam, mu[-1]))
+
+
+def horizontal_strip_removals(lam, size, i=0, prefix=()):
+    """All partitions nu with lam/nu a horizontal strip of the given size;
+    i and prefix are the recursion state, the rows of nu chosen so far."""
+    if i == len(lam):
+        if size == 0:
+            yield tuple(x for x in prefix if x > 0)
+        return
+    below = lam[i + 1] if i + 1 < len(lam) else 0
+    hi = lam[i] if i == 0 else min(lam[i], prefix[-1])
+    for v in range(hi, below - 1, -1):
+        if lam[i] - v <= size:
+            yield from horizontal_strip_removals(lam, size - lam[i] + v,
+                                                 i + 1, prefix + (v,))
+
+
+def oracle_kostka_columns(n):
+    parts = S.partitions_of(n)
+    return {mu: {lam: k for lam in parts
+                 if (k := kostka_by_strip_removal(lam, mu))} for mu in parts}
+
+
 class TestConversions:
     def test_e2_to_m(self):
         assert gen("e", (2,)).convert("m").coeffs == {(1, 1): Fraction(1)}
@@ -101,6 +137,50 @@ class TestConversions:
             g = f.convert(b1)
             for b2 in S.BASES:
                 assert g.convert(b2).convert("m") == f
+
+
+class TestKostka:
+    @pytest.mark.parametrize("n", range(9))
+    def test_pieri_table_equals_strip_removal(self, n):
+        parts = S.partitions_of(n)
+        assert S._kostka_columns(n) == oracle_kostka_columns(n)
+        for lam in parts:
+            for mu in parts:
+                assert S.kostka(lam, mu) == kostka_by_strip_removal(lam, mu)
+
+    def test_hand_values(self):
+        # SSYT of shape (2,1): content (1,1,1) fills it 2 ways; (3,2,1)
+        # with content 1^6 counts its 16 standard tableaux
+        assert S.kostka((2, 1), (1, 1, 1)) == 2
+        assert S.kostka((3, 2, 1), (1,) * 6) == 16
+        assert S.kostka((1, 1), (2,)) == 0
+        assert S.kostka((2,), (1,)) == 0
+        assert S.kostka((), ()) == 1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_inverse_times_kostka_is_identity(self, n):
+        parts = S.partitions_of(n)
+        inv = S._inverse_kostka(n)
+        for mu in parts:
+            for rho in parts:
+                total = sum(c * S.kostka(lam, rho)
+                            for lam, c in inv[mu].items())
+                assert total == (mu == rho)
+
+    def test_transition_tables_equal_those_from_the_oracle(self, monkeypatch):
+        degrees = range(9)
+        tables = [(S._to_s(n, b), S._from_s(n, b))
+                  for n in degrees for b in "mehp"]
+        cached = (S._inverse_kostka, S._to_s, S._from_s)
+        monkeypatch.setattr(S, "_kostka_columns", oracle_kostka_columns)
+        try:
+            for f in cached:
+                f.cache_clear()
+            assert tables == [(S._to_s(n, b), S._from_s(n, b))
+                              for n in degrees for b in "mehp"]
+        finally:
+            for f in cached:
+                f.cache_clear()
 
 
 class TestOmega:
