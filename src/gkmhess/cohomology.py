@@ -27,45 +27,34 @@ permutations, relabellings and the map matrices of the full-kernel test
 oracle all use this order.  The echelon pivots on the smallest column of
 each row, so the order is also the elimination order: on the n = 4
 kernels monomial-major eliminates two to three times faster than
-vertex-major, and reversing the vertices cut elimination plus kernel
-columns over the ten n = 4 kind-C blow-ups from 21-28 s to 15-17 s
-(2-CPU VM).  The blocks of :mod:`gkmhess.isotypic` keep their own order,
-which reversing did not speed up.
+vertex-major, and reversing the vertices cut the ten n = 4 kind-C
+blow-ups from 21-28 s to 15-17 s (2-CPU VM); it did not speed up the
+blocks of :mod:`gkmhess.isotypic`, which keep their own order.
 
 From the graded dimensions the Hilbert numerator (the dimension series
 times (1-q)^n) recovers the ordinary Betti numbers; degree top_degree + 1
-is ranked modulo the diagonal (:func:`solve_graph`, by the lemma of
-:mod:`gkmhess.isotypic`).  The graded character of a solved space is
-read on the direct quotient H^k_T / I_k, I_k = sum_i t_i H^{k-1}_T,
-alone, on the free coordinates of the kernel basis: it keeps I_k
-restricted to them in reduced echelon form, takes b_k basis columns at
-the other free coordinates as representatives, and reads traces there.
-A certificate on the shift tables proves I_k <= H^k_T, and the trace
-pass of the two generators of S_n proves that the action preserves
-H^k_T and I_k (:func:`graded_character` states the induction), so no
-other invariance check is made.  Traces of the equivariant pieces read
+is ranked modulo the diagonal (:func:`solve_graph`).  The graded
+character of a solved space is read on the direct quotient H^k_T / I_k,
+I_k = sum_i t_i H^{k-1}_T, alone (:func:`direct_quotients`), in a pass
+that also certifies the action (:func:`graded_character`).  Traces read
 elsewhere (the irreducible blocks of a twin, or side y for side x)
 become a character by series division, which the direct quotient
-cross-checks wherever the space is solved.  Their Frobenius
-characteristics land in the symmetric-function layer.
+cross-checks wherever the space is solved.
 
 Side x is never solved where side y is at hand: the relabelling P of
-:func:`relabelling` turns every X congruence into the Y congruence and the
-dot action into the dagger action, so it carries the Y kernel onto the X
-kernel.  :func:`certify_relabelling` checks this once per graph pair, on
-its vertices, edges, 4-gons and signs, and the actions once per (n, k);
-then the X dimensions and dot traces are the Y dimensions and dagger
-traces (:func:`gkmhess.maps.plain_side`).  Nothing here keeps a solved
-space: what is derived from a graph alone, its vertex index and its
-vertex maps (:meth:`~gkmhess.graphs.LabeledGraph.vertex_map`), is kept
-on the graph, and the spaces and traces of the twins a command reads are
-kept for the command by :func:`gkmhess.maps.plain_twin`; nothing is kept
-on disk.
+:func:`relabelling`, certified once per graph pair and the actions once
+per (n, k) (:func:`certify_relabelling`), carries the Y kernel and the
+dagger action onto the X kernel and the dot action, so the X dimensions
+and dot traces are the Y dimensions and dagger traces
+(:func:`gkmhess.maps.plain_side`).  Nothing here keeps a solved space
+between calls, and nothing is kept on disk: a graph keeps its vertex
+index and vertex maps, and :func:`gkmhess.maps.plain_twin` the twins a
+command reads, for that command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -76,7 +65,8 @@ from gkmhess.graphs import (
     LabeledGraph, SignedBlowupGraph, all_perms, class_representative,
     generators, inverse, plain, swap_positions)
 from gkmhess.linalg import (
-    Echelon, IntRow, SubspaceBasis, kernel_of_rows, rank_of_int_rows)
+    Echelon, IntRow, Kernel, SubspaceBasis, rank_of_int_rows, _restrict,
+    column_adjacency, first_violated_row)
 from gkmhess.symfunc import (
     ClassFunction, GradedSymmetricFunction, Partition, frobenius,
     partitions_of)
@@ -256,12 +246,14 @@ def constraint_rows(graph, k: int, edges=edge_groups,
 @dataclass
 class GradedSolutionSpace:
     """Degreewise kernel bases of the equivariant cohomology; ranked holds
-    the dimensions of the degrees ranked instead."""
+    the dimensions of the degrees ranked instead, and adjacency the column
+    adjacency of each solved degree's rows until it is read once."""
 
     graph: object
     max_degree: int
-    bases: dict[int, SubspaceBasis]
+    bases: dict[int, Kernel | SubspaceBasis]
     ranked: dict[int, int] = field(default_factory=dict)
+    adjacency: dict[int, dict] = field(default_factory=dict)
 
     def dim(self, k: int) -> int:
         if k < 0:
@@ -274,14 +266,13 @@ class GradedSolutionSpace:
 
 
 def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
-    """Solve every degree k <= max_degree, each as the kernel of its
-    constraint rows.  By default max_degree is top_degree + 1, read only
-    by the Truncated check of :func:`hilbert_numerator`, and only ranked:
-    H = H' (x) Q[sigma] (the lemma of :mod:`gkmhess.isotypic`), so its
-    dimension is dim H^top plus the corank of the rows of H' in t_2..t_n.
-    Nothing is kept between calls: a caller that reads one space more than
-    once keeps it, as :func:`gkmhess.maps.plain_twin` keeps the twins of
-    one command."""
+    """Solve every degree k <= max_degree as a :class:`Kernel` of its
+    constraint rows, whose columns are made on demand, and keep the rows'
+    column adjacency for :func:`direct_quotients`.  By default max_degree
+    is top_degree + 1, read only by the Truncated check of
+    :func:`hilbert_numerator`, and only ranked: H = H' (x) Q[sigma] (the
+    lemma of :mod:`gkmhess.isotypic`), so its dimension is dim H^top plus
+    the corank of the rows of H' in t_2..t_n."""
     rank_top = max_degree is None
     space = GradedSolutionSpace(
         graph, graph.top_degree + 1 if rank_top else max_degree, {})
@@ -292,8 +283,9 @@ def solve_graph(graph, max_degree: int | None = None) -> GradedSolutionSpace:
             space.ranked[k] = space.dim(k - 1) + nv * len(
                 reduced_monomials(graph.n, k)) - rank_of_int_rows(rows)
         else:
-            space.bases[k] = kernel_of_rows(constraint_rows(graph, k),
-                                            nv * len(monomials(graph.n, k)))
+            rows = constraint_rows(graph, k)
+            space.bases[k] = Kernel(rows, nv * len(monomials(graph.n, k)))
+            space.adjacency[k] = column_adjacency(rows)
     return space
 
 
@@ -373,8 +365,9 @@ def direct_quotients(space: GradedSolutionSpace, top: int,
     kernel basis, which determine a vector of H^k_T: image is the reduced
     echelon of I_k on F, reps the (f, column) of the basis at the f that
     are not image pivots, so H^k_T = I_k + span(reps), and adj the column
-    adjacency of the degree-k rows.  DimensionMismatch if
-    :func:`_shift_fault` fails, or len(reps) != expected[k] where given.
+    adjacency of the degree-k rows, the one the solve kept if any.  Only
+    the reps' columns are made.  DimensionMismatch if :func:`_shift_fault`
+    fails, or len(reps) != expected[k] where given.
 
     I_{k+1} is spanned by m r over the reps r of each degree j <= k and
     the monomials m of degree k + 1 - j, each m made once as
@@ -400,16 +393,17 @@ def direct_quotients(space: GradedSolutionSpace, top: int,
                 for i in range(1, last + 1)
                 for table in [tables[i - 1]]]
         basis = space.bases[k]
-        free = set(basis.unit_rows)
-        image = Echelon.of(_restrict([g for g, _ in gens], free))
+        image = Echelon.of(_restrict([g for g, _ in gens],
+                                     set(basis.unit_rows)))
         image.back_substitute()
-        reps = [(f, col) for f, col in zip(basis.unit_rows, basis.columns)
+        reps = [(f, basis.column(f)) for f in basis.unit_rows
                 if f not in image.pivots]
         if expected and k in expected and len(reps) != expected[k]:
             raise DimensionMismatch(
                 f"direct quotient dim {len(reps)} != numerator coefficient "
                 f"{expected[k]} at degree {k}")
-        yield image, reps, column_adjacency(constraint_rows(graph, k))
+        yield image, reps, space.adjacency.pop(k, None) or column_adjacency(
+            constraint_rows(graph, k))
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +420,21 @@ def _perm_monomial_table(n: int, k: int, sigma) -> tuple[int, ...]:
 
 
 def coordinate_perm(graph, k: int, sigma, action_kind: str) -> list[int]:
-    """The permutation pi of (monomial, vertex) coordinates for sigma.
+    """The permutation pi of (monomial, vertex) coordinates for sigma, as
+    an array: coordinate c of a class f contributes to coordinate pi[c] of
+    sigma acting on f.  Dot: vertex w -> sigma w and variables
+    t_i -> t_sigma(i); dagger: vertices only."""
+    mons, slots = _coordinate_tables(graph, k, sigma, action_kind)
+    return [mj * len(slots) + s for mj in mons for s in slots]
 
-    Dot: vertex w -> sigma w and variables t_i -> t_sigma(i); dagger:
-    vertices only.  Returns pi as an array: coordinate c of a class f
-    contributes to coordinate pi[c] of sigma acting on f.  The vertex part
-    is the graph's own :meth:`~gkmhess.graphs.LabeledGraph.vertex_map`.
-    """
+
+def _coordinate_tables(graph, k: int, sigma, action_kind: str):
+    """(mons, slots): :func:`coordinate_perm` sends mi * V + s to
+    mons[mi] * V + slots[s].  The vertex part is the graph's own
+    :meth:`~gkmhess.graphs.LabeledGraph.vertex_map`."""
     vmap = graph.vertex_map(sigma)
-    nv = len(vmap)
-    slots = [nv - 1 - vj for vj in reversed(vmap)]   # slot -> slot
-    return [mj * nv + s
-            for mj in _monomial_action(graph.n, k, sigma, action_kind)
-            for s in slots]
+    return _monomial_action(graph.n, k, sigma, action_kind), [
+        len(vmap) - 1 - vj for vj in reversed(vmap)]
 
 
 def _monomial_action(n: int, k: int, sigma, action_kind: str):
@@ -449,29 +445,6 @@ def _monomial_action(n: int, k: int, sigma, action_kind: str):
     if action_kind == "dagger":
         return range(len(monomials(n, k)))
     raise ValueError(f"unknown action kind {action_kind!r}")
-
-
-def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
-    return [{c: v for c, v in col.items() if c in free} for col in cols]
-
-
-def column_adjacency(rows: list[IntRow]):
-    """Column -> [(row index, coefficient)] of a row system."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for ri, row in enumerate(rows):
-        for c, v in row.items():
-            adj.setdefault(c, []).append((ri, v))
-    return adj
-
-
-def first_violated_row(adj, col: dict) -> int | None:
-    """Smallest index of a row (given by its column adjacency) that does
-    not annihilate the integer vector col, or None."""
-    residual: dict = {}
-    for c, v in col.items():
-        for ri, cf in adj.get(c, ()):
-            residual[ri] = residual.get(ri, 0) + cf * v
-    return min((ri for ri, x in residual.items() if x), default=None)
 
 
 @dataclass
@@ -485,9 +458,8 @@ class GradedCharacter:
         return self.values.get((tuple(lam), k), Fraction(0))
 
     def dims(self) -> list[int]:
-        one = (1,) * self.n
-        top = max((k for (_, k) in self.values), default=-1)
-        return [int(self.value(one, k)) for k in range(top + 1)]
+        return [int(self.value((1,) * self.n, k))
+                for k in range(self.max_q() + 1)]
 
     def max_q(self) -> int:
         return max((k for (_, k) in self.values), default=-1)
@@ -504,8 +476,7 @@ class GradedCharacter:
             for k in range(self.max_q() + 1):
                 v = self.value(lam, k)
                 if v:
-                    row[str(k)] = str(v) if v.denominator == 1 else \
-                        f"{v.numerator}/{v.denominator}"
+                    row[str(k)] = str(v)
             out[key] = row
         return {"n": self.n, "values": out}
 
@@ -628,6 +599,7 @@ def _cross_check_direct(space: GradedSolutionSpace, action_kind: str,
     return GradedCharacter(n, values)
 
 
+@lru_cache(maxsize=None)
 def _image_fault(n: int, k: int, sigma, action_kind: str) -> bool:
     """Whether the monomial tables fail to certify sigma.I_k <= I_k.
 
@@ -656,17 +628,20 @@ def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
     """Trace of sigma on H^k_T / I_k, read on the reps (f, r) of
     :func:`direct_quotients`, given that sigma preserves I_k.
 
-    Unless adj is None, each sigma r must satisfy the rows adj, that is
-    lie in H^k_T (NotInvariant otherwise), so it is in I_k plus a
-    combination of the reps; its coordinate along r is its remainder at
-    f over r[f], summed in integers over the pivot entries' lcm.
+    Each r is moved on its support (:func:`_coordinate_tables`).  Unless
+    adj is None, each sigma r must satisfy the rows adj, that is lie in
+    H^k_T (NotInvariant otherwise), so it is in I_k plus a combination of
+    the reps; its coordinate along r is its remainder at f over r[f],
+    summed in integers over the pivot entries' lcm.
     """
-    pi = coordinate_perm(space.graph, k, sigma, action_kind)
+    mons, slots = _coordinate_tables(space.graph, k, sigma, action_kind)
+    nv = len(slots)
     scale = lcm(*(r[c] for c, r in image.rows))
     den = lcm(*(col[f] for f, col in reps))
     total = 0
     for f, col in reps:
-        moved = {pi[c]: v for c, v in col.items()}
+        moved = {mons[c // nv] * nv + slots[c % nv]: v
+                 for c, v in col.items()}
         if adj is not None and first_violated_row(adj, moved) is not None:
             raise NotInvariant(
                 f"{action_kind} action by {sigma} moves a degree-{k} "
@@ -700,11 +675,9 @@ def relabelling(graph, k: int) -> list[int]:
     permutation of v and w.mi renames each t_i to t_w(i).
 
     A class g of the side-y graph gives the side-x class f = P g, that is
-    f(v) = w.g(v).  Every X edge condition becomes the Y one, so does
-    every quad condition given the edge conditions, and the dot action
-    becomes the dagger action; so P carries the Y kernel onto the X
-    kernel.  :func:`certify_relabelling` checks this on the two graphs
-    (:func:`_graph_fault`) and on the actions (:func:`_action_fault`).
+    f(v) = w.g(v); P carries the Y kernel onto the X kernel and the
+    dagger action onto the dot action, as :func:`certify_relabelling`
+    proves (:func:`_graph_fault`, :func:`_action_fault`).
     """
     nv = len(graph.vertices)
     out = [0] * (nv * len(monomials(graph.n, k)))
@@ -848,7 +821,8 @@ def certify_relabelling(graph_y, graph_x, name: str,
 def relabel_space(space_y: GradedSolutionSpace, graph_x,
                   name: str) -> GradedSolutionSpace:
     """The side-x space P(space_y) of graph_x, certified as
-    certify_relabelling does: each basis column and unit row moved by P."""
+    certify_relabelling does: each basis column and unit row moved by P.
+    It keeps no row adjacency, so its quotient reads the rows of graph_x."""
     certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
     bases = {}
     for k, basis in space_y.bases.items():
@@ -857,5 +831,6 @@ def relabel_space(space_y: GradedSolutionSpace, graph_x,
             basis.ambient_dim,
             [{p[c]: v for c, v in col.items()} for col in basis.columns],
             unit_rows=[p[u] for u in basis.unit_rows])
-    return replace(space_y, graph=graph_x, bases=bases)
+    return GradedSolutionSpace(graph_x, space_y.max_degree, bases,
+                               space_y.ranked)
 

@@ -8,14 +8,11 @@ bit-identical outputs.
 
 :class:`Echelon` is the one elimination engine: kernels, ranks, and the
 direct quotient and its trace in :mod:`gkmhess.cohomology` all reduce
-through it.  :func:`kernel_of_rows` reduces a list of integer rows to
-echelon form (pivot = smallest column of each row, shortest rows
-inserted first) followed by a backward pass, and reads off the canonical
-kernel basis: one primitive integer column per free (non-pivot) column f,
-positive at row f and zero at every other free row.  Those unit rows make
-coordinate extraction trivial: the coordinate of a kernel vector x along
-column j is x[f_j] / col_j[f_j], which the higher layers exploit for
-traces.
+through it, pivoting on the smallest column of each row.  A
+:class:`Kernel` keeps the back-substituted echelon of its rows and makes
+a canonical basis column on demand; :func:`kernel_of_rows` makes them
+all.  Column f is positive at row f and zero at every other free row, so
+the coordinate of a kernel vector x along it is x[f] / col[f].
 """
 
 from __future__ import annotations
@@ -138,48 +135,55 @@ class Echelon:
                     out -= v * r[f] * (scale // r[c])
         return out
 
-    def kernel_columns(self, ncols: int) -> tuple[list[IntRow], list[int]]:
-        """Canonical kernel basis after back substitution.
 
-        Returns (columns, free_cols).  Column j is the primitive integer
-        vector that is positive at free_cols[j], zero at every other free
-        column, and -row[f] * col[f] / row[pivot] at each pivot row.
-        """
-        self.back_substitute()
-        free = [c for c in range(ncols) if c not in self.pivots]
-        by_free: dict[int, list[tuple[int, int, int]]] = {f: [] for f in free}
-        for c, r in self.rows:
+class Kernel:
+    """The kernel of rows on ncols columns, kept as the back-substituted
+    echelon of the rows, with its canonical basis made on demand: one
+    primitive integer column per free column f (unit_rows), positive at
+    f, zero at every other free column, and -r[f] * col[f] / r[c] at the
+    pivot c of each row r.  column(f) reads only the rows that meet f,
+    columns all of them; neither depends on the order of the rows."""
+
+    def __init__(self, rows: list[IntRow], ncols: int):
+        self.echelon, self.ambient_dim = Echelon.of(rows), ncols
+        self.echelon.back_substitute()
+        self.unit_rows = [c for c in range(ncols)
+                          if c not in self.echelon.pivots]
+        self.dim = len(self.unit_rows)
+
+    def column(self, f: int) -> IntRow:
+        return _kernel_column(f, [(c, r[f], r[c]) for c, r in
+                                  self.echelon.rows if f in r])
+
+    @property
+    def columns(self) -> list[IntRow]:
+        by_free: dict[int, list] = {f: [] for f in self.unit_rows}
+        for c, r in self.echelon.rows:
             pv = r[c]
             for k, v in r.items():
                 if k != c:
                     by_free[k].append((c, v, pv))
-        cols: list[IntRow] = []
-        for f in free:
-            entries = by_free[f]
-            den = lcm(*(pv for _, _, pv in entries)) if entries else 1
-            col: IntRow = {f: den}
-            g = den
-            for c, v, pv in entries:
-                x = -v * (den // pv)
-                col[c] = x
-                if g != 1:
-                    g = gcd(g, x)
-            if g != 1:
-                col = {k: x // g for k, x in col.items()}
-            cols.append(col)
-        return cols, free
+        return [_kernel_column(f, by_free[f]) for f in self.unit_rows]
+
+
+def _kernel_column(f: int, entries: list[tuple[int, int, int]]) -> IntRow:
+    """The column of :class:`Kernel` at f, from (c, r[f], r[c]) by row r."""
+    den = lcm(*(pv for _, _, pv in entries))
+    col = {f: den}
+    g = den
+    for c, v, pv in entries:
+        x = -v * (den // pv)
+        col[c] = x
+        if g != 1:
+            g = gcd(g, x)
+    return {k: x // g for k, x in col.items()} if g != 1 else col
 
 
 @dataclass
 class SubspaceBasis:
-    """Columns spanning a subspace of Q^ambient_dim.
-
-    ``unit_rows``, when set, lists rows where the columns restrict to a
-    positive diagonal matrix (column j is positive at unit_rows[j], 0 at
-    other unit rows); kernel bases produced here always have this shape,
-    so the coordinate of a vector x of the span along column j is
-    x[unit_rows[j]] / columns[j][unit_rows[j]].
-    """
+    """Columns spanning a subspace of Q^ambient_dim; ``unit_rows``, when
+    set, lists rows where they restrict to a positive diagonal matrix, as
+    the columns of a :class:`Kernel` do at its free columns."""
 
     ambient_dim: int
     columns: list[IntRow]
@@ -189,17 +193,38 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.columns)
 
+    def column(self, f: int) -> IntRow:
+        return self.columns[self.unit_rows.index(f)]
+
 
 def rank_of_int_rows(rows: list[IntRow]) -> int:
     return Echelon.of(rows).rank
 
 
 def kernel_of_rows(rows: list[IntRow], ncols: int) -> SubspaceBasis:
-    """Exact kernel of the row system as a SubspaceBasis with unit rows.
+    """The whole basis of :class:`Kernel`, as a SubspaceBasis."""
+    kernel = Kernel(rows, ncols)
+    return SubspaceBasis(ncols, kernel.columns, unit_rows=kernel.unit_rows)
 
-    The kernel columns do not depend on the signs of the back-substituted
-    rows, so the basis does not depend on the order of rows either.
-    """
-    cols, free = Echelon.of(rows).kernel_columns(ncols)
-    return SubspaceBasis(ncols, cols, unit_rows=free)
 
+def _restrict(cols: list[IntRow], free: set[int]) -> list[IntRow]:
+    return [{c: v for c, v in col.items() if c in free} for col in cols]
+
+
+def column_adjacency(rows: list[IntRow]):
+    """Column -> [(row index, coefficient)] of a row system."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for ri, row in enumerate(rows):
+        for c, v in row.items():
+            adj.setdefault(c, []).append((ri, v))
+    return adj
+
+
+def first_violated_row(adj, col: dict) -> int | None:
+    """Smallest index of a row (given by its column adjacency) that does
+    not annihilate the integer vector col, or None."""
+    residual: dict = {}
+    for c, v in col.items():
+        for ri, cf in adj.get(c, ()):
+            residual[ri] = residual.get(ri, 0) + cf * v
+    return min((ri for ri, x in residual.items() if x), default=None)

@@ -246,6 +246,13 @@ def trace_by_difference(space, k, sigma, kind):
     return KT.kernel_trace(space, k, sigma, kind) - t_image
 
 
+def fresh_image_faults(monkeypatch):
+    """_image_fault is cached per (n, k, sigma, kind): a test that breaks
+    the tables it reads needs a cache of its own."""
+    monkeypatch.setattr(CH, "_image_fault", lru_cache(maxsize=None)(
+        CH._image_fault.__wrapped__))
+
+
 def quotient_reps(space, k, expected=None):
     """The representatives of H^k_T / I_k that direct_quotients picks."""
     *_, (_, reps, _) = CH.direct_quotients(space, k, expected)
@@ -311,6 +318,7 @@ class TestOrdinaryDirect:
         swap = {1: 2, 2: 1}
         monkeypatch.setattr(CH, "_shift_exp_index",
                             lambda n, k, i: real(n, k, swap.get(i, i)))
+        fresh_image_faults(monkeypatch)
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
         with pytest.raises(CH.NotInvariant, match="intertwine"):
             CH.graded_character(sp, "dot", cross_check=True)
@@ -324,6 +332,7 @@ class TestOrdinaryDirect:
             CH, "_monomial_action",
             lambda n, k, sigma, kind: real(n, k, sigma,
                                            "dot" if k >= 2 else kind))
+        fresh_image_faults(monkeypatch)
         with pytest.raises(CH.NotInvariant, match="into degree 2"):
             CH.graded_character(sp, "dagger")
 
@@ -384,11 +393,11 @@ class TestOrdinaryDirect:
         # the dot action of (1 2), or of the 4-cycle alone, leaves the
         # variables alone; every other permutation acts as it should
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3,4")))
-        perm = CH.coordinate_perm
+        tables = CH._coordinate_tables
         monkeypatch.setattr(
-            CH, "coordinate_perm",
+            CH, "_coordinate_tables",
             lambda graph, k, sigma, kind:
-            perm(graph, k, sigma, "dagger" if sigma == broken else kind))
+            tables(graph, k, sigma, "dagger" if sigma == broken else kind))
         with pytest.raises(CH.NotInvariant,
                            match=re.escape(f"by {broken} moves")):
             CH.graded_character(sp, "dot")
@@ -434,16 +443,55 @@ class TestOrdinaryDirect:
                            match=r"degree 1, type \(2, 2\):"):
             CH._cross_check_direct(sp, kind, numer, char)
 
-    def test_quotient_traces_act_through_coordinate_perm(self, monkeypatch):
+    def test_quotient_traces_act_through_coordinate_tables(self, monkeypatch):
         # with the variables of the dot action left alone, the action no
         # longer preserves H^k_T, and the quotient traces see it
         sp = CH.solve_graph(G.build_GX(H.from_string("2,3,3")))
-        perm = CH.coordinate_perm
-        monkeypatch.setattr(CH, "coordinate_perm",
+        tables = CH._coordinate_tables
+        monkeypatch.setattr(CH, "_coordinate_tables",
                             lambda graph, k, sigma, kind:
-                            perm(graph, k, sigma, "dagger"))
+                            tables(graph, k, sigma, "dagger"))
         with pytest.raises(CH.NotInvariant, match="quotient representative"):
             CH.graded_character(sp, "dot")
+
+
+class TestOnDemandColumns:
+    """The direct quotient makes kernel columns only at its representatives,
+    from the echelon the solve kept: each must be the column of the whole
+    kernel basis at the same unit row."""
+
+    def test_representatives_are_the_kernel_columns(self, store):
+        for n in (1, 2, 3, 4):
+            for h in H.enumerate_hessenberg(n):
+                for side in ("x", "y"):
+                    sp = store.space(h, side)
+                    quotients = CH.direct_quotients(sp, sp.graph.top_degree)
+                    for k, (_, reps, _) in enumerate(quotients):
+                        oracle = L.kernel_of_rows(
+                            CH.constraint_rows(sp.graph, k),
+                            sp.bases[k].ambient_dim)
+                        assert sp.bases[k].unit_rows == oracle.unit_rows
+                        for f, col in reps:
+                            assert col == oracle.column(f), (h, side, k, f)
+
+    def test_blowup_columns_on_demand(self):
+        # every unit row, not only the representatives, through degree 4:
+        # the top degrees of 3,4,4,4 alone would take seconds
+        count = 0
+        for n in (3, 4):
+            for h in H.enumerate_hessenberg(n):
+                for t in H.find_modular_triples(h):
+                    for side in ("x", "y") if t.kind == "C" else ():
+                        bl = G.build_blowup(t, side)
+                        sp = CH.solve_graph(bl, min(bl.top_degree, 4))
+                        for k, basis in sp.bases.items():
+                            oracle = L.kernel_of_rows(
+                                CH.constraint_rows(bl, k), basis.ambient_dim)
+                            assert basis.unit_rows == oracle.unit_rows
+                            assert [basis.column(f) for f in basis.unit_rows] \
+                                == oracle.columns, (t, side, k)
+                        count += 1
+        assert count == 12
 
 
 class TestCharacters:

@@ -75,7 +75,7 @@ class TestBlocksEqualTheTracePath:
         def unused(rows, ncols):
             raise AssertionError("a kernel was solved")
 
-        monkeypatch.setattr(CH, "kernel_of_rows", unused)
+        monkeypatch.setattr(CH, "Kernel", unused)
         h = H.from_string("3,3,4,4")
         assert M.plain_character(h, "x").dims() == [1, 6, 10, 6, 1]
         law_y, side_x = M.check_corollary_sides(next(

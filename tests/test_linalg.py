@@ -238,7 +238,8 @@ def test_engine_invariants(system):
     for c, r in ech.rows:
         assert min(r) == c and r[c]
         assert [k for k in r if k in ech.pivots] == [c]
-    cols, free = ech.kernel_columns(ncols)
+    kernel = L.Kernel(rows, ncols)
+    cols, free = kernel.columns, kernel.unit_rows
     assert len(cols) + ech.rank == ncols
     assert free == [c for c in range(ncols) if c not in ech.pivots]
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
@@ -248,6 +249,19 @@ def test_engine_invariants(system):
         assert not set(free).intersection(col) - {free[j]}
         assert not any(times(dense, col))
     assert same_span(cols, fraction_kernel(rows, ncols), ncols)
+
+
+@given(sparse_systems())
+@example(CHAIN)
+@settings(max_examples=150, deadline=None)
+def test_on_demand_columns_are_the_basis(system):
+    # column(f) reads only the rows that meet f; columns reads every row
+    rows, ncols = system
+    kernel = L.Kernel(rows, ncols)
+    assert [kernel.column(f) for f in kernel.unit_rows] == kernel.columns
+    assert kernel.dim == len(kernel.columns)
+    assert L.kernel_of_rows(rows, ncols) == L.SubspaceBasis(
+        ncols, kernel.columns, kernel.unit_rows)
 
 
 @given(sparse_systems())

@@ -88,6 +88,38 @@ class TestSidesStayIndependent:
             count += 1
         assert count == 16
 
+    def test_relabelled_space_reads_the_rows_of_side_x(self):
+        # the solve keeps each degree's row adjacency for the quotient; the
+        # relabelled space carries none, so its quotient reads side x's
+        for n in (1, 2, 3):
+            for h in H.enumerate_hessenberg(n):
+                gx = G.build_GX(h)
+                relabelled = CH.relabel_space(
+                    CH.solve_graph(G.build_GY(h)), gx, "plain graph")
+                assert relabelled.adjacency == {}
+                assert CH.graded_character(relabelled, "dot") \
+                    == CH.graded_character(CH.solve_graph(gx), "dot"), h
+
+    def test_side_y_rows_in_the_side_x_quotient_are_caught(self):
+        # mutation: the relabelled space carries the adjacency side y's
+        # solve kept; wherever the two sides' rows differ, a generator
+        # moves a side-x representative off the side-y kernel
+        caught = 0
+        for n in (1, 2, 3):
+            for h in H.enumerate_hessenberg(n):
+                gy, gx = G.build_GY(h), G.build_GX(h)
+                space_y = CH.solve_graph(gy)
+                relabelled = dataclasses.replace(
+                    CH.relabel_space(space_y, gx, "plain graph"),
+                    adjacency=space_y.adjacency)
+                if relabelled.adjacency == CH.solve_graph(gx).adjacency:
+                    continue
+                with pytest.raises(CH.NotInvariant,
+                                   match="quotient representative"):
+                    CH.graded_character(relabelled, "dot")
+                caught += 1
+        assert caught == 4
+
     @pytest.mark.parametrize("hstr", ["2,3,3", "3,3,3", "2,3,3,4"])
     def test_x_character_is_the_dot_character_of_side_x(self, hstr):
         h = H.from_string(hstr)
@@ -488,7 +520,7 @@ class TestOneSolvePerTriple:
         """The (content key, degree) of every full system built, and of
         every one of them solved, as the run goes."""
         built, solved = [], []
-        rows_of, kernel = CH.constraint_rows, CH.kernel_of_rows
+        rows_of, kernel = CH.constraint_rows, CH.Kernel
 
         def rows_spy(graph, k, *groups):
             built.append((graph.content_key(), k))
@@ -499,7 +531,7 @@ class TestOneSolvePerTriple:
             return kernel(rows, ncols)
 
         monkeypatch.setattr(CH, "constraint_rows", rows_spy)
-        monkeypatch.setattr(CH, "kernel_of_rows", kernel_spy)
+        monkeypatch.setattr(CH, "Kernel", kernel_spy)
         return built, solved
 
     def test_no_x_solve_and_no_repeated_solve(self, capsys, monkeypatch):
@@ -524,7 +556,7 @@ class TestOneSolvePerTriple:
             raise AssertionError("a full kernel solved")
 
         for module, name in ((M, "solve_graph"), (CH, "solve_graph"),
-                             (CH, "kernel_of_rows")):
+                             (CH, "Kernel")):
             monkeypatch.setattr(module, name, unused)
         code, data = run_json(capsys, "betti", "4,4,4,4", "--side", "x")
         assert code == 0 and data["numerator"] == [1, 3, 5, 6, 5, 3, 1]
