@@ -38,8 +38,10 @@ character of a solved space is read on the direct quotient H^k_T / I_k,
 I_k = sum_i t_i H^{k-1}_T, alone (:func:`direct_quotients`), in a pass
 that also certifies the action (:func:`graded_character`).  Traces read
 elsewhere (the irreducible blocks of a twin, or side y for side x)
-become a character by series division, which the direct quotient
-cross-checks wherever the space is solved.
+become a character by series division.  The CLI makes every plain
+character that way, from blocks, and solves no full kernel; the solve
+and the direct quotient stay as the independent oracle of the benchmark
+and the tests, which also cross-checks traces given for a solved space.
 
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling`, certified once per graph pair and the actions once
@@ -48,8 +50,8 @@ dagger action onto the X kernel and the dot action, so the X dimensions
 and dot traces are the Y dimensions and dagger traces
 (:func:`gkmhess.maps.plain_side`).  Nothing here keeps a solved space
 between calls, and nothing is kept on disk: a graph keeps its vertex
-index and vertex maps, and :func:`gkmhess.maps.plain_twin` the twins a
-command reads, for that command.
+index and vertex maps, and :func:`gkmhess.maps.plain_twin` the twin
+blocks a command reads, for that command.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class DimensionMismatch(ValueError):
 
 class CrossCheckFailed(ValueError):
     """Series-division characters disagree with the direct quotient."""
+
+
+class NoDirectQuotient(ValueError):
+    """A character is asked of the direct quotient of a space that has
+    none, such as the irreducible blocks of a twin."""
 
 
 class MembershipFailed(ValueError):
@@ -530,7 +537,16 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     and cross_check (by default, whenever space is a solved
     GradedSolutionSpace, the only space with a direct quotient) compares
     it with the direct quotient; a disagreement raises CrossCheckFailed.
+    Any other space, without traces or with cross_check, raises
+    NoDirectQuotient.
     """
+    solved = isinstance(space, GradedSolutionSpace)
+    if cross_check is None:
+        cross_check = solved
+    if not solved and (traces is None or cross_check):
+        raise NoDirectQuotient(
+            f"a {type(space).__name__} has no direct quotient; give its "
+            f"traces, without cross_check")
     numer = hilbert_numerator(space)
     if traces is None:
         return _cross_check_direct(space, action_kind, numer)
@@ -557,8 +573,6 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
                 f"identity character {values.get((one, k))} != Betti {b} "
                 f"at degree {k}")
     char = GradedCharacter(n, values)
-    if cross_check is None:
-        cross_check = isinstance(space, GradedSolutionSpace)
     if cross_check:
         _cross_check_direct(space, action_kind, numer, char)
     return char
@@ -816,21 +830,4 @@ def certify_relabelling(graph_y, graph_x, name: str,
                 f"relabelling check failed on the {name}, degree {k}: "
                 f"the dot action by {sigma} is not the relabelled "
                 f"dagger action")
-
-
-def relabel_space(space_y: GradedSolutionSpace, graph_x,
-                  name: str) -> GradedSolutionSpace:
-    """The side-x space P(space_y) of graph_x, certified as
-    certify_relabelling does: each basis column and unit row moved by P.
-    It keeps no row adjacency, so its quotient reads the rows of graph_x."""
-    certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
-    bases = {}
-    for k, basis in space_y.bases.items():
-        p = relabelling(graph_x, k)
-        bases[k] = SubspaceBasis(
-            basis.ambient_dim,
-            [{p[c]: v for c, v in col.items()} for col in basis.columns],
-            unit_rows=[p[u] for u in basis.unit_rows])
-    return GradedSolutionSpace(graph_x, space_y.max_degree, bases,
-                               space_y.ranked)
 

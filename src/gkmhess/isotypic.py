@@ -422,12 +422,13 @@ class TwinBlocks:
     """The multiplicity m_lam(k) of each irreducible in each degree
     k <= max_degree of the equivariant cohomology of a plain twin graph.
 
-    It stands for a solved space, of side y or, once the relabelling is
-    certified on its graph and max_degree, of side x
-    (:func:`gkmhess.maps.plain_side`), where only dimensions are read:
-    :func:`gkmhess.cohomology.hilbert_numerator`, and
-    :func:`gkmhess.cohomology.graded_character` given these traces, which
-    makes no cross-check on it, as it has no direct quotient.
+    It stands for the space of a plain graph at every n, of side y or,
+    once the relabelling is certified on its graph and max_degree, of
+    side x (:func:`gkmhess.maps.plain_side`), where only dimensions are
+    read: :func:`gkmhess.cohomology.hilbert_numerator`, and
+    :func:`gkmhess.cohomology.graded_character` given these traces.  It
+    has no direct quotient, so no cross-check runs on it, and asking for
+    one raises :class:`gkmhess.cohomology.NoDirectQuotient`.
     """
 
     graph: LabeledGraph

@@ -43,10 +43,9 @@ from math import lcm
 from typing import Callable
 
 from gkmhess.cohomology import (
-    GradedCharacter, GradedSolutionSpace, MembershipFailed, RelabelFailed,
-    _restrict, _times_t, certify_relabelling, column_adjacency,
-    first_violated_row, frobenius_of_character, graded_character,
-    reduced_monomials, relabel_space, solve_graph)
+    GradedCharacter, MembershipFailed, RelabelFailed, _restrict, _times_t,
+    certify_relabelling, column_adjacency, first_violated_row,
+    frobenius_of_character, graded_character, reduced_monomials)
 from gkmhess.graphs import (
     LabeledGraph, Perm, SignedBlowupGraph, Vertex, build_blowup,
     build_circle_graph, build_graph, build_GX, build_GY, circ, compose,
@@ -517,37 +516,26 @@ def check_theorem_main_sides(triple: ModularTriple
 
 
 @lru_cache(maxsize=None)
-def plain_twin(h: HessenbergFunction
-               ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
-    """The twin graph of h as (space, dagger traces), made once per h and
-    kept until :func:`clear_plain_caches`; callers only read them.  The
-    traces are read from its irreducible blocks (:func:`twin_blocks`), and
-    so is the space, except at n <= 3, the one size rule: there the graph
-    is solved as well, so that :func:`graded_character` cross-checks every
-    character made from these traces on its direct quotient."""
-    graph = build_GY(h)
-    blocks = twin_blocks(graph)
-    space = solve_graph(graph) if h.n <= 3 else blocks
-    return space, blocks.traces()
+def plain_twin(h: HessenbergFunction) -> tuple[TwinBlocks, dict]:
+    """The irreducible blocks of the twin graph of h (:func:`twin_blocks`)
+    and their dagger traces, made once per h and kept until
+    :func:`clear_plain_caches`; callers only read them."""
+    blocks = twin_blocks(build_GY(h))
+    return blocks, blocks.traces()
 
 
 def plain_side(h: HessenbergFunction, side: str
-               ) -> tuple[GradedSolutionSpace | TwinBlocks, dict]:
-    """The plain graph of h on side as (space, traces), read off its twin
-    (:func:`plain_twin`): side y is the twin, and side x its certified
-    relabelling, whose dot traces are the dagger traces.  A solved twin is
-    relabelled basis and all (:func:`relabel_space`); twin blocks, which
-    are read only for their dimensions, are passed on once the
-    relabelling is certified (:func:`certify_relabelling`).  RelabelFailed
-    otherwise."""
-    space, traces = plain_twin(h)
-    if side == "y":
-        return space, traces
-    graph_x, name = build_GX(h), f"plain graph of {h}"
-    if isinstance(space, GradedSolutionSpace):
-        return relabel_space(space, graph_x, name), traces
-    certify_relabelling(space.graph, graph_x, name, space.max_degree)
-    return space, traces
+               ) -> tuple[TwinBlocks, dict]:
+    """The plain graph of h on side as (blocks, traces), read off its twin
+    (:func:`plain_twin`): side y is the twin, and side x the same blocks
+    and traces once the relabelling is certified on the graphs and the
+    actions (:func:`certify_relabelling`), as the dot traces of side x
+    are the dagger traces of side y.  RelabelFailed otherwise."""
+    blocks, traces = plain_twin(h)
+    if side == "x":
+        certify_relabelling(blocks.graph, build_GX(h), f"plain graph of {h}",
+                            blocks.max_degree)
+    return blocks, traces
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,9 @@ rows, then ranked on the free coordinates of the blow-up basis, which
 determine a kernel vector.  No certificate runs: the package makes the
 same report by irreducible blocks, and the two must agree in every
 degree.
+
+:func:`relabel_space` carries a solved side-y space onto side x, basis
+and all, so that the tests can compare it with side x solved alone.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gkmhess.cohomology import (
-    GradedSolutionSpace, MembershipFailed, _restrict, column_adjacency,
-    constraint_rows, first_violated_row, monomial_index, monomials,
-    solve_graph)
+    GradedSolutionSpace, MembershipFailed, _restrict, certify_relabelling,
+    column_adjacency, constraint_rows, first_violated_row, monomial_index,
+    monomials, relabelling, solve_graph)
 from gkmhess.graphs import swap_positions
+from gkmhess.linalg import SubspaceBasis
 from gkmhess.maps import (
     MAPS, PAIRS, MapMatrix, TripleGraphs, _apply, _image_terms, _main_report,
     _ranks)
@@ -109,3 +113,21 @@ def report(ctx: Context) -> dict:
                    len(cols_a), len(cols_b))
 
     return _main_report(ctx, ctx.sp_blowup.max_degree, dim, pair_ranks)
+
+
+def relabel_space(space_y: GradedSolutionSpace, graph_x,
+                  name: str) -> GradedSolutionSpace:
+    """The side-x space P(space_y) of graph_x, certified as
+    :func:`gkmhess.cohomology.certify_relabelling` does: each basis column
+    and unit row moved by P.  It keeps no row adjacency, so its quotient
+    reads the rows of graph_x."""
+    certify_relabelling(space_y.graph, graph_x, name, space_y.max_degree)
+    bases = {}
+    for k, basis in space_y.bases.items():
+        p = relabelling(graph_x, k)
+        bases[k] = SubspaceBasis(
+            basis.ambient_dim,
+            [{p[c]: v for c, v in col.items()} for col in basis.columns],
+            unit_rows=[p[u] for u in basis.unit_rows])
+    return GradedSolutionSpace(graph_x, space_y.max_degree, bases,
+                               space_y.ranked)

@@ -215,9 +215,9 @@ class TestErrors:
 
 
 class TestFailedCertificate:
-    """A certificate that fails in betti or character, on a solved twin
-    (n = 3) or on twin blocks (n = 4), is one line on stderr naming its
-    class, exit 1 and no report."""
+    """A certificate that fails in betti or character, on the twin blocks
+    at n = 3 or n = 4, is one line on stderr naming its class, exit 1 and
+    no report."""
 
     @staticmethod
     def drop_an_edge(build):

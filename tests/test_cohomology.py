@@ -630,7 +630,7 @@ class TestInversionStatisticOracle:
         # fully independent oracle: the graded Betti numbers count
         # permutations by the number of reversed Hessenberg pairs; the
         # solved graph at n <= 3, the betti command (by the irreducible
-        # blocks of the twin at n >= 4) on both sides, at n = 5 a sample
+        # blocks of the twin) on both sides, at n = 5 a sample
         hs = (map(H.from_string, ("2,3,4,5,5", "3,3,4,4,5", "4,4,4,4,5"))
               if n == 5 else H.enumerate_hessenberg(n))
         for h in hs:

@@ -14,6 +14,7 @@ from gkmhess import hessenberg as H
 from gkmhess import isotypic as I
 from gkmhess import maps as M
 from gkmhess.linalg import Echelon, kernel_of_rows
+import full_kernels as FK
 import graph_checks as GC
 import kernel_traces as KT
 from test_cohomology import row_set
@@ -73,7 +74,7 @@ class TestSidesStayIndependent:
         count = 0
         for name, gy, gx in side_pairs():
             space_y = CH.solve_graph(gy, gy.top_degree + 1)
-            relabelled = CH.relabel_space(space_y, gx, name)
+            relabelled = FK.relabel_space(space_y, gx, name)
             direct = {}
             for k in range(space_y.max_degree + 1):
                 direct[k] = kernel_of_rows(CH.constraint_rows(gx, k),
@@ -94,7 +95,7 @@ class TestSidesStayIndependent:
         for n in (1, 2, 3):
             for h in H.enumerate_hessenberg(n):
                 gx = G.build_GX(h)
-                relabelled = CH.relabel_space(
+                relabelled = FK.relabel_space(
                     CH.solve_graph(G.build_GY(h)), gx, "plain graph")
                 assert relabelled.adjacency == {}
                 assert CH.graded_character(relabelled, "dot") \
@@ -110,7 +111,7 @@ class TestSidesStayIndependent:
                 gy, gx = G.build_GY(h), G.build_GX(h)
                 space_y = CH.solve_graph(gy)
                 relabelled = dataclasses.replace(
-                    CH.relabel_space(space_y, gx, "plain graph"),
+                    FK.relabel_space(space_y, gx, "plain graph"),
                     adjacency=space_y.adjacency)
                 if relabelled.adjacency == CH.solve_graph(gx).adjacency:
                     continue
@@ -137,32 +138,42 @@ class TestSidesStayIndependent:
 
 
 class TestPlainSide:
-    """maps.plain_side chooses side x by the kind of twin it relabels, and
-    graded_character cross-checks exactly the solved spaces."""
+    """maps.plain_side reads both sides off the twin blocks at every n,
+    and graded_character cross-checks exactly the solved spaces."""
 
     @pytest.mark.parametrize("hstr", ["2,3,3", "2,3,3,4"])
     def test_side_x_by_the_kind_of_twin(self, hstr):
+        # blocks at every n: side x is the twin itself, once certified
         h = H.from_string(hstr)
         twin, traces = M.plain_side(h, "y")
         assert (twin, traces) == M.plain_twin(h)
+        assert isinstance(twin, I.TwinBlocks)
         space, x_traces = M.plain_side(h, "x")
-        assert x_traces is traces
-        if h.n <= 3:   # solved: the relabelled bases, on the X graph
-            assert isinstance(twin, CH.GradedSolutionSpace)
-            assert space.graph == G.build_GX(h)
-            assert space.bases == CH.relabel_space(
-                twin, G.build_GX(h), "plain graph").bases
-        else:   # blocks: the twin itself, once certified
-            assert isinstance(twin, I.TwinBlocks) and space is twin
+        assert space is twin and x_traces is traces
 
     def test_small_blocks_with_traces_give_the_block_character(self):
+        # the direct quotient of each side solved alone, against the
+        # series division of the twin's block traces
         for n in (1, 2, 3):
             for h in H.enumerate_hessenberg(n):
                 blocks = I.twin_blocks(G.build_GY(h))
                 for side, kind in (("x", "dot"), ("y", "dagger")):
                     assert CH.graded_character(
                         blocks, kind, traces=blocks.traces()) \
-                        == M.plain_character(h, side), (h, side)
+                        == CH.graded_character(
+                            CH.solve_graph(G.build_graph(h, side)), kind), \
+                        (h, side)
+
+    def test_blocks_have_no_direct_quotient(self):
+        blocks, traces = M.plain_twin(H.from_string("2,3,4,4"))
+        for kwargs in ({}, {"cross_check": True},
+                       {"traces": traces, "cross_check": True}):
+            with pytest.raises(CH.NoDirectQuotient,
+                               match="TwinBlocks has no direct quotient"):
+                CH.graded_character(blocks, "dagger", **kwargs)
+        assert issubclass(CH.NoDirectQuotient, ValueError)
+        assert CH.graded_character(blocks, "dagger", traces=traces) \
+            == M.plain_character(H.from_string("2,3,4,4"), "y")
 
     def test_solved_spaces_alone_are_cross_checked_by_default(
             self, monkeypatch):
@@ -534,16 +545,16 @@ class TestOneSolvePerTriple:
         monkeypatch.setattr(CH, "Kernel", kernel_spy)
         return built, solved
 
-    def test_no_x_solve_and_no_repeated_solve(self, capsys, monkeypatch):
-        h = H.from_string("2,3,3")
-        xs = M.TripleGraphs.of(c_triple("2,3,3"), "x")
-        x_keys = {g.content_key()
-                  for g in [G.build_GX(h), *xs.graphs().values()]}
-        _, solved = self.spy(monkeypatch)
-        code, data = run_json(capsys, "check", "2,3,3", "--thm", "all")
-        assert code == 0 and data["count"] == 10
-        assert solved and len(solved) == len(set(solved))
-        assert not {key for key, _ in solved} & x_keys
+    @pytest.mark.parametrize("argv, count", [
+        (("check", "2,3,3", "--thm", "all"), 10),
+        (("check", "--thm", "all", "--sweep", "3"), 18)],
+        ids=["2,3,3", "sweep-3"])
+    def test_small_checks_build_no_full_system(self, capsys, monkeypatch,
+                                               argv, count):
+        built, solved = self.spy(monkeypatch)
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data["count"] == count
+        assert built == solved == []
 
     def test_n4_check_builds_no_full_system(self, capsys, monkeypatch):
         built, solved = self.spy(monkeypatch)
@@ -555,8 +566,7 @@ class TestOneSolvePerTriple:
         def unused(*args, **kwargs):
             raise AssertionError("a full kernel solved")
 
-        for module, name in ((M, "solve_graph"), (CH, "solve_graph"),
-                             (CH, "Kernel")):
+        for module, name in ((CH, "solve_graph"), (CH, "Kernel")):
             monkeypatch.setattr(module, name, unused)
         code, data = run_json(capsys, "betti", "4,4,4,4", "--side", "x")
         assert code == 0 and data["numerator"] == [1, 3, 5, 6, 5, 3, 1]
