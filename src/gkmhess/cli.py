@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from gkmhess import coloring, hessenberg, maps
-from gkmhess.cohomology import frobenius_of_character, hilbert_numerator
+from gkmhess.cohomology import hilbert_numerator
 from gkmhess.graphs import GRAPH_N_CAP, build_graph
 from gkmhess.hessenberg import HessenbergFunction, find_modular_triples
 from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
@@ -106,10 +106,9 @@ def cmd_character(h: HessenbergFunction, side: str) -> dict:
     _check_cap(h.n, False)
     kind = "dot" if side == "x" else "dagger"
     char = maps.plain_character(h, side)
-    series = frobenius_of_character(char)
     return {"command": "character", "h": str(h), "side": side,
             "action": kind, "character": char.to_json(),
-            "frobenius": series.to_json()}
+            "frobenius": maps.plain_series(h, side).to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +343,8 @@ def _usable_output_file(path: str) -> str | None:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The twins and plain characters its items read
-    (:func:`maps.clear_plain_caches`) are shared between them, and by a
+    """Run one command.  The twins, plain characters and series its items
+    read (:func:`maps.clear_plain_caches`) are shared between them, and by a
     forked --jobs worker between its items; they are dropped when the
     command ends, however it ends, so nothing carries over to the next."""
     try:

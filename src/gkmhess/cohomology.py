@@ -38,10 +38,11 @@ character of a solved space is read on the direct quotient H^k_T / I_k,
 I_k = sum_i t_i H^{k-1}_T, alone (:func:`direct_quotients`), in a pass
 that also certifies the action (:func:`graded_character`).  Traces read
 elsewhere (the irreducible blocks of a twin, or side y for side x)
-become a character by series division.  The CLI makes every plain
-character that way, from blocks, and solves no full kernel; the solve
-and the direct quotient stay as the independent oracle of the benchmark
-and the tests, which also cross-checks traces given for a solved space.
+become a character by series division in integers.  The CLI makes
+every plain character that way, from blocks, and solves no full kernel;
+the solve and the direct quotient stay as the independent oracle of the
+benchmark and the tests, which also cross-checks traces given for a
+solved space.
 
 Side x is never solved where side y is at hand: the relabelling P of
 :func:`relabelling`, certified once per graph pair and the actions once
@@ -70,8 +71,7 @@ from gkmhess.linalg import (
     Echelon, IntRow, Kernel, SubspaceBasis, rank_of_int_rows, _restrict,
     column_adjacency, first_violated_row)
 from gkmhess.symfunc import (
-    ClassFunction, GradedSymmetricFunction, Partition, frobenius,
-    partitions_of)
+    GradedSymmetricFunction, Partition, frobenius_in_m, partitions_of)
 
 
 Groups = tuple[tuple[tuple[int, int], ...], ...]   # of (mi, coefficient)
@@ -459,10 +459,10 @@ class GradedCharacter:
     """Ordinary graded character: (cycle type, q degree) -> value."""
 
     n: int
-    values: dict[tuple[Partition, int], Fraction]
+    values: dict[tuple[Partition, int], int | Fraction]
 
-    def value(self, lam: Partition, k: int) -> Fraction:
-        return self.values.get((tuple(lam), k), Fraction(0))
+    def value(self, lam: Partition, k: int) -> int | Fraction:
+        return self.values.get((tuple(lam), k), 0)
 
     def dims(self) -> list[int]:
         return [int(self.value((1,) * self.n, k))
@@ -470,10 +470,6 @@ class GradedCharacter:
 
     def max_q(self) -> int:
         return max((k for (_, k) in self.values), default=-1)
-
-    def class_function(self, k: int) -> ClassFunction:
-        return ClassFunction(
-            self.n, {lam: self.value(lam, k) for lam in partitions_of(self.n)})
 
     def to_json(self) -> dict:
         out: dict[str, dict[str, str]] = {}
@@ -506,7 +502,7 @@ def _ambient_factor(lam: Partition) -> list[int]:
 
 def graded_character(space: GradedSolutionSpace, action_kind: str,
                      cross_check: bool | None = None,
-                     traces: dict[Partition, list[Fraction]] | None = None
+                     traces: dict[Partition, list[int]] | None = None
                      ) -> GradedCharacter:
     """Ordinary graded character of space under the action.
 
@@ -534,11 +530,11 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     (:func:`gkmhess.maps.plain_side`); the blocks
     (:class:`gkmhess.isotypic.TwinBlocks`) can stand for space itself.
     The character is then their series division by the ambient factor,
-    and cross_check (by default, whenever space is a solved
-    GradedSolutionSpace, the only space with a direct quotient) compares
-    it with the direct quotient; a disagreement raises CrossCheckFailed.
-    Any other space, without traces or with cross_check, raises
-    NoDirectQuotient.
+    in integers for the block traces, and cross_check (by default,
+    whenever space is a solved GradedSolutionSpace, the only space with a
+    direct quotient) compares it with the direct quotient; a disagreement
+    raises CrossCheckFailed.  Any other space, without traces or with
+    cross_check, raises NoDirectQuotient.
     """
     solved = isinstance(space, GradedSolutionSpace)
     if cross_check is None:
@@ -553,13 +549,12 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
     n = space.n
     top = space.graph.top_degree
     one = (1,) * n
-    values: dict[tuple[Partition, int], Fraction] = {}
+    values: dict[tuple[Partition, int], int] = {}
     for lam in partitions_of(n):
         factor = _ambient_factor(lam if action_kind == "dot" else one)
         for k in range(space.max_degree + 1):
-            v = sum((factor[j] * traces[lam][k - j]
-                     for j in range(min(k, len(factor) - 1) + 1)),
-                    Fraction(0))
+            v = sum(factor[j] * traces[lam][k - j]
+                    for j in range(min(k, len(factor) - 1) + 1))
             if k <= top:
                 if v:
                     values[(lam, k)] = v
@@ -568,7 +563,7 @@ def graded_character(space: GradedSolutionSpace, action_kind: str,
                     f"character series at {lam} does not terminate "
                     f"(degree {k}: {v})")
     for k, b in enumerate(numer):
-        if values.get((one, k), Fraction(0)) != b:
+        if values.get((one, k), 0) != b:
             raise CrossCheckFailed(
                 f"identity character {values.get((one, k))} != Betti {b} "
                 f"at degree {k}")
@@ -665,13 +660,11 @@ def _quotient_trace(space: GradedSolutionSpace, k: int, image: Echelon,
 
 
 def frobenius_of_character(char: GradedCharacter) -> GradedSymmetricFunction:
-    """Frobenius characteristic of a graded character, m basis."""
-    terms = {}
-    for k in range(char.max_q() + 1):
-        f = frobenius(char.class_function(k)).convert("m")
-        if not f.is_zero():
-            terms[k] = f
-    return GradedSymmetricFunction(char.n, terms)
+    """Frobenius characteristic of a graded character, m basis, through s
+    in the values' own arithmetic (:func:`gkmhess.symfunc.frobenius_in_m`)."""
+    return GradedSymmetricFunction(char.n, {k: frobenius_in_m(char.n, {
+        lam: v for (lam, j), v in char.values.items() if j == k})
+        for k in range(char.max_q() + 1)})
 
 
 def frobenius_series(space: GradedSolutionSpace, action_kind: str

@@ -445,11 +445,11 @@ class TwinBlocks:
         return sum(len(standard_tableaux(lam)) * m[k]
                    for lam, m in self.mult.items())
 
-    def traces(self) -> dict[Partition, list[Fraction]]:
+    def traces(self) -> dict[Partition, list[int]]:
         """The dagger trace of each class representative in every degree,
-        sum_lam m_lam(k) chi_lam(mu)."""
-        return {mu: [Fraction(sum(m[k] * mn_character(lam, mu)
-                                  for lam, m in self.mult.items()))
+        sum_lam m_lam(k) chi_lam(mu), an integer."""
+        return {mu: [sum(m[k] * mn_character(lam, mu)
+                         for lam, m in self.mult.items())
                      for k in range(self.max_degree + 1)]
                 for mu in partitions_of(self.n)}
 

@@ -547,10 +547,19 @@ def plain_character(h: HessenbergFunction, side: str) -> GradedCharacter:
                             traces=traces)
 
 
+@lru_cache(maxsize=None)
+def plain_series(h: HessenbergFunction, side: str
+                 ) -> GradedSymmetricFunction:
+    """The Frobenius series of :func:`plain_character`, m basis, made once
+    per (h, side) and kept with it; callers only read it."""
+    return frobenius_of_character(plain_character(h, side))
+
+
 def clear_plain_caches() -> None:
-    """Drop what :func:`plain_twin` and :func:`plain_character` keep."""
+    """Empty the plain_twin, plain_character and plain_series caches."""
     plain_twin.cache_clear()
     plain_character.cache_clear()
+    plain_series.cache_clear()
 
 
 # (ok, difference) of a modular law of Frobenius series
@@ -573,7 +582,7 @@ def check_corollary_sides(triple: ModularTriple
 
     Reads only the twins of the three plain graphs of the triple (a
     kind-R triple is transposed first, as in :meth:`TripleGraphs.of`),
-    each through its own top degree + 1, by :func:`plain_character`.
+    each through its own top degree + 1, by :func:`plain_series`.
     Both sides come from one set of dagger traces (:func:`plain_twin`):
     side x through the certified relabelling.  Each law is (ok,
     difference); the difference is the zero graded symmetric function
@@ -584,8 +593,7 @@ def check_corollary_sides(triple: ModularTriple
     hs = (triple.h_minus, triple.h, triple.h_plus)
 
     def law(side: str) -> Law:
-        return _modular_law(frobenius_of_character(plain_character(h, side))
-                            for h in hs)
+        return _modular_law(plain_series(h, side) for h in hs)
 
     return law("y"), lambda: law("x")
 
@@ -602,7 +610,7 @@ def check_theorem_1_1(h: HessenbergFunction
     Hessenberg GKM graph; returns (ok, difference in the m basis)."""
     from gkmhess.coloring import csf_q as _csf
     lhs = omega_graded(_csf(h)).convert("m")
-    rhs = frobenius_of_character(plain_character(h, "x"))
+    rhs = plain_series(h, "x")
     return lhs == rhs, lhs - rhs
 
 
@@ -611,5 +619,5 @@ def check_theorem_1_2(h: HessenbergFunction
     """llt(h) equals the dagger-action Frobenius series of the twin graph."""
     from gkmhess.coloring import llt as _llt
     lhs = _llt(h).convert("m")
-    rhs = frobenius_of_character(plain_character(h, "y"))
+    rhs = plain_series(h, "y")
     return lhs == rhs, lhs - rhs

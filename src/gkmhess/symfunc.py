@@ -20,7 +20,8 @@ non-integer entries.  A conversion scales the coefficients to integers
 over one denominator, the lcm of theirs, applies the tables in integers
 (skipping the identity table on the s side) and divides once at the end.
 The monomial basis is the canonical comparison basis; products are taken
-in p.
+in p.  A Frobenius image goes to p (:func:`frobenius`), or through s to m
+in one step, in integers for an integer character (:func:`frobenius_in_m`).
 
 K is one table per degree, made by the Pieri rule h_k s_nu = sum s_lam
 over lam/nu a horizontal strip of k boxes (Macdonald I.5.16): K(lam, mu)
@@ -419,6 +420,19 @@ def frobenius(chi: ClassFunction) -> SymmetricFunction:
     coeffs = {lam: v / z_lambda(lam)
               for lam, v in chi.values.items() if v}
     return SymmetricFunction(chi.n, "p", coeffs)
+
+
+def frobenius_in_m(n: int, values: dict) -> SymmetricFunction:
+    """sum_lam <chi, chi^lam> s_lam in m, chi given as {mu: chi(mu)} (0 off
+    it): n! <chi, chi^lam> = sum_mu (n!/z_mu) chi(mu) chi^lam(mu) in the
+    values' own arithmetic, over n! exactly, then the Kostka rows to m."""
+    check_degree(n)
+    order = factorial(n)
+    scaled = _apply({mu: order // z_lambda(mu) * v
+                     for mu, v in values.items() if v}, _to_s(n, "p"))
+    s = {lam: q if not r else Fraction(c, order)
+         for lam, c in scaled.items() for q, r in [divmod(c, order)]}
+    return SymmetricFunction(n, "m", _apply(s, _from_s(n, "m")))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import linalg as L
+from gkmhess import symfunc as S
 from gkmhess.coloring import csf_q, llt
-from gkmhess.maps import omega_graded, plain_character
+from gkmhess.maps import omega_graded, plain_character, plain_twin
 from gkmhess.symfunc import partitions_of
 import classes
 import graph_checks as GC
@@ -730,6 +731,66 @@ class TestActionInvarianceGuard:
                     # from_vector raises MembershipFailed on a violation
                     cls = classes.EquivariantClass.from_vector(bl, k, col)
                     assert classes.membership_check(cls, bl)
+
+
+def fraction_route(char, k):
+    """The degree-k Frobenius image by the Fraction route: p (chi / z_mu),
+    then the conversion to m."""
+    return S.frobenius(S.ClassFunction(char.n, {
+        lam: char.value(lam, k) for lam in partitions_of(char.n)})).convert("m")
+
+
+class TestSchurRoute:
+    """symfunc.frobenius_in_m, through s in one step, against the Fraction
+    route through p, degree by degree."""
+
+    def assert_degrees_agree(self, char):
+        series = CH.frobenius_of_character(char)
+        for k in range(char.max_q() + 2):
+            row = {lam: v for (lam, j), v in char.values.items() if j == k}
+            oracle = fraction_route(char, k)
+            assert S.frobenius_in_m(char.n, row).coeffs == oracle.coeffs, k
+            assert series.term(k).basis == "m"
+            assert series.term(k).coeffs == oracle.coeffs, k
+
+    @pytest.mark.parametrize("hstr", [
+        str(h) for n in (1, 2, 3, 4) for h in H.enumerate_hessenberg(n)])
+    def test_block_characters_in_integers(self, hstr):
+        h = H.from_string(hstr)
+        _, traces = plain_twin(h)
+        assert all(type(v) is int for row in traces.values() for v in row)
+        for side in "xy":
+            char = plain_character(h, side)
+            assert all(type(v) is int for v in char.values.values())
+            self.assert_degrees_agree(char)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direct_quotient_characters(self, n, store):
+        for h in H.enumerate_hessenberg(n):
+            for side in "xy":
+                char = store.character(h, side)
+                assert all(type(v) is Fraction for v in char.values.values())
+                self.assert_degrees_agree(char)
+
+    def test_a_non_integral_image_is_divided_exactly(self):
+        # the indicator of the class (2, 1): p_21 / z_21 = (m_3 + m_21) / 2
+        got = S.frobenius_in_m(3, {(2, 1): 1})
+        oracle = S.frobenius(S.ClassFunction(
+            3, {(3,): 0, (2, 1): 1, (1, 1, 1): 0})).convert("m")
+        assert got.coeffs == oracle.coeffs == {
+            (3,): Fraction(1, 2), (2, 1): Fraction(1, 2)}
+
+    def test_zero_values_and_the_regular_character(self):
+        # classes given as 0 change nothing; the regular character of S_3
+        # is p_111 = sum_lam f^lam s_lam
+        regular = {(3,): 0, (2, 1): 0, (1, 1, 1): 6}
+        assert S.frobenius_in_m(3, regular) == \
+            S.SymmetricFunction.generator("p", (1, 1, 1))
+        assert S.frobenius_in_m(3, {}).is_zero()
+
+    def test_degree_cap(self):
+        with pytest.raises(S.DegreeTooLarge):
+            S.frobenius_in_m(S.DEGREE_CAP + 1, {})
 
 
 class TestCharacterIntegrality:

@@ -607,6 +607,7 @@ class TestTwinCache:
         code, _ = run_json(capsys, "check", "2,3,3", "--thm", "all")
         assert code == 0 and M.plain_twin.cache_info().currsize == 0
         assert M.plain_character.cache_info().currsize == 0
+        assert M.plain_series.cache_info().currsize == 0
 
     @pytest.mark.parametrize("argv, pairs", [
         (("check", "2,3,3,4", "--thm", "all"), 6),
@@ -622,6 +623,27 @@ class TestTwinCache:
             return character(space, kind, **kwargs)
 
         monkeypatch.setattr(M, "graded_character", spy)
+        code, _ = run_json(capsys, *argv)
+        assert code == 0 and len(seen) == len(set(seen)) == pairs
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (("character", "2,3,3", "--side", "y"), 1),
+        (("check", "2,3,3,4", "--thm", "all"), 6),
+        (("check", "--thm", "all", "--sweep", "3"), 10),
+        (("check", "--thm", "all", "--sweep", "4"), 28)],
+        ids=["character", "2,3,3,4", "sweep-3", "sweep-4"])
+    def test_a_command_converts_each_plain_character_once(
+            self, capsys, monkeypatch, argv, pairs):
+        # 1.1 and the side-x corollary read the same series, as do 1.2
+        # and the side-y corollary; a kept character is one object
+        seen = []
+        convert = M.frobenius_of_character
+
+        def spy(char):
+            seen.append(id(char))
+            return convert(char)
+
+        monkeypatch.setattr(M, "frobenius_of_character", spy)
         code, _ = run_json(capsys, *argv)
         assert code == 0 and len(seen) == len(set(seen)) == pairs
 
