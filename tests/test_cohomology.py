@@ -736,8 +736,8 @@ class TestActionInvarianceGuard:
 def fraction_route(char, k):
     """The degree-k Frobenius image by the Fraction route: p (chi / z_mu),
     then the conversion to m."""
-    return S.frobenius(S.ClassFunction(char.n, {
-        lam: char.value(lam, k) for lam in partitions_of(char.n)})).convert("m")
+    values = {lam: char.value(lam, k) for lam in partitions_of(char.n)}
+    return S.frobenius(S.ClassFunction(char.n, values)).convert("m")
 
 
 class TestSchurRoute:
