@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from gkmhess import coloring, hessenberg, maps
@@ -37,12 +36,6 @@ from gkmhess.symfunc import DEGREE_CAP, GradedSymmetricFunction
 
 THEOREMS = ("1.1", "1.2", "5.1", "corollary", "llt-law", "csf-law", "all")
 TWO_SIDED = ("5.1", "corollary")   # one item checks side y and relabels x
-
-
-@dataclass
-class RunConfig:
-    jobs: int = 1
-    fmt: str = "json"
 
 
 class CapExceeded(ValueError):
@@ -203,7 +196,7 @@ def _expand_items(thm: str, hs: list[HessenbergFunction]) -> list[tuple]:
 
 
 def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
-              cfg: RunConfig) -> dict:
+              jobs: int = 1) -> dict:
     if (h is None) == (sweep is None):
         raise CapExceeded("provide exactly one of a Hessenberg vector or --sweep")
     if sweep is not None:
@@ -214,7 +207,7 @@ def cmd_check(thm: str, h: HessenbergFunction | None, sweep: int | None,
         scope = {"h": str(h)}
     items = _expand_items(thm, hs)
     # the fork start method starts every worker at the first submit
-    workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -261,14 +254,13 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, cfg: RunConfig, out_path: str | None,
-          wall: float) -> None:
+def _emit(report: dict, fmt: str, out_path: str | None, wall: float) -> None:
     report["wall_time_sec"] = round(wall, 3)
     text = json.dumps(report, indent=1)
     if out_path:   # first, so that a closed stdout leaves it written
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    print(text if cfg.fmt == "json" else _render_text(report), flush=True)
+    print(text if fmt == "json" else _render_text(report), flush=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,7 +342,6 @@ def main(argv=None) -> int:
     try:
         ap = build_parser()
         args = ap.parse_args(argv)
-        cfg = RunConfig(jobs=args.jobs, fmt=args.format)
         if args.output is not None:
             reason = _usable_output_file(args.output)
             if reason:
@@ -373,7 +364,7 @@ def main(argv=None) -> int:
                 report = cmd_character(_parse_h(args.h), args.side)
             elif args.cmd == "check":
                 h = _parse_h(args.h) if args.h else None
-                report = cmd_check(args.thm, h, args.sweep, cfg)
+                report = cmd_check(args.thm, h, args.sweep, args.jobs)
             else:   # pragma: no cover
                 ap.error(f"unknown command {args.cmd}")   # exits with 2
         except (CapExceeded, hessenberg.NotNonDecreasing,
@@ -384,7 +375,7 @@ def main(argv=None) -> int:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         try:
-            _emit(report, cfg, args.output, time.time() - t0)
+            _emit(report, args.format, args.output, time.time() - t0)
         except BrokenPipeError:   # stdout closed early, as by `| head`: what
             # stays buffered goes nowhere, so exit flushes quietly
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -57,7 +57,6 @@ blocks a command reads, for that command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -250,17 +249,21 @@ def constraint_rows(graph, k: int, edges=edge_groups,
     return rows
 
 
-@dataclass
 class GradedSolutionSpace:
     """Degreewise kernel bases of the equivariant cohomology; ranked holds
     the dimensions of the degrees ranked instead, and adjacency the column
     adjacency of each solved degree's rows until it is read once."""
 
-    graph: object
-    max_degree: int
-    bases: dict[int, Kernel | SubspaceBasis]
-    ranked: dict[int, int] = field(default_factory=dict)
-    adjacency: dict[int, dict] = field(default_factory=dict)
+    def __init__(self, graph, max_degree: int,
+                 bases: dict[int, Kernel | SubspaceBasis],
+                 ranked: dict[int, int] | None = None,
+                 adjacency: dict[int, dict] | None = None):
+        self.graph, self.max_degree, self.bases = graph, max_degree, bases
+        self.ranked = {} if ranked is None else ranked
+        self.adjacency = {} if adjacency is None else adjacency
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def dim(self, k: int) -> int:
         if k < 0:
@@ -454,12 +457,15 @@ def _monomial_action(n: int, k: int, sigma, action_kind: str):
     raise ValueError(f"unknown action kind {action_kind!r}")
 
 
-@dataclass
 class GradedCharacter:
     """Ordinary graded character: (cycle type, q degree) -> value."""
 
-    n: int
-    values: dict[tuple[Partition, int], int | Fraction]
+    def __init__(self, n: int,
+                 values: dict[tuple[Partition, int], int | Fraction]):
+        self.n, self.values = n, values
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def value(self, lam: Partition, k: int) -> int | Fraction:
         return self.values.get((tuple(lam), k), 0)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from gkmhess.hessenberg import (
-    HessenbergFunction, ModularTriple, WrongKind, find_modular_triples)
+    HessenbergFunction, ModularTriple, WrongKind, _frozen,
+    find_modular_triples)
 
 GRAPH_N_CAP = 6
 
@@ -110,12 +110,19 @@ def coefficient_vector(n: int, label: Label) -> list[int]:
     return c
 
 
-@dataclass(frozen=True, order=True)
 class Vertex:
     """A permutation vertex, plain or the circle copy."""
 
-    circle: bool
-    perm: Perm
+    def __init__(self, circle: bool, perm: Perm):
+        vars(self).update(circle=circle, perm=perm)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def __str__(self) -> str:
         word = "".join(str(v) for v in self.perm)
@@ -130,7 +137,6 @@ def circ(w: Perm) -> Vertex:
     return Vertex(True, w)
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
     """Vertices plus edges labeled by differences of two variables.
 
@@ -141,10 +147,21 @@ class LabeledGraph:
     index and the vertex maps are made once per graph, on first use.
     """
 
-    n: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int, Label], ...]
-    top_degree: int
+    def __init__(self, n: int, vertices: tuple[Vertex, ...],
+                 edges: tuple[tuple[int, int, Label], ...], top_degree: int):
+        vars(self).update(n=n, vertices=vertices, edges=edges,
+                          top_degree=top_degree)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _fields(self) -> tuple:
+        return self.n, self.vertices, self.edges, self.top_degree
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @cached_property
     def vertex_index(self) -> dict[Vertex, int]:
@@ -178,7 +195,6 @@ class LabeledGraph:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
 class SignedBlowupGraph(LabeledGraph):
     """Blow-up of G(h_+) along G(h_-) with vertex signs and 4-gons.
 
@@ -187,11 +203,16 @@ class SignedBlowupGraph(LabeledGraph):
     sign-weighted vertex sum is divisible by the form squared.
     """
 
-    signs: tuple[int, ...]
-    quads: tuple[tuple[tuple[int, int, int, int], Label], ...]
-    d: int
-    d0: int
-    side: str
+    def __init__(self, n, vertices, edges, top_degree,
+                 signs: tuple[int, ...],
+                 quads: tuple[tuple[tuple[int, int, int, int], Label], ...],
+                 d: int, d0: int, side: str):
+        super().__init__(n, vertices, edges, top_degree)
+        vars(self).update(signs=signs, quads=quads, d=d, d0=d0, side=side)
+
+    def _fields(self) -> tuple:
+        return (*super()._fields(), self.signs, self.quads, self.d, self.d0,
+                self.side)
 
     def to_json(self) -> dict:
         return {

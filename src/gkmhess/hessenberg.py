@@ -13,7 +13,6 @@ Hessenberg functions of a given size (Catalan many).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -29,7 +28,11 @@ class WrongKind(ValueError):
     """A kind-C-only construction was asked to handle a kind-R triple."""
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """The __setattr__ and __delattr__ of an immutable value type."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class HessenbergFunction:
     """Validated non-decreasing h: [n] -> [n] with h(j) >= j.
 
@@ -37,10 +40,8 @@ class HessenbergFunction:
     match the usual combinatorial conventions.
     """
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+    def __init__(self, values: tuple[int, ...]):
+        vals = tuple(int(v) for v in values)
         object.__setattr__(self, "values", vals)
         n = len(vals)
         if n == 0:
@@ -53,6 +54,14 @@ class HessenbergFunction:
             if not j <= vals[j - 1] <= n:
                 raise ValueOutOfRange(
                     f"h({j}) = {vals[j-1]} outside [{j}, {n}]")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @property
     def n(self) -> int:
@@ -113,15 +122,22 @@ def product(h1: HessenbergFunction, h2: HessenbergFunction) -> HessenbergFunctio
     return h1.product(h2)
 
 
-@dataclass(frozen=True)
 class IndifferenceGraph:
     """Graph on [n] with an edge {i, j} whenever j < i <= h(j).
 
     Edges are stored as (i, j) pairs with i > j.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        vars(self).update(n=n, edges=edges)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def indifference_graph(h: HessenbergFunction) -> IndifferenceGraph:
@@ -131,7 +147,6 @@ def indifference_graph(h: HessenbergFunction) -> IndifferenceGraph:
     return IndifferenceGraph(h.n, edges)
 
 
-@dataclass(frozen=True)
 class ModularTriple:
     """A triple (h_minus, h, h_plus) satisfying condition (C) or (R).
 
@@ -141,15 +156,21 @@ class ModularTriple:
     h^{-1}(d') is empty; h_- lowers position d'+1, h_+ raises position d'.
     """
 
-    kind: str
-    h_minus: HessenbergFunction
-    h: HessenbergFunction
-    h_plus: HessenbergFunction
-    params: tuple[int, ...]
+    def __init__(self, kind: str, h_minus: HessenbergFunction,
+                 h: HessenbergFunction, h_plus: HessenbergFunction,
+                 params: tuple[int, ...]):
+        vars(self).update(kind=kind, h_minus=h_minus, h=h, h_plus=h_plus,
+                          params=params)
+        if kind not in ("C", "R"):
+            raise WrongKind(f"kind must be 'C' or 'R', got {kind!r}")
 
-    def __post_init__(self):
-        if self.kind not in ("C", "R"):
-            raise WrongKind(f"kind must be 'C' or 'R', got {self.kind!r}")
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def d(self) -> int:

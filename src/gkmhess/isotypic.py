@@ -62,7 +62,6 @@ wrong character or report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -417,7 +416,6 @@ def blowup_block_rows(n: int, plain_types, circle_types, d: int,
                  for col in _independent_columns(n, lam, *tau)], 2 * dl))
 
 
-@dataclass
 class TwinBlocks:
     """The multiplicity m_lam(k) of each irreducible in each degree
     k <= max_degree of the equivariant cohomology of a plain twin graph.
@@ -431,9 +429,12 @@ class TwinBlocks:
     one raises :class:`gkmhess.cohomology.NoDirectQuotient`.
     """
 
-    graph: LabeledGraph
-    max_degree: int
-    mult: dict[Partition, list[int]]
+    def __init__(self, graph: LabeledGraph, max_degree: int,
+                 mult: dict[Partition, list[int]]):
+        self.graph, self.max_degree, self.mult = graph, max_degree, mult
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,6 @@ the coordinate of a kernel vector x along it is x[f] / col[f].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 
@@ -179,15 +178,18 @@ def _kernel_column(f: int, entries: list[tuple[int, int, int]]) -> IntRow:
     return {k: x // g for k, x in col.items()} if g != 1 else col
 
 
-@dataclass
 class SubspaceBasis:
     """Columns spanning a subspace of Q^ambient_dim; ``unit_rows``, when
     set, lists rows where they restrict to a positive diagonal matrix, as
     the columns of a :class:`Kernel` do at its free columns."""
 
-    ambient_dim: int
-    columns: list[IntRow]
-    unit_rows: list[int] | None = None
+    def __init__(self, ambient_dim: int, columns: list[IntRow],
+                 unit_rows: list[int] | None = None):
+        self.ambient_dim, self.columns = ambient_dim, columns
+        self.unit_rows = unit_rows
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def dim(self) -> int:

@@ -37,7 +37,6 @@ dot ambient factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Callable
@@ -63,17 +62,19 @@ class EquivarianceFailed(ValueError):
     """A map rule is not certified to commute with the group action."""
 
 
-@dataclass
 class TripleGraphs:
     """A kind-C triple with its five graphs on one side."""
 
-    triple: ModularTriple
-    side: str
-    g_minus: LabeledGraph
-    g_mid: LabeledGraph
-    g_plus: LabeledGraph
-    g_circle: LabeledGraph
-    blowup: SignedBlowupGraph
+    def __init__(self, triple: ModularTriple, side: str,
+                 g_minus: LabeledGraph, g_mid: LabeledGraph,
+                 g_plus: LabeledGraph, g_circle: LabeledGraph,
+                 blowup: SignedBlowupGraph):
+        self.triple, self.side = triple, side
+        self.g_minus, self.g_mid, self.g_plus = g_minus, g_mid, g_plus
+        self.g_circle, self.blowup = g_circle, blowup
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def d(self) -> int:
@@ -562,8 +563,8 @@ def clear_plain_caches() -> None:
     plain_series.cache_clear()
 
 
-# (ok, difference) of a modular law of Frobenius series
-Law = tuple[bool, GradedSymmetricFunction]
+# (True, None) where a law of Frobenius series holds, else (False, lhs - rhs)
+Law = tuple[bool, GradedSymmetricFunction | None]
 
 
 def _modular_law(series) -> Law:
@@ -572,7 +573,7 @@ def _modular_law(series) -> Law:
     f_minus, f_mid, f_plus = series
     lhs = f_mid.scale_qpoly({0: 1, 1: 1})
     rhs = f_plus + f_minus.scale_qpoly({1: 1})
-    return lhs == rhs, lhs - rhs
+    return (True, None) if lhs == rhs else (False, lhs - rhs)
 
 
 def check_corollary_sides(triple: ModularTriple
@@ -584,9 +585,8 @@ def check_corollary_sides(triple: ModularTriple
     kind-R triple is transposed first, as in :meth:`TripleGraphs.of`),
     each through its own top degree + 1, by :func:`plain_series`.
     Both sides come from one set of dagger traces (:func:`plain_twin`):
-    side x through the certified relabelling.  Each law is (ok,
-    difference); the difference is the zero graded symmetric function
-    exactly when the law holds.
+    side x through the certified relabelling.  Each law is a
+    :data:`Law`.
     """
     if triple.kind == "R":
         triple = kind_r_via_transpose(triple)
@@ -604,20 +604,18 @@ def omega_graded(gf: GradedSymmetricFunction) -> GradedSymmetricFunction:
         gf.degree, {k: f.omega() for k, f in gf.terms.items()})
 
 
-def check_theorem_1_1(h: HessenbergFunction
-                      ) -> tuple[bool, GradedSymmetricFunction]:
+def check_theorem_1_1(h: HessenbergFunction) -> Law:
     """omega(csf_q(h)) equals the dot-action Frobenius series of the
-    Hessenberg GKM graph; returns (ok, difference in the m basis)."""
+    Hessenberg GKM graph; the difference is in the m basis."""
     from gkmhess.coloring import csf_q as _csf
     lhs = omega_graded(_csf(h)).convert("m")
     rhs = plain_series(h, "x")
-    return lhs == rhs, lhs - rhs
+    return (True, None) if lhs == rhs else (False, lhs - rhs)
 
 
-def check_theorem_1_2(h: HessenbergFunction
-                      ) -> tuple[bool, GradedSymmetricFunction]:
+def check_theorem_1_2(h: HessenbergFunction) -> Law:
     """llt(h) equals the dagger-action Frobenius series of the twin graph."""
     from gkmhess.coloring import llt as _llt
     lhs = _llt(h).convert("m")
     rhs = plain_series(h, "y")
-    return lhs == rhs, lhs - rhs
+    return (True, None) if lhs == rhs else (False, lhs - rhs)

@@ -16,8 +16,6 @@ and all, so that the tests can compare it with side x solved alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from gkmhess.cohomology import (
     GradedSolutionSpace, MembershipFailed, _restrict, certify_relabelling,
     column_adjacency, constraint_rows, first_violated_row, monomial_index,
@@ -29,15 +27,14 @@ from gkmhess.maps import (
     _ranks)
 
 
-@dataclass
 class Context(TripleGraphs):
-    """A triple's five graphs on one side with their full kernels."""
+    """A triple's five graphs on one side with their full kernels: the
+    space of the graph that :meth:`TripleGraphs.graphs` calls name is
+    sp_name (sp_minus, sp_mid, sp_plus, sp_circle and sp_blowup)."""
 
-    sp_minus: GradedSolutionSpace
-    sp_mid: GradedSolutionSpace
-    sp_plus: GradedSolutionSpace
-    sp_circle: GradedSolutionSpace
-    sp_blowup: GradedSolutionSpace
+    def __init__(self, graphs: TripleGraphs, **spaces: GradedSolutionSpace):
+        super().__init__(**vars(graphs))
+        vars(self).update(spaces)
 
 
 def solve(triple, side: str) -> Context:
@@ -45,7 +42,7 @@ def solve(triple, side: str) -> Context:
     R), each solved through degree h_plus.dimension() + 1."""
     graphs = TripleGraphs.of(triple, side)
     top = graphs.triple.h_plus.dimension() + 1
-    return Context(**vars(graphs), **{
+    return Context(graphs, **{
         f"sp_{name}": solve_graph(g, top)
         for name, g in graphs.graphs().items()})
 

@@ -2,16 +2,29 @@
 permutation, vertex degrees and unlabelled edge sets, the edge
 augmentation of a blow-up, the circle isomorphism of a kind-C triple,
 pairwise independence of the labels at each vertex, the cycle type of a
-permutation and the nested plain graphs of a kind-C triple."""
+permutation and the nested plain graphs of a kind-C triple; and
+:func:`replace`, the copy of a package object with some fields changed
+that the mutation tests make."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+import inspect
 
 from gkmhess.graphs import (
     Perm, SignedBlowupGraph, _label, build_circle_graph, build_graph, circ,
     swap_positions)
 from gkmhess.hessenberg import ModularTriple, WrongKind
+
+
+def replace(obj, **changes):
+    """A new obj made by its constructor from its own attributes of the
+    same names as the arguments, except those given in changes."""
+    params = inspect.signature(type(obj)).parameters
+    unknown = changes.keys() - params.keys()
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no {sorted(unknown)}")
+    return type(obj)(**{name: changes[name] if name in changes
+                        else getattr(obj, name) for name in params})
 
 
 def longest_element(n: int) -> Perm:

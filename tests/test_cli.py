@@ -1,7 +1,6 @@
 """Command-line driver: outputs, exit codes, determinism."""
 
 import concurrent.futures
-import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +13,7 @@ from gkmhess import cohomology as CH
 from gkmhess import graphs as G
 from gkmhess import hessenberg as H
 from gkmhess import maps as M
+import graph_checks as GC
 
 
 def run(capsys, *argv):
@@ -124,6 +124,27 @@ class TestCheck:
             d1.pop("wall_time_sec"), d2.pop("wall_time_sec")
             assert d1 == d2, thm
 
+    def test_failed_law_reports_its_difference(self, capsys, monkeypatch):
+        # the series of 2,3,3 doubled: 1.1 reads F - 2F, and the corollary
+        # of 2,3,3 fails on both sides; every other law still holds
+        series = M.plain_series
+
+        def doubled(h, side):
+            f = series(h, side)
+            return f + f if str(h) == "2,3,3" else f
+
+        doubled.cache_clear = series.cache_clear   # main clears the caches
+        monkeypatch.setattr(M, "plain_series", doubled)
+        code, data = run_json(capsys, "check", "2,3,3", "--thm", "all")
+        assert code == 1
+        failed = [i for i in data["items"] if not i["pass"]]
+        assert [i["check"] for i in failed] == [
+            "1.1", "1.2", "corollary", "corollary"]
+        f = series(H.from_string("2,3,3"), "x")
+        assert failed[0]["diff"] == (f - (f + f)).to_json()
+        assert all(i["diff"] for i in failed)
+        assert not any("diff" in i for i in data["items"] if i["pass"])
+
     def test_raising_check_is_a_fail_item(self, capsys, monkeypatch):
         _, before = run_json(capsys, "check", "2,3,3", "--thm", "all")
 
@@ -223,7 +244,7 @@ class TestFailedCertificate:
     def drop_an_edge(build):
         def built(h):
             graph = build(h)
-            return dataclasses.replace(graph, edges=graph.edges[1:])
+            return GC.replace(graph, edges=graph.edges[1:])
         return built
 
     def check_fails(self, capsys, tmp_path, argv, error_class):
@@ -294,6 +315,26 @@ class TestUnusableOutputFile:
             assert json.load(fh)["command"] == "csf"
 
 
+def package_env() -> dict:
+    """The environment of a child interpreter that imports this gkmhess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestStartUp:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every command is a fresh process: importing the CLI leaves out
+        # dataclasses and inspect, with the ast, dis and tokenize they load
+        code = ("import sys; before = set(sys.modules); import gkmhess.cli; "
+                "print(sorted({'dataclasses', 'inspect'} "
+                "& (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-s", "-c", code],
+                              capture_output=True, text=True,
+                              env=package_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestClosedStdout:
     """A reader that closes the pipe before the report is printed, as
     `| head` does: the --output file is written all the same, and the
@@ -301,9 +342,7 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_quiet_exit_and_output_file(self, tmp_path, fmt):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = package_env()
         path, err = tmp_path / "report.json", tmp_path / "stderr"
         with open(err, "wb") as err_fh:
             proc = subprocess.Popen(

@@ -1,6 +1,5 @@
 """Graph cohomology: solved dimensions, numerators, characters, classes."""
 
-import dataclasses
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -291,7 +290,7 @@ class TestOrdinaryDirect:
             short = L.SubspaceBasis(
                 basis.ambient_dim, basis.columns[:j] + basis.columns[j + 1:],
                 basis.unit_rows[:j] + basis.unit_rows[j + 1:])
-            cut = dataclasses.replace(sp, bases={**sp.bases, k: short})
+            cut = GC.replace(sp, bases={**sp.bases, k: short})
             with pytest.raises(CH.DimensionMismatch, match=f"at degree {k}"):
                 CH._cross_check_direct(cut, kind, numer)
             with pytest.raises((CH.NotFree, CH.Truncated)):
@@ -714,7 +713,7 @@ class TestActionInvarianceGuard:
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_quad_rows_ignore_label_orientation(self, side):
         bl = G.build_blowup(c_triple("2,3,3,4"), side)
-        flipped = dataclasses.replace(bl, quads=tuple(
+        flipped = GC.replace(bl, quads=tuple(
             (vs, (b, a)) for vs, (a, b) in bl.quads))
         for k in range(bl.top_degree + 2):
             assert row_set(CH.constraint_rows(flipped, k)) \

@@ -1,5 +1,7 @@
 """Labeled graph construction: counts, labels, signs, quads, isomorphisms."""
 
+import pickle
+
 import pytest
 
 from gkmhess import graphs as G
@@ -190,7 +192,7 @@ class TestBlowup:
         bl = G.build_blowup(c_triple("2,3,3"), side)
         graph = G.LabeledGraph(bl.n, bl.vertices, bl.edges, bl.top_degree)
         data = bl.to_json()
-        assert isinstance(bl, G.LabeledGraph)
+        assert isinstance(bl, G.LabeledGraph) and graph != bl
         assert list(data) == [*graph.to_json(), "side", "d", "d0", "signs",
                               "quads"]
         assert {k: data[k] for k in graph.to_json()} == graph.to_json()
@@ -400,3 +402,31 @@ class TestVertexMap:
         assert G.build_blowup(c_triple("2,3,3"), "y").vertex_map(
             (2, 1, 3)) == graph.vertex_map((2, 1, 3))
         assert len(calls) == 7 * len(graph.vertices)
+
+
+class TestValueSemantics:
+    """Vertices and graphs are immutable values: equal fields compare and
+    hash equal, only within one class; a graph still caches its index."""
+
+    def test_vertex(self):
+        v = G.Vertex(False, (2, 1, 3))
+        assert v == G.plain((2, 1, 3)) and hash(v) == hash(G.plain((2, 1, 3)))
+        assert v != G.circ((2, 1, 3)) and v != (False, (2, 1, 3))
+        assert {v: 0}[G.plain((2, 1, 3))] == 0
+        assert pickle.loads(pickle.dumps(v)) == v
+        with pytest.raises(AttributeError, match="perm"):
+            v.perm = (1, 2, 3)
+        assert v.perm == (2, 1, 3)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_graphs(self, side):
+        for build in (lambda: G.build_graph(H233, side),
+                      lambda: G.build_blowup(c_triple("2,3,3"), side)):
+            a, b = build(), build()
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a.vertex_index is a.vertex_index and a == b
+            assert pickle.loads(pickle.dumps(a)) == a
+            assert GC.replace(a, edges=a.edges[1:]) != a
+            with pytest.raises(AttributeError, match="edges"):
+                a.edges = ()
+            assert a == b

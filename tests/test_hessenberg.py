@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,16 +27,22 @@ class TestValidate:
 
     def test_identity_valid(self):
         assert H.validate((1, 2, 3)).values == (1, 2, 3)
+        assert H.HessenbergFunction(["1", 2.0, 3]).values == (1, 2, 3)
 
     def test_not_nondecreasing(self):
-        with pytest.raises(H.NotNonDecreasing):
+        with pytest.raises(H.NotNonDecreasing,
+                           match=r"^h\(1\) = 2 > h\(2\) = 1$"):
             H.validate((2, 1, 3))
 
     def test_out_of_range(self):
-        with pytest.raises(H.ValueOutOfRange):
+        with pytest.raises(H.ValueOutOfRange,
+                           match=r"^h\(2\) = 1 outside \[2, 3\]$"):
             H.validate((1, 1, 3))
-        with pytest.raises(H.ValueOutOfRange):
+        with pytest.raises(H.ValueOutOfRange,
+                           match=r"^h\(1\) = 4 outside \[1, 3\]$"):
             H.validate((4, 4, 4))
+        with pytest.raises(H.ValueOutOfRange, match="^empty value vector$"):
+            H.HessenbergFunction(())
 
     def test_from_string(self):
         assert H.from_string("2,3,3").values == (2, 3, 3)
@@ -88,6 +95,48 @@ class TestIndifferenceGraph:
     def test_complete(self):
         g = H.indifference_graph(H.from_string("3,3,3"))
         assert g.edges == frozenset({(2, 1), (3, 1), (3, 2)})
+
+
+class TestValueSemantics:
+    """Functions, indifference graphs and triples are immutable values:
+    equal fields compare and hash equal, only within one class."""
+
+    def values(self):
+        h = H.from_string("2,3,3")
+        return (h, H.indifference_graph(h), H.find_modular_triples(h)[0])
+
+    def test_equal_fields_are_equal_and_hash_equal(self):
+        for a, b in zip(self.values(), self.values()):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+        h, g, t = self.values()
+        assert h != H.from_string("3,3,3") and h != (2, 3, 3)
+        assert g != H.indifference_graph(H.from_string("3,3,3"))
+        assert t != H.find_modular_triples(H.from_string("2,3,4,4"))[0]
+
+    def test_assignment_raises(self):
+        for value, field in zip(self.values(), ("values", "edges", "kind")):
+            before = getattr(value, field)
+            with pytest.raises(AttributeError, match=field):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+            assert getattr(value, field) == before
+
+    def test_pickle_round_trip(self):
+        for value in self.values():
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value)
+            with pytest.raises(AttributeError):
+                copy.n = 0
+
+    def test_wrong_kind(self):
+        h = H.from_string("2,3,3")
+        with pytest.raises(H.WrongKind,
+                           match="^kind must be 'C' or 'R', got 'X'$"):
+            H.ModularTriple("X", h, h, h, (1,))
 
 
 class TestModularTriples:

@@ -2,7 +2,6 @@
 agree with the full kernel and its traces, and both certificates (the
 representations and the graph shape) reject every mutation tried."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -17,6 +16,7 @@ from gkmhess import isotypic as I
 from gkmhess import maps as M
 from gkmhess.symfunc import mn_character, partitions_of
 import fraction_reps as FR
+import graph_checks as GC
 import kernel_traces as KT
 
 ALL_N4 = [str(h) for n in (1, 2, 3, 4) for h in H.enumerate_hessenberg(n)]
@@ -60,7 +60,7 @@ class TestBlocksEqualTheTracePath:
             assert space.ranked == {top: kernel.dim}
             for k in range(top + 1):
                 assert blocks.dim(k) == space.dim(k), k
-            oracle = KT.kernel_traces(dataclasses.replace(
+            oracle = KT.kernel_traces(GC.replace(
                 space, bases={**space.bases, top: kernel}, ranked={}), kind)
             if side == "y":
                 assert blocks.traces() == oracle
@@ -236,8 +236,8 @@ class TestRepresentations:
 
 
 def without_edge(graph, i=0):
-    return dataclasses.replace(graph, edges=graph.edges[:i]
-                               + graph.edges[i + 1:])
+    return GC.replace(graph, edges=graph.edges[:i]
+                      + graph.edges[i + 1:])
 
 
 class TestGraphShape:
@@ -258,7 +258,7 @@ class TestGraphShape:
         (u, v, _), *rest = gy.edges
         for label in ((1, 3), (2, 1), (0, 1)):
             with pytest.raises(I.NotTwinGraph, match="the edges are not"):
-                I.twin_blocks(dataclasses.replace(
+                I.twin_blocks(GC.replace(
                     gy, edges=((u, v, label), *rest)))
 
     def test_side_x_graph(self):
@@ -299,7 +299,7 @@ def c_triple(hstr):
 
 
 def _relabel_edge(graph, pair, label):
-    return dataclasses.replace(graph, edges=tuple(
+    return GC.replace(graph, edges=tuple(
         e[:2] + (label,) if e[:2] == pair else e for e in graph.edges))
 
 
@@ -307,14 +307,14 @@ def _relabel_edge(graph, pair, label):
 # lex order, circle copies come 6 later, and tau = (2 3): the first 4-gon
 # is (123, °123, 132, °132), and 123 -- °123 is the edge (0, 6).
 BLOWUP_MUTATIONS = {
-    "dropped-4-gon": (lambda g: dataclasses.replace(g, quads=g.quads[1:]),
+    "dropped-4-gon": (lambda g: GC.replace(g, quads=g.quads[1:]),
                       "the 4-gons are not w, °w, w tau, °w tau"),
-    "flipped-sign": (lambda g: dataclasses.replace(
+    "flipped-sign": (lambda g: GC.replace(
         g, signs=(-g.signs[0],) + g.signs[1:]),
         "the signs of the 4-gon 123 °123 132 °132 are not"),
     "mislabelled-joining-edge": (lambda g: _relabel_edge(g, (0, 6), (1, 2)),
                                  "the edges are not the twin edges"),
-    "extra-plain-edge": (lambda g: dataclasses.replace(
+    "extra-plain-edge": (lambda g: GC.replace(
         g, edges=tuple(sorted(g.edges + ((0, 5, (1, 3)),)))),
         "the edges are not the twin edges"),
 }

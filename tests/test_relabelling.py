@@ -2,7 +2,6 @@
 failures under mutation, the independence of the two sides, and the twin
 cache that lets one command read each twin once."""
 
-import dataclasses
 import json
 
 import pytest
@@ -110,7 +109,7 @@ class TestSidesStayIndependent:
             for h in H.enumerate_hessenberg(n):
                 gy, gx = G.build_GY(h), G.build_GX(h)
                 space_y = CH.solve_graph(gy)
-                relabelled = dataclasses.replace(
+                relabelled = GC.replace(
                     FK.relabel_space(space_y, gx, "plain graph"),
                     adjacency=space_y.adjacency)
                 if relabelled.adjacency == CH.solve_graph(gx).adjacency:
@@ -252,7 +251,7 @@ class TestCertificate:
 
 
 def _edges(graph, edges):
-    return dataclasses.replace(graph, edges=tuple(edges))
+    return GC.replace(graph, edges=tuple(edges))
 
 
 def _relabel(graph, pair, label):
@@ -262,12 +261,12 @@ def _relabel(graph, pair, label):
 
 def _flip(graph, i):
     s = graph.signs
-    return dataclasses.replace(graph, signs=s[:i] + (-s[i],) + s[i + 1:])
+    return GC.replace(graph, signs=s[:i] + (-s[i],) + s[i + 1:])
 
 
 def _first_quad(graph, vs=None, label=None):
     (vs0, label0), *rest = graph.quads
-    return dataclasses.replace(
+    return GC.replace(
         graph, quads=((vs or vs0, label or label0), *rest))
 
 
@@ -284,7 +283,7 @@ def _x(mutate):
 # (123, °123, 132, °132) with label (2, 3), and its chi = -1 pair
 # 132 -- °132 is the edge (1, 7).  The edge 123 -- 213 is (0, 2), (1, 2).
 GRAPH_MUTATIONS = {
-    "vertices": (_x(lambda g: dataclasses.replace(
+    "vertices": (_x(lambda g: GC.replace(
         g, vertices=(g.vertices[1], g.vertices[0], *g.vertices[2:]))),
         "the two sides have different vertices"),
     "x-edge-dropped": (_x(lambda g: _edges(g, g.edges[1:])),
@@ -300,7 +299,7 @@ GRAPH_MUTATIONS = {
         "the y edge 123 -- 213 is not along its label (1, 3)"),
     "x-edge-label": (_x(lambda g: _relabel(g, (0, 2), (1, 3))),
                      "the x edge 123 -- 213 is labelled (1, 3), not (1, 2)"),
-    "x-4-gon-dropped": (_x(lambda g: dataclasses.replace(
+    "x-4-gon-dropped": (_x(lambda g: GC.replace(
         g, quads=g.quads[1:])), "side y has 3 4-gons, side x 2"),
     "x-4-gon-vertices": (_x(lambda g: _first_quad(g, vs=(6, 0, 1, 7))),
                          "the y 4-gon (0, 6, 1, 7) is not the x 4-gon "
@@ -392,7 +391,7 @@ class TestMutationsFailTheCertificate:
         def mutated(triple, side):
             bl = build(triple, side)
             if side == "x":
-                bl = dataclasses.replace(
+                bl = GC.replace(
                     bl, signs=(-bl.signs[0],) + bl.signs[1:])
             return bl
 
@@ -406,7 +405,7 @@ class TestMutationsFailTheCertificate:
             bl = build(triple, side)
             if side == "x":
                 (vs, (a, b)), *rest = bl.quads
-                bl = dataclasses.replace(
+                bl = GC.replace(
                     bl, quads=((vs, (a, 6 - a - b)), *rest))
             return bl
 
